@@ -10,6 +10,7 @@ flags (selfadjoint / positive / projection).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -42,6 +43,17 @@ class TracedAlgebra:
     @property
     def weights(self) -> tuple:
         return tuple(w for _, w in self.blocks)
+
+    @cached_property
+    def groups(self) -> tuple:
+        """Block indices grouped by dimension, one tuple per distinct dim.
+
+        Per-block factorizations run once per group, as one stacked call.
+        """
+        groups: dict = {}
+        for i, d in enumerate(self.dims):
+            groups.setdefault(d, []).append(i)
+        return tuple(tuple(g) for g in groups.values())
 
     @property
     def total_trace(self) -> float:
@@ -124,16 +136,17 @@ class Element:
         if not (self.selfadjoint or self.positive or self.projection):
             return
         scale = max(self.sup_norm(), 1.0)
-        gap = max(np.abs(b - b.conj().T).max(initial=0.0) for b in self.data)
+        stacks = [stacked(self.data, g) for g in self.algebra.groups]
+        gap = max(np.abs(b - _adj(b)).max(initial=0.0) for b in stacks)
         if gap > tol.flag_tol * scale:
             raise InvalidInputError("selfadjoint flag fails verification")
         if self.positive or self.projection:
-            lo = min(np.linalg.eigvalsh((b + b.conj().T) / 2).min(initial=0.0)
-                     for b in self.data)
+            lo = min(np.linalg.eigvalsh((b + _adj(b)) / 2).min(initial=0.0)
+                     for b in stacks)
             if lo < -tol.flag_tol * scale:
                 raise InvalidInputError("positive flag fails verification")
         if self.projection:
-            gap = max(np.abs(b @ b - b).max(initial=0.0) for b in self.data)
+            gap = max(np.abs(b @ b - b).max(initial=0.0) for b in stacks)
             if gap > tol.flag_tol:
                 raise InvalidInputError("projection flag fails verification")
 
@@ -189,17 +202,29 @@ class Element:
         return float(out)
 
     def singular_values(self) -> list:
-        """Per-block singular values, descending within each block."""
+        """Per-block singular values, descending within each block.
+
+        One stacked SVD per group of equal-dimension blocks; the cached
+        slices are read-only because the stacked result is.
+        """
         if self._svals is None:
-            object.__setattr__(self, "_svals", tuple(
-                _frozen(np.linalg.svd(b, compute_uv=False)) for b in self.data))
+            svals = [None] * len(self.data)
+            for g in self.algebra.groups:
+                s = np.linalg.svd(stacked(self.data, g), compute_uv=False)
+                for i, si in zip(g, _frozen(s)):
+                    svals[i] = si
+            object.__setattr__(self, "_svals", tuple(svals))
         return list(self._svals)
 
     def block_svds(self) -> list:
         """Per-block full SVDs ``(u, s, vh)`` with ``b = u * s @ vh``."""
         if self._svd is None:
-            object.__setattr__(self, "_svd", tuple(
-                tuple(_frozen(a) for a in np.linalg.svd(b)) for b in self.data))
+            usv = [None] * len(self.data)
+            for g in self.algebra.groups:
+                parts = map(_frozen, np.linalg.svd(stacked(self.data, g)))
+                for i, *row in zip(g, *parts):
+                    usv[i] = tuple(row)
+            object.__setattr__(self, "_svd", tuple(usv))
         return list(self._svd)
 
     def norm_diff(self, other: "Element") -> float:
@@ -233,6 +258,22 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _adj(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix in a stack."""
+    return a.conj().swapaxes(-1, -2)
+
+
+def stacked(blocks: Sequence[np.ndarray], group: Sequence[int]) -> np.ndarray:
+    """The blocks of one group as a ``(k, d, d)`` stack.
+
+    A singleton group is a view with a new leading axis, so layouts with
+    all-distinct dimensions pay no copy.
+    """
+    if len(group) == 1:
+        return blocks[group[0]][None]
+    return np.stack([blocks[i] for i in group])
+
+
 # -- projection machinery ----------------------------------------------------
 
 def projection_from_ranges(algebra: TracedAlgebra, bases: Sequence[np.ndarray],
@@ -241,16 +282,25 @@ def projection_from_ranges(algebra: TracedAlgebra, bases: Sequence[np.ndarray],
 
     Each basis is orthonormalized; eigenvalue rounding to {0, 1} keeps the
     idempotent defect at machine scale regardless of the input conditioning.
+    Bases of equal shape are orthonormalized in one stacked QR.
     """
-    data = []
-    for basis, d in zip(bases, algebra.dims):
-        if basis.size == 0:
-            data.append(np.zeros((d, d), dtype=complex))
-            continue
-        q, r = np.linalg.qr(basis)
-        keep = np.abs(np.diag(r)) > tol.rank_rel * max(1.0, np.abs(r).max())
-        q = q[:, keep]
-        data.append(q @ q.conj().T)
+    if len(bases) != len(algebra.dims):
+        raise InvalidInputError("block count mismatch")
+    data = [np.zeros((d, d), dtype=complex) for d in algebra.dims]
+    shapes: dict = {}
+    for i, basis in enumerate(bases):
+        if basis.size:
+            shapes.setdefault(basis.shape, []).append(i)
+    for group in shapes.values():
+        q, r = np.linalg.qr(stacked(bases, group))
+        thresh = tol.rank_rel * np.maximum(1.0, np.abs(r).max(axis=(-2, -1)))
+        keep = np.abs(np.diagonal(r, axis1=-2, axis2=-1)) > thresh[:, None]
+        if keep.all():
+            blocks = q @ _adj(q)
+        else:
+            blocks = [qj[:, kj] @ qj[:, kj].conj().T for qj, kj in zip(q, keep)]
+        for i, b in zip(group, blocks):
+            data[i] = b
     return Element(algebra, data, selfadjoint=True, positive=True, projection=True,
                    tol=tol)
 

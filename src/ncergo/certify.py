@@ -18,8 +18,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import (Element, TracedAlgebra, projection_from_ranges,
-                      trace_deficiency)
+from .algebra import (Element, TracedAlgebra, _adj, projection_from_ranges,
+                      stacked, trace_deficiency)
 from .config import DEFAULT, Tolerances
 from .errors import InvalidInputError, NoLimitError, PostconditionError
 from .singular import enlarge_projection, measure_metric, spectral_projection_below
@@ -104,6 +104,33 @@ def _compressed_bound(d: Element, e: Element, mode: str) -> float:
     return (e @ d @ e).sup_norm()
 
 
+def _term_stacks(elements: Sequence[Element]) -> list:
+    """Per group of equal-dimension blocks, all terms' blocks as one
+    ``(terms, k, d, d)`` array."""
+    return [np.array([[x.data[i] for i in g] for x in elements])
+            for g in elements[0].algebra.groups]
+
+
+def _compressed_bounds(stacks: Sequence[np.ndarray], e: Element,
+                       mode: str) -> list:
+    """``_compressed_bound`` of every term of ``stacks`` (see
+    :func:`_term_stacks`) at once, by the per-block rule of ``sup_norm``."""
+    out = 0.0
+    for g, dd in zip(e.algebra.groups, stacks):
+        ee = stacked(e.data, g)
+        p = dd @ ee if mode == "au" else ee @ dd @ ee
+        if not np.isfinite(p).all():
+            raise InvalidInputError("non-finite matrix entries")
+        if p.shape[-1] == 1:
+            # hypot is the scalar abs() of sup_norm to the last bit, where
+            # the vectorized complex np.abs is not
+            norms = np.hypot(p.real[..., 0, 0], p.imag[..., 0, 0])
+        else:
+            norms = np.linalg.svd(p, compute_uv=False)[..., 0]
+        out = np.maximum(out, norms.max(axis=1))
+    return out.tolist()
+
+
 def _distinct_levels(d: Element) -> List[float]:
     """Candidate spectral cut levels, descending; always ends at 0."""
     svals = np.concatenate(d.singular_values())
@@ -139,10 +166,13 @@ class _MeetBuilder:
                       for i, d in enumerate(algebra.dims)]
 
     def _meet_from_sums(self, sums):
-        bases = []
-        for s in sums:
-            w, v = np.linalg.eigh((s + s.conj().T) / 2)
-            bases.append(v[:, w < 1e-7 * max(1.0, len(self.current))])
+        bases = [None] * len(sums)
+        cut = 1e-7 * max(1.0, len(self.current))
+        for g in self.algebra.groups:
+            s = stacked(sums, g)
+            w, v = np.linalg.eigh((s + _adj(s)) / 2)
+            for i, wi, vi in zip(g, w, v):
+                bases[i] = vi[:, wi < cut]
         return projection_from_ranges(self.algebra, bases, self.tol)
 
     def meet(self) -> Element:
@@ -171,7 +201,9 @@ def _search_witness(differences: Sequence[Element], epsilon: float, mode: str,
     Starts from the geometric per-term budgets epsilon * 2^-(n+1) (the sum
     never exceeds epsilon), then repeatedly tightens the cut of the term
     with the worst bound as long as the meet keeps its deficiency within
-    epsilon.  Returns (projection, deficiency, bounds).
+    epsilon.  Returns (projection, deficiency, bounds, cap_hit), where
+    cap_hit says the search stopped after ``max_iter`` iterations with a
+    term still open for tightening.
     """
     algebra = differences[0].algebra
     levels = [_distinct_levels(d) for d in differences]
@@ -194,17 +226,22 @@ def _search_witness(differences: Sequence[Element], epsilon: float, mode: str,
                 differences[n], levels[n][k], tol)
         return proj_cache[n, k]
 
+    def worst_open_term() -> Optional[int]:
+        order = sorted(range(len(differences)), key=lambda n: -bounds[n])
+        return next((n for n in order if not stuck[n] and bounds[n] > 0), None)
+
     builder = _MeetBuilder(algebra,
                            [term_projection(n, k) for n, k in enumerate(cursor)],
                            tol)
     e = builder.meet()
     if trace_deficiency(e) > epsilon + 1e-12:
         raise PostconditionError("initial witness exceeds the trace budget")
-    bounds = [_compressed_bound(d, e, mode) for d in differences]
+    stacks = _term_stacks(differences)
+    bounds = _compressed_bounds(stacks, e, mode)
     stuck = [k + 1 >= len(lvs) for k, lvs in zip(cursor, levels)]
+    cap_hit = False
     for _ in range(max_iter):
-        order = sorted(range(len(differences)), key=lambda n: -bounds[n])
-        target = next((n for n in order if not stuck[n] and bounds[n] > 0), None)
+        target = worst_open_term()
         if target is None:
             break
         candidate = term_projection(target, cursor[target] + 1)
@@ -213,12 +250,14 @@ def _search_witness(differences: Sequence[Element], epsilon: float, mode: str,
             builder.commit(target, candidate)
             cursor[target] += 1
             e = e_trial
-            bounds = [_compressed_bound(d, e, mode) for d in differences]
+            bounds = _compressed_bounds(stacks, e, mode)
             if cursor[target] + 1 >= len(levels[target]):
                 stuck[target] = True
         else:
             stuck[target] = True
-    return e, trace_deficiency(e), bounds
+    else:
+        cap_hit = worst_open_term() is not None
+    return e, trace_deficiency(e), bounds, cap_hit
 
 
 def _verdict(bounds: Sequence[float], tail_tol: float) -> str:
@@ -252,14 +291,15 @@ def witness_convergence(trace: FiniteTrace, limit: Element, epsilon: float,
                                   tuple(enumerate(bounds)), "certified",
                                   len(trace), notes)
     differences = [limit - x for x in trace.elements]
-    e, deficiency, bounds = _search_witness(differences, epsilon, mode, tol)
+    e, deficiency, bounds, cap_hit = _search_witness(differences, epsilon,
+                                                     mode, tol)
+    if cap_hit:
+        notes["iteration_cap_hit"] = True
     if mode == "au":
         # one-sided control implies two-sided control under the same witness
-        for d, b in zip(differences, bounds):
-            two_sided = _compressed_bound(d, e, "bau")
-            if two_sided > b + 1e-9:
-                raise PostconditionError(
-                    "two-sided bound exceeds one-sided bound")
+        two_sided = _compressed_bounds(_term_stacks(differences), e, "bau")
+        if any(t > b + 1e-9 for t, b in zip(two_sided, bounds)):
+            raise PostconditionError("two-sided bound exceeds one-sided bound")
     return WitnessCertificate(mode, epsilon, e, deficiency,
                               tuple(enumerate(bounds)),
                               _verdict(bounds, tail_tol), len(trace), notes)
@@ -293,12 +333,16 @@ def certify_cauchy(trace: FiniteTrace, epsilon: float, mode: str = "bau",
                                   "certified", n, notes)
     consecutive = [trace.elements[i + 1] - trace.elements[i]
                    for i in range(n - 1)]
-    e, deficiency, _ = _search_witness(consecutive, epsilon, mode, tol)
+    e, deficiency, _, cap_hit = _search_witness(consecutive, epsilon, mode,
+                                                tol)
+    if cap_hit:
+        notes["iteration_cap_hit"] = True
+    # pair[a, b] bounds x_b - x_a; one batched row per a keeps memory O(n)
+    stacks = _term_stacks(trace.elements)
     pair = np.zeros((n, n))
-    for a in range(n):
-        for b in range(a + 1, n):
-            pair[a, b] = _compressed_bound(
-                trace.elements[b] - trace.elements[a], e, mode)
+    for a in range(n - 1):
+        pair[a, a + 1:] = _compressed_bounds(
+            [x[a + 1:] - x[a] for x in stacks], e, mode)
     sups = []
     for j in range(n - 1):
         sups.append(float(pair[j:, j:].max()))

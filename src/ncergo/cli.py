@@ -242,8 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ds-check", help="contraction certificate for a map")
     p.add_argument("map", help="JSON with algebra and operator")
     p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--exact-positive", action="store_true",
-                   help="informational; structural maps always get exact bounds")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_ds_check)
 

@@ -11,8 +11,6 @@ class Tolerances:
 
     rank_rel: relative cutoff (times the sup norm) deciding numerical rank
         and spectral-projection membership.
-    step_slack: slack used when comparing piecewise-linear integrals of
-        step functions.
     flag_tol: absolute tolerance for verifying selfadjoint / positive /
         projection flags.
     two_route_rel: relative agreement required between the integral and
@@ -28,7 +26,6 @@ class Tolerances:
     """
 
     rank_rel: float = 1e-10
-    step_slack: float = 1e-12
     flag_tol: float = 1e-10
     two_route_rel: float = 1e-9
     ds_slack: float = 1e-9

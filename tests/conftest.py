@@ -5,6 +5,7 @@ every test run is reproducible bit for bit.
 """
 
 import numpy as np
+from hypothesis import example, settings, strategies as st
 
 from ncergo import Element, TracedAlgebra
 from ncergo.rng import stream
@@ -27,6 +28,53 @@ BLOCK_CONFIGS = [
 
 def make_algebra(config):
     return TracedAlgebra(tuple(config))
+
+
+# layouts for the grouped-vs-per-block equivalence properties: dims up to
+# 3 over up to 6 blocks, so 1x1 blocks, repeated dims (multi-member
+# groups) and singleton groups all occur
+LAYOUTS = st.lists(st.tuples(st.integers(1, 3),
+                             st.sampled_from((0.25, 0.5, 1.0, 2.0))),
+                   min_size=1, max_size=6).map(tuple)
+
+# layouts that every equivalence property runs on explicitly
+GROUPED_LAYOUTS = [
+    ((1, 0.5), (1, 1.0), (1, 2.0)),
+    ((2, 1.0), (1, 0.5), (2, 0.25), (3, 1.0), (1, 2.0)),
+    ((3, 1.0), (3, 0.5), (3, 2.0)),
+]
+
+
+def grouped_examples(test):
+    """Settings of a property over (layout, seed, zero_block), with every
+    GROUPED_LAYOUTS entry (block 1 zeroed) as an explicit example."""
+    for i, layout in enumerate(GROUPED_LAYOUTS):
+        test = example(layout=layout, seed=i, zero_block=1)(test)
+    return settings(max_examples=30, deadline=None, derandomize=True)(test)
+
+
+def random_layout_element(rng, algebra, zero_block=None):
+    """A random element; block ``zero_block`` (mod the block count) is 0."""
+    data = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            for d in algebra.dims]
+    if zero_block is not None:
+        i = zero_block % len(data)
+        data[i] = np.zeros_like(data[i])
+    return Element(algebra, data)
+
+
+def reference_projection_blocks(algebra, bases, rank_rel=1e-10):
+    """Blocks of ``projection_from_ranges``, one QR per block."""
+    data = []
+    for basis, d in zip(bases, algebra.dims):
+        if basis.size == 0:
+            data.append(np.zeros((d, d), dtype=complex))
+            continue
+        q, r = np.linalg.qr(basis)
+        keep = np.abs(np.diag(r)) > rank_rel * max(1.0, np.abs(r).max())
+        q = q[:, keep]
+        data.append(q @ q.conj().T)
+    return data
 
 
 def random_unitary(rng, d):

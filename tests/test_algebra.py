@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from conftest import SEED, BLOCK_CONFIGS, make_algebra, random_projection
+from conftest import SEED, BLOCK_CONFIGS, LAYOUTS, grouped_examples, \
+    make_algebra, random_layout_element, random_projection, \
+    reference_projection_blocks
 from ncergo import Element, TracedAlgebra, lp_norm, projection_complement, \
     projection_meet, trace_deficiency
 from ncergo.algebra import projection_from_ranges, range_bases
@@ -123,7 +126,8 @@ def test_spectrum_computed_once_and_not_for_unflagged(monkeypatch):
         x.sup_norm()
         x.singular_values()
         lp_norm(x, 1.0)
-    assert calls == ["svd"] * len(a.dims)
+    assert calls == ["svd"] * len(a.groups)  # one stacked call per group
+    assert len(a.groups) == 3
 
 
 def test_arithmetic():
@@ -212,3 +216,63 @@ def test_range_bases_match_rank():
     bases = range_bases(e)
     rank = round(e.tau().real if isinstance(e.tau(), complex) else e.tau())
     assert bases[0].shape[1] == rank
+
+
+# -- grouped (stacked) factorizations against the per-block loop ---------------
+
+def test_groups_partition_blocks_by_dim():
+    a = TracedAlgebra(((2, 1.0), (1, 0.5), (2, 0.25), (3, 1.0), (1, 2.0)))
+    assert a.groups == ((0, 2), (1, 4), (3,))
+    assert make_algebra(BLOCK_CONFIGS[6]).groups == ((0, 1), (2,), (3,))
+
+
+@grouped_examples
+@given(layout=LAYOUTS, seed=st.integers(0, 2 ** 16),
+       zero_block=st.none() | st.integers(0, 5))
+def test_grouped_spectrum_equals_per_block(layout, seed, zero_block):
+    a = TracedAlgebra(layout)
+    x = random_layout_element(stream(seed, "test/algebra/grouped-svd"), a,
+                              zero_block)
+    for s, b in zip(x.singular_values(), x.data):
+        assert np.array_equal(s, np.linalg.svd(b, compute_uv=False))
+    for usv, b in zip(x.block_svds(), x.data):
+        assert all(np.array_equal(got, want)
+                   for got, want in zip(usv, np.linalg.svd(b)))
+
+
+@grouped_examples
+@given(layout=LAYOUTS, seed=st.integers(0, 2 ** 16),
+       zero_block=st.none() | st.integers(0, 5))
+def test_grouped_projection_equals_per_block(layout, seed, zero_block):
+    """Bases share a shape per dim, so stacks are real; the block at
+    ``zero_block`` repeats a column, so some stacks take the per-block
+    rank fallback."""
+    a = TracedAlgebra(layout)
+    rng = stream(seed, "test/algebra/grouped-projection")
+    cols = {d: int(rng.integers(0, d + 1)) for d in set(a.dims)}
+    bases = []
+    for i, d in enumerate(a.dims):
+        k = cols[d]
+        basis = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
+        if zero_block is not None and i == zero_block % len(a.dims) and k >= 2:
+            basis[:, -1] = 2.0 * basis[:, 0]
+        bases.append(basis)
+    e = projection_from_ranges(a, bases)
+    for got, want in zip(e.data, reference_projection_blocks(a, bases)):
+        assert np.array_equal(got, want)
+
+
+def test_projection_stack_with_some_rank_deficient_bases():
+    a = TracedAlgebra(((3, 1.0), (3, 1.0), (3, 1.0), (3, 1.0)))
+    rng = stream(SEED, "test/algebra/rank-deficient-stack")
+    bases = [rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+             for _ in a.dims]
+    bases[1][:, 1] = bases[1][:, 0]
+    bases[2][:, 1] = 0.0
+    e = projection_from_ranges(a, bases)
+    for got, want in zip(e.data, reference_projection_blocks(a, bases)):
+        assert np.array_equal(got, want)
+    ranks = [round(np.trace(b).real) for b in e.data]
+    assert ranks == [2, 1, 1, 2]
+    with pytest.raises(InvalidInputError):
+        projection_from_ranges(a, bases[:3])

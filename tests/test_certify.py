@@ -2,12 +2,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from conftest import SEED
+from conftest import SEED, LAYOUTS, grouped_examples, \
+    random_layout_element, random_projection, reference_projection_blocks
+from ncergo import certify
 from ncergo import Element, TracedAlgebra, UnitaryConjugation, \
     bilateral_to_onesided, certify_cauchy, extract_limit, lp_norm, \
     remark32_model, submajorizes, trace_deficiency, witness_convergence
-from ncergo.certify import FiniteTrace, WitnessCertificate
+from ncergo.certify import FiniteTrace, WitnessCertificate, _MeetBuilder, \
+    _compressed_bound, _compressed_bounds, _search_witness, _term_stacks
+from ncergo.config import DEFAULT
 from ncergo.ergodic import SectorNet, net_average_trace
 from ncergo.errors import InvalidInputError, NoLimitError
 from ncergo.fixtures import conjugation_d2_fixture
@@ -229,3 +234,75 @@ def test_pipeline_average_to_certified_limit():
     assert submajorizes(x, limit)
     upgraded = bilateral_to_onesided(trace, cauchy)
     assert upgraded.certified
+
+
+# -- grouped (stacked) search steps against the per-block loop -----------------
+
+@grouped_examples
+@given(layout=LAYOUTS, seed=st.integers(0, 2 ** 16),
+       zero_block=st.none() | st.integers(0, 5))
+def test_grouped_meet_equals_per_block(layout, seed, zero_block):
+    a = TracedAlgebra(layout)
+    rng = stream(seed, "test/certify/grouped-meet")
+    projections = [random_projection(rng, a, min_rank=1) for _ in range(3)]
+    if zero_block is not None:
+        projections.append(a.zero())
+    builder = _MeetBuilder(a, projections, DEFAULT)
+    bases = []
+    for s in builder._sums:
+        w, v = np.linalg.eigh((s + s.conj().T) / 2)
+        bases.append(v[:, w < 1e-7 * len(projections)])
+    meet = builder.meet()
+    for got, want in zip(meet.data, reference_projection_blocks(a, bases)):
+        assert np.array_equal(got, want)
+
+
+@grouped_examples
+@given(layout=LAYOUTS, seed=st.integers(0, 2 ** 16),
+       zero_block=st.none() | st.integers(0, 5))
+def test_grouped_bounds_equal_per_term(layout, seed, zero_block):
+    a = TracedAlgebra(layout)
+    rng = stream(seed, "test/certify/grouped-bounds")
+    terms = [random_layout_element(rng, a, zero_block) for _ in range(4)]
+    terms.append(a.zero())
+    for e in (random_projection(rng, a), a.identity(), a.zero()):
+        for mode in ("au", "bau"):
+            assert _compressed_bounds(_term_stacks(terms), e, mode) \
+                == [_compressed_bound(d, e, mode) for d in terms]
+
+
+@grouped_examples
+@given(layout=LAYOUTS, seed=st.integers(0, 2 ** 16),
+       zero_block=st.none() | st.integers(0, 5))
+def test_cauchy_pair_rows_equal_per_pair(layout, seed, zero_block):
+    a = TracedAlgebra(layout)
+    rng = stream(seed, "test/certify/grouped-cauchy")
+    xs = [random_layout_element(rng, a, zero_block) for _ in range(4)]
+    for mode in ("au", "bau"):
+        cert = certify_cauchy(FiniteTrace(tuple(xs)),
+                              0.3 * a.total_trace, mode)
+        pair = np.zeros((4, 4))
+        for i in range(4):
+            for j in range(i + 1, 4):
+                pair[i, j] = _compressed_bound(xs[j] - xs[i],
+                                               cert.projection, mode)
+        assert [b for _, b in cert.tail_bounds] \
+            == [float(pair[j:, j:].max()) for j in range(3)]
+
+
+def test_witness_search_reports_iteration_cap(monkeypatch):
+    algebra, trace, f = remark32_model(12)
+    differences = [f - x for x in trace.elements]
+    *_, cap_hit = _search_witness(differences, 2.0 ** -5, "au", DEFAULT,
+                                  max_iter=1)
+    assert cap_hit
+    *_, cap_hit = _search_witness(differences, 2.0 ** -5, "au", DEFAULT)
+    assert not cap_hit
+    cert = witness_convergence(trace, f, 2.0 ** -5, mode="au")
+    assert "iteration_cap_hit" not in cert.notes
+    capped = lambda *args: _search_witness(*args, max_iter=1)
+    monkeypatch.setattr(certify, "_search_witness", capped)
+    cert = witness_convergence(trace, f, 2.0 ** -5, mode="au")
+    assert json.loads(cert.to_json())["notes"]["iteration_cap_hit"] is True
+    cauchy = certify_cauchy(trace, 2.0 ** -5, mode="bau")
+    assert cauchy.notes["iteration_cap_hit"] is True

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ncergo
 from ncergo import TracedAlgebra, serialize
 from ncergo.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, EXIT_REFUTED, main
 
@@ -193,3 +197,25 @@ def test_certify_cauchy_flag(tmp_path):
     assert code == EXIT_OK
     lines = (out / "tails.csv").read_text().splitlines()
     assert any(l == "index,bound" for l in lines)
+
+
+def test_certify_cauchy_independent_of_blas_threads(tmp_path):
+    trace_dir = tmp_path / "trace"
+    assert main(["remark32", "--n", "16", "--out-dir", str(trace_dir)]) \
+        == EXIT_OK
+    src = str(Path(ncergo.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"out-{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run(
+            [sys.executable, "-m", "ncergo.cli", "certify",
+             "--trace-dir", str(trace_dir), "--epsilon", str(2.0 ** -5),
+             "--cauchy", "--out-dir", str(out)],
+            env=env, capture_output=True, timeout=120)
+        assert run.returncode == EXIT_OK, run.stderr
+        outputs.append([(out / name).read_bytes()
+                        for name in ("certificate.json", "tails.csv")])
+    assert outputs[0] == outputs[1]
