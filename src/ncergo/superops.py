@@ -251,8 +251,8 @@ class Composition(SuperOperator):
 class Power(SuperOperator):
     """Repeated application of a base map.
 
-    The dense matrix powers are memoized per exponent, so repeated use in
-    prefix sums costs one matrix product per new exponent.
+    Above exponent 4 it applies its dense matrix power, built once and
+    memoized as its matrix.
     """
 
     def __init__(self, base: SuperOperator, exponent: int):
@@ -261,22 +261,21 @@ class Power(SuperOperator):
         super().__init__(base.algebra)
         self.base = base
         self.exponent = int(exponent)
-        if not hasattr(base, "_power_cache"):
-            base._power_cache = {}
 
     def apply(self, x: Element) -> Element:
         if self.exponent <= 4 or self.algebra.vec_dim > 4096:
             for _ in range(self.exponent):
                 x = self.base.apply(x)
             return x
-        cache = self.base._power_cache
-        if self.exponent not in cache:
-            m = self.base.to_matrix()
-            acc = np.linalg.matrix_power(m, self.exponent)
-            cache[self.exponent] = acc
         sa = x.selfadjoint if self.base.structurally_selfadjoint() else None
-        return Element.from_vec(self.algebra, cache[self.exponent] @ x.vec(),
+        return Element.from_vec(self.algebra, self.to_matrix() @ x.vec(),
                                 selfadjoint=sa)
+
+    def to_matrix(self) -> np.ndarray:
+        if self._matrix_cache is None:
+            self._matrix_cache = np.linalg.matrix_power(
+                self.base.to_matrix(), self.exponent)
+        return self._matrix_cache
 
     def adjoint(self) -> "Power":
         return Power(self.base.adjoint(), self.exponent)

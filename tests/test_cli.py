@@ -219,3 +219,24 @@ def test_certify_cauchy_independent_of_blas_threads(tmp_path):
         outputs.append([(out / name).read_bytes()
                         for name in ("certificate.json", "tails.csv")])
     assert outputs[0] == outputs[1]
+
+
+def test_average_conjugation_independent_of_blas_threads(tmp_path):
+    src = str(Path(ncergo.__file__).resolve().parents[1])
+    names = ("manifest.json", "trace.csv", "certificate_cauchy.json",
+             "tails_cauchy.csv", "certificate_witness.json",
+             "tails_witness.csv", "summary.json")
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"out-{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run(
+            [sys.executable, "-m", "ncergo.cli", "average", "--bundled",
+             "conjugation-d2-sector", "--seed", "2026", "--out-dir", str(out)],
+            env=env, capture_output=True, timeout=120)
+        assert run.returncode == EXIT_OK, run.stderr
+        assert sorted(p.name for p in out.iterdir()) == sorted(names)
+        outputs.append([(out / name).read_bytes() for name in names])
+    assert outputs[0] == outputs[1]

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -150,17 +151,79 @@ def test_net_average_identity_family_constant():
         assert (out - x).sup_norm() < 1e-12
 
 
+def diagonal_conjugations(algebra, phases):
+    """Conjugations by diagonal unitaries; phases[i][b] holds operator i's
+    eigenvalue angles on block b (diagonal families always commute)."""
+    return [UnitaryConjugation(Element(algebra, [np.diag(np.exp(1j * t))
+                                                 for t in per_block]))
+            for per_block in phases]
+
+
 def test_net_average_two_routes_agree():
-    a = TracedAlgebra(((4, 1.0),))
-    ops = commuting_pinchings(a)
-    x = a.random_element(stream(SEED, "test/ergodic/net-routes"))
-    net = SectorNet(2, tuple((k, k) for k in (1, 2, 3, 5, 8, 13)))
-    fast = net_average_trace(ops, x, net, check=False, prefix_reuse=True)
-    slow = net_average_trace(ops, x, net, check=False, prefix_reuse=False)
-    assert fast.metadata["mode"] == "matrix-prefix"
-    assert slow.metadata["mode"] == "factorized-per-index"
-    for f, s in zip(fast.outputs, slow.outputs):
-        assert (f - s).sup_norm() <= 1e-10
+    rng = stream(SEED, "test/ergodic/net-routes")
+
+    def conjugations(algebra, count):
+        return diagonal_conjugations(algebra, [
+            [rng.uniform(0.0, 2.0 * np.pi, d) for d in algebra.dims]
+            for _ in range(count)])
+
+    square = TracedAlgebra(((4, 1.0),))
+    mixed = TracedAlgebra(((3, 0.5), (1, 2.0), (2, 1.0)))
+    cases = [
+        # the original diagonal net, pinchings
+        (square, commuting_pinchings(square),
+         tuple((k, k) for k in (1, 2, 3, 5, 8, 13))),
+        # d = 1, zero coordinate, repeated index, steps not powers of two
+        (mixed, conjugations(mixed, 1),
+         ((0,), (1,), (3,), (3,), (10,), (21,), (50,))),
+        # multi-block with a 1x1 block; one coordinate's step is 0
+        (mixed, conjugations(mixed, 2),
+         ((0, 0), (0, 3), (1, 3), (6, 3), (6, 3), (7, 11), (19, 11))),
+        (mixed, commuting_pinchings(mixed),
+         ((0, 2), (5, 2), (5, 9), (13, 9), (13, 27))),
+        # d = 3: two pinchings and a conjugation, which all commute
+        (mixed, commuting_pinchings(mixed) + conjugations(mixed, 1),
+         ((0, 1, 0), (2, 1, 3), (2, 5, 3), (9, 5, 6), (9, 5, 17))),
+    ]
+    for algebra, ops, indices in cases:
+        x = algebra.random_element(rng)
+        net = SectorNet(len(ops), indices)
+        fast = net_average_trace(ops, x, net, check=False, prefix_reuse=True)
+        slow = net_average_trace(ops, x, net, check=False, prefix_reuse=False)
+        assert fast.metadata["mode"] == "matrix-prefix"
+        assert slow.metadata["mode"] == "factorized-per-index"
+        for f, s in zip(fast.outputs, slow.outputs):
+            assert (f - s).sup_norm() <= 1e-10
+
+
+def test_net_average_large_index_closed_form():
+    # two blocks, a repeated eigenvalue in each conjugator, indices to 10^9
+    algebra = TracedAlgebra(((3, 1.0), (2, 0.5)))
+    phases = [[np.array([0.3, 0.3, 1.1]), np.array([2.0, 0.3])],
+              [np.array([0.0, 1.7, 0.0]), np.array([-0.4, -0.4])]]
+    ops = diagonal_conjugations(algebra, phases)
+    x = algebra.random_element(stream(SEED, "test/ergodic/net-large"))
+    ks = (1, 7, 1000, 123457, 10 ** 6, 10 ** 8 + 3, 10 ** 9)
+    net = SectorNet(2, tuple((k // 2 + 1, k) for k in ks))
+    t0 = time.perf_counter()
+    trace = net_average_trace(ops, x, net)
+    assert time.perf_counter() - t0 < 1.0
+
+    def kernel(theta, n):
+        # (1 - z^n) / (n (1 - z)) for z = e^{i theta}, and 1 where z = 1
+        z = np.exp(1j * theta)
+        same = np.isclose(theta, 0.0)
+        safe = np.where(same, 0.5, 1.0 - z)
+        return np.where(same, 1.0, (1.0 - np.exp(1j * n * theta)) / (n * safe))
+
+    scale = max(1.0, x.sup_norm())
+    for n, out in zip(net.indices, trace.outputs):
+        for b, (xb, yb) in enumerate(zip(x.data, out.data)):
+            expected = xb.copy()
+            for per_block, k in zip(phases, n):
+                t = per_block[b]
+                expected = expected * kernel(t[:, None] - t[None, :], k)
+            assert np.abs(yb - expected).max() <= 1e-6 * scale
 
 
 def test_net_average_converges_to_oracle():
