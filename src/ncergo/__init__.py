@@ -6,7 +6,6 @@ from .algebra import (Element, TracedAlgebra, projection_complement,
 from .certify import (FiniteTrace, WitnessCertificate, bilateral_to_onesided,
                       certify_cauchy, extract_limit, remark32_model,
                       witness_convergence)
-from .config import DEFAULT, Tolerances
 from .ergodic import (AverageTrace, BesicovitchFunction, InterpolationFlow,
                       SectorNet, Semigroup, TrigPolynomial, UnitaryFlow,
                       besicovitch_average, box_average, cesaro_limit_oracle,

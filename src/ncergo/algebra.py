@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
+from .config import FLAG_TOL, MEET_OVERLAP_CUT, RANK_REL
 from .errors import InvalidInputError
 
 
@@ -106,7 +106,6 @@ class Element:
                  selfadjoint: Optional[bool] = None,
                  positive: Optional[bool] = None,
                  projection: Optional[bool] = None,
-                 tol: Tolerances = DEFAULT,
                  svd: Optional[Sequence[tuple]] = None):
         data = tuple(np.array(b, dtype=complex) for b in data)
         if len(data) != len(algebra.blocks):
@@ -127,27 +126,27 @@ class Element:
         object.__setattr__(self, "_svd", svd)
         object.__setattr__(self, "_svals",
                            None if svd is None else tuple(s for _, s, _ in svd))
-        self._verify_flags(tol)
+        self._verify_flags()
 
     def __setattr__(self, name, value):  # immutable after construction
         raise AttributeError("Element is immutable")
 
-    def _verify_flags(self, tol: Tolerances):
+    def _verify_flags(self):
         if not (self.selfadjoint or self.positive or self.projection):
             return
         scale = max(self.sup_norm(), 1.0)
         stacks = [stacked(self.data, g) for g in self.algebra.groups]
         gap = max(np.abs(b - _adj(b)).max(initial=0.0) for b in stacks)
-        if gap > tol.flag_tol * scale:
+        if gap > FLAG_TOL * scale:
             raise InvalidInputError("selfadjoint flag fails verification")
         if self.positive or self.projection:
             lo = min(np.linalg.eigvalsh((b + _adj(b)) / 2).min(initial=0.0)
                      for b in stacks)
-            if lo < -tol.flag_tol * scale:
+            if lo < -FLAG_TOL * scale:
                 raise InvalidInputError("positive flag fails verification")
         if self.projection:
             gap = max(np.abs(b @ b - b).max(initial=0.0) for b in stacks)
-            if gap > tol.flag_tol:
+            if gap > FLAG_TOL:
                 raise InvalidInputError("projection flag fails verification")
 
     # -- arithmetic ---------------------------------------------------------
@@ -227,15 +226,9 @@ class Element:
             object.__setattr__(self, "_svd", tuple(usv))
         return list(self._svd)
 
-    def norm_diff(self, other: "Element") -> float:
-        return (self - other).sup_norm()
-
-    def is_zero(self, atol: float = 0.0) -> bool:
-        return all(np.abs(b).max(initial=0.0) <= atol for b in self.data)
-
-    def as_selfadjoint(self, tol: Tolerances = DEFAULT) -> "Element":
+    def as_selfadjoint(self) -> "Element":
         """Re-tag with a verified selfadjoint flag."""
-        return Element(self.algebra, self.data, selfadjoint=True, tol=tol)
+        return Element(self.algebra, self.data, selfadjoint=True)
 
     def vec(self) -> np.ndarray:
         """Row-major concatenation of the blocks."""
@@ -276,8 +269,8 @@ def stacked(blocks: Sequence[np.ndarray], group: Sequence[int]) -> np.ndarray:
 
 # -- projection machinery ----------------------------------------------------
 
-def projection_from_ranges(algebra: TracedAlgebra, bases: Sequence[np.ndarray],
-                           tol: Tolerances = DEFAULT) -> Element:
+def projection_from_ranges(algebra: TracedAlgebra,
+                           bases: Sequence[np.ndarray]) -> Element:
     """Projection onto the given per-block column spans, as an exact idempotent.
 
     Each basis is orthonormalized; eigenvalue rounding to {0, 1} keeps the
@@ -293,7 +286,7 @@ def projection_from_ranges(algebra: TracedAlgebra, bases: Sequence[np.ndarray],
             shapes.setdefault(basis.shape, []).append(i)
     for group in shapes.values():
         q, r = np.linalg.qr(stacked(bases, group))
-        thresh = tol.rank_rel * np.maximum(1.0, np.abs(r).max(axis=(-2, -1)))
+        thresh = RANK_REL * np.maximum(1.0, np.abs(r).max(axis=(-2, -1)))
         keep = np.abs(np.diagonal(r, axis1=-2, axis2=-1)) > thresh[:, None]
         if keep.all():
             blocks = q @ _adj(q)
@@ -301,11 +294,10 @@ def projection_from_ranges(algebra: TracedAlgebra, bases: Sequence[np.ndarray],
             blocks = [qj[:, kj] @ qj[:, kj].conj().T for qj, kj in zip(q, keep)]
         for i, b in zip(group, blocks):
             data[i] = b
-    return Element(algebra, data, selfadjoint=True, positive=True, projection=True,
-                   tol=tol)
+    return Element(algebra, data, selfadjoint=True, positive=True, projection=True)
 
 
-def range_bases(e: Element, tol: Tolerances = DEFAULT) -> list:
+def range_bases(e: Element) -> list:
     """Orthonormal bases of the per-block ranges of a projection."""
     out = []
     for b in e.data:
@@ -314,7 +306,7 @@ def range_bases(e: Element, tol: Tolerances = DEFAULT) -> list:
     return out
 
 
-def projection_meet(e: Element, f: Element, tol: Tolerances = DEFAULT) -> Element:
+def projection_meet(e: Element, f: Element) -> Element:
     """Meet e ^ f via intersection of ranges.
 
     Common directions are the singular vectors of the basis overlap with
@@ -322,14 +314,14 @@ def projection_meet(e: Element, f: Element, tol: Tolerances = DEFAULT) -> Elemen
     """
     e._same_algebra(f)
     bases = []
-    for be, bf in zip(range_bases(e, tol), range_bases(f, tol)):
+    for be, bf in zip(range_bases(e), range_bases(f)):
         if be.shape[1] == 0 or bf.shape[1] == 0:
             bases.append(np.zeros((be.shape[0], 0), dtype=complex))
             continue
         u, s, _ = np.linalg.svd(be.conj().T @ bf, full_matrices=False)
-        common = be @ u[:, s > 1.0 - 1e-10]
+        common = be @ u[:, s > MEET_OVERLAP_CUT]
         bases.append(common)
-    return projection_from_ranges(e.algebra, bases, tol)
+    return projection_from_ranges(e.algebra, bases)
 
 
 def projection_complement(e: Element) -> Element:

@@ -20,7 +20,9 @@ import numpy as np
 
 from .algebra import (Element, TracedAlgebra, _adj, projection_from_ranges,
                       stacked, trace_deficiency)
-from .config import DEFAULT, Tolerances
+from .config import (BOUND_SLACK, BUDGET_SLACK, CAUCHY_TOL,
+                     ENLARGE_DEFICIENCY_SLACK, MEET_KERNEL_CUT, RANK_REL,
+                     TAIL_RISE_SLACK, TAIL_TOL)
 from .errors import InvalidInputError, NoLimitError, PostconditionError
 from .singular import enlarge_projection, measure_metric, spectral_projection_below
 
@@ -68,7 +70,7 @@ class WitnessCertificate:
     def __post_init__(self):
         if self.mode not in ("au", "bau"):
             raise InvalidInputError("mode must be 'au' or 'bau'")
-        if self.trace_deficiency > self.epsilon + 1e-12:
+        if self.trace_deficiency > self.epsilon + BUDGET_SLACK:
             raise InvalidInputError("trace deficiency exceeds the budget")
         if any(b < 0 for _, b in self.tail_bounds):
             raise InvalidInputError("tail bounds must be non-negative")
@@ -139,9 +141,9 @@ def _distinct_levels(d: Element) -> List[float]:
     return levels
 
 
-def _tail_weight(d: Element, level: float, tol: Tolerances) -> float:
+def _tail_weight(d: Element, level: float) -> float:
     """Weighted count of singular values strictly above the cut."""
-    cut = level + tol.rank_rel * max(d.sup_norm(), 1.0)
+    cut = level + RANK_REL * max(d.sup_norm(), 1.0)
     total = 0.0
     for s, w in zip(d.singular_values(), d.algebra.weights):
         total += w * int(np.count_nonzero(s > cut))
@@ -156,9 +158,8 @@ class _MeetBuilder:
     projection only updates that sum.
     """
 
-    def __init__(self, algebra, projections, tol: Tolerances):
+    def __init__(self, algebra, projections):
         self.algebra = algebra
-        self.tol = tol
         self.current = list(projections)
         self._sums = [sum((np.eye(d, dtype=complex) - p.data[i]
                            for p in self.current),
@@ -167,13 +168,13 @@ class _MeetBuilder:
 
     def _meet_from_sums(self, sums):
         bases = [None] * len(sums)
-        cut = 1e-7 * max(1.0, len(self.current))
+        cut = MEET_KERNEL_CUT * max(1.0, len(self.current))
         for g in self.algebra.groups:
             s = stacked(sums, g)
             w, v = np.linalg.eigh((s + _adj(s)) / 2)
             for i, wi, vi in zip(g, w, v):
                 bases[i] = vi[:, wi < cut]
-        return projection_from_ranges(self.algebra, bases, self.tol)
+        return projection_from_ranges(self.algebra, bases)
 
     def meet(self) -> Element:
         return self._meet_from_sums(self._sums)
@@ -195,7 +196,7 @@ class _MeetBuilder:
 
 
 def _search_witness(differences: Sequence[Element], epsilon: float, mode: str,
-                    tol: Tolerances, max_iter: int = 600):
+                    max_iter: int = 600):
     """Greedy witness search over spectral cut levels.
 
     Starts from the geometric per-term budgets epsilon * 2^-(n+1) (the sum
@@ -212,7 +213,7 @@ def _search_witness(differences: Sequence[Element], epsilon: float, mode: str,
         budget = epsilon * 2.0 ** (-(n + 1))
         k = 0
         for j, lv in enumerate(levels[n]):
-            if _tail_weight(d, lv, tol) <= budget:
+            if _tail_weight(d, lv) <= budget:
                 k = j
             else:
                 break
@@ -223,7 +224,7 @@ def _search_witness(differences: Sequence[Element], epsilon: float, mode: str,
     def term_projection(n: int, k: int) -> Element:
         if (n, k) not in proj_cache:
             proj_cache[n, k] = spectral_projection_below(
-                differences[n], levels[n][k], tol)
+                differences[n], levels[n][k])
         return proj_cache[n, k]
 
     def worst_open_term() -> Optional[int]:
@@ -231,10 +232,9 @@ def _search_witness(differences: Sequence[Element], epsilon: float, mode: str,
         return next((n for n in order if not stuck[n] and bounds[n] > 0), None)
 
     builder = _MeetBuilder(algebra,
-                           [term_projection(n, k) for n, k in enumerate(cursor)],
-                           tol)
+                           [term_projection(n, k) for n, k in enumerate(cursor)])
     e = builder.meet()
-    if trace_deficiency(e) > epsilon + 1e-12:
+    if trace_deficiency(e) > epsilon + BUDGET_SLACK:
         raise PostconditionError("initial witness exceeds the trace budget")
     stacks = _term_stacks(differences)
     bounds = _compressed_bounds(stacks, e, mode)
@@ -246,7 +246,7 @@ def _search_witness(differences: Sequence[Element], epsilon: float, mode: str,
             break
         candidate = term_projection(target, cursor[target] + 1)
         e_trial = builder.with_swap(target, candidate)
-        if trace_deficiency(e_trial) <= epsilon + 1e-12:
+        if trace_deficiency(e_trial) <= epsilon + BUDGET_SLACK:
             builder.commit(target, candidate)
             cursor[target] += 1
             e = e_trial
@@ -263,13 +263,13 @@ def _search_witness(differences: Sequence[Element], epsilon: float, mode: str,
 def _verdict(bounds: Sequence[float], tail_tol: float) -> str:
     if not bounds:
         return "certified"
-    ok = bounds[-1] <= tail_tol and bounds[-1] <= bounds[0] + 1e-12
+    ok = bounds[-1] <= tail_tol and bounds[-1] <= bounds[0] + TAIL_RISE_SLACK
     return "certified" if ok else "refuted-at-horizon"
 
 
 def witness_convergence(trace: FiniteTrace, limit: Element, epsilon: float,
-                        mode: str = "au", tail_tol: Optional[float] = None,
-                        tol: Tolerances = DEFAULT) -> WitnessCertificate:
+                        mode: str = "au",
+                        tail_tol: float = TAIL_TOL) -> WitnessCertificate:
     """Search for a single projection witnessing convergence to `limit`.
 
     Degenerate budgets (epsilon >= tau(1)) are honored with the zero
@@ -279,7 +279,6 @@ def witness_convergence(trace: FiniteTrace, limit: Element, epsilon: float,
         raise InvalidInputError("epsilon must be > 0")
     if mode not in ("au", "bau"):
         raise InvalidInputError("mode must be 'au' or 'bau'")
-    tail_tol = tol.tail_tol if tail_tol is None else tail_tol
     limit._same_algebra(trace.elements[0])
     notes = {"horizon_semantics":
              "finite-trace judgment; no claim beyond the horizon"}
@@ -292,13 +291,13 @@ def witness_convergence(trace: FiniteTrace, limit: Element, epsilon: float,
                                   len(trace), notes)
     differences = [limit - x for x in trace.elements]
     e, deficiency, bounds, cap_hit = _search_witness(differences, epsilon,
-                                                     mode, tol)
+                                                     mode)
     if cap_hit:
         notes["iteration_cap_hit"] = True
     if mode == "au":
         # one-sided control implies two-sided control under the same witness
         two_sided = _compressed_bounds(_term_stacks(differences), e, "bau")
-        if any(t > b + 1e-9 for t, b in zip(two_sided, bounds)):
+        if any(t > b + BOUND_SLACK for t, b in zip(two_sided, bounds)):
             raise PostconditionError("two-sided bound exceeds one-sided bound")
     return WitnessCertificate(mode, epsilon, e, deficiency,
                               tuple(enumerate(bounds)),
@@ -306,8 +305,7 @@ def witness_convergence(trace: FiniteTrace, limit: Element, epsilon: float,
 
 
 def certify_cauchy(trace: FiniteTrace, epsilon: float, mode: str = "bau",
-                   tail_tol: Optional[float] = None,
-                   tol: Tolerances = DEFAULT) -> WitnessCertificate:
+                   tail_tol: float = TAIL_TOL) -> WitnessCertificate:
     """Certify the Cauchy property of a finite trace under one witness.
 
     The witness is built from consecutive differences; the reported tail
@@ -316,7 +314,6 @@ def certify_cauchy(trace: FiniteTrace, epsilon: float, mode: str = "bau",
     """
     if epsilon <= 0:
         raise InvalidInputError("epsilon must be > 0")
-    tail_tol = tol.tail_tol if tail_tol is None else tail_tol
     n = len(trace)
     notes = {"windows": "suffix windows trace[j:]",
              "horizon_semantics":
@@ -333,8 +330,7 @@ def certify_cauchy(trace: FiniteTrace, epsilon: float, mode: str = "bau",
                                   "certified", n, notes)
     consecutive = [trace.elements[i + 1] - trace.elements[i]
                    for i in range(n - 1)]
-    e, deficiency, _, cap_hit = _search_witness(consecutive, epsilon, mode,
-                                                tol)
+    e, deficiency, _, cap_hit = _search_witness(consecutive, epsilon, mode)
     if cap_hit:
         notes["iteration_cap_hit"] = True
     # pair[a, b] bounds x_b - x_a; one batched row per a keeps memory O(n)
@@ -353,8 +349,7 @@ def certify_cauchy(trace: FiniteTrace, epsilon: float, mode: str = "bau",
 
 def bilateral_to_onesided(trace: FiniteTrace, certificate: WitnessCertificate,
                           limit: Optional[Element] = None,
-                          tail_tol: Optional[float] = None,
-                          tol: Tolerances = DEFAULT) -> WitnessCertificate:
+                          tail_tol: float = TAIL_TOL) -> WitnessCertificate:
     """Upgrade a bilateral certificate to a one-sided one.
 
     Each difference is pushed through the projection enlargement, which
@@ -364,7 +359,6 @@ def bilateral_to_onesided(trace: FiniteTrace, certificate: WitnessCertificate,
     """
     if certificate.mode != "bau":
         raise InvalidInputError("input certificate must be bilateral")
-    tail_tol = tol.tail_tol if tail_tol is None else tail_tol
     e = certificate.projection
     if limit is not None:
         differences = [limit - x for x in trace.elements]
@@ -376,12 +370,12 @@ def bilateral_to_onesided(trace: FiniteTrace, certificate: WitnessCertificate,
     f = e
     for d in differences:
         bilateral = _compressed_bound(d, e, "bau")
-        f = enlarge_projection(d, e, tol)
+        f = enlarge_projection(d, e)
         def_f = trace_deficiency(f)
-        if def_f > 2.0 * def_e + 1e-9:
+        if def_f > 2.0 * def_e + ENLARGE_DEFICIENCY_SLACK:
             raise PostconditionError("enlargement exceeded twice the deficiency")
         one_sided = _compressed_bound(d, f, "au")
-        if one_sided > bilateral + 1e-9:
+        if one_sided > bilateral + BOUND_SLACK:
             raise PostconditionError("one-sided bound exceeds bilateral bound")
         worst = max(worst, def_f)
         bounds.append(one_sided)
@@ -394,16 +388,14 @@ def bilateral_to_onesided(trace: FiniteTrace, certificate: WitnessCertificate,
                               certificate.horizon, notes)
 
 
-def extract_limit(trace: FiniteTrace, modulus_tol: Optional[float] = None,
-                  tol: Tolerances = DEFAULT) -> Tuple[Element, List[float]]:
+def extract_limit(trace: FiniteTrace) -> Tuple[Element, List[float]]:
     """Candidate limit of a trace Cauchy in the measure metric.
 
     Returns the final element together with the suffix Cauchy moduli
     (max pairwise measure-metric distance over each suffix window).
-    Raises :class:`NoLimitError` when the tail modulus stays above the
-    tolerance; downstream certification validates the candidate.
+    Raises :class:`NoLimitError` when the tail modulus stays above
+    ``CAUCHY_TOL``; downstream certification validates the candidate.
     """
-    modulus_tol = tol.cauchy_tol if modulus_tol is None else modulus_tol
     n = len(trace)
     if n == 1:
         return trace.elements[0], [0.0]
@@ -413,10 +405,10 @@ def extract_limit(trace: FiniteTrace, modulus_tol: Optional[float] = None,
             pair[a, b] = measure_metric(trace.elements[a], trace.elements[b])
     moduli = [float(pair[j:, j:].max()) for j in range(n - 1)]
     tail_start = max(0, n - max(2, n // 4) - 1)
-    if moduli[min(tail_start, n - 2)] > modulus_tol:
+    if moduli[min(tail_start, n - 2)] > CAUCHY_TOL:
         raise NoLimitError(
             f"tail modulus {moduli[min(tail_start, n - 2)]:.3e} exceeds "
-            f"{modulus_tol:.3e}")
+            f"{CAUCHY_TOL:.3e}")
     return trace.elements[-1], moduli
 
 

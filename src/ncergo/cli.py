@@ -18,7 +18,7 @@ from pathlib import Path
 from . import fixtures, serialize
 from .certify import (FiniteTrace, certify_cauchy, extract_limit,
                       remark32_model, witness_convergence)
-from .config import DEFAULT
+from .config import SCENARIO_ERR_TOL, SCENARIO_QUAD_TOL
 from .ergodic import (SectorNet, besicovitch_average, net_average_trace,
                       validate_family)
 from .errors import (InvalidInputError, NcergoError, NoLimitError,
@@ -110,13 +110,13 @@ def _run_conjugation_scenario(seed: int, out: Path, manifest: dict) -> int:
     summary = {"manifest": manifest, "final_err_inf": err,
                "limit_submajorized_by_input": submajorizes(x, limit)}
     _write(out / "summary.json", serialize.dumps(summary) + "\n")
-    ok = cauchy.certified and witness.certified and err <= 1e-3
+    ok = cauchy.certified and witness.certified and err <= SCENARIO_ERR_TOL
     return EXIT_OK if ok else EXIT_REFUTED
 
 
 def _run_besicovitch_scenario(seed: int, out: Path, manifest: dict) -> int:
     algebra, beta, flow, x, closed = fixtures.besicovitch_theta_fixture(seed=seed)
-    quad_tol = 1e-6
+    quad_tol = SCENARIO_QUAD_TOL
     rows = ["t,gap_to_closed_form\n"]
     worst = 0.0
     for t in (1.0, 10.0, 100.0):

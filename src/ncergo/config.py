@@ -1,44 +1,76 @@
-"""Single tolerance record threaded through all numerical routines."""
+"""Every numerical threshold of ncergo, as a module-level constant.
 
-from __future__ import annotations
+Whether a run reports ``certified`` or ``is_ds: true`` rests on these
+values, so they live in one place and are not per-call options.  The
+only exponent-notation literals left elsewhere are the ``1e-300``
+divide-by-zero guards; ``tests/test_config.py`` checks this.
+"""
 
-from dataclasses import dataclass, replace, asdict
+# -- numerical rank, verified flags and meets ---------------------------------
 
+#: relative cutoff (times the sup norm) for numerical rank and spectral cuts
+RANK_REL = 1e-10
+#: absolute tolerance for verifying selfadjoint / positive / projection flags
+FLAG_TOL = 1e-10
+#: basis-overlap singular value above which a direction is common to a meet
+MEET_OVERLAP_CUT = 1.0 - 1e-10
+#: eigenvalue cut (times the term count) of the kernel spanning a witness meet
+MEET_KERNEL_CUT = 1e-7
 
-@dataclass(frozen=True)
-class Tolerances:
-    """All tunable numerical thresholds.
+# -- norms and contractions ---------------------------------------------------
 
-    rank_rel: relative cutoff (times the sup norm) deciding numerical rank
-        and spectral-projection membership.
-    flag_tol: absolute tolerance for verifying selfadjoint / positive /
-        projection flags.
-    two_route_rel: relative agreement required between the integral and
-        trace routes of the p-norms.
-    ds_slack: slack above 1.0 still accepted when declaring a map a
-        trace- and sup-norm contraction.
-    commute_tol: sampled commutativity threshold for operator families.
-    semigroup_tol: sampled semigroup-law threshold.
-    tail_tol: default bound under which a certificate tail counts as
-        converged at the horizon.
-    cauchy_tol: default measure-metric modulus under which a trace tail
-        counts as Cauchy.
-    """
+#: relative agreement required of the integral and trace routes of p-norms
+TWO_ROUTE_REL = 1e-9
+#: absolute slack of the running-integral order in submajorization checks
+SUBMAJOR_SLACK = 1e-9
+#: slack above 1.0 accepted when declaring a trace- and sup-norm contraction
+DS_SLACK = 1e-9
+#: largest entry of u u* - 1 accepted for a conjugating unitary
+UNITARY_TOL = 1e-8
+#: tolerance for pinching projections summing to 1 and being orthogonal
+PINCHING_TOL = 1e-9
+#: slack above 1.0 accepted for the weight sum of a convex combination
+WEIGHT_SUM_SLACK = 1e-12
+#: largest entry an explicit matrix may have between distinct blocks
+COUPLING_TOL = 1e-12
+#: relative tolerance of sampled positivity: A(x* x) selfadjoint, spectrum >= 0
+POSITIVITY_TOL = 1e-9
+#: relative tolerance of the sampled check that A preserves selfadjointness
+SELFADJOINT_TOL = 1e-9
 
-    rank_rel: float = 1e-10
-    flag_tol: float = 1e-10
-    two_route_rel: float = 1e-9
-    ds_slack: float = 1e-9
-    commute_tol: float = 1e-9
-    semigroup_tol: float = 1e-8
-    tail_tol: float = 1e-3
-    cauchy_tol: float = 1e-3
+# -- families and flows -------------------------------------------------------
 
-    def with_(self, **kw) -> "Tolerances":
-        return replace(self, **kw)
+#: sampled commutativity threshold for operator families
+COMMUTE_TOL = 1e-9
+#: sampled semigroup-law threshold
+SEMIGROUP_TOL = 1e-8
+#: relative sampled idempotency threshold for an interpolation expectation
+IDEMPOTENT_TOL = 1e-9
+#: distance under which conjugator eigenvalues are equal in the Cesaro oracle
+PHASE_TOL = 1e-8
+#: default sup-norm gap of successive Simpson refinements that ends quadrature
+QUAD_TOL = 1e-8
+#: smallest horizon of the grid in the Besicovitch mean-gap estimate
+BESICOVITCH_MIN_HORIZON = 1e-3
 
-    def to_dict(self) -> dict:
-        return asdict(self)
+# -- certificates -------------------------------------------------------------
 
+#: default bound under which a certificate tail counts as converged
+TAIL_TOL = 1e-3
+#: measure-metric modulus under which a trace tail counts as Cauchy
+CAUCHY_TOL = 1e-3
+#: slack above epsilon accepted for a witness's trace deficiency
+BUDGET_SLACK = 1e-12
+#: slack by which the last tail bound may exceed the first and still certify
+TAIL_RISE_SLACK = 1e-12
+#: slack of postconditions ordering compressed norm bounds (relative if scaled)
+BOUND_SLACK = 1e-9
+#: slack of the postcondition that enlargement at most doubles the deficiency
+ENLARGE_DEFICIENCY_SLACK = 1e-9
 
-DEFAULT = Tolerances()
+# -- bundled CLI scenarios ----------------------------------------------------
+
+#: largest sup-norm error of the conjugation scenario against its oracle limit
+SCENARIO_ERR_TOL = 1e-3
+#: quadrature tolerance and largest closed-form gap of the Besicovitch scenario
+SCENARIO_QUAD_TOL = 1e-6

@@ -20,7 +20,8 @@ import numpy as np
 import scipy.linalg
 
 from .algebra import Element, TracedAlgebra
-from .config import DEFAULT, Tolerances
+from .config import (BESICOVITCH_MIN_HORIZON, COMMUTE_TOL, IDEMPOTENT_TOL,
+                     PHASE_TOL, QUAD_TOL, SEMIGROUP_TOL)
 from .errors import InvalidInputError, NumericFailureError
 from .rng import stream
 from .superops import DSCertificate, Pinching, SuperOperator, UnitaryConjugation, verify_ds
@@ -78,8 +79,7 @@ def sector_check(net: SectorNet, c0: float) -> bool:
 
 def validate_family(ops: Sequence[SuperOperator],
                     certificates: Optional[Sequence[DSCertificate]] = None,
-                    trials: int = 10, seed: int = 0,
-                    tol: Tolerances = DEFAULT) -> List[DSCertificate]:
+                    trials: int = 10, seed: int = 0) -> List[DSCertificate]:
     """Check a family is made of commuting positive contractions.
 
     Contraction and positivity come from certificates; commutativity is a
@@ -89,9 +89,9 @@ def validate_family(ops: Sequence[SuperOperator],
         raise InvalidInputError("empty operator family")
     algebra = ops[0].algebra
     certs = list(certificates) if certificates is not None else [
-        verify_ds(op, seed=seed, tol=tol) for op in ops]
+        verify_ds(op, seed=seed) for op in ops]
     for op, cert in zip(ops, certs):
-        if not cert.is_ds(tol.ds_slack) or not cert.positivity:
+        if not cert.is_ds() or not cert.positivity:
             raise InvalidInputError("family member is not a positive contraction")
     rng = stream(seed, "ergodic/commutativity")
     for _ in range(trials):
@@ -99,7 +99,7 @@ def validate_family(ops: Sequence[SuperOperator],
         for i, a in enumerate(ops):
             for b in ops[i + 1:]:
                 gap = (a.apply(b.apply(y)) - b.apply(a.apply(y))).sup_norm()
-                if gap > tol.commute_tol * max(1.0, y.sup_norm()):
+                if gap > COMMUTE_TOL * max(1.0, y.sup_norm()):
                     raise InvalidInputError(
                         f"family does not commute (sampled gap {gap:.3e})")
     return certs
@@ -116,8 +116,7 @@ def _one_dim_average(op: SuperOperator, x: Element, m: int) -> Element:
 
 def box_average(ops: Sequence[SuperOperator], x: Element, n: Sequence[int],
                 certificates: Optional[Sequence[DSCertificate]] = None,
-                check: bool = True, seed: int = 0,
-                tol: Tolerances = DEFAULT) -> Element:
+                check: bool = True, seed: int = 0) -> Element:
     """Normalized mixed-power sum over the box below n.
 
     Commutativity lets the d-dimensional sum factor into sequential
@@ -130,7 +129,7 @@ def box_average(ops: Sequence[SuperOperator], x: Element, n: Sequence[int],
     if any(k < 0 for k in n):
         raise InvalidInputError("exponent bounds must be nonnegative")
     if check:
-        validate_family(ops, certificates, seed=seed, tol=tol)
+        validate_family(ops, certificates, seed=seed)
     for op, ni in zip(ops, n):
         x = _one_dim_average(op, x, max(int(ni), 1))
     return x
@@ -174,9 +173,7 @@ _MATRIX_ROUTE_MAX_DIM = 256
 
 def net_average_trace(ops: Sequence[SuperOperator], x: Element, net: SectorNet,
                       certificates: Optional[Sequence[DSCertificate]] = None,
-                      check: bool = True, seed: int = 0,
-                      tol: Tolerances = DEFAULT,
-                      prefix_reuse: Optional[bool] = None) -> AverageTrace:
+                      check: bool = True, seed: int = 0) -> AverageTrace:
     """Averages at every net index, reusing prefix sums between indices.
 
     For small vectorized dimension each net dimension carries its dense
@@ -191,10 +188,9 @@ def net_average_trace(ops: Sequence[SuperOperator], x: Element, net: SectorNet,
     if len(ops) != net.dimension:
         raise InvalidInputError("one operator per net dimension required")
     if check:
-        validate_family(ops, certificates, seed=seed, tol=tol)
+        validate_family(ops, certificates, seed=seed)
     algebra = x.algebra
-    use_matrix = prefix_reuse if prefix_reuse is not None \
-        else algebra.vec_dim <= _MATRIX_ROUTE_MAX_DIM
+    use_matrix = algebra.vec_dim <= _MATRIX_ROUTE_MAX_DIM
 
     outputs: List[Element] = []
     if not use_matrix:
@@ -226,7 +222,7 @@ def net_average_trace(ops: Sequence[SuperOperator], x: Element, net: SectorNet,
 
     from .singular import lp_norm
     sup_norms = [y.sup_norm() for y in outputs]
-    one_norms = [lp_norm(y, 1, tol) for y in outputs]
+    one_norms = [lp_norm(y, 1) for y in outputs]
     meta = {
         "mode": "matrix-prefix" if use_matrix else "factorized-per-index",
         "net_model": "monotone cofinal index sequence (finite stand-in for a net)",
@@ -235,8 +231,7 @@ def net_average_trace(ops: Sequence[SuperOperator], x: Element, net: SectorNet,
     return AverageTrace(net, outputs, sup_norms, one_norms, meta)
 
 
-def cesaro_limit_oracle(ops: Sequence[SuperOperator], x: Element,
-                        phase_tol: float = 1e-8) -> Element:
+def cesaro_limit_oracle(ops: Sequence[SuperOperator], x: Element) -> Element:
     """Independent limit for commuting unitary-conjugation families.
 
     Each conjugator contributes the pinching by its eigenvalue-equality
@@ -256,12 +251,12 @@ def cesaro_limit_oracle(ops: Sequence[SuperOperator], x: Element,
             order = np.argsort(np.angle(phases), kind="stable")
             clusters: List[List[int]] = []
             for j in order:
-                if clusters and abs(phases[j] - phases[clusters[-1][-1]]) <= phase_tol:
+                if clusters and abs(phases[j] - phases[clusters[-1][-1]]) <= PHASE_TOL:
                     clusters[-1].append(j)
                 else:
                     clusters.append([j])
             if len(clusters) > 1 and \
-                    abs(phases[clusters[0][0]] - phases[clusters[-1][-1]]) <= phase_tol:
+                    abs(phases[clusters[0][0]] - phases[clusters[-1][-1]]) <= PHASE_TOL:
                 clusters[0].extend(clusters.pop())
             y = np.zeros_like(xb)
             for cluster in clusters:
@@ -328,28 +323,27 @@ class Semigroup:
     def apply(self, s: float, x: Element) -> Element:
         raise NotImplementedError
 
-    def _check_law(self, trials: int = 5, seed: int = 0,
-                   tol: Tolerances = DEFAULT):
+    def _check_law(self, trials: int = 5, seed: int = 0):
         rng = stream(seed, "ergodic/semigroup-law")
         for _ in range(trials):
             x = self.algebra.random_element(rng)
             s, t = rng.uniform(0.0, 2.0, size=2)
             gap = (self.apply(s, self.apply(t, x))
                    - self.apply(s + t, x)).sup_norm()
-            if gap > tol.semigroup_tol * max(1.0, x.sup_norm()):
+            if gap > SEMIGROUP_TOL * max(1.0, x.sup_norm()):
                 raise NumericFailureError(f"semigroup law violated: gap {gap:.3e}")
 
 
 class UnitaryFlow(Semigroup):
     """T_s(x) = e^{i s H} x e^{-i s H} for a selfadjoint generator H."""
 
-    def __init__(self, generator: Element, tol: Tolerances = DEFAULT):
+    def __init__(self, generator: Element):
         if generator.selfadjoint is not True:
-            generator = generator.as_selfadjoint(tol)
+            generator = generator.as_selfadjoint()
         self.algebra = generator.algebra
         self.generator = generator
         self._eig = [np.linalg.eigh((b + b.conj().T) / 2) for b in generator.data]
-        self._check_law(tol=tol)
+        self._check_law()
 
     def apply(self, s: float, x: Element) -> Element:
         data = []
@@ -362,26 +356,33 @@ class UnitaryFlow(Semigroup):
 class InterpolationFlow(Semigroup):
     """T_s(x) = e^{-s} x + (1 - e^{-s}) E(x) for an idempotent expectation E."""
 
-    def __init__(self, expectation: SuperOperator, tol: Tolerances = DEFAULT):
+    def __init__(self, expectation: SuperOperator):
         self.algebra = expectation.algebra
         rng = stream(0, "ergodic/idempotency")
         y = self.algebra.random_element(rng)
         gap = (expectation.apply(expectation.apply(y))
                - expectation.apply(y)).sup_norm()
-        if gap > 1e-9 * max(1.0, y.sup_norm()):
+        if gap > IDEMPOTENT_TOL * max(1.0, y.sup_norm()):
             raise InvalidInputError("expectation must be idempotent")
         if not expectation.structurally_positive():
             raise InvalidInputError("expectation must be structurally positive")
         self.expectation = expectation
-        self._check_law(tol=tol)
+        self._check_law()
 
     def apply(self, s: float, x: Element) -> Element:
         decay = math.exp(-s)
         return x.scaled(decay) + self.expectation.apply(x).scaled(1.0 - decay)
 
 
+def _simpson(values: np.ndarray, h: float):
+    """Composite Simpson sum with node spacing h over the first axis (odd length)."""
+    return (h / 3.0) * (values[0] + values[-1]
+                        + 4.0 * values[1:-1:2].sum(axis=0)
+                        + 2.0 * values[2:-1:2].sum(axis=0))
+
+
 def besicovitch_average(beta: BesicovitchFunction, flow: Semigroup, x: Element,
-                        t: float, quad_tol: float = 1e-8,
+                        t: float, quad_tol: float = QUAD_TOL,
                         max_depth: int = 16) -> Element:
     """The weighted time average (1/t) * integral of beta(s) T_s(x) over [0, t].
 
@@ -404,11 +405,7 @@ def besicovitch_average(beta: BesicovitchFunction, flow: Semigroup, x: Element,
 
     def simpson(m: int) -> np.ndarray:
         nodes = np.linspace(0.0, t, 2 * m + 1)
-        values = np.array([integrand_vec(s) for s in nodes])
-        h = t / (2 * m)
-        return (h / 3.0) * (values[0] + values[-1]
-                            + 4.0 * values[1:-1:2].sum(axis=0)
-                            + 2.0 * values[2:-1:2].sum(axis=0))
+        return _simpson(np.array([integrand_vec(s) for s in nodes]), t / (2 * m))
 
     m = max(4, int(math.ceil(t * (freq + 1.0) / math.pi)))
     prev = simpson(m)
@@ -436,8 +433,8 @@ def check_besicovitch(beta: BesicovitchFunction, epsilon: float, t_max: float,
     """
     if t_max <= 0:
         raise InvalidInputError("t_max must be > 0")
-    ts = np.geomspace(max(t_max / 2 ** (grid_points - 1), 1e-3), t_max,
-                      grid_points)
+    t_min = max(t_max / 2 ** (grid_points - 1), BESICOVITCH_MIN_HORIZON)
+    ts = np.geomspace(t_min, t_max, grid_points)
     estimates = []
     for t in ts:
         if beta.residual is None:
@@ -445,9 +442,6 @@ def check_besicovitch(beta: BesicovitchFunction, epsilon: float, t_max: float,
             continue
         xs = np.linspace(0.0, t, 2 * nodes + 1)
         vals = np.array([abs(beta.residual(s)) for s in xs])
-        h = t / (2 * nodes)
-        integral = (h / 3.0) * (vals[0] + vals[-1]
-                                + 4.0 * vals[1:-1:2].sum()
-                                + 2.0 * vals[2:-1:2].sum())
+        integral = _simpson(vals, t / (2 * nodes))
         estimates.append((float(t), float(integral / t)))
     return estimates[-1][1] < epsilon, estimates

@@ -17,7 +17,8 @@ import numpy as np
 
 from .algebra import (Element, TracedAlgebra, projection_from_ranges,
                       projection_meet, trace_deficiency)
-from .config import DEFAULT, Tolerances
+from .config import (BOUND_SLACK, ENLARGE_DEFICIENCY_SLACK, RANK_REL,
+                     SUBMAJOR_SLACK, TWO_ROUTE_REL)
 from .errors import InvalidInputError, PostconditionError
 from .stepfn import StepFunction, integral_dominates
 
@@ -57,12 +58,12 @@ def mu_at(x: Element, t: float) -> float:
     return mu(x)(t)
 
 
-def lp_norm(x: Element, p: float, tol: Tolerances = DEFAULT) -> float:
+def lp_norm(x: Element, p: float) -> float:
     """The p-norm for p in [1, infinity].
 
     For finite p the integral route (rearrangement) and the trace route
     tau(|x|^p)^(1/p) are both evaluated and must agree within the
-    configured relative tolerance.
+    relative tolerance ``TWO_ROUTE_REL``.
     """
     if p < 1:
         raise InvalidInputError("p must be >= 1")
@@ -75,7 +76,7 @@ def lp_norm(x: Element, p: float, tol: Tolerances = DEFAULT) -> float:
                             for s, w in zip(x.singular_values(),
                                             x.algebra.weights))) ** (1.0 / p)
     scale = max(integral_route, trace_route, 1e-300)
-    if abs(integral_route - trace_route) > tol.two_route_rel * scale:
+    if abs(integral_route - trace_route) > TWO_ROUTE_REL * scale:
         raise PostconditionError(
             f"p-norm routes disagree: {integral_route} vs {trace_route}")
     return trace_route
@@ -109,14 +110,14 @@ def clip_decompose(x: Element, level: float) -> Tuple[Element, Element]:
             Element(x.algebra, [(u * s) @ vh for u, s, vh in zsvd], svd=zsvd))
 
 
-def submajorizes(x: Element, y: Element, slack: float = 1e-9) -> bool:
+def submajorizes(x: Element, y: Element) -> bool:
     """True iff y is weakly submajorized by x.
 
     Decided exactly by comparing the two concave piecewise-linear running
     integrals at the union of their breakpoints (they are constant past
     the supports).  The elements may live in different algebras.
     """
-    return integral_dominates(mu(x), mu(y), slack)
+    return integral_dominates(mu(x), mu(y), SUBMAJOR_SLACK)
 
 
 def measure_metric(x: Element, y: Element) -> float:
@@ -137,21 +138,19 @@ def measure_metric(x: Element, y: Element) -> float:
     return float(best)
 
 
-def spectral_projection_below(x: Element, level: float,
-                              tol: Tolerances = DEFAULT) -> Element:
+def spectral_projection_below(x: Element, level: float) -> Element:
     """The spectral projection of |x| onto [0, level].
 
     Built from the right singular vectors of each block; the level is
-    applied with the configured relative rank tolerance so near-ties fall
-    below the cut.
+    applied with the relative rank tolerance ``RANK_REL`` so near-ties
+    fall below the cut.
     """
-    cut = level + tol.rank_rel * max(x.sup_norm(), 1.0)
+    cut = level + RANK_REL * max(x.sup_norm(), 1.0)
     bases = [vh.conj().T[:, s <= cut] for _, s, vh in x.block_svds()]
-    return projection_from_ranges(x.algebra, bases, tol)
+    return projection_from_ranges(x.algebra, bases)
 
 
-def in_neighborhood(x: Element, nbhd: MeasureNeighborhood,
-                    tol: Tolerances = DEFAULT):
+def in_neighborhood(x: Element, nbhd: MeasureNeighborhood):
     """Membership of x in the neighborhood, with a witness projection.
 
     Returns ``(True, e)`` with e the spectral projection of |x| at level
@@ -160,12 +159,11 @@ def in_neighborhood(x: Element, nbhd: MeasureNeighborhood,
     """
     if mu_at(x, nbhd.epsilon) > nbhd.delta:
         return False, None
-    e = spectral_projection_below(x, nbhd.delta, tol)
+    e = spectral_projection_below(x, nbhd.delta)
     return True, e
 
 
-def enlarge_projection(x: Element, e: Element,
-                       tol: Tolerances = DEFAULT) -> Element:
+def enlarge_projection(x: Element, e: Element) -> Element:
     """Turn a two-sided compression bound into a one-sided one.
 
     Given a projection e, returns f = e ^ q where q is the spectral
@@ -175,16 +173,16 @@ def enlarge_projection(x: Element, e: Element,
     """
     if e.projection is not True:
         e = Element(e.algebra, e.data, selfadjoint=True, positive=True,
-                    projection=True, tol=tol)
+                    projection=True)
     xe = x @ e
     exe = e @ xe
     delta = exe.sup_norm()
-    q = spectral_projection_below(xe, delta, tol)
-    f = projection_meet(e, q, tol)
+    q = spectral_projection_below(xe, delta)
+    f = projection_meet(e, q)
 
-    slack = 1e-9 * max(1.0, x.sup_norm())
+    slack = BOUND_SLACK * max(1.0, x.sup_norm())
     def_e, def_f = trace_deficiency(e), trace_deficiency(f)
-    if def_f > 2.0 * def_e + 1e-9:
+    if def_f > 2.0 * def_e + ENLARGE_DEFICIENCY_SLACK:
         raise PostconditionError(
             f"trace deficiency {def_f} exceeds 2 * {def_e}")
     xf_norm = (x @ f).sup_norm()
@@ -194,8 +192,7 @@ def enlarge_projection(x: Element, e: Element,
     return f
 
 
-def fava_decompose(x: Element, delta: float,
-                   tol: Tolerances = DEFAULT) -> Tuple[Element, Element]:
+def fava_decompose(x: Element, delta: float) -> Tuple[Element, Element]:
     """Split a selfadjoint x = y + z with ||z||_inf <= delta.
 
     y is the spectral part of x on {|lambda| > delta}; z = x - y, so the
@@ -204,7 +201,7 @@ def fava_decompose(x: Element, delta: float,
     if delta <= 0:
         raise InvalidInputError("delta must be > 0")
     if x.selfadjoint is not True:
-        x = x.as_selfadjoint(tol)
+        x = x.as_selfadjoint()
     ydata = []
     for b in x.data:
         w, v = np.linalg.eigh((b + b.conj().T) / 2)

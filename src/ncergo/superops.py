@@ -16,7 +16,9 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .algebra import Element, TracedAlgebra
-from .config import DEFAULT, Tolerances
+from .config import (COUPLING_TOL, DS_SLACK, PINCHING_TOL, POSITIVITY_TOL,
+                     SELFADJOINT_TOL, SUBMAJOR_SLACK, UNITARY_TOL,
+                     WEIGHT_SUM_SLACK)
 from .errors import InvalidInputError
 from .rng import stream
 from .singular import submajorizes, fava_decompose
@@ -67,11 +69,11 @@ class SuperOperator:
 class UnitaryConjugation(SuperOperator):
     """x -> u x u* for a unitary u."""
 
-    def __init__(self, u: Element, tol: Tolerances = DEFAULT):
+    def __init__(self, u: Element):
         super().__init__(u.algebra)
         gap = max(np.abs(b @ b.conj().T - np.eye(d)).max()
                   for b, d in zip(u.data, u.algebra.dims))
-        if gap > 1e-8:
+        if gap > UNITARY_TOL:
             raise InvalidInputError("conjugator is not unitary")
         self.u = u
 
@@ -96,19 +98,19 @@ class UnitaryConjugation(SuperOperator):
 class Pinching(SuperOperator):
     """x -> sum_i p_i x p_i for an orthogonal partition of unity."""
 
-    def __init__(self, projections: Sequence[Element], tol: Tolerances = DEFAULT):
+    def __init__(self, projections: Sequence[Element]):
         if not projections:
             raise InvalidInputError("pinching needs at least one projection")
         super().__init__(projections[0].algebra)
         total = projections[0]
         for p in projections[1:]:
             total = total + p
-        if not all(np.allclose(b, np.eye(d), atol=1e-9)
+        if not all(np.allclose(b, np.eye(d), atol=PINCHING_TOL)
                    for b, d in zip(total.data, self.algebra.dims)):
             raise InvalidInputError("pinching projections must sum to 1")
         for i, p in enumerate(projections):
             for q in projections[i + 1:]:
-                if (p @ q).sup_norm() > 1e-9:
+                if (p @ q).sup_norm() > PINCHING_TOL:
                     raise InvalidInputError("pinching projections must be orthogonal")
         self.projections = tuple(projections)
 
@@ -184,7 +186,7 @@ class ConvexCombination(SuperOperator):
         weights = [float(w) for w, _ in terms]
         if any(w < 0 for w in weights):
             raise InvalidInputError("combination weights must be nonnegative")
-        if sum(weights) > 1.0 + 1e-12:
+        if sum(weights) > 1.0 + WEIGHT_SUM_SLACK:
             raise InvalidInputError("combination weights must sum to at most 1")
         self.terms = tuple((w, op) for w, op in zip(weights, (op for _, op in terms)))
 
@@ -249,11 +251,7 @@ class Composition(SuperOperator):
 
 
 class Power(SuperOperator):
-    """Repeated application of a base map.
-
-    Above exponent 4 it applies its dense matrix power, built once and
-    memoized as its matrix.
-    """
+    """Repeated application of a base map."""
 
     def __init__(self, base: SuperOperator, exponent: int):
         if exponent < 0:
@@ -263,19 +261,9 @@ class Power(SuperOperator):
         self.exponent = int(exponent)
 
     def apply(self, x: Element) -> Element:
-        if self.exponent <= 4 or self.algebra.vec_dim > 4096:
-            for _ in range(self.exponent):
-                x = self.base.apply(x)
-            return x
-        sa = x.selfadjoint if self.base.structurally_selfadjoint() else None
-        return Element.from_vec(self.algebra, self.to_matrix() @ x.vec(),
-                                selfadjoint=sa)
-
-    def to_matrix(self) -> np.ndarray:
-        if self._matrix_cache is None:
-            self._matrix_cache = np.linalg.matrix_power(
-                self.base.to_matrix(), self.exponent)
-        return self._matrix_cache
+        for _ in range(self.exponent):
+            x = self.base.apply(x)
+        return x
 
     def adjoint(self) -> "Power":
         return Power(self.base.adjoint(), self.exponent)
@@ -311,7 +299,7 @@ class ExplicitMatrix(SuperOperator):
         coupling = matrix.copy()
         for a, b in zip(offsets[:-1], offsets[1:]):
             coupling[a:b, a:b] = 0.0
-        if np.abs(coupling).max(initial=0.0) > 1e-12:
+        if np.abs(coupling).max(initial=0.0) > COUPLING_TOL:
             raise InvalidInputError("matrix couples distinct algebra blocks")
         self.matrix = matrix
         self._matrix_cache = matrix
@@ -352,9 +340,9 @@ class DSCertificate:
     selfadjointness: bool
     method: str  # "exact-positive" or "sampled"
 
-    def is_ds(self, slack: float = 1e-9) -> bool:
-        return (self.one_norm_bound <= 1.0 + slack
-                and self.sup_norm_bound <= 1.0 + slack)
+    def is_ds(self) -> bool:
+        return (self.one_norm_bound <= 1.0 + DS_SLACK
+                and self.sup_norm_bound <= 1.0 + DS_SLACK)
 
     def to_json(self) -> str:
         return json.dumps({
@@ -367,12 +355,11 @@ class DSCertificate:
         }, sort_keys=True, indent=2)
 
 
-def check_positivity(op: SuperOperator, trials: int = 50, seed: int = 0,
-                     tol: Tolerances = DEFAULT) -> bool:
+def check_positivity(op: SuperOperator, trials: int = 50, seed: int = 0) -> bool:
     """Positivity check: exact for structural trees, sampled otherwise.
 
     The sampled route draws random x and tests the spectrum of A(x* x)
-    against -tol relative to its norm.
+    against -POSITIVITY_TOL relative to its norm.
     """
     if op.structurally_positive():
         return True
@@ -382,10 +369,10 @@ def check_positivity(op: SuperOperator, trials: int = 50, seed: int = 0,
         y = op.apply(x.adjoint() @ x)
         ysa = Element(y.algebra, [(b + b.conj().T) / 2 for b in y.data],
                       selfadjoint=True)
-        if (ysa - y).sup_norm() > 1e-9 * max(1.0, y.sup_norm()):
+        if (ysa - y).sup_norm() > POSITIVITY_TOL * max(1.0, y.sup_norm()):
             return False
         lo = min(np.linalg.eigvalsh(b).min() for b in ysa.data)
-        if lo < -1e-9 * max(1.0, ysa.sup_norm()):
+        if lo < -POSITIVITY_TOL * max(1.0, ysa.sup_norm()):
             return False
     return True
 
@@ -397,13 +384,12 @@ def check_selfadjointness(op: SuperOperator, trials: int = 20, seed: int = 0) ->
     for _ in range(trials):
         x = op.algebra.random_element(rng, selfadjoint=True)
         y = op.apply(x)
-        if (y - y.adjoint()).sup_norm() > 1e-9 * max(1.0, y.sup_norm()):
+        if (y - y.adjoint()).sup_norm() > SELFADJOINT_TOL * max(1.0, y.sup_norm()):
             return False
     return True
 
 
-def verify_ds(op: SuperOperator, trials: int = 50, seed: int = 0,
-              tol: Tolerances = DEFAULT) -> DSCertificate:
+def verify_ds(op: SuperOperator, trials: int = 50, seed: int = 0) -> DSCertificate:
     """Certify the trace- and sup-norm bounds of a map.
 
     Structurally positive maps get exact bounds via unitality / trace
@@ -414,7 +400,7 @@ def verify_ds(op: SuperOperator, trials: int = 50, seed: int = 0,
     """
     from .singular import lp_norm
 
-    positive = check_positivity(op, trials=trials, seed=seed, tol=tol)
+    positive = check_positivity(op, trials=trials, seed=seed)
     selfadj = check_selfadjointness(op, trials=max(trials // 2, 5), seed=seed)
     one = op.algebra.identity()
     if positive:
@@ -430,7 +416,7 @@ def verify_ds(op: SuperOperator, trials: int = 50, seed: int = 0,
         x = op.algebra.random_element(rng)
         y = op.apply(x)
         c_inf = max(c_inf, y.sup_norm() / max(x.sup_norm(), 1e-300))
-        c_1 = max(c_1, lp_norm(y, 1, tol) / max(lp_norm(x, 1, tol), 1e-300))
+        c_1 = max(c_1, lp_norm(y, 1) / max(lp_norm(x, 1), 1e-300))
     if bounds is not None:
         # structural bounds are valid upper bounds; sampled ratios only
         # witness that they are not wildly loose
@@ -438,31 +424,29 @@ def verify_ds(op: SuperOperator, trials: int = 50, seed: int = 0,
     return DSCertificate(c_1, c_inf, positive, selfadj, "sampled")
 
 
-def audit_submajorization(op: SuperOperator, x: Element, slack: float = 1e-9,
-                          certificate: Optional[DSCertificate] = None,
-                          tol: Tolerances = DEFAULT) -> bool:
+def audit_submajorization(op: SuperOperator, x: Element,
+                          certificate: Optional[DSCertificate] = None) -> bool:
     """Check that the image of a certified contraction sits below x in the
     running-integral order.  For a genuine contraction a False return is a
     failure of the numerics, not a valid outcome."""
-    cert = certificate or verify_ds(op, tol=tol)
-    if not cert.is_ds(tol.ds_slack):
+    cert = certificate or verify_ds(op)
+    if not cert.is_ds():
         raise InvalidInputError("map is not certified as a contraction")
-    return submajorizes(x, op.apply(x), slack)
+    return submajorizes(x, op.apply(x))
 
 
 def preserves_fava(op: SuperOperator, x: Element, delta: float,
-                   certificate: Optional[DSCertificate] = None,
-                   tol: Tolerances = DEFAULT):
+                   certificate: Optional[DSCertificate] = None):
     """Exhibit A(x) = A(y) + A(z) with ||A(z)||_inf <= delta.
 
     Splits x at level delta / c for the certified sup-norm bound c, then
     pushes both parts through the map.
     """
-    cert = certificate or verify_ds(op, tol=tol)
+    cert = certificate or verify_ds(op)
     if not cert.selfadjointness:
         raise InvalidInputError("map must be selfadjoint")
     if x.selfadjoint is not True:
-        x = x.as_selfadjoint(tol)
+        x = x.as_selfadjoint()
     c = max(cert.sup_norm_bound, 1e-300)
-    y, z = fava_decompose(x, delta / c, tol)
+    y, z = fava_decompose(x, delta / c)
     return op.apply(y), op.apply(z)

@@ -12,7 +12,6 @@ from ncergo import Element, TracedAlgebra, UnitaryConjugation, \
     remark32_model, submajorizes, trace_deficiency, witness_convergence
 from ncergo.certify import FiniteTrace, WitnessCertificate, _MeetBuilder, \
     _compressed_bound, _compressed_bounds, _search_witness, _term_stacks
-from ncergo.config import DEFAULT
 from ncergo.ergodic import SectorNet, net_average_trace
 from ncergo.errors import InvalidInputError, NoLimitError
 from ncergo.fixtures import conjugation_d2_fixture
@@ -247,7 +246,7 @@ def test_grouped_meet_equals_per_block(layout, seed, zero_block):
     projections = [random_projection(rng, a, min_rank=1) for _ in range(3)]
     if zero_block is not None:
         projections.append(a.zero())
-    builder = _MeetBuilder(a, projections, DEFAULT)
+    builder = _MeetBuilder(a, projections)
     bases = []
     for s in builder._sums:
         w, v = np.linalg.eigh((s + s.conj().T) / 2)
@@ -293,10 +292,9 @@ def test_cauchy_pair_rows_equal_per_pair(layout, seed, zero_block):
 def test_witness_search_reports_iteration_cap(monkeypatch):
     algebra, trace, f = remark32_model(12)
     differences = [f - x for x in trace.elements]
-    *_, cap_hit = _search_witness(differences, 2.0 ** -5, "au", DEFAULT,
-                                  max_iter=1)
+    *_, cap_hit = _search_witness(differences, 2.0 ** -5, "au", max_iter=1)
     assert cap_hit
-    *_, cap_hit = _search_witness(differences, 2.0 ** -5, "au", DEFAULT)
+    *_, cap_hit = _search_witness(differences, 2.0 ** -5, "au")
     assert not cap_hit
     cert = witness_convergence(trace, f, 2.0 ** -5, mode="au")
     assert "iteration_cap_hit" not in cert.notes

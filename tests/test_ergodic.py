@@ -169,6 +169,7 @@ def test_net_average_two_routes_agree():
 
     square = TracedAlgebra(((4, 1.0),))
     mixed = TracedAlgebra(((3, 0.5), (1, 2.0), (2, 1.0)))
+    large = TracedAlgebra(((12, 1.0), (12, 1.0)))  # vec_dim 288 > 256
     cases = [
         # the original diagonal net, pinchings
         (square, commuting_pinchings(square),
@@ -184,16 +185,17 @@ def test_net_average_two_routes_agree():
         # d = 3: two pinchings and a conjugation, which all commute
         (mixed, commuting_pinchings(mixed) + conjugations(mixed, 1),
          ((0, 1, 0), (2, 1, 3), (2, 5, 3), (9, 5, 6), (9, 5, 17))),
+        # above the size cut: the factorized route
+        (large, conjugations(large, 2), ((0, 1), (1, 1), (2, 3), (4, 4))),
     ]
     for algebra, ops, indices in cases:
         x = algebra.random_element(rng)
         net = SectorNet(len(ops), indices)
-        fast = net_average_trace(ops, x, net, check=False, prefix_reuse=True)
-        slow = net_average_trace(ops, x, net, check=False, prefix_reuse=False)
-        assert fast.metadata["mode"] == "matrix-prefix"
-        assert slow.metadata["mode"] == "factorized-per-index"
-        for f, s in zip(fast.outputs, slow.outputs):
-            assert (f - s).sup_norm() <= 1e-10
+        trace = net_average_trace(ops, x, net, check=False)
+        assert trace.metadata["mode"] == ("matrix-prefix" if algebra.vec_dim <= 256
+                                          else "factorized-per-index")
+        for out, n in zip(trace.outputs, net.indices):
+            assert (out - box_average(ops, x, n, check=False)).sup_norm() <= 1e-10
 
 
 def test_net_average_large_index_closed_form():

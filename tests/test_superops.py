@@ -128,7 +128,7 @@ def test_power_matches_repeated_application():
     a = TracedAlgebra(((3, 1.0),))
     base = UnitaryConjugation(random_unitary_element(rng, a))
     x = a.random_element(rng)
-    for k in (0, 1, 3, 7):  # 7 exercises the memoized matrix route
+    for k in (0, 1, 3, 7):
         y = x
         for _ in range(k):
             y = base.apply(y)
