@@ -17,6 +17,7 @@ import numpy as np
 
 from .config import FLAG_TOL, MEET_OVERLAP_CUT, RANK_REL
 from .errors import InvalidInputError
+from .stepfn import StepFunction
 
 
 @dataclass(frozen=True)
@@ -91,7 +92,8 @@ class Element:
     """A block-diagonal matrix tuple affiliated with a traced algebra.
 
     The per-block spectrum (the singular values, and on demand the full
-    SVD) is computed once, on first use, and cached.  This is safe because
+    SVD) is computed once, on first use, and cached, as are the flat
+    spectrum and the rearrangement built from it.  This is safe because
     elements are immutable; the cached arrays are read-only.  Constructors
     that build the blocks from known factors may pass ``svd``, a sequence
     of per-block ``(u, s, vh)`` with ``u * s @ vh`` equal to the block, so
@@ -100,7 +102,7 @@ class Element:
     """
 
     __slots__ = ("algebra", "data", "selfadjoint", "positive", "projection",
-                 "_svals", "_svd")
+                 "_svals", "_svd", "_flat", "_mu")
 
     def __init__(self, algebra: TracedAlgebra, data: Sequence[np.ndarray],
                  selfadjoint: Optional[bool] = None,
@@ -124,6 +126,8 @@ class Element:
         object.__setattr__(self, "positive", positive)
         object.__setattr__(self, "projection", projection)
         object.__setattr__(self, "_svd", svd)
+        object.__setattr__(self, "_flat", None)
+        object.__setattr__(self, "_mu", None)
         object.__setattr__(self, "_svals",
                            None if svd is None else tuple(s for _, s, _ in svd))
         self._verify_flags()
@@ -215,6 +219,27 @@ class Element:
             object.__setattr__(self, "_svals", tuple(svals))
         return list(self._svals)
 
+    def flat_spectrum(self) -> tuple:
+        """Every singular value with its block's trace weight, in the order
+        of the decreasing rearrangement (descending, ties by block index).
+
+        Returns read-only ``(values, weights, cumulative)``, where
+        ``cumulative`` holds the running sums of the weights with a
+        leading 0: ``values[i]`` spans ``[cumulative[i], cumulative[i+1])``.
+        """
+        if self._flat is None:
+            flat = rearranged(self.algebra,
+                              np.concatenate(self.singular_values()))
+            object.__setattr__(self, "_flat", tuple(map(_frozen, flat)))
+        return self._flat
+
+    def rearrangement(self) -> StepFunction:
+        """The decreasing rearrangement, built once from the flat spectrum."""
+        if self._mu is None:
+            object.__setattr__(self, "_mu", StepFunction.from_levels(
+                *self.flat_spectrum()[:2]))
+        return self._mu
+
     def block_svds(self) -> list:
         """Per-block full SVDs ``(u, s, vh)`` with ``b = u * s @ vh``."""
         if self._svd is None:
@@ -244,6 +269,16 @@ class Element:
 
     def __repr__(self):
         return f"Element(dims={self.algebra.dims}, sup_norm={self.sup_norm():.4g})"
+
+
+def rearranged(algebra: TracedAlgebra, values: np.ndarray) -> tuple:
+    """:meth:`Element.flat_spectrum` from singular values in block order
+    along the last axis; the stable sort breaks ties by block index."""
+    order = np.argsort(-values, axis=-1, kind="stable")
+    weights = np.repeat(algebra.weights, algebra.dims)[order]
+    cumulative = np.concatenate([np.zeros(values.shape[:-1] + (1,)),
+                                 np.cumsum(weights, axis=-1)], axis=-1)
+    return np.take_along_axis(values, order, axis=-1), weights, cumulative
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

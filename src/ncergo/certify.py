@@ -19,12 +19,12 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .algebra import (Element, TracedAlgebra, _adj, projection_from_ranges,
-                      stacked, trace_deficiency)
+                      rearranged, stacked, trace_deficiency)
 from .config import (BOUND_SLACK, BUDGET_SLACK, CAUCHY_TOL,
                      ENLARGE_DEFICIENCY_SLACK, MEET_KERNEL_CUT, RANK_REL,
                      TAIL_RISE_SLACK, TAIL_TOL)
 from .errors import InvalidInputError, NoLimitError, PostconditionError
-from .singular import enlarge_projection, measure_metric, spectral_projection_below
+from .singular import enlarge_projection, measure_scan, spectral_projection_below
 
 
 @dataclass(frozen=True)
@@ -135,19 +135,18 @@ def _compressed_bounds(stacks: Sequence[np.ndarray], e: Element,
 
 def _distinct_levels(d: Element) -> List[float]:
     """Candidate spectral cut levels, descending; always ends at 0."""
-    svals = np.concatenate(d.singular_values())
-    levels = sorted({round(float(s), 14) for s in svals if s > 0}, reverse=True)
-    levels.append(0.0)
-    return levels
+    svals = d.flat_spectrum()[0]
+    distinct = np.unique(svals[svals > 0])[::-1].tolist()
+    # round() is monotone, so the deduplicated levels stay descending
+    return [*dict.fromkeys(round(s, 14) for s in distinct), 0.0]
 
 
-def _tail_weight(d: Element, level: float) -> float:
-    """Weighted count of singular values strictly above the cut."""
-    cut = level + RANK_REL * max(d.sup_norm(), 1.0)
-    total = 0.0
-    for s, w in zip(d.singular_values(), d.algebra.weights):
-        total += w * int(np.count_nonzero(s > cut))
-    return total
+def _tail_weight(d: Element, level):
+    """Weighted count of singular values strictly above the cut, at one
+    level or at each of an array of levels."""
+    cut = np.asarray(level) + RANK_REL * max(d.sup_norm(), 1.0)
+    svals, _, cumulative = d.flat_spectrum()
+    return cumulative[np.searchsorted(-svals, -cut)]
 
 
 class _MeetBuilder:
@@ -210,14 +209,9 @@ def _search_witness(differences: Sequence[Element], epsilon: float, mode: str,
     levels = [_distinct_levels(d) for d in differences]
     cursor = []
     for n, d in enumerate(differences):
-        budget = epsilon * 2.0 ** (-(n + 1))
-        k = 0
-        for j, lv in enumerate(levels[n]):
-            if _tail_weight(d, lv) <= budget:
-                k = j
-            else:
-                break
-        cursor.append(k)
+        # tail weights grow as the levels fall, so the fitting levels lead
+        fits = _tail_weight(d, levels[n]) <= epsilon * 2.0 ** (-(n + 1))
+        cursor.append(max(int(fits.sum()) - 1, 0))
 
     proj_cache: dict = {}
 
@@ -399,17 +393,44 @@ def extract_limit(trace: FiniteTrace) -> Tuple[Element, List[float]]:
     n = len(trace)
     if n == 1:
         return trace.elements[0], [0.0]
-    pair = np.zeros((n, n))
-    for a in range(n):
-        for b in range(a + 1, n):
-            pair[a, b] = measure_metric(trace.elements[a], trace.elements[b])
-    moduli = [float(pair[j:, j:].max()) for j in range(n - 1)]
+    # the modulus of window j is the largest row maximum from row j on
+    rows = [measure_scan(*row).max() for row in _row_spectra(trace)]
+    moduli = np.maximum.accumulate(rows[::-1])[::-1].tolist()
     tail_start = max(0, n - max(2, n // 4) - 1)
     if moduli[min(tail_start, n - 2)] > CAUCHY_TOL:
         raise NoLimitError(
             f"tail modulus {moduli[min(tail_start, n - 2)]:.3e} exceeds "
             f"{CAUCHY_TOL:.3e}")
     return trace.elements[-1], moduli
+
+
+def _row_spectra(trace: FiniteTrace):
+    """For each a < n - 1, the ``flat_spectrum`` values and cumulative
+    weights of x_a - x_b, one row per b > a, from one stacked
+    factorization per group.  Real 1x1 blocks take the modulus, which is
+    LAPACK's value for them; complex ones are factorized, as hypot can
+    differ from LAPACK in the last bit.
+    """
+    algebra = trace.algebra
+    offsets = np.cumsum((0,) + algebra.dims)
+    cols = np.concatenate([np.arange(offsets[i], offsets[i + 1])
+                           for g in algebra.groups for i in g])
+    stacks = _term_stacks(trace.elements)
+    for a in range(len(trace) - 1):
+        parts = []
+        for xs in stacks:
+            dd = xs[a] - xs[a + 1:]
+            if not np.isfinite(dd).all():
+                raise InvalidInputError("non-finite matrix entries")
+            if dd.shape[-1] == 1 and not dd.imag.any():
+                s = np.abs(dd.real)
+            else:
+                s = np.linalg.svd(dd, compute_uv=False)
+            parts.append(s.reshape(len(dd), -1))
+        svals = np.empty((len(trace) - a - 1, offsets[-1]))
+        svals[:, cols] = np.concatenate(parts, axis=1)  # into block order
+        values, _, cumulative = rearranged(algebra, svals)
+        yield values, cumulative
 
 
 def remark32_model(n_blocks: int):

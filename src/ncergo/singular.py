@@ -38,17 +38,10 @@ class MeasureNeighborhood:
 def mu(x: Element) -> StepFunction:
     """Decreasing rearrangement of x as a step function on (0, infinity).
 
-    Ties between equal singular values are broken by block index, then by
-    descending value, so the result is deterministic.
+    Ties between equal singular values are broken by block index, so the
+    result is deterministic; it is cached on x.
     """
-    entries = []
-    for idx, (svals, (_, weight)) in enumerate(
-            zip(x.singular_values(), x.algebra.blocks)):
-        for s in svals:
-            entries.append((float(s), idx, weight))
-    entries.sort(key=lambda e: (-e[0], e[1]))
-    return StepFunction.from_levels([e[0] for e in entries],
-                                    [e[2] for e in entries])
+    return x.rearrangement()
 
 
 def mu_at(x: Element, t: float) -> float:
@@ -61,17 +54,17 @@ def mu_at(x: Element, t: float) -> float:
 def lp_norm(x: Element, p: float) -> float:
     """The p-norm for p in [1, infinity].
 
-    For finite p the integral route (rearrangement) and the trace route
-    tau(|x|^p)^(1/p) are both evaluated and must agree within the
-    relative tolerance ``TWO_ROUTE_REL``.
+    For finite p the integral route (over the pieces of the rearrangement,
+    the flat spectrum) and the trace route tau(|x|^p)^(1/p) are both
+    evaluated and must agree within the relative tolerance
+    ``TWO_ROUTE_REL``.
     """
     if p < 1:
         raise InvalidInputError("p must be >= 1")
     if p == np.inf:
         return x.sup_norm()
-    f = mu(x)
-    widths = np.diff(f.edges)
-    integral_route = float(np.dot(widths, f.values ** p)) ** (1.0 / p)
+    values, weights, _ = x.flat_spectrum()
+    integral_route = float(np.dot(weights, values ** p)) ** (1.0 / p)
     trace_route = float(sum(w * np.sum(s ** p)
                             for s, w in zip(x.singular_values(),
                                             x.algebra.weights))) ** (1.0 / p)
@@ -127,15 +120,22 @@ def measure_metric(x: Element, y: Element) -> float:
     each constant piece the condition is a simple threshold.
     """
     x._same_algebra(y)
-    f = mu(x - y)
-    if f.values.size == 0:
-        return 0.0
-    best = f.support_end  # mu vanishes there
-    for lo, hi, v in zip(f.edges[:-1], f.edges[1:], f.values):
-        candidate = max(lo, v)
-        if candidate < hi:
-            best = min(best, candidate)
-    return float(best)
+    values, _, cumulative = (x - y).flat_spectrum()
+    return float(measure_scan(values, cumulative))
+
+
+def measure_scan(values: np.ndarray, cumulative: np.ndarray):
+    """The scan of :func:`measure_metric`, along the last axis.
+
+    ``values`` are descending singular values, zeros included, and value
+    i spans ``[cumulative[i], cumulative[i+1])``.  A piece qualifies when
+    max(start, value) falls inside it; the distance is the least such
+    point, or the end of the last piece.  Pieces of a merged run and the
+    zero tail add no smaller point, so the scan needs no merge.
+    """
+    lo, hi = cumulative[..., :-1], cumulative[..., 1:]
+    point = np.maximum(lo, values)
+    return np.where(point < hi, point, hi[..., -1:]).min(axis=-1)
 
 
 def spectral_projection_below(x: Element, level: float) -> Element:

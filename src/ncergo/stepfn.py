@@ -43,18 +43,16 @@ class StepFunction:
         """Build from per-level (value, width) pairs already sorted descending.
 
         Zero-valued levels are dropped; equal adjacent values are merged.
+        The edges are the running sums of the kept widths, so a merged run
+        ends where the running sum through its last level does.
         """
-        out_vals, out_widths = [], []
-        for value, width in zip(levels, widths):
-            if value <= 0.0 or width <= 0.0:
-                continue
-            if out_vals and value == out_vals[-1]:
-                out_widths[-1] += width
-            else:
-                out_vals.append(float(value))
-                out_widths.append(float(width))
-        edges = np.concatenate([[0.0], np.cumsum(out_widths)])
-        return cls(edges, np.array(out_vals))
+        levels = np.asarray(levels, dtype=float)
+        widths = np.asarray(widths, dtype=float)
+        keep = (levels > 0.0) & (widths > 0.0)
+        levels, ends = levels[keep], np.cumsum(widths[keep])
+        # kept levels are positive, so the 0 sentinel closes the last run
+        last = levels != np.append(levels[1:], 0.0)
+        return cls(np.concatenate([[0.0], ends[last]]), levels[last])
 
     @property
     def support_end(self) -> float:
@@ -69,15 +67,16 @@ class StepFunction:
         i = int(np.searchsorted(self.edges, t, side="right")) - 1
         return float(self.values[i])
 
-    def integral(self, s: float) -> float:
-        """Exact value of the running integral over [0, s]."""
-        if s < 0:
+    def integral(self, s):
+        """Exact value of the running integral over [0, s], at every point
+        of s when s is an array."""
+        s = np.asarray(s, dtype=float)
+        if np.any(s < 0):
             raise InvalidInputError("s must be >= 0")
-        if self.values.size == 0:
-            return 0.0
-        upper = np.minimum(self.edges[1:], s)
+        upper = np.minimum(self.edges[1:], s[..., None])
         lengths = np.clip(upper - self.edges[:-1], 0.0, None)
-        return float(np.dot(lengths, self.values))
+        out = np.dot(lengths, self.values)
+        return out if s.ndim else float(out)
 
     def total_integral(self) -> float:
         return self.integral(self.support_end)
@@ -113,4 +112,4 @@ def integral_dominates(big: StepFunction, small: StepFunction, slack: float) -> 
     points = np.unique(np.concatenate([big.edges, small.edges]))
     end = max(big.support_end, small.support_end) + 1.0
     points = np.append(points, end)
-    return all(small.integral(s) <= big.integral(s) + slack for s in points)
+    return bool(np.all(small.integral(points) <= big.integral(points) + slack))

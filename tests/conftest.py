@@ -53,6 +53,28 @@ def grouped_examples(test):
     return settings(max_examples=30, deadline=None, derandomize=True)(test)
 
 
+# many blocks with repeated dims and weights, for the flat-spectrum
+# properties: 1x1 blocks, large groups and ties across blocks
+MANY_BLOCKS = ((1, 0.5),) * 4 + ((2, 0.25),) * 3 + ((3, 1.0),) * 2 \
+    + ((1, 2.0), (2, 0.5), (3, 0.25))
+
+
+def spectrum_examples(test):
+    """``grouped_examples`` plus the MANY_BLOCKS layout."""
+    return grouped_examples(
+        example(layout=MANY_BLOCKS, seed=7, zero_block=3)(test))
+
+
+def spectrum_elements(rng, algebra, zero_block=None):
+    """A random element (block ``zero_block`` zeroed), one whose blocks of
+    equal dimension are equal (ties across blocks), a random projection
+    (ties within and across blocks) and the zero element."""
+    x = random_layout_element(rng, algebra, zero_block)
+    shared = {d: b for d, b in zip(algebra.dims, x.data)}
+    return [x, Element(algebra, [shared[d] for d in algebra.dims]),
+            random_projection(rng, algebra), algebra.zero()]
+
+
 def random_layout_element(rng, algebra, zero_block=None):
     """A random element; block ``zero_block`` (mod the block count) is 0."""
     data = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))

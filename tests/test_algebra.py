@@ -5,9 +5,10 @@ from hypothesis import given, strategies as st
 from conftest import SEED, BLOCK_CONFIGS, LAYOUTS, grouped_examples, \
     make_algebra, random_layout_element, random_projection, \
     reference_projection_blocks
-from ncergo import Element, TracedAlgebra, lp_norm, projection_complement, \
-    projection_meet, trace_deficiency
+from ncergo import Element, TracedAlgebra, k_functional, lp_norm, mu, \
+    projection_complement, projection_meet, trace_deficiency
 from ncergo.algebra import projection_from_ranges, range_bases
+from ncergo.certify import _tail_weight
 from ncergo.errors import InvalidInputError
 from ncergo.rng import stream
 
@@ -91,6 +92,12 @@ def test_spectrum_cache_is_read_only():
     assert len(x.block_svds()) == len(x.data)
     assert all(np.array_equal(s, b)
                for s, b in zip(x.singular_values(), before))
+    flat = [a.copy() for a in x.flat_spectrum()]
+    for arr in (*x.flat_spectrum(), mu(x).edges, mu(x).values):
+        with pytest.raises(ValueError):
+            arr[0] = -1.0
+    assert all(np.array_equal(a, b) for a, b in zip(x.flat_spectrum(), flat))
+    assert mu(x) is mu(x)
 
 
 def test_cached_norms_equal_uncached():
@@ -128,6 +135,24 @@ def test_spectrum_computed_once_and_not_for_unflagged(monkeypatch):
         lp_norm(x, 1.0)
     assert calls == ["svd"] * len(a.groups)  # one stacked call per group
     assert len(a.groups) == 3
+
+
+def test_spectrum_readers_share_one_svd_per_group(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append("svd")
+        return svd(*args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    a = make_algebra(BLOCK_CONFIGS[6])
+    x = a.random_element(stream(SEED, "test/algebra/one-svd"))
+    for _ in range(2):
+        mu(x)
+        lp_norm(x, 2.0)
+        k_functional(x, 1.0)
+        _tail_weight(x, 0.5)
+    assert calls == ["svd"] * len(a.groups)
 
 
 def test_arithmetic():

@@ -2,16 +2,20 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conftest import SEED, LAYOUTS, grouped_examples, \
-    random_layout_element, random_projection, reference_projection_blocks
+    random_layout_element, random_projection, reference_projection_blocks, \
+    spectrum_elements, spectrum_examples
 from ncergo import certify
 from ncergo import Element, TracedAlgebra, UnitaryConjugation, \
     bilateral_to_onesided, certify_cauchy, extract_limit, lp_norm, \
-    remark32_model, submajorizes, trace_deficiency, witness_convergence
+    measure_metric, remark32_model, submajorizes, trace_deficiency, \
+    witness_convergence
 from ncergo.certify import FiniteTrace, WitnessCertificate, _MeetBuilder, \
-    _compressed_bound, _compressed_bounds, _search_witness, _term_stacks
+    _compressed_bound, _compressed_bounds, _distinct_levels, \
+    _search_witness, _tail_weight, _term_stacks
+from ncergo.config import RANK_REL
 from ncergo.ergodic import SectorNet, net_average_trace
 from ncergo.errors import InvalidInputError, NoLimitError
 from ncergo.fixtures import conjugation_d2_fixture
@@ -217,6 +221,112 @@ def test_extract_limit_alternating_fails():
     terms = tuple(a.identity().scaled((-1.0) ** n) for n in range(8))
     with pytest.raises(NoLimitError):
         extract_limit(FiniteTrace(terms))
+
+
+def pair_table_moduli(elements):
+    """extract_limit's moduli from one measure_metric call per pair."""
+    n = len(elements)
+    pair = np.zeros((n, n))
+    for a in range(n):
+        for b in range(a + 1, n):
+            pair[a, b] = measure_metric(elements[a], elements[b])
+    return [float(pair[j:, j:].max()) for j in range(n - 1)]
+
+
+@pytest.mark.parametrize("n", [13, 24])  # the first n with a limit, and more
+def test_extract_limit_remark32_moduli_equal_pair_table(n):
+    _, trace, _ = remark32_model(n)
+    assert extract_limit(trace)[1] == pair_table_moduli(trace.elements)
+
+
+@spectrum_examples
+@example(layout=((5, 0.1), (1, 0.3), (1, 2.0)), seed=1, zero_block=None)
+@given(layout=LAYOUTS, seed=st.integers(0, 2 ** 16),
+       zero_block=st.none() | st.integers(0, 5))
+def test_extract_limit_moduli_equal_pair_table(layout, seed, zero_block):
+    # both paths sort and sum alike, so even non-dyadic weights agree
+    a = TracedAlgebra(layout)
+    rng = stream(seed, "test/certify/extract-rows")
+    # a random head, then a constant tail so that a limit is found
+    xs = spectrum_elements(rng, a, zero_block) \
+        + [random_layout_element(rng, a)] * 3
+    assert extract_limit(FiniteTrace(tuple(xs)))[1] == pair_table_moduli(xs)
+
+
+def test_extract_limit_makes_no_element_and_one_svd_per_group_row(
+        monkeypatch):
+    _, remark32, _ = remark32_model(40)
+    a = TracedAlgebra(((2, 1.0), (1, 0.5), (2, 0.25), (1, 2.0), (3, 1.0)))
+    rng = stream(SEED, "test/certify/extract-count")
+    x, y = random_layout_element(rng, a), random_layout_element(rng, a)
+    mixed = FiniteTrace(tuple(x + y.scaled(2.0 ** -k) for k in range(20, 26)))
+    elements, svds = [], []
+    init, svd = Element.__init__, np.linalg.svd
+
+    def counted_init(self, *args, **kwargs):
+        elements.append(1)
+        init(self, *args, **kwargs)
+
+    def counted_svd(*args, **kwargs):
+        svds.append(1)
+        return svd(*args, **kwargs)
+    monkeypatch.setattr(Element, "__init__", counted_init)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    for trace in (remark32, mixed):
+        elements.clear()
+        svds.clear()
+        extract_limit(trace)
+        assert elements == []
+        assert len(svds) <= (len(trace) - 1) * len(trace.algebra.groups)
+    # complex 1x1 blocks are factorized too: every group, every row
+    assert len(svds) == 5 * 3
+
+
+# -- flat-spectrum readers against the scalar loops ----------------------------
+
+def tail_weight_reference(d, level):
+    cut = level + RANK_REL * max(d.sup_norm(), 1.0)
+    total = 0.0
+    for s, w in zip(d.singular_values(), d.algebra.weights):
+        total += w * int(np.count_nonzero(s > cut))
+    return total
+
+
+def distinct_levels_reference(d):
+    svals = np.concatenate(d.singular_values())
+    levels = sorted({round(float(s), 14) for s in svals if s > 0},
+                    reverse=True)
+    levels.append(0.0)
+    return levels
+
+
+@spectrum_examples
+@given(layout=LAYOUTS, seed=st.integers(0, 2 ** 16),
+       zero_block=st.none() | st.integers(0, 5))
+def test_tail_weight_and_levels_equal_scalar_loops(layout, seed, zero_block):
+    # LAYOUTS weights are dyadic, so the reference's per-block sum and the
+    # running sum in rearrangement order are both exact
+    a = TracedAlgebra(layout)
+    for d in spectrum_elements(stream(seed, "test/certify/flat"), a,
+                               zero_block):
+        levels = _distinct_levels(d)
+        assert levels == distinct_levels_reference(d)
+        slack = RANK_REL * max(d.sup_norm(), 1.0)
+        svals = d.flat_spectrum()[0].tolist()
+        probes = levels + svals + [s - slack for s in svals] + [-1.0]
+        for level in probes:
+            assert _tail_weight(d, level) == tail_weight_reference(d, level)
+        assert _tail_weight(d, probes).tolist() \
+            == [tail_weight_reference(d, lv) for lv in probes]
+
+
+def test_tail_weight_cut_equal_to_a_singular_value():
+    level = 0.25
+    cut = level + RANK_REL  # the sup norm is below 1
+    a = TracedAlgebra(((1, 0.5), (1, 0.25), (1, 2.0), (1, 1.0)))
+    d = Element(a, [np.array([[v]]) for v in (cut, 0.5, cut, 0.1)])
+    assert cut in d.flat_spectrum()[0]
+    assert _tail_weight(d, level) == tail_weight_reference(d, level) == 0.25
 
 
 # -- end-to-end pipeline ------------------------------------------------------

@@ -184,6 +184,18 @@ def test_certify_empty_dir(tmp_path):
                  "--out-dir", str(tmp_path / "out")]) == EXIT_INPUT
 
 
+def test_certify_overflowing_difference_is_input_error(tmp_path, capsys):
+    trace_dir = tmp_path / "trace"
+    trace_dir.mkdir()
+    for n, v in enumerate((1e308, -1e308)):
+        write_json(trace_dir / f"element_{n:03d}.json",
+                   diag_element_spec([v, v]))
+    code = main(["certify", "--trace-dir", str(trace_dir),
+                 "--epsilon", "0.5", "--out-dir", str(tmp_path / "out")])
+    assert code == EXIT_INPUT
+    assert "non-finite matrix entries" in capsys.readouterr().err
+
+
 def test_certify_cauchy_flag(tmp_path):
     trace_dir = tmp_path / "trace"
     trace_dir.mkdir()

@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from conftest import SEED, BLOCK_CONFIGS, abs_element, make_algebra, \
-    random_projection
+from conftest import SEED, BLOCK_CONFIGS, LAYOUTS, abs_element, \
+    make_algebra, random_projection, spectrum_elements, spectrum_examples
 from ncergo import Element, TracedAlgebra, MeasureNeighborhood, \
     clip_decompose, enlarge_projection, fava_decompose, fava_membership, \
     fava_support_trace, in_neighborhood, k_functional, lp_norm, \
     measure_metric, mu, mu_at, spectral_projection_below, submajorizes, \
     trace_deficiency
 from ncergo.certify import remark32_model
+from ncergo.config import SUBMAJOR_SLACK
 from ncergo.errors import InvalidInputError
 from ncergo.rng import stream
+from ncergo.stepfn import integral_dominates
 
 
 def diag_element(values, weight=1.0):
@@ -333,3 +336,71 @@ def test_fava_membership():
     assert fava_membership(f, 1.0, 0.0)
     with pytest.raises(InvalidInputError):
         fava_membership(a.zero(), 0.0, 0.0)
+
+
+# -- flat-spectrum readers against the scalar loops ----------------------------
+#
+# The references sort and merge one value at a time and add the widths
+# of a merged run before the running sum, where the package takes the
+# running sum of every width.  LAYOUTS weights are dyadic, so all of
+# these sums are exact and the two must agree bit for bit.
+
+def mu_reference(x):
+    """(edges, values) of the rearrangement by a sort and merge loop."""
+    entries = []
+    for idx, (svals, (_, weight)) in enumerate(
+            zip(x.singular_values(), x.algebra.blocks)):
+        for s in svals:
+            entries.append((float(s), idx, weight))
+    entries.sort(key=lambda e: (-e[0], e[1]))
+    out_vals, out_widths = [], []
+    for value, _, width in entries:
+        if value <= 0.0:
+            continue
+        if out_vals and value == out_vals[-1]:
+            out_widths[-1] += width
+        else:
+            out_vals.append(value)
+            out_widths.append(width)
+    return np.concatenate([[0.0], np.cumsum(out_widths)]), np.array(out_vals)
+
+
+def measure_metric_reference(x, y):
+    edges, values = mu_reference(x - y)
+    best = edges[-1]
+    for lo, hi, v in zip(edges[:-1], edges[1:], values):
+        candidate = max(lo, v)
+        if candidate < hi:
+            best = min(best, candidate)
+    return float(best)
+
+
+def running_integral_reference(f, s):
+    upper = np.minimum(f.edges[1:], s)
+    lengths = np.clip(upper - f.edges[:-1], 0.0, None)
+    return float(np.dot(lengths, f.values)) if f.values.size else 0.0
+
+
+def integral_dominates_reference(big, small, slack):
+    points = np.unique(np.concatenate([big.edges, small.edges]))
+    points = np.append(points, max(big.support_end, small.support_end) + 1.0)
+    return all(running_integral_reference(small, s)
+               <= running_integral_reference(big, s) + slack for s in points)
+
+
+@spectrum_examples
+@given(layout=LAYOUTS, seed=st.integers(0, 2 ** 16),
+       zero_block=st.none() | st.integers(0, 5))
+def test_flat_spectrum_readers_equal_scalar_loops(layout, seed, zero_block):
+    a = TracedAlgebra(layout)
+    xs = spectrum_elements(stream(seed, "test/singular/flat"), a, zero_block)
+    xs.append(xs[0].scaled(0.5))
+    for x in xs:
+        edges, values = mu_reference(x)
+        assert np.array_equal(mu(x).edges, edges)
+        assert np.array_equal(mu(x).values, values)
+    for x in xs:
+        for y in xs:
+            assert measure_metric(x, y) == measure_metric_reference(x, y)
+            assert integral_dominates(mu(x), mu(y), SUBMAJOR_SLACK) \
+                == integral_dominates_reference(mu(x), mu(y), SUBMAJOR_SLACK)
