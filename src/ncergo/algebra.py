@@ -15,9 +15,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import FLAG_TOL, MEET_OVERLAP_CUT, RANK_REL
+from .config import FLAG_TOL, MEET_OVERLAP_CUT, RANK_REL, SVD_UNSCALED_MIN
 from .errors import InvalidInputError
-from .stepfn import StepFunction
 
 
 @dataclass(frozen=True)
@@ -56,6 +55,11 @@ class TracedAlgebra:
             groups.setdefault(d, []).append(i)
         return tuple(tuple(g) for g in groups.values())
 
+    @cached_property
+    def value_weights(self) -> np.ndarray:
+        """The trace weight of each singular value, in block order."""
+        return _frozen(np.repeat(self.weights, self.dims))
+
     @property
     def total_trace(self) -> float:
         """tau(1), always finite at desk scale."""
@@ -93,12 +97,12 @@ class Element:
 
     The per-block spectrum (the singular values, and on demand the full
     SVD) is computed once, on first use, and cached, as are the flat
-    spectrum and the rearrangement built from it.  This is safe because
-    elements are immutable; the cached arrays are read-only.  Constructors
-    that build the blocks from known factors may pass ``svd``, a sequence
-    of per-block ``(u, s, vh)`` with ``u * s @ vh`` equal to the block, so
-    that no decomposition is recomputed; its arrays are made read-only and
-    kept.
+    spectrum built from it and ``singular.mu``'s step function.  This is
+    safe because elements are immutable; the cached arrays are read-only.
+    Constructors that build the blocks from known factors may pass
+    ``svd``, a sequence of per-block ``(u, s, vh)`` with ``u * s @ vh``
+    equal to the block, so that no decomposition is recomputed; its
+    arrays are made read-only and kept.
     """
 
     __slots__ = ("algebra", "data", "selfadjoint", "positive", "projection",
@@ -213,7 +217,7 @@ class Element:
         if self._svals is None:
             svals = [None] * len(self.data)
             for g in self.algebra.groups:
-                s = np.linalg.svd(stacked(self.data, g), compute_uv=False)
+                s = stacked_singular_values(stacked(self.data, g))
                 for i, si in zip(g, _frozen(s)):
                     svals[i] = si
             object.__setattr__(self, "_svals", tuple(svals))
@@ -232,13 +236,6 @@ class Element:
                               np.concatenate(self.singular_values()))
             object.__setattr__(self, "_flat", tuple(map(_frozen, flat)))
         return self._flat
-
-    def rearrangement(self) -> StepFunction:
-        """The decreasing rearrangement, built once from the flat spectrum."""
-        if self._mu is None:
-            object.__setattr__(self, "_mu", StepFunction.from_levels(
-                *self.flat_spectrum()[:2]))
-        return self._mu
 
     def block_svds(self) -> list:
         """Per-block full SVDs ``(u, s, vh)`` with ``b = u * s @ vh``."""
@@ -271,11 +268,28 @@ class Element:
         return f"Element(dims={self.algebra.dims}, sup_norm={self.sup_norm():.4g})"
 
 
+def stacked_singular_values(stack: np.ndarray) -> np.ndarray:
+    """Singular values of a stack of square blocks (the last two axes).
+
+    A real 1x1 block takes its modulus, which is LAPACK's value where
+    LAPACK does not rescale; a block outside that range, and every other
+    stack, is factorized.
+    """
+    if stack.shape[-1] != 1 or stack.imag.any():
+        return np.linalg.svd(stack, compute_uv=False)
+    s = np.abs(stack.real[..., 0])
+    scaled = (s > 0) & ((s < SVD_UNSCALED_MIN) | (s > 1.0 / SVD_UNSCALED_MIN))
+    if scaled.any():
+        s[scaled] = np.linalg.svd(stack[..., 0][scaled][:, None, None],
+                                  compute_uv=False)[:, 0]
+    return s
+
+
 def rearranged(algebra: TracedAlgebra, values: np.ndarray) -> tuple:
     """:meth:`Element.flat_spectrum` from singular values in block order
     along the last axis; the stable sort breaks ties by block index."""
     order = np.argsort(-values, axis=-1, kind="stable")
-    weights = np.repeat(algebra.weights, algebra.dims)[order]
+    weights = algebra.value_weights[order]
     cumulative = np.concatenate([np.zeros(values.shape[:-1] + (1,)),
                                  np.cumsum(weights, axis=-1)], axis=-1)
     return np.take_along_axis(values, order, axis=-1), weights, cumulative

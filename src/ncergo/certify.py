@@ -19,7 +19,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .algebra import (Element, TracedAlgebra, _adj, projection_from_ranges,
-                      rearranged, stacked, trace_deficiency)
+                      rearranged, stacked, stacked_singular_values,
+                      trace_deficiency)
 from .config import (BOUND_SLACK, BUDGET_SLACK, CAUCHY_TOL,
                      ENLARGE_DEFICIENCY_SLACK, MEET_KERNEL_CUT, RANK_REL,
                      TAIL_RISE_SLACK, TAIL_TOL)
@@ -407,9 +408,8 @@ def extract_limit(trace: FiniteTrace) -> Tuple[Element, List[float]]:
 def _row_spectra(trace: FiniteTrace):
     """For each a < n - 1, the ``flat_spectrum`` values and cumulative
     weights of x_a - x_b, one row per b > a, from one stacked
-    factorization per group.  Real 1x1 blocks take the modulus, which is
-    LAPACK's value for them; complex ones are factorized, as hypot can
-    differ from LAPACK in the last bit.
+    computation per group, the one :meth:`Element.singular_values`
+    makes, so the rows equal the per-pair ``measure_metric`` table.
     """
     algebra = trace.algebra
     offsets = np.cumsum((0,) + algebra.dims)
@@ -422,11 +422,7 @@ def _row_spectra(trace: FiniteTrace):
             dd = xs[a] - xs[a + 1:]
             if not np.isfinite(dd).all():
                 raise InvalidInputError("non-finite matrix entries")
-            if dd.shape[-1] == 1 and not dd.imag.any():
-                s = np.abs(dd.real)
-            else:
-                s = np.linalg.svd(dd, compute_uv=False)
-            parts.append(s.reshape(len(dd), -1))
+            parts.append(stacked_singular_values(dd).reshape(len(dd), -1))
         svals = np.empty((len(trace) - a - 1, offsets[-1]))
         svals[:, cols] = np.concatenate(parts, axis=1)  # into block order
         values, _, cumulative = rearranged(algebra, svals)

@@ -16,6 +16,10 @@ FLAG_TOL = 1e-10
 MEET_OVERLAP_CUT = 1.0 - 1e-10
 #: eigenvalue cut (times the term count) of the kernel spanning a witness meet
 MEET_KERNEL_CUT = 1e-7
+#: LAPACK's gesdd rescales a matrix whose largest entry is nonzero and below
+#: this (sqrt(tiny) / eps) or above its inverse; between them a 1x1 block's
+#: singular value is exactly its modulus
+SVD_UNSCALED_MIN = 2.0 ** -459
 
 # -- norms and contractions ---------------------------------------------------
 

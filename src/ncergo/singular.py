@@ -39,9 +39,13 @@ def mu(x: Element) -> StepFunction:
     """Decreasing rearrangement of x as a step function on (0, infinity).
 
     Ties between equal singular values are broken by block index, so the
-    result is deterministic; it is cached on x.
+    result is deterministic; it is built once from the flat spectrum and
+    cached on x.
     """
-    return x.rearrangement()
+    if x._mu is None:
+        object.__setattr__(x, "_mu", StepFunction.from_levels(
+            *x.flat_spectrum()[:2]))
+    return x._mu
 
 
 def mu_at(x: Element, t: float) -> float:
@@ -54,17 +58,17 @@ def mu_at(x: Element, t: float) -> float:
 def lp_norm(x: Element, p: float) -> float:
     """The p-norm for p in [1, infinity].
 
-    For finite p the integral route (over the pieces of the rearrangement,
-    the flat spectrum) and the trace route tau(|x|^p)^(1/p) are both
-    evaluated and must agree within the relative tolerance
-    ``TWO_ROUTE_REL``.
+    For finite p the integral route (rearrangement) and the trace route
+    tau(|x|^p)^(1/p) are both evaluated and must agree within the
+    relative tolerance ``TWO_ROUTE_REL``.
     """
     if p < 1:
         raise InvalidInputError("p must be >= 1")
     if p == np.inf:
         return x.sup_norm()
-    values, weights, _ = x.flat_spectrum()
-    integral_route = float(np.dot(weights, values ** p)) ** (1.0 / p)
+    f = mu(x)
+    widths = np.diff(f.edges)
+    integral_route = float(np.dot(widths, f.values ** p)) ** (1.0 / p)
     trace_route = float(sum(w * np.sum(s ** p)
                             for s, w in zip(x.singular_values(),
                                             x.algebra.weights))) ** (1.0 / p)
@@ -125,13 +129,11 @@ def measure_metric(x: Element, y: Element) -> float:
 
 
 def measure_scan(values: np.ndarray, cumulative: np.ndarray):
-    """The scan of :func:`measure_metric`, along the last axis.
-
-    ``values`` are descending singular values, zeros included, and value
-    i spans ``[cumulative[i], cumulative[i+1])``.  A piece qualifies when
-    max(start, value) falls inside it; the distance is the least such
-    point, or the end of the last piece.  Pieces of a merged run and the
-    zero tail add no smaller point, so the scan needs no merge.
+    """The scan of :func:`measure_metric` along the last axis: value i of
+    the descending ``values`` spans ``[cumulative[i], cumulative[i+1])``,
+    and the distance is the least max(start, value) inside its piece, or
+    the end of the last piece.  Merged runs and zeros add no smaller
+    point, so the scan needs no merge.
     """
     lo, hi = cumulative[..., :-1], cumulative[..., 1:]
     point = np.maximum(lo, values)

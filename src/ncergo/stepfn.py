@@ -25,9 +25,11 @@ class StepFunction:
         values = np.asarray(self.values, dtype=float)
         if edges.ndim != 1 or values.ndim != 1 or edges.size != values.size + 1:
             raise InvalidInputError("edges must have one more entry than values")
-        if edges.size and (edges[0] != 0.0 or np.any(np.diff(edges) <= 0)):
+        # subtract as np.diff does, so infinite edges get the same verdict
+        if edges.size and (edges[0] != 0.0
+                           or (edges[1:] - edges[:-1] <= 0).any()):
             raise InvalidInputError("edges must start at 0 and strictly increase")
-        if np.any(values < 0) or np.any(np.diff(values) > 0):
+        if (values < 0).any() or (values[1:] - values[:-1] > 0).any():
             raise InvalidInputError("values must be non-negative and non-increasing")
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "values", values)
@@ -51,7 +53,7 @@ class StepFunction:
         keep = (levels > 0.0) & (widths > 0.0)
         levels, ends = levels[keep], np.cumsum(widths[keep])
         # kept levels are positive, so the 0 sentinel closes the last run
-        last = levels != np.append(levels[1:], 0.0)
+        last = levels != np.concatenate([levels[1:], [0.0]])
         return cls(np.concatenate([[0.0], ends[last]]), levels[last])
 
     @property

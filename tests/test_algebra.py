@@ -7,8 +7,10 @@ from conftest import SEED, BLOCK_CONFIGS, LAYOUTS, grouped_examples, \
     reference_projection_blocks
 from ncergo import Element, TracedAlgebra, k_functional, lp_norm, mu, \
     projection_complement, projection_meet, trace_deficiency
-from ncergo.algebra import projection_from_ranges, range_bases
+from ncergo.algebra import projection_from_ranges, range_bases, \
+    stacked_singular_values
 from ncergo.certify import _tail_weight
+from ncergo.config import SVD_UNSCALED_MIN
 from ncergo.errors import InvalidInputError
 from ncergo.rng import stream
 
@@ -93,7 +95,8 @@ def test_spectrum_cache_is_read_only():
     assert all(np.array_equal(s, b)
                for s, b in zip(x.singular_values(), before))
     flat = [a.copy() for a in x.flat_spectrum()]
-    for arr in (*x.flat_spectrum(), mu(x).edges, mu(x).values):
+    for arr in (*x.flat_spectrum(), x.algebra.value_weights, mu(x).edges,
+                mu(x).values):
         with pytest.raises(ValueError):
             arr[0] = -1.0
     assert all(np.array_equal(a, b) for a, b in zip(x.flat_spectrum(), flat))
@@ -249,6 +252,25 @@ def test_groups_partition_blocks_by_dim():
     a = TracedAlgebra(((2, 1.0), (1, 0.5), (2, 0.25), (3, 1.0), (1, 2.0)))
     assert a.groups == ((0, 2), (1, 4), (3,))
     assert make_algebra(BLOCK_CONFIGS[6]).groups == ((0, 1), (2,), (3,))
+
+
+def test_stacked_singular_values_equal_lapack():
+    """Real 1x1 blocks take their modulus, which must be LAPACK's value;
+    the magnitudes span both ends of the range LAPACK does not rescale."""
+    rng = stream(SEED, "test/algebra/modulus")
+    fi, lo = np.finfo(float), SVD_UNSCALED_MIN
+    mags = np.concatenate([
+        10.0 ** rng.uniform(-300, 300, 4000) * rng.uniform(1, 10, 4000),
+        [0.0, fi.smallest_subnormal, np.nextafter(lo, 0), lo, 1.0 / lo,
+         np.nextafter(1.0 / lo, np.inf), fi.max]])
+    v = mags * rng.choice([-1.0, 1.0], mags.size)
+    assert (mags < lo).any() and (mags > 1.0 / lo).any()
+    stacks = [v.reshape(-1, 1, 1), (v + 0j).reshape(-1, 1, 1, 1),
+              (v + 1j * rng.standard_normal(v.size)).reshape(-1, 1, 1),
+              rng.standard_normal((5, 3, 2, 2)) + 0j]
+    for stack in stacks:
+        assert np.array_equal(stacked_singular_values(stack),
+                              np.linalg.svd(stack, compute_uv=False))
 
 
 @grouped_examples

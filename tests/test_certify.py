@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -272,14 +273,17 @@ def test_extract_limit_makes_no_element_and_one_svd_per_group_row(
         return svd(*args, **kwargs)
     monkeypatch.setattr(Element, "__init__", counted_init)
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    counts = []
     for trace in (remark32, mixed):
         elements.clear()
         svds.clear()
         extract_limit(trace)
         assert elements == []
         assert len(svds) <= (len(trace) - 1) * len(trace.algebra.groups)
-    # complex 1x1 blocks are factorized too: every group, every row
-    assert len(svds) == 5 * 3
+        counts.append(len(svds))
+    # real 1x1 blocks (remark32) take their modulus; complex 1x1 blocks
+    # are factorized too: every group, every row
+    assert counts == [0, 5 * 3]
 
 
 # -- flat-spectrum readers against the scalar loops ----------------------------
@@ -327,6 +331,20 @@ def test_tail_weight_cut_equal_to_a_singular_value():
     d = Element(a, [np.array([[v]]) for v in (cut, 0.5, cut, 0.1)])
     assert cut in d.flat_spectrum()[0]
     assert _tail_weight(d, level) == tail_weight_reference(d, level) == 0.25
+
+
+def test_tail_weight_non_dyadic_within_one_ulp_of_block_order():
+    # the running sum adds weights in descending-value order, the loop in
+    # block order; with non-dyadic weights the two differ in the last bit
+    a = TracedAlgebra(((1, 0.1), (1, 0.2), (1, 0.3)))
+    diffs = set()
+    for values in itertools.permutations((0.4, 0.3, 0.2)):
+        d = Element(a, [np.array([[v]]) for v in values])
+        for level in (0.5, 0.35, 0.25, 0.1, 0.0):
+            got, want = _tail_weight(d, level), tail_weight_reference(d, level)
+            assert abs(got - want) <= np.spacing(want)
+            diffs.add(got != want)
+    assert diffs == {False, True}
 
 
 # -- end-to-end pipeline ------------------------------------------------------
