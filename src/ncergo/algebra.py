@@ -10,7 +10,7 @@ flags (selfadjoint / positive / projection).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Optional, Sequence
 
 import numpy as np
@@ -36,11 +36,11 @@ class TracedAlgebra:
                 raise InvalidInputError("block weights must be positive and finite")
         object.__setattr__(self, "blocks", blocks)
 
-    @property
+    @cached_property
     def dims(self) -> tuple:
         return tuple(d for d, _ in self.blocks)
 
-    @property
+    @cached_property
     def weights(self) -> tuple:
         return tuple(w for _, w in self.blocks)
 
@@ -144,9 +144,7 @@ class Element:
             return
         scale = max(self.sup_norm(), 1.0)
         stacks = [stacked(self.data, g) for g in self.algebra.groups]
-        gap = max(np.abs(b - _adj(b)).max(initial=0.0) for b in stacks)
-        if gap > FLAG_TOL * scale:
-            raise InvalidInputError("selfadjoint flag fails verification")
+        check_selfadjoint(stacks, scale)
         if self.positive or self.projection:
             lo = min(np.linalg.eigvalsh((b + _adj(b)) / 2).min(initial=0.0)
                      for b in stacks)
@@ -200,12 +198,19 @@ class Element:
         return float(t.real) if self.selfadjoint else complex(t)
 
     def sup_norm(self) -> float:
+        """The largest singular value, group by group.
+
+        1x1 blocks take their modulus (``np.hypot``, which is Python's
+        ``abs`` bit for bit); larger blocks read the cached spectrum.
+        """
         out = 0.0
-        for i, b in enumerate(self.data):
-            if b.shape[0] == 1:
-                out = max(out, abs(b[0, 0]))
+        for g in self.algebra.groups:
+            if self.data[g[0]].shape[0] == 1:
+                top = _modulus(stacked(self.data, g)).max()
             else:
-                out = max(out, float(self.singular_values()[i][0]))
+                svals = self.singular_values()
+                top = max([svals[i][0] for i in g])
+            out = max(out, top)
         return float(out)
 
     def singular_values(self) -> list:
@@ -305,15 +310,60 @@ def _adj(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
+def _modulus(a: np.ndarray) -> np.ndarray:
+    """Entrywise modulus equal to Python's ``abs`` of each complex entry
+    (vectorized ``np.abs`` can differ from it in the last bit)."""
+    return np.hypot(a.real, a.imag)
+
+
+def check_selfadjoint(stacks: Sequence[np.ndarray], scales) -> None:
+    """The selfadjoint flag check of a batch of elements.
+
+    ``stacks`` holds one ``(..., k, d, d)`` stack per group of the
+    algebra, the leading axes indexing the batch (none for a single
+    element), and ``scales`` the batch's max(sup norm, 1).  Raises
+    unless every element is selfadjoint to ``FLAG_TOL`` times its scale.
+    """
+    gap = reduce(np.maximum, [np.abs(b - _adj(b)).max(axis=(-3, -2, -1))
+                              for b in stacks])
+    over = gap > FLAG_TOL * scales
+    if over.any() if over.ndim else over:  # a scalar's .any() is slow
+        raise InvalidInputError("selfadjoint flag fails verification")
+
+
+def check_vecs(algebra: TracedAlgebra, rows: np.ndarray,
+               selfadjoint: Optional[bool] = None) -> None:
+    """The constructor's checks of ``Element.from_vec(algebra, row,
+    selfadjoint=selfadjoint)`` for every row of ``rows``, without building
+    the elements: finite entries and, if flagged, selfadjointness."""
+    if not np.isfinite(rows).all():
+        raise InvalidInputError("non-finite matrix entries")
+    if not selfadjoint:
+        return
+    ends = np.cumsum([d * d for d in algebra.dims])
+    stacks, norms = [], np.zeros(len(rows))
+    for g in algebra.groups:
+        d = algebra.dims[g[0]]
+        b = np.stack([rows[:, ends[i] - d * d:ends[i]] for i in g], axis=1)
+        b = b.reshape(len(rows), len(g), d, d)
+        top = (_modulus(b).max(axis=(-3, -2, -1)) if d == 1
+               else stacked_singular_values(b)[..., 0].max(axis=-1))
+        stacks.append(b)
+        norms = np.maximum(norms, top)
+    check_selfadjoint(stacks, np.maximum(norms, 1.0))
+
+
 def stacked(blocks: Sequence[np.ndarray], group: Sequence[int]) -> np.ndarray:
     """The blocks of one group as a ``(k, d, d)`` stack.
 
     A singleton group is a view with a new leading axis, so layouts with
-    all-distinct dimensions pay no copy.
+    all-distinct dimensions pay no copy.  Blocks of any one equal shape
+    stack alike; ``np.concatenate`` does it at half ``np.stack``'s cost.
     """
     if len(group) == 1:
         return blocks[group[0]][None]
-    return np.stack([blocks[i] for i in group])
+    shape = (len(group),) + blocks[group[0]].shape
+    return np.concatenate([blocks[i] for i in group]).reshape(shape)
 
 
 # -- projection machinery ----------------------------------------------------

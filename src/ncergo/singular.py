@@ -49,7 +49,12 @@ def mu(x: Element) -> StepFunction:
 
 
 def mu_at(x: Element, t: float) -> float:
-    """Pointwise value of the rearrangement; t = 0 gives the sup norm."""
+    """Pointwise value of the rearrangement.
+
+    t = 0 gives the largest singular value.  It agrees with ``sup_norm``
+    except possibly in the last bit for complex 1x1 blocks: ``mu`` reads
+    LAPACK's singular values and ``sup_norm`` the modulus (Python's ``abs``).
+    """
     if t < 0:
         raise InvalidInputError("t must be >= 0")
     return mu(x)(t)

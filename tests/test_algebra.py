@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 from conftest import SEED, BLOCK_CONFIGS, LAYOUTS, grouped_examples, \
     make_algebra, random_layout_element, random_projection, \
-    reference_projection_blocks
+    reference_projection_blocks, spectrum_elements, spectrum_examples
 from ncergo import Element, TracedAlgebra, k_functional, lp_norm, mu, \
     projection_complement, projection_meet, trace_deficiency
 from ncergo.algebra import projection_from_ranges, range_bases, \
@@ -323,3 +323,42 @@ def test_projection_stack_with_some_rank_deficient_bases():
     assert ranks == [2, 1, 1, 2]
     with pytest.raises(InvalidInputError):
         projection_from_ranges(a, bases[:3])
+
+
+def reference_sup_norm(x):
+    """The per-block loop ``Element.sup_norm`` ran before it went group
+    by group."""
+    out = 0.0
+    for i, b in enumerate(x.data):
+        if b.shape[0] == 1:
+            out = max(out, abs(b[0, 0]))
+        else:
+            out = max(out, float(x.singular_values()[i][0]))
+    return float(out)
+
+
+@spectrum_examples
+@given(layout=LAYOUTS, seed=st.integers(0, 2 ** 16),
+       zero_block=st.none() | st.integers(0, 5))
+def test_grouped_sup_norm_equals_per_block_loop(layout, seed, zero_block):
+    a = TracedAlgebra(layout)
+    rng = stream(seed, "test/algebra/grouped-sup-norm")
+    xs = spectrum_elements(rng, a, zero_block)
+    # complex entries over many magnitudes, where np.abs and abs can differ
+    scales = 10.0 ** rng.uniform(-6, 6, len(a.dims))
+    xs.append(Element(a, [s * b for s, b in zip(scales, xs[0].data)]))
+    for x in xs:
+        assert x.sup_norm() == reference_sup_norm(x)
+        assert isinstance(x.sup_norm(), float)
+
+
+def test_dims_and_weights_are_cached_tuples():
+    layout = ((2, 0.5), (1, 2.0), (2, 1.0))
+    a, b = TracedAlgebra(layout), TracedAlgebra(layout)
+    assert a.dims == (2, 1, 2) and a.weights == (0.5, 2.0, 1.0)
+    assert type(a.dims) is tuple and type(a.weights) is tuple
+    assert a.dims is a.dims and a.weights is a.weights
+    # cached values are not fields: equality and hashing see blocks only
+    assert a == b and hash(a) == hash(b)
+    assert a != TracedAlgebra(((2, 0.5), (1, 2.0), (2, 2.0)))
+    assert {a: 1}[b] == 1

@@ -1,8 +1,10 @@
 import itertools
+import math
 import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import SEED, random_unitary_element
 from ncergo import BesicovitchFunction, Element, InterpolationFlow, \
@@ -336,6 +338,124 @@ def test_interpolation_flow():
     u = Element(a, [np.diag([1.0, 1.0j])])
     with pytest.raises(InvalidInputError):
         InterpolationFlow(UnitaryConjugation(u))
+
+
+# flows on a 1x1 layout and on a multi-block layout with a repeated dim
+FLOW_LAYOUTS = (((1, 1.0),), ((2, 1.0), (1, 0.5), (2, 0.25), (3, 2.0)))
+
+
+def _coordinate_pinching(algebra):
+    """The pinching by the even and odd coordinate projections."""
+    def projection(parity):
+        return Element(algebra, [np.diag((np.arange(d) % 2 == parity)
+                                         .astype(complex)) for d in algebra.dims],
+                       selfadjoint=True, positive=True, projection=True)
+    return Pinching([projection(0), projection(1)])
+
+
+def _flows(algebra):
+    rng = stream(SEED, "test/ergodic/orbit-generator")
+    gen = algebra.random_element(rng, selfadjoint=True)
+    return [UnitaryFlow(gen), InterpolationFlow(_coordinate_pinching(algebra))]
+
+
+FLOWS = {layout: _flows(TracedAlgebra(layout)) for layout in FLOW_LAYOUTS}
+
+
+def reference_apply(flow, s, x):
+    """T_s(x) node by node, as the flows computed it before ``orbit``."""
+    if isinstance(flow, InterpolationFlow):
+        decay = math.exp(-s)
+        return x.scaled(decay) + flow.expectation.apply(x).scaled(1.0 - decay)
+    data = []
+    for (w, v), xb in zip(flow._eig, x.data):
+        u = (v * np.exp(1j * s * w)) @ v.conj().T
+        data.append(u @ xb @ u.conj().T)
+    return Element(x.algebra, data, selfadjoint=x.selfadjoint)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@example(layout=FLOW_LAYOUTS[1], kind=1, seed=0, selfadjoint=True,
+         times=list(np.linspace(0.0, 8.0, 129)))  # np.exp differs on some
+@example(layout=FLOW_LAYOUTS[1], kind=0, seed=1, selfadjoint=False,
+         times=list(np.linspace(0.0, 8.0, 129)))
+@given(layout=st.sampled_from(FLOW_LAYOUTS), kind=st.sampled_from((0, 1)),
+       seed=st.integers(0, 2 ** 16), selfadjoint=st.booleans(),
+       times=st.lists(st.sampled_from((0.0, 0.25, 1.0, 3.7))
+                      | st.floats(0.0, 20.0), min_size=1, max_size=7))
+def test_orbit_rows_equal_apply(layout, kind, seed, selfadjoint, times):
+    """Batching over nodes changes no bit, against the per-node reference
+    too: s = 0 and repeated times included."""
+    flow = FLOWS[layout][kind]
+    x = flow.algebra.random_element(stream(seed, "test/ergodic/orbit"),
+                                    selfadjoint=selfadjoint)
+    rows = flow.orbit(times, x)
+    assert rows.shape == (len(times), flow.algebra.vec_dim)
+    for s, row in zip(times, rows):
+        assert np.array_equal(row, flow.apply(s, x).vec())
+        assert np.array_equal(row, reference_apply(flow, s, x).vec())
+
+
+def test_besicovitch_evaluates_each_final_node_once():
+    algebra, beta, flow, x = unitary_flow_fixture()
+    calls = []
+    orbit = flow.orbit
+
+    def counted(times, y):
+        calls.append(np.array(times))
+        return orbit(times, y)
+
+    flow.orbit = counted
+    besicovitch_average(beta, flow, x, 7.3, quad_tol=1e-10)
+    assert len(calls) >= 3  # the first level and at least two refinements
+    nodes = np.concatenate(calls)
+    assert np.array_equal(np.sort(nodes), np.linspace(0.0, 7.3, len(nodes)))
+    m = (len(calls[0]) - 1) // 2
+    assert len(nodes) == 2 * m * 2 ** (len(calls) - 1) + 1
+
+
+def test_flow_outputs_must_be_finite():
+    a = TracedAlgebra(((2, 1.0),))
+    with pytest.raises(InvalidInputError):  # a non-finite x is never built
+        Element(a, [np.array([[np.inf, 0.0], [0.0, 1.0]])])
+    beta = BesicovitchFunction(TrigPolynomial(((1.0, 0.0),)))
+    # rotations e^{isY}: at s = pi/8 one diagonal entry of T_s(x) is
+    # sqrt(2) times the entries of x
+    unitary = UnitaryFlow(Element(a, [np.array([[0.0, -1j], [1j, 0.0]])]))
+    x = a.random_element(stream(SEED, "test/ergodic/finite"))
+    for flow in (unitary, InterpolationFlow(_coordinate_pinching(a))):
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            flow.orbit([0.0, np.nan], x)
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            flow.apply(np.nan, x)
+    huge = Element(a, [1.5e308 * np.array([[1.0, 1.0], [1.0, -1.0]])])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isfinite(unitary.orbit([0.0], huge)).all()
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            unitary.apply(0.4, huge)
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            unitary.orbit([0.0, 0.4], huge)
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            besicovitch_average(beta, unitary, huge, 2.0)
+
+
+def test_selfadjoint_flag_verified_at_every_node():
+    """An eigenbasis made far from unitary (nearly rank one) makes u x u*
+    cancel, so its rounding breaks the verified selfadjoint flag."""
+    a = TracedAlgebra(((2, 1.0),))
+    flow = UnitaryFlow(Element(a, [np.diag([0.0, 1.0])], selfadjoint=True))
+    w, v = flow._eig[0]
+    flow._eig = [(w, v + 1e6 * np.ones((2, 2)))]
+    x = Element(a, [np.diag([1.0, -1.0])], selfadjoint=True)
+    beta = BesicovitchFunction(TrigPolynomial(((1.0, 0.0),)))
+    with pytest.raises(InvalidInputError, match="selfadjoint flag fails"):
+        flow.apply(0.3, x)
+    with pytest.raises(InvalidInputError, match="selfadjoint flag fails"):
+        flow.orbit([0.3], x)
+    with pytest.raises(InvalidInputError, match="selfadjoint flag fails"):
+        besicovitch_average(beta, flow, x, 2.0)
+    # unflagged, the same output is accepted
+    assert np.isfinite(flow.apply(0.3, Element(a, x.data)).vec()).all()
 
 
 def test_check_besicovitch():
