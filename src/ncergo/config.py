@@ -52,6 +52,11 @@ SEMIGROUP_TOL = 1e-8
 IDEMPOTENT_TOL = 1e-9
 #: distance under which conjugator eigenvalues are equal in the Cesaro oracle
 PHASE_TOL = 1e-8
+#: largest structural defect (a conjugator's Schur factor off diagonal and
+#: unimodular, or a pinching's projection products off p_i p_j = delta_ij p_i)
+#: under which a Cesaro average takes its closed form; the form differs from
+#: the sum of powers by about n times the defect
+CLOSED_FORM_TOL = 1e-12
 #: default sup-norm gap of successive Simpson refinements that ends quadrature
 QUAD_TOL = 1e-8
 #: smallest horizon of the grid in the Besicovitch mean-gap estimate

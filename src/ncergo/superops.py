@@ -14,11 +14,12 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
+import scipy.linalg
 
-from .algebra import Element, TracedAlgebra
-from .config import (COUPLING_TOL, DS_SLACK, PINCHING_TOL, POSITIVITY_TOL,
-                     SELFADJOINT_TOL, SUBMAJOR_SLACK, UNITARY_TOL,
-                     WEIGHT_SUM_SLACK)
+from .algebra import Element, TracedAlgebra, _adj, stacked
+from .config import (CLOSED_FORM_TOL, COUPLING_TOL, DS_SLACK, PINCHING_TOL,
+                     POSITIVITY_TOL, SELFADJOINT_TOL, SUBMAJOR_SLACK,
+                     UNITARY_TOL, WEIGHT_SUM_SLACK)
 from .errors import InvalidInputError
 from .rng import stream
 from .singular import submajorizes, fava_decompose
@@ -56,14 +57,23 @@ class SuperOperator:
     def to_matrix(self) -> np.ndarray:
         """Dense action on vectorized elements (cached)."""
         if self._matrix_cache is None:
-            d = self.algebra.vec_dim
-            cols = []
-            for j in range(d):
-                v = np.zeros(d, dtype=complex)
-                v[j] = 1.0
-                cols.append(self.apply(Element.from_vec(self.algebra, v)).vec())
-            self._matrix_cache = np.column_stack(cols)
+            self._matrix_cache = self._build_matrix()
         return self._matrix_cache
+
+    def _build_matrix(self) -> np.ndarray:
+        """The dense matrix column by column: ``apply`` on each basis element."""
+        d = self.algebra.vec_dim
+        cols = []
+        for j in range(d):
+            v = np.zeros(d, dtype=complex)
+            v[j] = 1.0
+            cols.append(self.apply(Element.from_vec(self.algebra, v)).vec())
+        return np.column_stack(cols)
+
+    def cesaro_average(self, x: Element, m: int) -> Optional[Element]:
+        """The average (1/m) sum_{k<m} A^k(x) in closed form, or None where
+        the map has none and the powers must be summed."""
+        return None
 
 
 class UnitaryConjugation(SuperOperator):
@@ -76,11 +86,61 @@ class UnitaryConjugation(SuperOperator):
         if gap > UNITARY_TOL:
             raise InvalidInputError("conjugator is not unitary")
         self.u = u
+        self._schur_cache: Optional[tuple] = None
 
     def apply(self, x: Element) -> Element:
         return Element(x.algebra,
                        [ub @ b @ ub.conj().T for ub, b in zip(self.u.data, x.data)],
                        selfadjoint=x.selfadjoint)
+
+    def _build_matrix(self) -> np.ndarray:
+        # row-major vec(u x u*) = kron(u, conj(u)) vec(x), block by block
+        return scipy.linalg.block_diag(*[np.kron(b, b.conj()) for b in self.u.data])
+
+    def _schur_basis(self) -> tuple:
+        """Per group of equal-dimension blocks ``(group, q, phi)``: the
+        stacked complex Schur bases q of u and the phase differences
+        phi[a, b] = theta_a - theta_b of its eigenvalues, wrapped into
+        [-pi, pi].  Cached; empty when some Schur factor is off diagonal or
+        off the unit circle by more than ``CLOSED_FORM_TOL``."""
+        if self._schur_cache is None:
+            basis, defect = [], 0.0
+            for g in self.algebra.groups:
+                u = stacked(self.u.data, g)
+                if u.shape[-1] == 1:
+                    t, q = u, np.ones_like(u)
+                else:
+                    t, q = map(np.stack, zip(*[scipy.linalg.schur(b, output="complex")
+                                               for b in u]))
+                lam = np.diagonal(t, axis1=-2, axis2=-1)
+                defect = max(defect, np.abs(np.triu(t, 1)).max(),
+                             np.abs(np.abs(lam) - 1.0).max())
+                theta = np.angle(lam)
+                phi = theta[:, :, None] - theta[:, None, :]
+                phi -= 2.0 * np.pi * np.round(phi / (2.0 * np.pi))
+                basis.append((g, q, phi))
+            self._schur_cache = tuple(basis) if defect <= CLOSED_FORM_TOL else ()
+        return self._schur_cache
+
+    def cesaro_average(self, x: Element, m: int) -> Optional[Element]:
+        """q (y o K) q* with y = q* x q, for the Hadamard kernel
+        K[a, b] = e^{i(m-1)phi/2} sin(m phi/2) / (m sin(phi/2)), and 1 where
+        sin(phi/2) = 0.  O(d^3) per block whatever m is, with O(eps) rounding,
+        except for numerically repeated eigenvalues, whose computed phi is
+        about eps instead of 0: there the phase error is about m * eps."""
+        basis = self._schur_basis()
+        if not basis:
+            return None
+        data = list(x.data)
+        for g, q, phi in basis:
+            half = np.sin(phi / 2.0)
+            kernel = np.divide(np.exp(0.5j * (m - 1) * phi) * np.sin(0.5 * m * phi),
+                               m * half, out=np.ones(phi.shape, dtype=complex),
+                               where=half != 0)
+            y = _adj(q) @ stacked(x.data, g) @ q
+            for i, b in zip(g, q @ (y * kernel) @ _adj(q)):
+                data[i] = b
+        return Element(x.algebra, data, selfadjoint=True if x.selfadjoint else None)
 
     def adjoint(self) -> "UnitaryConjugation":
         return UnitaryConjugation(self.u.adjoint())
@@ -113,6 +173,7 @@ class Pinching(SuperOperator):
                 if (p @ q).sup_norm() > PINCHING_TOL:
                     raise InvalidInputError("pinching projections must be orthogonal")
         self.projections = tuple(projections)
+        self._idempotent: Optional[bool] = None
 
     def apply(self, x: Element) -> Element:
         data = [np.zeros_like(b) for b in x.data]
@@ -120,6 +181,26 @@ class Pinching(SuperOperator):
             for k, (pb, xb) in enumerate(zip(p.data, x.data)):
                 data[k] = data[k] + pb @ xb @ pb
         return Element(x.algebra, data, selfadjoint=x.selfadjoint)
+
+    def _build_matrix(self) -> np.ndarray:
+        # row-major vec(p x p) = kron(p, p^T) vec(x), block by block
+        return scipy.linalg.block_diag(*[
+            sum(np.kron(pb, pb.T) for pb in blocks)
+            for blocks in zip(*(p.data for p in self.projections))])
+
+    def cesaro_average(self, x: Element, m: int) -> Optional[Element]:
+        """x/m + (1 - 1/m) P(x), when p_i p_j = delta_ij p_i holds entrywise
+        to ``CLOSED_FORM_TOL`` (so that P is idempotent); checked once."""
+        if self._idempotent is None:
+            defect = 0.0
+            for blocks in zip(*(p.data for p in self.projections)):
+                ps = np.stack(blocks)
+                products = ps[:, None] @ ps[None, :]
+                idx = np.arange(len(ps))
+                products[idx, idx] -= ps
+                defect = max(defect, np.abs(products).max())
+            self._idempotent = defect <= CLOSED_FORM_TOL
+        return _idempotent_average(self, x, m) if self._idempotent else None
 
     def adjoint(self) -> "Pinching":
         return self
@@ -162,6 +243,13 @@ class BlockExpectation(SuperOperator):
     def apply(self, x: Element) -> Element:
         return Element(x.algebra, [m * b for m, b in zip(self._masks, x.data)],
                        selfadjoint=x.selfadjoint)
+
+    def _build_matrix(self) -> np.ndarray:
+        return np.diag(np.concatenate([m.ravel() for m in self._masks])).astype(complex)
+
+    def cesaro_average(self, x: Element, m: int) -> Element:
+        """x/m + (1 - 1/m) E(x): E is idempotent exactly (0/1 masks)."""
+        return _idempotent_average(self, x, m)
 
     def adjoint(self) -> "BlockExpectation":
         return self
@@ -320,6 +408,14 @@ class ExplicitMatrix(SuperOperator):
 
     def structural_bounds(self):
         return None
+
+
+def _idempotent_average(op: SuperOperator, x: Element, m: int) -> Element:
+    """(1/m) sum_{k<m} P^k(x) = x/m + (1 - 1/m) P(x) for an idempotent P."""
+    px = op.apply(x)
+    return Element(x.algebra, [b / m + (1.0 - 1.0 / m) * pb
+                               for b, pb in zip(x.data, px.data)],
+                   selfadjoint=True if x.selfadjoint else None)
 
 
 def _pairing_weights(algebra: TracedAlgebra) -> np.ndarray:

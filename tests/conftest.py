@@ -7,7 +7,7 @@ every test run is reproducible bit for bit.
 import numpy as np
 from hypothesis import example, settings, strategies as st
 
-from ncergo import Element, TracedAlgebra
+from ncergo import BlockExpectation, Element, Pinching, TracedAlgebra
 from ncergo.rng import stream
 
 SEED = 0xA5C3_2026
@@ -127,3 +127,27 @@ def abs_element(x):
         _, s, vh = np.linalg.svd(b)
         data.append(vh.conj().T @ np.diag(s) @ vh)
     return Element(x.algebra, data, selfadjoint=True, positive=True)
+
+
+def random_pinching(rng, algebra, parts=2):
+    """A pinching by ``parts`` projections onto spans of the columns of a
+    random unitary per block (not diagonal; a part may be empty)."""
+    bases = [random_unitary(rng, d) for d in algebra.dims]
+    labels = [rng.integers(0, parts, size=d) for d in algebra.dims]
+    projections = []
+    for k in range(parts):
+        data = [v[:, lab == k] @ v[:, lab == k].conj().T
+                for v, lab in zip(bases, labels)]
+        projections.append(Element(algebra, data, selfadjoint=True,
+                                   positive=True, projection=True))
+    return Pinching(projections)
+
+
+def random_block_expectation(rng, algebra, parts=2):
+    """A block expectation by a random partition of each block's indices."""
+    partition = []
+    for d in algebra.dims:
+        labels = rng.permutation(np.arange(d) % parts)
+        partition.append([list(np.flatnonzero(labels == k))
+                          for k in range(parts) if (labels == k).any()])
+    return BlockExpectation(algebra, partition)

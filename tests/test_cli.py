@@ -101,6 +101,30 @@ def test_ds_check_transpose_sampled(tmp_path, capsys):
     assert payload["positivity"] is True
 
 
+def test_main_calls_share_no_argument_state(tmp_path, capsys):
+    """One parser serves every in-process call; no option, seed or default
+    of one call reaches the next."""
+    algebra = {"blocks": [{"dim": 2, "weight": 1.0}]}
+    p = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+    q = [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
+    cfg = write_json(tmp_path / "map.json", {
+        "algebra": algebra,
+        "operator": {"kind": "pinching", "projections": [[p], [q]]}})
+    first = tmp_path / "first.json"
+    assert main(["--seed", "7", "ds-check", cfg, "--trials", "5",
+                 "--out", str(first)]) == EXIT_OK
+    written = first.read_bytes()
+    assert json.loads(written)["manifest"]["seed"] == 7
+    capsys.readouterr()
+    inp = write_json(tmp_path / "x.json", diag_element_spec([3.0, 1.0]))
+    assert main(["mu", "--input", inp, "--out-dir", str(tmp_path / "mu")]) == EXIT_OK
+    norms = json.loads((tmp_path / "mu" / "norms.json").read_text())
+    assert norms["manifest"]["seed"] == 0
+    assert main(["ds-check", cfg]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["manifest"]["seed"] == 0
+    assert first.read_bytes() == written
+
+
 # -- average ------------------------------------------------------------------
 
 def test_average_bundled_conjugation(tmp_path):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import SEED, random_unitary_element
+from conftest import MANY_BLOCKS, SEED, random_block_expectation, \
+    random_pinching, random_unitary, random_unitary_element
 from ncergo import BesicovitchFunction, Element, InterpolationFlow, \
     SectorNet, TracedAlgebra, TrigPolynomial, UnitaryConjugation, \
     UnitaryFlow, besicovitch_average, box_average, cesaro_limit_oracle, \
@@ -15,7 +16,7 @@ from ncergo.ergodic import validate_family
 from ncergo.errors import InvalidInputError, NumericFailureError
 from ncergo.fixtures import besicovitch_theta_fixture, unitary_flow_fixture
 from ncergo.rng import stream
-from ncergo.superops import Pinching
+from ncergo.superops import BlockExpectation, Pinching
 
 
 def commuting_pinchings(algebra):
@@ -128,6 +129,180 @@ def test_box_average_rejects_bad_family():
         box_average([UnitaryConjugation(u1)], x, (2, 2))
     with pytest.raises(InvalidInputError):
         box_average([UnitaryConjugation(u1)], x, (-1,))
+
+
+# closed-form averages: 1x1, mixed and many-block layouts
+CLOSED_FORM_LAYOUTS = (((1, 1.0),), ((2, 1.0), (1, 0.5), (3, 2.0)), MANY_BLOCKS)
+CLOSED_FORM_KINDS = ("unitary", "repeated", "minus-one", "identity",
+                     "pinching", "expectation")
+
+
+def rotated_conjugation(rng, algebra, eigenvalues):
+    """Conjugation by q diag(lambda) q* per block, q a random unitary and
+    each lambda drawn from ``eigenvalues``."""
+    data = []
+    for d in algebra.dims:
+        q = random_unitary(rng, d)
+        data.append((q * rng.choice(eigenvalues, size=d)) @ q.conj().T)
+    return UnitaryConjugation(Element(algebra, data))
+
+
+def closed_form_operator(kind, algebra, rng):
+    if kind == "unitary":
+        return UnitaryConjugation(random_unitary_element(rng, algebra))
+    if kind == "repeated":
+        return rotated_conjugation(rng, algebra, [1.0, np.exp(1j * np.pi / 3)])
+    if kind == "minus-one":  # phase differences of +-pi and repeated -1
+        return rotated_conjugation(rng, algebra, [1.0, -1.0])
+    if kind == "identity":
+        return UnitaryConjugation(algebra.identity())
+    if kind == "pinching":
+        return random_pinching(rng, algebra, parts=3)
+    return random_block_expectation(rng, algebra)
+
+
+def power_sum_average(op, x, m):
+    """(1/m) sum_{k<m} op^k(x) by repeated ``apply``, summed blockwise."""
+    acc = [b.copy() for b in x.data]
+    z = x
+    for _ in range(1, m):
+        z = op.apply(z)
+        for a, b in zip(acc, z.data):
+            a += b
+    return Element(x.algebra, [a / m for a in acc])
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@example(layout=MANY_BLOCKS, kind="minus-one", m=4096, seed=1, selfadjoint=True)
+@example(layout=MANY_BLOCKS, kind="pinching", m=4096, seed=2, selfadjoint=False)
+@example(layout=CLOSED_FORM_LAYOUTS[1], kind="repeated", m=97, seed=3,
+         selfadjoint=False)
+@example(layout=CLOSED_FORM_LAYOUTS[0], kind="expectation", m=3, seed=4,
+         selfadjoint=True)
+@given(layout=st.sampled_from(CLOSED_FORM_LAYOUTS),
+       kind=st.sampled_from(CLOSED_FORM_KINDS),
+       m=st.sampled_from((1, 2, 3, 97, 4096)), seed=st.integers(0, 2 ** 16),
+       selfadjoint=st.booleans())
+def test_closed_form_average_matches_power_sum(layout, kind, m, seed, selfadjoint):
+    algebra = TracedAlgebra(layout)
+    rng = stream(seed, "test/ergodic/closed-form")
+    op = closed_form_operator(kind, algebra, rng)
+    x = algebra.random_element(rng, selfadjoint=selfadjoint)
+    y = box_average([op], x, (m,), check=False)
+    assert y.selfadjoint is (True if selfadjoint else None)
+    if m == 1:
+        for k in (0, 1):
+            same = box_average([op], x, (k,), check=False)
+            assert all(np.array_equal(a, b) for a, b in zip(same.data, x.data))
+        return
+    assert op.cesaro_average(x, m) is not None
+    gap = (y - power_sum_average(op, x, m)).sup_norm()
+    assert gap <= 1e-10 * max(1.0, x.sup_norm())
+
+
+def test_closed_form_across_the_branch_cut():
+    """Eigenvalues -1 + 1e-17i and -1 - 1e-17i have angles pi and -pi: their
+    phase difference must count as about 0, not 2 pi."""
+    a = TracedAlgebra(((3, 1.0),))
+    op = UnitaryConjugation(Element(a, [np.diag([-1 + 1e-17j, -1 - 1e-17j, 1.0])]))
+    x = a.random_element(stream(SEED, "test/ergodic/branch-cut"))
+    for m in (97, 1000):
+        gap = (box_average([op], x, (m,), check=False)
+               - power_sum_average(op, x, m)).sup_norm()
+        assert gap <= 1e-10 * max(1.0, x.sup_norm())
+
+
+def counted_applies(monkeypatch):
+    """Count ``apply`` calls of the three closed-form operator classes."""
+    calls = [0]
+    for cls in (UnitaryConjugation, Pinching, BlockExpectation):
+        def counting(self, x, _apply=cls.apply):
+            calls[0] += 1
+            return _apply(self, x)
+        monkeypatch.setattr(cls, "apply", counting)
+    return calls
+
+
+def test_closed_form_guards_keep_the_power_sum(monkeypatch):
+    """A conjugator whose Schur factor is off diagonal or off the unit
+    circle by more than CLOSED_FORM_TOL (but unitary to UNITARY_TOL), and
+    a pinching whose projections are idempotent only to PINCHING_TOL, are
+    averaged by summing their powers."""
+    a = TracedAlgebra(((2, 1.0),))
+    x = a.random_element(stream(SEED, "test/ergodic/guards"))
+    sheared = np.diag([1.0, 1j])
+    sheared[0, 1] = 1e-9
+    p = np.diag([1.0 + 1e-10, 0.0])
+    ops = [UnitaryConjugation(Element(a, [sheared])),
+           UnitaryConjugation(Element(a, [np.diag([1.0 + 2e-9, 1j])])),
+           Pinching([Element(a, [p]), Element(a, [np.eye(2) - p])])]
+    for op in ops:
+        assert op.cesaro_average(x, 5) is None
+        calls = counted_applies(monkeypatch)
+        y = box_average([op], x, (5,), check=False)
+        assert calls[0] == 4
+        assert (y - power_sum_average(op, x, 5)).sup_norm() <= 1e-15
+
+
+def commuting_closed_form_families(algebra, rng):
+    """Two commuting maps of each closed-form class, non-diagonal: both
+    conjugators and all pinching projections share one basis per block."""
+    bases = [random_unitary(rng, d) for d in algebra.dims]
+
+    def conjugation():
+        return UnitaryConjugation(Element(algebra, [
+            (q * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, q.shape[0]))) @ q.conj().T
+            for q in bases]))
+
+    def pinching(split):
+        cuts = [(q[:, :split], q[:, split:]) for q in bases]
+        return Pinching([Element(algebra, [c[k] @ c[k].conj().T for c in cuts],
+                                 selfadjoint=True, positive=True, projection=True)
+                         for k in (0, 1)])
+
+    expectation = BlockExpectation(algebra, [[[0, 1], [2]]] * 2)
+    coarse = BlockExpectation(algebra, [[[0, 1, 2]]] * 2)
+    return [[conjugation(), conjugation()], [pinching(1), pinching(2)],
+            [expectation, coarse]]
+
+
+def test_box_average_apply_count_does_not_grow_with_n(monkeypatch):
+    algebra = TracedAlgebra(((3, 1.0), (3, 0.5)))
+    rng = stream(SEED, "test/ergodic/apply-count")
+    families = commuting_closed_form_families(algebra, rng)
+    x = algebra.random_element(rng, selfadjoint=True)
+    calls = counted_applies(monkeypatch)
+    for ops in families:
+        counts = []
+        for n in ((10, 10), (10 ** 6, 10 ** 6)):
+            calls[0] = 0
+            box_average(ops, x, n)
+            counts.append(calls[0])
+        assert counts[0] == counts[1]
+
+
+def test_box_average_at_n_10_to_12_matches_kernel():
+    """A two-block rotated-basis conjugation with distinct eigenvalues,
+    against the geometric-series kernel (1 - z^n) / (n (1 - z))."""
+    algebra = TracedAlgebra(((3, 1.0), (2, 0.5)))
+    rng = stream(SEED, "test/ergodic/n-10-12")
+    thetas = [np.array([0.4, 2.1, -1.3]), np.array([3.0, -0.2])]
+    qs = [random_unitary(rng, d) for d in algebra.dims]
+    u = Element(algebra, [(q * np.exp(1j * t)) @ q.conj().T
+                          for q, t in zip(qs, thetas)])
+    x = algebra.random_element(rng)
+    n = 10 ** 12
+    t0 = time.perf_counter()
+    y = box_average([UnitaryConjugation(u)], x, (n,))
+    assert time.perf_counter() - t0 < 0.5
+    for q, t, xb, yb in zip(qs, thetas, x.data, y.data):
+        z = np.exp(1j * (t[:, None] - t[None, :]))
+        off = ~np.eye(len(t), dtype=bool)
+        kernel = np.ones_like(z)
+        kernel[off] = (1.0 - np.exp(1j * n * (t[:, None] - t[None, :]))[off]) \
+            / (n * (1.0 - z[off]))
+        expected = q @ ((q.conj().T @ xb @ q) * kernel) @ q.conj().T
+        assert np.abs(yb - expected).max() <= 1e-12
 
 
 def test_validate_family_commutativity():

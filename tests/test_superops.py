@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import SEED, BLOCK_CONFIGS, make_algebra, random_projection, \
+from conftest import MANY_BLOCKS, SEED, BLOCK_CONFIGS, make_algebra, \
+    random_block_expectation, random_pinching, random_projection, \
     random_unitary_element
 from ncergo import BlockExpectation, Composition, ConvexCombination, Element, \
     ExplicitMatrix, Pinching, Power, TracedAlgebra, UnitaryConjugation, \
@@ -9,7 +10,7 @@ from ncergo import BlockExpectation, Composition, ConvexCombination, Element, \
     preserves_fava, submajorizes, verify_ds
 from ncergo.errors import InvalidInputError
 from ncergo.rng import stream
-from ncergo.superops import check_selfadjointness
+from ncergo.superops import SuperOperator, check_selfadjointness
 
 
 def two_block_pinching(algebra):
@@ -144,6 +145,23 @@ def test_explicit_matrix_rejects_block_coupling():
 
 
 # -- adjoints -----------------------------------------------------------------
+
+@pytest.mark.parametrize("layout", [((1, 1.0),), ((2, 1.0), (1, 0.5), (3, 2.0)),
+                                    MANY_BLOCKS])
+def test_closed_form_matrix_equals_column_build(layout):
+    """kron(u, conj(u)), sum_p kron(p, p^T) and diag(vec(mask)) per block
+    against the base class's apply-per-basis-element build."""
+    a = TracedAlgebra(layout)
+    rng = stream(SEED, "test/superops/to-matrix")
+    for op in (UnitaryConjugation(random_unitary_element(rng, a)),
+               random_pinching(rng, a, parts=3), random_block_expectation(rng, a)):
+        closed = op.to_matrix()
+        columns = SuperOperator._build_matrix(op)
+        assert closed.shape == columns.shape == (a.vec_dim, a.vec_dim)
+        assert closed.dtype == columns.dtype
+        assert np.abs(closed - columns).max() <= 1e-15
+        assert op.to_matrix() is closed
+
 
 def test_adjoint_pairing_identity():
     rng = stream(SEED, "test/superops/adjoint")
