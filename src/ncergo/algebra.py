@@ -198,15 +198,13 @@ class Element:
         return float(t.real) if self.selfadjoint else complex(t)
 
     def sup_norm(self) -> float:
-        """The largest singular value, group by group.
-
-        1x1 blocks take their modulus (``np.hypot``, which is Python's
-        ``abs`` bit for bit); larger blocks read the cached spectrum.
+        """The largest singular value, group by group, by the rule of
+        :func:`block_sup_norms`; larger blocks read the cached spectrum.
         """
         out = 0.0
         for g in self.algebra.groups:
             if self.data[g[0]].shape[0] == 1:
-                top = _modulus(stacked(self.data, g)).max()
+                top = block_sup_norms(stacked(self.data, g)).max()
             else:
                 svals = self.singular_values()
                 top = max([svals[i][0] for i in g])
@@ -310,10 +308,16 @@ def _adj(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
-def _modulus(a: np.ndarray) -> np.ndarray:
-    """Entrywise modulus equal to Python's ``abs`` of each complex entry
-    (vectorized ``np.abs`` can differ from it in the last bit)."""
-    return np.hypot(a.real, a.imag)
+def block_sup_norms(stack: np.ndarray) -> np.ndarray:
+    """The sup norm of each block of a ``(..., d, d)`` stack.
+
+    A 1x1 block takes its modulus, ``np.hypot``, which is Python's ``abs``
+    of the complex entry bit for bit (vectorized ``np.abs`` can differ from
+    it in the last bit); larger blocks take LAPACK's largest singular value.
+    """
+    if stack.shape[-1] == 1:
+        return np.hypot(stack.real[..., 0, 0], stack.imag[..., 0, 0])
+    return np.linalg.svd(stack, compute_uv=False)[..., 0]
 
 
 def check_selfadjoint(stacks: Sequence[np.ndarray], scales) -> None:
@@ -346,10 +350,8 @@ def check_vecs(algebra: TracedAlgebra, rows: np.ndarray,
         d = algebra.dims[g[0]]
         b = np.stack([rows[:, ends[i] - d * d:ends[i]] for i in g], axis=1)
         b = b.reshape(len(rows), len(g), d, d)
-        top = (_modulus(b).max(axis=(-3, -2, -1)) if d == 1
-               else stacked_singular_values(b)[..., 0].max(axis=-1))
         stacks.append(b)
-        norms = np.maximum(norms, top)
+        norms = np.maximum(norms, block_sup_norms(b).max(axis=-1))
     check_selfadjoint(stacks, np.maximum(norms, 1.0))
 
 

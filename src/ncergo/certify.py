@@ -18,9 +18,9 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import (Element, TracedAlgebra, _adj, projection_from_ranges,
-                      rearranged, stacked, stacked_singular_values,
-                      trace_deficiency)
+from .algebra import (Element, TracedAlgebra, _adj, block_sup_norms,
+                      projection_from_ranges, rearranged, stacked,
+                      stacked_singular_values, trace_deficiency)
 from .config import (BOUND_SLACK, BUDGET_SLACK, CAUCHY_TOL,
                      ENLARGE_DEFICIENCY_SLACK, MEET_KERNEL_CUT, RANK_REL,
                      TAIL_RISE_SLACK, TAIL_TOL)
@@ -117,20 +117,14 @@ def _term_stacks(elements: Sequence[Element]) -> list:
 def _compressed_bounds(stacks: Sequence[np.ndarray], e: Element,
                        mode: str) -> list:
     """``_compressed_bound`` of every term of ``stacks`` (see
-    :func:`_term_stacks`) at once, by the per-block rule of ``sup_norm``."""
+    :func:`_term_stacks`) at once, by the rule of :func:`block_sup_norms`."""
     out = 0.0
     for g, dd in zip(e.algebra.groups, stacks):
         ee = stacked(e.data, g)
         p = dd @ ee if mode == "au" else ee @ dd @ ee
         if not np.isfinite(p).all():
             raise InvalidInputError("non-finite matrix entries")
-        if p.shape[-1] == 1:
-            # hypot is the scalar abs() of sup_norm to the last bit, where
-            # the vectorized complex np.abs is not
-            norms = np.hypot(p.real[..., 0, 0], p.imag[..., 0, 0])
-        else:
-            norms = np.linalg.svd(p, compute_uv=False)[..., 0]
-        out = np.maximum(out, norms.max(axis=1))
+        out = np.maximum(out, block_sup_norms(p).max(axis=1))
     return out.tolist()
 
 

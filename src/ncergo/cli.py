@@ -20,8 +20,7 @@ from . import fixtures, serialize
 from .certify import (FiniteTrace, certify_cauchy, extract_limit,
                       remark32_model, witness_convergence)
 from .config import SCENARIO_ERR_TOL, SCENARIO_QUAD_TOL
-from .ergodic import (SectorNet, besicovitch_average, net_average_trace,
-                      validate_family)
+from .ergodic import SectorNet, besicovitch_average, net_average_trace
 from .errors import (InvalidInputError, NcergoError, NoLimitError,
                      NumericFailureError)
 from .singular import k_functional, lp_norm, mu
@@ -147,8 +146,7 @@ def _run_explicit_average(cfg: dict, seed: int, out: Path, manifest: dict) -> in
     net = SectorNet(len(netspec["indices"][0]),
                     tuple(tuple(n) for n in netspec["indices"]),
                     netspec.get("sector_constant"))
-    validate_family(ops, seed=seed)
-    trace = net_average_trace(ops, x, net, check=False, seed=seed)
+    trace = net_average_trace(ops, x, net, seed=seed)
     _write(out / "trace.csv", _csv_with_header(trace.to_csv(), manifest))
     ftrace = FiniteTrace(tuple(trace.outputs))
     cert = certify_cauchy(ftrace, epsilon=cfg.get("epsilon", 0.05), mode="bau")
@@ -231,8 +229,9 @@ def cmd_remark32(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ncergo",
                                      description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=0,
-                        help="run seed feeding all named random streams")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="run seed feeding all named random streams "
+                             "(default 0; average: the config's seed)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("mu", help="singular-value function and norms report")
@@ -251,8 +250,9 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--config", help="scenario config JSON")
     group.add_argument("--bundled", help="name of a bundled scenario config")
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_average, seed=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.set_defaults(func=cmd_average)
+    # SUPPRESS keeps an absent subcommand --seed from overwriting a global one
+    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
 
     p = sub.add_parser("certify", help="witness certification of a trace dir")
     p.add_argument("--trace-dir", required=True)
@@ -280,6 +280,8 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    if args.seed is None and args.func is not cmd_average:
+        args.seed = 0
     try:
         return args.func(args)
     except (InvalidInputError, FileNotFoundError) as exc:

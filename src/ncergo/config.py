@@ -50,7 +50,8 @@ COMMUTE_TOL = 1e-9
 SEMIGROUP_TOL = 1e-8
 #: relative sampled idempotency threshold for an interpolation expectation
 IDEMPOTENT_TOL = 1e-9
-#: distance under which conjugator eigenvalues are equal in the Cesaro oracle
+#: distance |lambda_a - lambda_b| under which two eigenvalues of a conjugator
+#: are equal (pairwise, not chained) in its Cesaro limit, the eigenspace pinching
 PHASE_TOL = 1e-8
 #: largest structural defect (a conjugator's Schur factor off diagonal and
 #: unimodular, or a pinching's projection products off p_i p_j = delta_ij p_i)

@@ -14,17 +14,16 @@ import cmath
 import io
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .algebra import Element, TracedAlgebra, _adj, check_vecs
 from .config import (BESICOVITCH_MIN_HORIZON, COMMUTE_TOL, IDEMPOTENT_TOL,
-                     PHASE_TOL, QUAD_TOL, SEMIGROUP_TOL)
+                     QUAD_TOL, SEMIGROUP_TOL)
 from .errors import InvalidInputError, NumericFailureError
 from .rng import stream
-from .superops import DSCertificate, Pinching, SuperOperator, UnitaryConjugation, verify_ds
+from .superops import DSCertificate, SuperOperator, UnitaryConjugation, verify_ds
 
 
 # -- index nets ---------------------------------------------------------------
@@ -77,19 +76,18 @@ def sector_check(net: SectorNet, c0: float) -> bool:
 
 # -- family validation --------------------------------------------------------
 
-def validate_family(ops: Sequence[SuperOperator],
-                    certificates: Optional[Sequence[DSCertificate]] = None,
-                    trials: int = 10, seed: int = 0) -> List[DSCertificate]:
+def validate_family(ops: Sequence[SuperOperator], trials: int = 10,
+                    seed: int = 0) -> List[DSCertificate]:
     """Check a family is made of commuting positive contractions.
 
-    Contraction and positivity come from certificates; commutativity is a
-    seeded sampled check (structural proof is out of scope).
+    Contraction and positivity come from ``verify_ds`` certificates;
+    commutativity is a seeded sampled check (structural proof is out of
+    scope).
     """
     if not ops:
         raise InvalidInputError("empty operator family")
     algebra = ops[0].algebra
-    certs = list(certificates) if certificates is not None else [
-        verify_ds(op, seed=seed) for op in ops]
+    certs = [verify_ds(op, seed=seed) for op in ops]
     for op, cert in zip(ops, certs):
         if not cert.is_ds() or not cert.positivity:
             raise InvalidInputError("family member is not a positive contraction")
@@ -121,7 +119,6 @@ def _one_dim_average(op: SuperOperator, x: Element, m: int) -> Element:
 
 
 def box_average(ops: Sequence[SuperOperator], x: Element, n: Sequence[int],
-                certificates: Optional[Sequence[DSCertificate]] = None,
                 check: bool = True, seed: int = 0) -> Element:
     """Normalized mixed-power sum over the box below n.
 
@@ -140,7 +137,7 @@ def box_average(ops: Sequence[SuperOperator], x: Element, n: Sequence[int],
     if any(k < 0 for k in n):
         raise InvalidInputError("exponent bounds must be nonnegative")
     if check:
-        validate_family(ops, certificates, seed=seed)
+        validate_family(ops, seed=seed)
     for op, ni in zip(ops, n):
         x = _one_dim_average(op, x, max(int(ni), 1))
     return x
@@ -183,7 +180,6 @@ _MATRIX_ROUTE_MAX_DIM = 256
 
 
 def net_average_trace(ops: Sequence[SuperOperator], x: Element, net: SectorNet,
-                      certificates: Optional[Sequence[DSCertificate]] = None,
                       check: bool = True, seed: int = 0) -> AverageTrace:
     """Averages at every net index, reusing prefix sums between indices.
 
@@ -201,7 +197,7 @@ def net_average_trace(ops: Sequence[SuperOperator], x: Element, net: SectorNet,
     if len(ops) != net.dimension:
         raise InvalidInputError("one operator per net dimension required")
     if check:
-        validate_family(ops, certificates, seed=seed)
+        validate_family(ops, seed=seed)
     algebra = x.algebra
     use_matrix = algebra.vec_dim <= _MATRIX_ROUTE_MAX_DIM
 
@@ -245,39 +241,20 @@ def net_average_trace(ops: Sequence[SuperOperator], x: Element, net: SectorNet,
 
 
 def cesaro_limit_oracle(ops: Sequence[SuperOperator], x: Element) -> Element:
-    """Independent limit for commuting unitary-conjugation families.
+    """Limit for commuting unitary-conjugation families.
 
-    Each conjugator contributes the pinching by its eigenvalue-equality
-    partition; the joint limit is the successive application of these
-    pinchings (order-independent for a commuting family).
+    Each conjugator contributes the pinching onto its eigenspaces
+    (``UnitaryConjugation.cesaro_limit``, the limit kernel in the cached
+    Schur basis); the joint limit is the successive application of these
+    pinchings (order-independent for a commuting family).  It shares no
+    code with the matrix-prefix route of ``net_average_trace``.
     """
     for op in ops:
         if not isinstance(op, UnitaryConjugation):
             raise InvalidInputError("oracle supports unitary conjugations only")
-    out = x
     for op in ops:
-        data = []
-        for ub, xb in zip(op.u.data, out.data):
-            t, q = scipy.linalg.schur(ub, output="complex")
-            phases = np.diag(t)
-            # cluster equal eigenvalues of the (normal) conjugator
-            order = np.argsort(np.angle(phases), kind="stable")
-            clusters: List[List[int]] = []
-            for j in order:
-                if clusters and abs(phases[j] - phases[clusters[-1][-1]]) <= PHASE_TOL:
-                    clusters[-1].append(j)
-                else:
-                    clusters.append([j])
-            if len(clusters) > 1 and \
-                    abs(phases[clusters[0][0]] - phases[clusters[-1][-1]]) <= PHASE_TOL:
-                clusters[0].extend(clusters.pop())
-            y = np.zeros_like(xb)
-            for cluster in clusters:
-                p = q[:, cluster] @ q[:, cluster].conj().T
-                y = y + p @ xb @ p
-            data.append(y)
-        out = Element(x.algebra, data, selfadjoint=x.selfadjoint)
-    return out
+        x = op.cesaro_limit(x)
+    return x
 
 
 # -- Besicovitch weights and semigroup flows ----------------------------------

@@ -11,12 +11,12 @@ computed exactly from that step function.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from .algebra import (Element, TracedAlgebra, projection_from_ranges,
-                      projection_meet, trace_deficiency)
+from .algebra import (Element, projection_from_ranges, projection_meet,
+                      trace_deficiency)
 from .config import (BOUND_SLACK, ENLARGE_DEFICIENCY_SLACK, RANK_REL,
                      SUBMAJOR_SLACK, TWO_ROUTE_REL)
 from .errors import InvalidInputError, PostconditionError

@@ -8,7 +8,7 @@ from ``edges[-1]`` on.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -11,15 +11,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg
 
 from .algebra import Element, TracedAlgebra, _adj, stacked
-from .config import (CLOSED_FORM_TOL, COUPLING_TOL, DS_SLACK, PINCHING_TOL,
-                     POSITIVITY_TOL, SELFADJOINT_TOL, SUBMAJOR_SLACK,
-                     UNITARY_TOL, WEIGHT_SUM_SLACK)
+from .config import (CLOSED_FORM_TOL, COUPLING_TOL, DS_SLACK, PHASE_TOL,
+                     PINCHING_TOL, POSITIVITY_TOL, SELFADJOINT_TOL, UNITARY_TOL,
+                     WEIGHT_SUM_SLACK)
 from .errors import InvalidInputError
 from .rng import stream
 from .singular import submajorizes, fava_decompose
@@ -98,11 +98,11 @@ class UnitaryConjugation(SuperOperator):
         return scipy.linalg.block_diag(*[np.kron(b, b.conj()) for b in self.u.data])
 
     def _schur_basis(self) -> tuple:
-        """Per group of equal-dimension blocks ``(group, q, phi)``: the
-        stacked complex Schur bases q of u and the phase differences
-        phi[a, b] = theta_a - theta_b of its eigenvalues, wrapped into
-        [-pi, pi].  Cached; empty when some Schur factor is off diagonal or
-        off the unit circle by more than ``CLOSED_FORM_TOL``."""
+        """``(basis, defect)``, cached.  ``basis`` holds per group of
+        equal-dimension blocks ``(group, q, phi)``: the stacked complex Schur
+        bases q of u and the phase differences phi[a, b] = theta_a - theta_b
+        of its eigenvalues, wrapped into [-pi, pi].  ``defect`` is the
+        largest distance of a Schur factor from diagonal and unimodular."""
         if self._schur_cache is None:
             basis, defect = [], 0.0
             for g in self.algebra.groups:
@@ -119,28 +119,45 @@ class UnitaryConjugation(SuperOperator):
                 phi = theta[:, :, None] - theta[:, None, :]
                 phi -= 2.0 * np.pi * np.round(phi / (2.0 * np.pi))
                 basis.append((g, q, phi))
-            self._schur_cache = tuple(basis) if defect <= CLOSED_FORM_TOL else ()
+            self._schur_cache = (tuple(basis), defect)
         return self._schur_cache
 
-    def cesaro_average(self, x: Element, m: int) -> Optional[Element]:
-        """q (y o K) q* with y = q* x q, for the Hadamard kernel
-        K[a, b] = e^{i(m-1)phi/2} sin(m phi/2) / (m sin(phi/2)), and 1 where
-        sin(phi/2) = 0.  O(d^3) per block whatever m is, with O(eps) rounding,
-        except for numerically repeated eigenvalues, whose computed phi is
-        about eps instead of 0: there the phase error is about m * eps."""
-        basis = self._schur_basis()
-        if not basis:
-            return None
+    def _hadamard(self, x: Element, kernel) -> Element:
+        """q (y o kernel(phi)) q* with y = q* x q, over the cached Schur basis."""
         data = list(x.data)
-        for g, q, phi in basis:
-            half = np.sin(phi / 2.0)
-            kernel = np.divide(np.exp(0.5j * (m - 1) * phi) * np.sin(0.5 * m * phi),
-                               m * half, out=np.ones(phi.shape, dtype=complex),
-                               where=half != 0)
+        for g, q, phi in self._schur_basis()[0]:
             y = _adj(q) @ stacked(x.data, g) @ q
-            for i, b in zip(g, q @ (y * kernel) @ _adj(q)):
+            for i, b in zip(g, q @ (y * kernel(phi)) @ _adj(q)):
                 data[i] = b
         return Element(x.algebra, data, selfadjoint=True if x.selfadjoint else None)
+
+    def cesaro_average(self, x: Element, m: int) -> Optional[Element]:
+        """The Hadamard kernel K[a, b] = e^{i(m-1)phi/2} sin(m phi/2) /
+        (m sin(phi/2)), and 1 where sin(phi/2) = 0, in u's Schur basis; None
+        when the basis's defect exceeds ``CLOSED_FORM_TOL``.  O(d^3) per
+        block whatever m is, with O(eps) rounding, except for numerically
+        repeated eigenvalues, whose computed phi is about eps instead of 0:
+        there the phase error is about m * eps."""
+        if self._schur_basis()[1] > CLOSED_FORM_TOL:
+            return None
+
+        def kernel(phi):
+            half = np.sin(phi / 2.0)
+            return np.divide(np.exp(0.5j * (m - 1) * phi) * np.sin(0.5 * m * phi),
+                             m * half, out=np.ones(phi.shape, dtype=complex),
+                             where=half != 0)
+        return self._hadamard(x, kernel)
+
+    def cesaro_limit(self, x: Element) -> Element:
+        """The m -> infinity limit of ``cesaro_average``: the pinching onto
+        u's eigenspaces, the kernel 1{|lambda_a - lambda_b| <= PHASE_TOL}
+        with |lambda_a - lambda_b| = |2 sin(phi/2)| for unimodular lambda.
+        Equality is pairwise: unlike a chained clustering, it keeps apart
+        the ends of a chain of eigenvalues whose steps are within
+        ``PHASE_TOL`` but whose span is not.  Uses the basis whatever its
+        defect."""
+        return self._hadamard(
+            x, lambda phi: np.abs(2.0 * np.sin(phi / 2.0)) <= PHASE_TOL)
 
     def adjoint(self) -> "UnitaryConjugation":
         return UnitaryConjugation(self.u.adjoint())

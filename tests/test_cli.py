@@ -141,6 +141,24 @@ def test_average_bundled_conjugation(tmp_path):
     assert read_tree(out) == read_tree(out2)
 
 
+def test_average_seed_before_or_after_the_subcommand(tmp_path):
+    """A global --seed reaches ``average`` as the subcommand's own does; the
+    subcommand's wins when both are given, and the config's seed applies
+    when neither is."""
+    runs = {"global": ["--seed", "5", "average"],
+            "local": ["average", "--seed", "5"],
+            "both": ["--seed", "9", "average", "--seed", "5"],
+            "none": ["average"]}
+    for name, head in runs.items():
+        assert main(head + ["--bundled", "conjugation-d2-sector",
+                            "--out-dir", str(tmp_path / name)]) == EXIT_OK
+    assert read_tree(tmp_path / "global") == read_tree(tmp_path / "local")
+    assert read_tree(tmp_path / "both") == read_tree(tmp_path / "local")
+    seeds = {name: json.loads((tmp_path / name / "manifest.json").read_text())["seed"]
+             for name in runs}
+    assert seeds == {"global": 5, "local": 5, "both": 5, "none": 2026}
+
+
 def test_average_bundled_besicovitch(tmp_path):
     out = tmp_path / "run"
     assert main(["average", "--bundled", "besicovitch-theta",

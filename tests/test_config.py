@@ -1,3 +1,4 @@
+import ast
 import re
 import tokenize
 from pathlib import Path
@@ -21,4 +22,26 @@ def test_no_threshold_literal_outside_config():
                 if (tok.type == tokenize.NUMBER and tok.string != GUARD
                         and EXPONENT.match(tok.string)):
                     found.append(f"{path.name}:{tok.start[0]}: {tok.string}")
+    assert not found, "\n".join(found)
+
+
+def test_no_unused_module_level_import():
+    """Every module-level import of a package module is read as a name in
+    it (a name only in a quoted annotation counts as unused);
+    ``__init__.py`` re-exports and ``from __future__`` are exempt."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound = [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {name}"
+                      for name in bound if name not in used]
     assert not found, "\n".join(found)

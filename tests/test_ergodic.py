@@ -4,6 +4,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import MANY_BLOCKS, SEED, random_block_expectation, \
@@ -12,6 +13,7 @@ from ncergo import BesicovitchFunction, Element, InterpolationFlow, \
     SectorNet, TracedAlgebra, TrigPolynomial, UnitaryConjugation, \
     UnitaryFlow, besicovitch_average, box_average, cesaro_limit_oracle, \
     check_besicovitch, net_average_trace, sector_check, submajorizes
+from ncergo.config import PHASE_TOL
 from ncergo.ergodic import validate_family
 from ncergo.errors import InvalidInputError, NumericFailureError
 from ncergo.fixtures import besicovitch_theta_fixture, unitary_flow_fixture
@@ -452,6 +454,117 @@ def test_cesaro_limit_oracle_order_independent():
     ab = cesaro_limit_oracle(ops, x)
     ba = cesaro_limit_oracle(list(reversed(ops)), x)
     assert (ab - ba).sup_norm() < 1e-12
+
+
+def reference_limit_oracle(ops, x):
+    """The oracle's former clustering route, kept as a reference: per block
+    a Schur factorization of the conjugator, its eigenvalues sorted by
+    angle and chained into clusters within PHASE_TOL (the first and last
+    cluster merged across the branch cut), then sum_c p_c x p_c."""
+    out = x
+    for op in ops:
+        data = []
+        for ub, xb in zip(op.u.data, out.data):
+            t, q = scipy.linalg.schur(ub, output="complex")
+            phases = np.diag(t)
+            clusters = []
+            for j in np.argsort(np.angle(phases), kind="stable"):
+                if clusters and abs(phases[j] - phases[clusters[-1][-1]]) <= PHASE_TOL:
+                    clusters[-1].append(j)
+                else:
+                    clusters.append([j])
+            if len(clusters) > 1 and \
+                    abs(phases[clusters[0][0]] - phases[clusters[-1][-1]]) <= PHASE_TOL:
+                clusters[0].extend(clusters.pop())
+            y = np.zeros_like(xb)
+            for cluster in clusters:
+                p = q[:, cluster] @ q[:, cluster].conj().T
+                y = y + p @ xb @ p
+            data.append(y)
+        out = Element(x.algebra, data)
+    return out
+
+
+# eigenvalue pools: repeated phases, -1, and a pair across the branch cut
+LIMIT_POOLS = ((1.0, np.exp(1j * np.pi / 3)), (1.0, -1.0),
+               (-1 + 1e-17j, -1 - 1e-17j, 1j))
+
+
+def commuting_conjugations(rng, algebra, pool, count, rotated):
+    """``count`` conjugations by v diag(lambda) v*, one v per block shared
+    by the family (the identity unless ``rotated``), lambda drawn from
+    ``pool``."""
+    bases = [random_unitary(rng, d) if rotated else np.eye(d)
+             for d in algebra.dims]
+    return [UnitaryConjugation(Element(algebra, [
+        (v * rng.choice(pool, size=v.shape[0])) @ v.conj().T for v in bases]))
+        for _ in range(count)]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@example(layout=MANY_BLOCKS, pool=2, count=2, rotated=False, seed=1)
+@example(layout=CLOSED_FORM_LAYOUTS[1], pool=1, count=2, rotated=True, seed=2)
+@example(layout=CLOSED_FORM_LAYOUTS[0], pool=2, count=1, rotated=False, seed=3)
+@given(layout=st.sampled_from(CLOSED_FORM_LAYOUTS),
+       pool=st.integers(0, len(LIMIT_POOLS) - 1), count=st.integers(1, 2),
+       rotated=st.booleans(), seed=st.integers(0, 2 ** 16))
+def test_cesaro_limit_oracle_equals_clustering_reference(layout, pool, count,
+                                                         rotated, seed):
+    algebra = TracedAlgebra(layout)
+    rng = stream(seed, "test/ergodic/limit-reference")
+    ops = commuting_conjugations(rng, algebra, LIMIT_POOLS[pool], count, rotated)
+    x = algebra.random_element(rng)
+    gap = (cesaro_limit_oracle(ops, x) - reference_limit_oracle(ops, x)).sup_norm()
+    assert gap <= 1e-12 * max(1.0, x.sup_norm())
+
+
+def test_cesaro_limit_of_a_defective_conjugator():
+    """A conjugator unitary only to 1e-10 (sheared and off the circle) has
+    no closed-form average, but its limit still equals the reference."""
+    a = TracedAlgebra(((3, 1.0), (1, 0.5)))
+    rng = stream(SEED, "test/ergodic/limit-defective")
+    t = np.diag([1.0 + 1e-10, 1.0, -1.0]).astype(complex)
+    t[0, 1] = 1e-10
+    v = random_unitary(rng, 3)
+    op = UnitaryConjugation(Element(a, [v @ t @ v.conj().T, np.array([[1j]])]))
+    x = a.random_element(rng)
+    assert op.cesaro_average(x, 5) is None
+    gap = (cesaro_limit_oracle([op], x) - reference_limit_oracle([op], x)).sup_norm()
+    assert gap <= 1e-12 * max(1.0, x.sup_norm())
+
+
+def test_cesaro_average_over_whole_periods_is_the_limit():
+    """With phases that are multiples of 2 pi / p, the average over k p
+    steps is the limit."""
+    algebra = TracedAlgebra(((2, 1.0), (1, 0.5), (3, 2.0)))
+    rng = stream(SEED, "test/ergodic/limit-periods")
+    p = 6
+    pool = np.exp(2j * np.pi * np.arange(p) / p)
+    for rotated in (False, True):
+        op, = commuting_conjugations(rng, algebra, pool, 1, rotated)
+        x = algebra.random_element(rng)
+        limit = op.cesaro_limit(x)
+        for k in (1, 2, 50):
+            gap = (op.cesaro_average(x, k * p) - limit).sup_norm()
+            assert gap <= 1e-12 * max(1.0, x.sup_norm())
+
+
+def test_average_and_limit_share_one_schur_basis(monkeypatch):
+    """``box_average`` then ``cesaro_limit_oracle`` on one fresh conjugation
+    factorizes each block of size d > 1 once; 1x1 blocks need none."""
+    algebra = TracedAlgebra(((2, 1.0), (1, 0.5), (3, 2.0), (3, 1.0)))
+    rng = stream(SEED, "test/ergodic/limit-schur-count")
+    op = UnitaryConjugation(random_unitary_element(rng, algebra))
+    x = algebra.random_element(rng)
+    calls = [0]
+
+    def counting(*args, _schur=scipy.linalg.schur, **kwargs):
+        calls[0] += 1
+        return _schur(*args, **kwargs)
+    monkeypatch.setattr(scipy.linalg, "schur", counting)
+    box_average([op], x, (5,), check=False)
+    cesaro_limit_oracle([op], x)
+    assert calls[0] == 3
 
 
 # -- weighted flows -----------------------------------------------------------
