@@ -3,9 +3,16 @@
 The box average of a commuting family of positive contractions over a
 multi-index n is the normalized sum of all mixed powers with exponents
 below n (a zero coordinate contributes only the zeroth power and a
-normalizer factor of 1).  Averages along a monotone index net reuse
-prefix sums; conjugation families additionally admit a closed-form limit
-(the joint eigenvalue-equality pinching) used as an independent oracle.
+normalizer factor of 1).  It factors into one-dimensional averages, one
+per coordinate.  Unitary conjugations, pinchings and block expectations
+take theirs in closed form (``SuperOperator.cesaro_average``): O(d^3) per
+coordinate and index whatever the index, with O(eps) rounding (about
+k * eps between numerically repeated conjugator eigenvalues).  Along a
+monotone index net, a coordinate whose map has no closed form carries a
+dense prefix sum advanced by binary doubling (O(log k) products per
+index, error about k * eps) on small algebras, and sums its powers on
+larger ones.  Conjugation families also have a closed-form limit, the
+pinching onto the joint eigenvalue-equality spaces.
 """
 
 from __future__ import annotations
@@ -103,6 +110,16 @@ def validate_family(ops: Sequence[SuperOperator], trials: int = 10,
     return certs
 
 
+def _power_sum(op: SuperOperator, x: Element, m: int) -> Element:
+    """(1/m) sum_{k<m} op^k(x) by repeated ``apply``."""
+    acc = x
+    z = x
+    for _ in range(1, m):
+        z = op.apply(z)
+        acc = acc + z
+    return acc.scaled(1.0 / m)
+
+
 def _one_dim_average(op: SuperOperator, x: Element, m: int) -> Element:
     """(1/m) sum_{k<m} op^k(x): the map's closed form where it has one
     (``SuperOperator.cesaro_average``), else the sum of its powers."""
@@ -110,12 +127,7 @@ def _one_dim_average(op: SuperOperator, x: Element, m: int) -> Element:
         closed = op.cesaro_average(x, m)
         if closed is not None:
             return closed
-    acc = x
-    z = x
-    for _ in range(1, m):
-        z = op.apply(z)
-        acc = acc + z
-    return acc.scaled(1.0 / m)
+    return _power_sum(op, x, m)
 
 
 def box_average(ops: Sequence[SuperOperator], x: Element, n: Sequence[int],
@@ -179,20 +191,43 @@ class AverageTrace:
 _MATRIX_ROUTE_MAX_DIM = 256
 
 
+def _advance_prefix(op: SuperOperator, state: Optional[tuple], m: int) -> tuple:
+    """The dense prefix ``(m, S(m), A^m)`` of op's matrix A, with
+    S(k) = sum_{j<k} A^j, advanced from ``state`` (None: k = 0) by binary
+    doubling, S(a + b) = S(a) + A^a S(b), over chunks S(2^j), A^(2^j)."""
+    a = op.to_matrix()
+    eye = np.eye(len(a), dtype=complex)
+    count, s, p = state or (0, np.zeros_like(eye), eye)
+    step, cs, cp = m - count, eye, a
+    while step:
+        if step & 1:
+            s, p = s + p @ cs, p @ cp
+        step >>= 1
+        if step:
+            cs, cp = cs + cp @ cs, cp @ cp
+    return m, s, p
+
+
 def net_average_trace(ops: Sequence[SuperOperator], x: Element, net: SectorNet,
                       check: bool = True, seed: int = 0) -> AverageTrace:
-    """Averages at every net index, reusing prefix sums between indices.
+    """Averages at every net index, one coordinate at a time.
 
-    For small vectorized dimension each net dimension carries its dense
-    prefix sum S(k) = sum_{j<k} A^j and power A^k, advanced to the next
-    index by binary doubling, S(a + b) = S(a) + A^a S(b), over chunks
-    S(2^j), A^(2^j): O(log k) products per index.  The output is
-    S_1(...(S_d vec(x))/n_d...)/n_1.  Its error grows about like k * eps
-    (8e-13 at k = 10^4, 8e-8 at k = 10^9 for conjugations, |x| = 2).  Larger
-    algebras fall back to an independent ``box_average`` per index, which
-    costs O(d^3) per index and coordinate for conjugation, pinching and
-    block-expectation families, whatever the index.  Both modes agree to
-    within stated tolerances.
+    At each index n the output is the box average: coordinate i averages
+    the previous coordinate's output over its first m_i = max(n_i, 1)
+    powers, and m_i = 1 leaves it unchanged.  Each coordinate takes its
+    map's closed form (``SuperOperator.cesaro_average``: a Hadamard kernel
+    in the cached Schur basis for conjugations, x/m + (1 - 1/m) P(x) for
+    pinchings and block expectations): O(d^3) per index whatever m_i is,
+    with O(eps) rounding (about m_i * eps between numerically repeated
+    conjugator eigenvalues).  A coordinate whose map has none falls back,
+    from its first m_i > 1 on.  For vectorized dimension up to 256 (mode
+    "matrix-prefix") it keeps the dense prefix sum S(k) = sum_{j<k} A^j
+    and power A^k of its map's matrix, built on first use and advanced to
+    the next index by binary doubling: O(log k) dense products per index,
+    with error about k * eps.  Above that ("factorized-per-index") it sums
+    the powers, O(m_i) applications per index.  ``metadata["coordinates"]``
+    names what each coordinate ran: "closed-form" (also for a coordinate
+    that never passes 1), "dense-prefix" or "power-sum".
     """
     if len(ops) != net.dimension:
         raise InvalidInputError("one operator per net dimension required")
@@ -200,40 +235,35 @@ def net_average_trace(ops: Sequence[SuperOperator], x: Element, net: SectorNet,
         validate_family(ops, seed=seed)
     algebra = x.algebra
     use_matrix = algebra.vec_dim <= _MATRIX_ROUTE_MAX_DIM
+    routes = ["closed-form"] * len(ops)
+    prefixes: List[Optional[tuple]] = [None] * len(ops)
 
     outputs: List[Element] = []
-    if not use_matrix:
-        for n in net.indices:
-            outputs.append(box_average(ops, x, n, check=False))
-    else:
-        eye = np.eye(algebra.vec_dim, dtype=complex)
-        mats = [op.to_matrix() for op in ops]
-        # per dimension: (k, S(k), A^k)
-        state = [(0, np.zeros_like(eye), eye)] * len(ops)
-        sa = x.selfadjoint if all(op.structurally_selfadjoint()
-                                  for op in ops) else None
-        for n in net.indices:
-            m = [max(int(k), 1) for k in n]
-            for i, a in enumerate(mats):
-                count, s, p = state[i]
-                step, cs, cp = m[i] - count, eye, a  # chunk S(2^j), A^(2^j)
-                while step:
-                    if step & 1:
-                        s, p = s + p @ cs, p @ cp
-                    step >>= 1
-                    if step:
-                        cs, cp = cs + cp @ cs, cp @ cp
-                state[i] = (m[i], s, p)
-            v = x.vec()
-            for (_, s, _), k in zip(reversed(state), reversed(m)):
-                v = (s @ v) / k
-            outputs.append(Element.from_vec(algebra, v, selfadjoint=sa))
+    for n in net.indices:
+        y = x
+        for i, (op, m) in enumerate(zip(ops, n)):
+            if m <= 1:
+                continue
+            avg = op.cesaro_average(y, m) if routes[i] == "closed-form" else None
+            if avg is not None:
+                y = avg
+            elif use_matrix:
+                routes[i] = "dense-prefix"
+                prefixes[i] = _advance_prefix(op, prefixes[i], m)
+                sa = y.selfadjoint and op.structurally_selfadjoint()
+                y = Element.from_vec(algebra, (prefixes[i][1] @ y.vec()) / m,
+                                     selfadjoint=True if sa else None)
+            else:
+                routes[i] = "power-sum"
+                y = _power_sum(op, y, m)
+        outputs.append(y)
 
     from .singular import lp_norm
     sup_norms = [y.sup_norm() for y in outputs]
     one_norms = [lp_norm(y, 1) for y in outputs]
     meta = {
         "mode": "matrix-prefix" if use_matrix else "factorized-per-index",
+        "coordinates": tuple(routes),
         "net_model": "monotone cofinal index sequence (finite stand-in for a net)",
         "seed": seed,
     }
@@ -246,8 +276,12 @@ def cesaro_limit_oracle(ops: Sequence[SuperOperator], x: Element) -> Element:
     Each conjugator contributes the pinching onto its eigenspaces
     (``UnitaryConjugation.cesaro_limit``, the limit kernel in the cached
     Schur basis); the joint limit is the successive application of these
-    pinchings (order-independent for a commuting family).  It shares no
-    code with the matrix-prefix route of ``net_average_trace``.
+    pinchings (order-independent for a commuting family).  It reads the
+    same cached Schur basis as the closed-form averages of ``box_average``
+    and ``net_average_trace``, so it is no independent check of them; the
+    tests check those against kernels and dense power sums built without
+    ncergo's Schur code, and the benchmark against the plain-numpy
+    references of ``perfbench/refs.py``.
     """
     for op in ops:
         if not isinstance(op, UnitaryConjugation):

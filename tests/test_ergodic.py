@@ -9,16 +9,18 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import MANY_BLOCKS, SEED, random_block_expectation, \
     random_pinching, random_unitary, random_unitary_element
-from ncergo import BesicovitchFunction, Element, InterpolationFlow, \
-    SectorNet, TracedAlgebra, TrigPolynomial, UnitaryConjugation, \
-    UnitaryFlow, besicovitch_average, box_average, cesaro_limit_oracle, \
-    check_besicovitch, net_average_trace, sector_check, submajorizes
+from ncergo import BesicovitchFunction, ConvexCombination, Element, \
+    InterpolationFlow, Power, SectorNet, TracedAlgebra, TrigPolynomial, \
+    UnitaryConjugation, UnitaryFlow, besicovitch_average, box_average, \
+    cesaro_limit_oracle, check_besicovitch, net_average_trace, sector_check, \
+    submajorizes
 from ncergo.config import PHASE_TOL
 from ncergo.ergodic import validate_family
 from ncergo.errors import InvalidInputError, NumericFailureError
-from ncergo.fixtures import besicovitch_theta_fixture, unitary_flow_fixture
+from ncergo.fixtures import besicovitch_theta_fixture, conjugation_d2_fixture, \
+    unitary_flow_fixture
 from ncergo.rng import stream
-from ncergo.superops import BlockExpectation, Pinching
+from ncergo.superops import BlockExpectation, Pinching, SuperOperator
 
 
 def commuting_pinchings(algebra):
@@ -420,6 +422,186 @@ def test_net_average_converges_to_oracle():
     # multiples of the phase period average out exactly
     assert errs[-1] < 1e-12
     assert submajorizes(x, trace.outputs[-1])
+
+
+def geometric_kernel(z, zn, n):
+    """(1 - z^n) / (n (1 - z)) entrywise from z and z^n, and 1 where z = 1."""
+    same = z == 1.0
+    return np.where(same, 1.0, (1.0 - zn) / (n * np.where(same, 1.0, 1.0 - z)))
+
+
+def test_net_average_fixture_matches_exact_kernel():
+    """The ``conjugation_d2_fixture`` trace, entrywise against the kernels
+    of its diagonal phases, built without ncergo's Schur code.  The phases
+    are multiples of pi/6, so z^n = e^{i pi s / 6} with s = n (a - b) mod 12
+    reduced in integers, and the reference rounds only O(eps).  The bound,
+    a few ulp of |x|, is below the k * eps that summing or doubling the
+    powers to k = 10^4 accumulates (about 2e-14 here)."""
+    _, ops, x, net, _ = conjugation_d2_fixture()
+    trace = net_average_trace(ops, x, net)
+    assert trace.metadata["coordinates"] == ("closed-form", "closed-form")
+    steps = []
+    for op in ops:
+        u = op.u.data[0]
+        s = np.rint(np.angle(np.diag(u)) / (np.pi / 6)).astype(int)
+        assert np.abs(u - np.diag(np.exp(1j * np.pi / 6 * s))).max() <= 1e-15
+        steps.append(s[:, None] - s[None, :])
+    scale = max(1.0, x.sup_norm())
+    for n, out in zip(net.indices, trace.outputs):
+        expected = x.data[0]
+        for s, k in zip(steps, n):
+            z = np.exp(1j * np.pi / 6 * (s % 12))
+            zn = np.exp(1j * np.pi / 6 * (k * s % 12))
+            expected = expected * geometric_kernel(z, zn, k)
+        assert np.abs(out.data[0] - expected).max() <= 1e-15 * scale
+
+
+def dense_matrix(op):
+    """The dense matrix of a closed-form map on row-major vec(x), block by
+    block: kron(u, conj(u)) for a conjugation, sum_p kron(p, conj(p)) for a
+    pinching (p = p*), diag(vec(mask)) for a block expectation."""
+    if isinstance(op, UnitaryConjugation):
+        blocks = [np.kron(u, u.conj()) for u in op.u.data]
+    elif isinstance(op, Pinching):
+        blocks = [sum(np.kron(p, p.conj()) for p in ps)
+                  for ps in zip(*(p.data for p in op.projections))]
+    else:
+        blocks = []
+        for groups, d in zip(op.partition, op.algebra.dims):
+            mask = np.zeros((d, d))
+            for g in groups:
+                mask[np.ix_(g, g)] = 1.0
+            blocks.append(np.diag(mask.ravel()))
+    return scipy.linalg.block_diag(*blocks)
+
+
+def test_net_average_matches_dense_power_sums():
+    """Rotated conjugations (one with repeated eigenvalues), a non-diagonal
+    pinching and a block expectation, each along a net to k = 4096, against
+    running sums of powers of dense matrices built here."""
+    algebra = TracedAlgebra(CLOSED_FORM_LAYOUTS[1])
+    rng = stream(SEED, "test/ergodic/net-dense-powers")
+    ks = (0, 1, 2, 3, 3, 97, 1000, 4096)
+    for op in (UnitaryConjugation(random_unitary_element(rng, algebra)),
+               rotated_conjugation(rng, algebra, [1.0, -1.0, 1j]),
+               random_pinching(rng, algebra, parts=3),
+               random_block_expectation(rng, algebra)):
+        x = algebra.random_element(rng)
+        trace = net_average_trace([op], x, SectorNet(1, tuple((k,) for k in ks)))
+        assert trace.metadata["coordinates"] == ("closed-form",)
+        a = dense_matrix(op)
+        acc, z, count = np.zeros(algebra.vec_dim, dtype=complex), x.vec(), 0
+        for k, out in zip(ks, trace.outputs):
+            m = max(k, 1)
+            for _ in range(count, m):
+                acc, z = acc + z, a @ z
+            count = m
+            gap = np.abs(out.vec() - acc / m).max()
+            assert gap <= 1e-10 * max(1.0, x.sup_norm())
+
+
+def counted_matrix_builds(monkeypatch):
+    """Count dense matrix builds (``_build_matrix``) of every operator class."""
+    calls = [0]
+    for cls in (SuperOperator, UnitaryConjugation, Pinching, BlockExpectation):
+        def counting(self, _build=cls._build_matrix):
+            calls[0] += 1
+            return _build(self)
+        monkeypatch.setattr(cls, "_build_matrix", counting)
+    return calls
+
+
+def multiplier_family(algebra, rng):
+    """Four commuting maps that multiply entries by fixed weights: a
+    diagonal conjugation and a block expectation, which have closed forms,
+    and a convex combination and a power, which have none."""
+    conjugations = diagonal_conjugations(algebra, [
+        [rng.uniform(0.0, 2.0 * np.pi, d) for d in algebra.dims] for _ in range(3)])
+    return [conjugations[0],
+            ConvexCombination([(0.5, conjugations[1]),
+                               (0.5, _coordinate_pinching(algebra))]),
+            random_block_expectation(rng, algebra),
+            Power(conjugations[2], 2)]
+
+
+def test_net_average_mixed_closed_form_and_fallback(monkeypatch):
+    """Coordinates without a closed form share a net with closed-form ones,
+    on both sides of the 256 size cut, with zero coordinates and a repeated
+    index: each falls back on its own, from its first index above 1, to
+    a dense prefix (its matrix built once) or to summed powers."""
+    builds = counted_matrix_builds(monkeypatch)
+    rng = stream(SEED, "test/ergodic/net-mixed")
+    indices = ((0, 0, 0, 0), (2, 0, 1, 0), (2, 3, 1, 0), (2, 3, 1, 0),
+               (5, 3, 4, 2), (5, 4, 4, 3))
+    for layout, fallback in ((((3, 1.0), (1, 0.5), (2, 1.0)), "dense-prefix"),
+                             (((12, 1.0), (12, 1.0)), "power-sum")):
+        algebra = TracedAlgebra(layout)
+        ops = multiplier_family(algebra, rng)
+        x = algebra.random_element(rng, selfadjoint=fallback == "dense-prefix")
+        builds[0] = 0
+        for count, routes in ((4, ("closed-form", fallback, "closed-form",
+                                   "closed-form")),
+                              (6, ("closed-form", fallback, "closed-form",
+                                   fallback))):
+            trace = net_average_trace(ops, x, SectorNet(4, indices[:count]))
+            assert trace.metadata["coordinates"] == routes
+            # ``to_matrix`` is cached: the second net builds only the power's
+            assert builds[0] == routes.count("dense-prefix")
+        assert trace.metadata["mode"] == ("matrix-prefix" if algebra.vec_dim <= 256
+                                          else "factorized-per-index")
+        scale = max(1.0, x.sup_norm())
+        for n, out in zip(indices, trace.outputs):
+            assert (out - box_average(ops, x, n, check=False)).sup_norm() <= 1e-10 * scale
+            assert (out - brute_force_box(ops, x, n)).sup_norm() <= 1e-10 * scale
+
+
+def test_closed_form_net_builds_no_matrix(monkeypatch):
+    """Nets of conjugations, pinchings and block expectations, rotated or
+    diagonal, to k = 10^6, average every coordinate in closed form and
+    build no dense matrix."""
+    builds = counted_matrix_builds(monkeypatch)
+    algebra = TracedAlgebra(((3, 1.0), (3, 0.5)))
+    rng = stream(SEED, "test/ergodic/net-no-matrix")
+    families = commuting_closed_form_families(algebra, rng)
+    conjugation, _, expectation, _ = multiplier_family(algebra, rng)
+    families.append([conjugation, expectation, _coordinate_pinching(algebra)])
+    x = algebra.random_element(rng, selfadjoint=True)
+    for ops in families:
+        d = len(ops)
+        net = SectorNet(d, ((0,) * d, (1,) * d, (4,) * d, (64,) * d,
+                            (10 ** 6,) * d))
+        trace = net_average_trace(ops, x, net)
+        assert trace.metadata["coordinates"] == ("closed-form",) * d
+    assert builds[0] == 0
+
+
+def test_net_average_to_10_12_matches_kernel():
+    """Two commuting rotated-basis conjugations on two blocks, along a net
+    to k = 10^12 in both coordinates, against the product of their
+    geometric-series kernels in the basis they were built in."""
+    algebra = TracedAlgebra(((3, 1.0), (2, 0.5)))
+    rng = stream(SEED, "test/ergodic/net-10-12")
+    qs = [random_unitary(rng, d) for d in algebra.dims]
+    thetas = [[np.array([0.4, 2.1, -1.3]), np.array([3.0, -0.2])],
+              [np.array([-2.5, 0.9, 1.6]), np.array([1.2, 0.7])]]
+    ops = [UnitaryConjugation(Element(algebra, [
+        (q * np.exp(1j * t)) @ q.conj().T for q, t in zip(qs, per_block)]))
+        for per_block in thetas]
+    x = algebra.random_element(rng)
+    net = SectorNet(2, ((1, 1), (7, 3), (1000, 999), (10 ** 6, 10 ** 6),
+                        (10 ** 9 + 7, 10 ** 9), (10 ** 12, 10 ** 12)))
+    t0 = time.perf_counter()
+    trace = net_average_trace(ops, x, net)
+    assert time.perf_counter() - t0 < 0.5
+    assert trace.metadata["coordinates"] == ("closed-form", "closed-form")
+    scale = max(1.0, x.sup_norm())
+    for n, out in zip(net.indices, trace.outputs):
+        for b, (q, xb, yb) in enumerate(zip(qs, x.data, out.data)):
+            y = q.conj().T @ xb @ q
+            for per_block, k in zip(thetas, n):
+                phi = per_block[b][:, None] - per_block[b][None, :]
+                y = y * geometric_kernel(np.exp(1j * phi), np.exp(1j * k * phi), k)
+            assert np.abs(yb - q @ y @ q.conj().T).max() <= 1e-12 * scale
 
 
 def test_average_trace_csv():
