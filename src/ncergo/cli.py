@@ -237,20 +237,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mu", help="singular-value function and norms report")
     p.add_argument("--input", required=True, help="element JSON")
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_mu)
 
     p = sub.add_parser("ds-check", help="contraction certificate for a map")
     p.add_argument("map", help="JSON with algebra and operator")
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_ds_check)
 
     p = sub.add_parser("average", help="run an averaging scenario end to end")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--config", help="scenario config JSON")
     group.add_argument("--bundled", help="name of a bundled scenario config")
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_average)
     # SUPPRESS keeps an absent subcommand --seed from overwriting a global one
     p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
 
@@ -262,12 +259,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cauchy", action="store_true",
                    help="certify the Cauchy property instead of convergence")
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("remark32", help="emit the counterexample model trace")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_remark32)
     return parser
 
 
@@ -280,10 +275,12 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    if args.seed is None and args.func is not cmd_average:
+    if args.seed is None and args.command != "average":
         args.seed = 0
+    # looked up per call, so that a rebound handler is the one that runs
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return handler(args)
     except (InvalidInputError, FileNotFoundError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT

@@ -2,17 +2,29 @@
 
 The box average of a commuting family of positive contractions over a
 multi-index n is the normalized sum of all mixed powers with exponents
-below n (a zero coordinate contributes only the zeroth power and a
-normalizer factor of 1).  It factors into one-dimensional averages, one
-per coordinate.  Unitary conjugations, pinchings and block expectations
-take theirs in closed form (``SuperOperator.cesaro_average``): O(d^3) per
-coordinate and index whatever the index, with O(eps) rounding (about
-k * eps between numerically repeated conjugator eigenvalues).  Along a
-monotone index net, a coordinate whose map has no closed form carries a
-dense prefix sum advanced by binary doubling (O(log k) products per
-index, error about k * eps) on small algebras, and sums its powers on
-larger ones.  Conjugation families also have a closed-form limit, the
-pinching onto the joint eigenvalue-equality spaces.
+below n.  It factors into one-dimensional averages: coordinate i averages
+the previous coordinate's output over its first m_i = max(n_i, 1) powers,
+and m_i = 1 (a zero coordinate too) leaves it unchanged.  One engine,
+``_BoxAverager``, computes it for ``box_average`` at one index and for
+``net_average_trace`` at every index of a monotone net.  Each coordinate
+takes one of three routes:
+
+- "closed-form": unitary conjugations, pinchings and block expectations
+  (``SuperOperator.cesaro_average``: a Hadamard kernel in the conjugator's
+  cached Schur basis, x/m + (1 - 1/m) P(x) for the idempotents).  O(d^3)
+  whatever m_i is, with O(eps) rounding, except about m_i * eps between
+  numerically repeated conjugator eigenvalues.
+- "dense-prefix": a map without one, on algebras of vectorized dimension
+  up to 256.  Its matrix A is built once (cached on the map), and the
+  prefix sum S(k) = sum_{j<k} A^j is advanced from the previous index by
+  binary doubling: O(log k) dense products per index, error about k * eps.
+- "power-sum": a map without one, on larger algebras.  It sums its
+  powers, O(m_i) applications per index, error about m_i * eps.
+
+A coordinate leaves the closed form at its first m_i > 1 where its map
+has none, and keeps the fallback from then on.  Conjugation families also
+have a closed-form limit, the pinching onto the joint eigenvalue-equality
+spaces.
 """
 
 from __future__ import annotations
@@ -110,49 +122,71 @@ def validate_family(ops: Sequence[SuperOperator], trials: int = 10,
     return certs
 
 
-def _power_sum(op: SuperOperator, x: Element, m: int) -> Element:
-    """(1/m) sum_{k<m} op^k(x) by repeated ``apply``."""
-    acc = x
-    z = x
-    for _ in range(1, m):
-        z = op.apply(z)
-        acc = acc + z
-    return acc.scaled(1.0 / m)
+_MATRIX_ROUTE_MAX_DIM = 256
 
 
-def _one_dim_average(op: SuperOperator, x: Element, m: int) -> Element:
-    """(1/m) sum_{k<m} op^k(x): the map's closed form where it has one
-    (``SuperOperator.cesaro_average``), else the sum of its powers."""
-    if m > 1:
-        closed = op.cesaro_average(x, m)
-        if closed is not None:
-            return closed
-    return _power_sum(op, x, m)
+class _BoxAverager:
+    """The box average at an index, one coordinate at a time, by the routes
+    of the module docstring.  It keeps each coordinate's route and dense
+    prefix ``(k, S(k), A^k)``, so that calls at nondecreasing indices
+    advance the prefix instead of restarting it."""
+
+    def __init__(self, ops: Sequence[SuperOperator], algebra: TracedAlgebra):
+        self.ops = ops
+        self.algebra = algebra
+        self.dense = algebra.vec_dim <= _MATRIX_ROUTE_MAX_DIM
+        self.routes = ["closed-form"] * len(ops)
+        self.prefixes: List[Optional[tuple]] = [None] * len(ops)
+
+    def __call__(self, x: Element, n: Sequence[int]) -> Element:
+        for i, (op, m) in enumerate(zip(self.ops, n)):
+            if m <= 1:
+                continue
+            avg = op.cesaro_average(x, m) if self.routes[i] == "closed-form" else None
+            x = avg if avg is not None else self._fallback(i, x, m)
+        return x
+
+    def _fallback(self, i: int, x: Element, m: int) -> Element:
+        """Coordinate i's average of x over m powers of a map without a
+        closed form.  The dense prefix advances by S(a + b) = S(a) + A^a S(b)
+        over chunks S(2^j), A^(2^j) doubled from A."""
+        op = self.ops[i]
+        if not self.dense:
+            self.routes[i] = "power-sum"
+            acc = z = x
+            for _ in range(1, m):
+                z = op.apply(z)
+                acc = acc + z
+            return acc.scaled(1.0 / m)
+        self.routes[i] = "dense-prefix"
+        a = op.to_matrix()
+        eye = np.eye(len(a), dtype=complex)
+        count, s, p = self.prefixes[i] or (0, np.zeros_like(eye), eye)
+        step, cs, cp = m - count, eye, a
+        while step:
+            if step & 1:
+                s, p = s + p @ cs, p @ cp
+            step >>= 1
+            if step:
+                cs, cp = cs + cp @ cs, cp @ cp
+        self.prefixes[i] = (m, s, p)
+        sa = x.selfadjoint and op.structurally_selfadjoint()
+        return Element.from_vec(self.algebra, (s @ x.vec()) / m,
+                                selfadjoint=True if sa else None)
 
 
 def box_average(ops: Sequence[SuperOperator], x: Element, n: Sequence[int],
                 check: bool = True, seed: int = 0) -> Element:
-    """Normalized mixed-power sum over the box below n.
-
-    Commutativity lets the d-dimensional sum factor into sequential
-    one-dimensional Cesàro averages.  Unitary conjugations, pinchings and
-    block expectations average in closed form (a Hadamard kernel in the
-    conjugator's Schur basis; x/n + (1 - 1/n) P(x) for the idempotents):
-    O(d^3) per coordinate whatever n_i is, with O(eps) rounding, except
-    about n_i * eps for numerically repeated conjugator eigenvalues.  Other
-    maps sum their powers, O(n_i) applications with error growing about
-    like n_i * eps.  Zero coordinates contribute the identity average (only
-    the zeroth power, normalizer 1) and return x's blocks unchanged.
-    """
+    """Normalized mixed-power sum over the box below n, by the engine and
+    routes of the module docstring.  A zero coordinate contributes only the
+    zeroth power and a normalizer factor of 1."""
     if len(ops) != len(n):
         raise InvalidInputError("one exponent bound per operator required")
     if any(k < 0 for k in n):
         raise InvalidInputError("exponent bounds must be nonnegative")
     if check:
         validate_family(ops, seed=seed)
-    for op, ni in zip(ops, n):
-        x = _one_dim_average(op, x, max(int(ni), 1))
-    return x
+    return _BoxAverager(ops, x.algebra)(x, [int(k) for k in n])
 
 
 @dataclass
@@ -188,82 +222,28 @@ class AverageTrace:
         return buf.getvalue()
 
 
-_MATRIX_ROUTE_MAX_DIM = 256
-
-
-def _advance_prefix(op: SuperOperator, state: Optional[tuple], m: int) -> tuple:
-    """The dense prefix ``(m, S(m), A^m)`` of op's matrix A, with
-    S(k) = sum_{j<k} A^j, advanced from ``state`` (None: k = 0) by binary
-    doubling, S(a + b) = S(a) + A^a S(b), over chunks S(2^j), A^(2^j)."""
-    a = op.to_matrix()
-    eye = np.eye(len(a), dtype=complex)
-    count, s, p = state or (0, np.zeros_like(eye), eye)
-    step, cs, cp = m - count, eye, a
-    while step:
-        if step & 1:
-            s, p = s + p @ cs, p @ cp
-        step >>= 1
-        if step:
-            cs, cp = cs + cp @ cs, cp @ cp
-    return m, s, p
-
-
 def net_average_trace(ops: Sequence[SuperOperator], x: Element, net: SectorNet,
                       check: bool = True, seed: int = 0) -> AverageTrace:
-    """Averages at every net index, one coordinate at a time.
-
-    At each index n the output is the box average: coordinate i averages
-    the previous coordinate's output over its first m_i = max(n_i, 1)
-    powers, and m_i = 1 leaves it unchanged.  Each coordinate takes its
-    map's closed form (``SuperOperator.cesaro_average``: a Hadamard kernel
-    in the cached Schur basis for conjugations, x/m + (1 - 1/m) P(x) for
-    pinchings and block expectations): O(d^3) per index whatever m_i is,
-    with O(eps) rounding (about m_i * eps between numerically repeated
-    conjugator eigenvalues).  A coordinate whose map has none falls back,
-    from its first m_i > 1 on.  For vectorized dimension up to 256 (mode
-    "matrix-prefix") it keeps the dense prefix sum S(k) = sum_{j<k} A^j
-    and power A^k of its map's matrix, built on first use and advanced to
-    the next index by binary doubling: O(log k) dense products per index,
-    with error about k * eps.  Above that ("factorized-per-index") it sums
-    the powers, O(m_i) applications per index.  ``metadata["coordinates"]``
-    names what each coordinate ran: "closed-form" (also for a coordinate
-    that never passes 1), "dense-prefix" or "power-sum".
+    """The box average at every net index, by one engine that carries each
+    coordinate's route and dense prefix from index to index (module
+    docstring).  ``metadata["mode"]`` is "matrix-prefix" up to the size cut
+    and "factorized-per-index" above it; ``metadata["coordinates"]`` names
+    the route each coordinate ran, "closed-form" also for a coordinate that
+    never passes 1.
     """
     if len(ops) != net.dimension:
         raise InvalidInputError("one operator per net dimension required")
     if check:
         validate_family(ops, seed=seed)
-    algebra = x.algebra
-    use_matrix = algebra.vec_dim <= _MATRIX_ROUTE_MAX_DIM
-    routes = ["closed-form"] * len(ops)
-    prefixes: List[Optional[tuple]] = [None] * len(ops)
-
-    outputs: List[Element] = []
-    for n in net.indices:
-        y = x
-        for i, (op, m) in enumerate(zip(ops, n)):
-            if m <= 1:
-                continue
-            avg = op.cesaro_average(y, m) if routes[i] == "closed-form" else None
-            if avg is not None:
-                y = avg
-            elif use_matrix:
-                routes[i] = "dense-prefix"
-                prefixes[i] = _advance_prefix(op, prefixes[i], m)
-                sa = y.selfadjoint and op.structurally_selfadjoint()
-                y = Element.from_vec(algebra, (prefixes[i][1] @ y.vec()) / m,
-                                     selfadjoint=True if sa else None)
-            else:
-                routes[i] = "power-sum"
-                y = _power_sum(op, y, m)
-        outputs.append(y)
+    engine = _BoxAverager(ops, x.algebra)
+    outputs = [engine(x, n) for n in net.indices]
 
     from .singular import lp_norm
     sup_norms = [y.sup_norm() for y in outputs]
     one_norms = [lp_norm(y, 1) for y in outputs]
     meta = {
-        "mode": "matrix-prefix" if use_matrix else "factorized-per-index",
-        "coordinates": tuple(routes),
+        "mode": "matrix-prefix" if engine.dense else "factorized-per-index",
+        "coordinates": tuple(engine.routes),
         "net_model": "monotone cofinal index sequence (finite stand-in for a net)",
         "seed": seed,
     }

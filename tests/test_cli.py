@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import ncergo
-from ncergo import TracedAlgebra, serialize
+from ncergo import BlockExpectation, ConvexCombination, Element, \
+    TracedAlgebra, UnitaryConjugation, serialize
 from ncergo.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, EXIT_REFUTED, main
 
 
@@ -19,7 +20,6 @@ def write_json(path, payload):
 
 def diag_element_spec(values):
     a = TracedAlgebra(((len(values), 1.0),))
-    from ncergo import Element
     x = Element(a, [np.diag(values).astype(complex)], selfadjoint=True)
     return serialize.element_to_dict(x)
 
@@ -125,6 +125,19 @@ def test_main_calls_share_no_argument_state(tmp_path, capsys):
     assert first.read_bytes() == written
 
 
+def test_main_looks_up_the_handler_per_call(tmp_path, monkeypatch):
+    """``main`` runs the handler bound in ``ncergo.cli`` at call time, also
+    one rebound after the cached parser was built."""
+    from ncergo import cli
+    cli._parser()
+    seen = []
+    monkeypatch.setattr(cli, "cmd_mu",
+                        lambda args: seen.append(args.input) or EXIT_REFUTED)
+    assert main(["mu", "--input", "x.json",
+                 "--out-dir", str(tmp_path)]) == EXIT_REFUTED
+    assert seen == ["x.json"]
+
+
 # -- average ------------------------------------------------------------------
 
 def test_average_bundled_conjugation(tmp_path):
@@ -181,6 +194,34 @@ def test_average_non_commuting_family(tmp_path):
         "seed": 7})
     assert main(["average", "--config", cfg,
                  "--out-dir", str(tmp_path / "out")]) == EXIT_INPUT
+
+
+def test_average_config_without_closed_form(tmp_path):
+    """A convex combination of a diagonal conjugation and a block
+    expectation, which has no closed form, beside a block expectation: the
+    run certifies, and trace.csv is the in-process trace's CSV."""
+    algebra = TracedAlgebra(((3, 1.0), (1, 0.5)))
+    u = Element(algebra, [np.diag(np.exp(1j * np.array([0.0, 2.0, -1.0]))),
+                          np.eye(1)])
+    expectation = BlockExpectation(algebra, [[[0, 1], [2]], [[0]]])
+    family = [ConvexCombination([(0.5, UnitaryConjugation(u)), (0.5, expectation)]),
+              expectation]
+    x = algebra.random_element(np.random.default_rng(5))
+    cfg = {"algebra": serialize.algebra_to_dict(algebra),
+           "element": {"explicit": serialize.element_to_dict(x)["blocks"]},
+           "operators": [serialize.superop_to_dict(op) for op in family],
+           "net": {"indices": [[4 ** k, 2 ** k] for k in range(8)]},
+           "seed": 3}
+    out = tmp_path / "out"
+    assert main(["average", "--config", write_json(tmp_path / "cfg.json", cfg),
+                 "--out-dir", str(out)]) == EXIT_OK
+    ops = [serialize.superop_from_dict(o, algebra) for o in cfg["operators"]]
+    net = ncergo.SectorNet(2, tuple(tuple(n) for n in cfg["net"]["indices"]))
+    x = serialize.element_from_dict({"blocks": cfg["element"]["explicit"]}, algebra)
+    trace = ncergo.net_average_trace(ops, x, net, seed=3)
+    assert trace.metadata["coordinates"] == ("dense-prefix", "closed-form")
+    lines = (out / "trace.csv").read_text().splitlines(keepends=True)
+    assert "".join(l for l in lines if not l.startswith("# ")) == trace.to_csv()
 
 
 def test_average_unknown_fixture(tmp_path):

@@ -230,8 +230,9 @@ def counted_applies(monkeypatch):
 def test_closed_form_guards_keep_the_power_sum(monkeypatch):
     """A conjugator whose Schur factor is off diagonal or off the unit
     circle by more than CLOSED_FORM_TOL (but unitary to UNITARY_TOL), and
-    a pinching whose projections are idempotent only to PINCHING_TOL, are
-    averaged by summing their powers."""
+    a pinching whose projections are idempotent only to PINCHING_TOL, have
+    no closed form.  On the 2x2 algebra they take the dense prefix; the
+    sheared conjugator above the 256 size cut sums its powers."""
     a = TracedAlgebra(((2, 1.0),))
     x = a.random_element(stream(SEED, "test/ergodic/guards"))
     sheared = np.diag([1.0, 1j])
@@ -242,10 +243,24 @@ def test_closed_form_guards_keep_the_power_sum(monkeypatch):
            Pinching([Element(a, [p]), Element(a, [np.eye(2) - p])])]
     for op in ops:
         assert op.cesaro_average(x, 5) is None
-        calls = counted_applies(monkeypatch)
+        trace = net_average_trace([op], x, SectorNet(1, ((5,),)), check=False)
+        assert "dense-prefix" in trace.metadata["coordinates"]
         y = box_average([op], x, (5,), check=False)
-        assert calls[0] == 4
         assert (y - power_sum_average(op, x, 5)).sup_norm() <= 1e-15
+
+    large = TracedAlgebra(((12, 1.0), (12, 1.0)))  # vec_dim 288 > 256
+    x = large.random_element(stream(SEED, "test/ergodic/guards-large"))
+    blocks = []
+    for d in large.dims:
+        b = np.diag(np.exp(1j * np.linspace(0.0, 3.0, d)))
+        b[0, 1] = 1e-9
+        blocks.append(b)
+    op = UnitaryConjugation(Element(large, blocks))
+    assert op.cesaro_average(x, 5) is None
+    calls = counted_applies(monkeypatch)
+    y = box_average([op], x, (5,), check=False)
+    assert calls[0] == 4
+    assert (y - power_sum_average(op, x, 5)).sup_norm() <= 1e-15 * x.sup_norm()
 
 
 def commuting_closed_form_families(algebra, rng):
@@ -553,6 +568,33 @@ def test_net_average_mixed_closed_form_and_fallback(monkeypatch):
         for n, out in zip(indices, trace.outputs):
             assert (out - box_average(ops, x, n, check=False)).sup_norm() <= 1e-10 * scale
             assert (out - brute_force_box(ops, x, n)).sup_norm() <= 1e-10 * scale
+
+
+ENGINE_LAYOUTS = (((1, 1.0),), ((3, 1.0), (1, 0.5), (2, 1.0)),
+                  ((12, 1.0), (12, 1.0)))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@example(layout=ENGINE_LAYOUTS[1], family="multiplier", n=(3, 64, 0, 5), seed=0)
+@example(layout=ENGINE_LAYOUTS[2], family="multiplier", n=(1, 5, 2, 0), seed=1)
+@example(layout=ENGINE_LAYOUTS[0], family="closed-form", n=(0, 1, 64), seed=2)
+@given(layout=st.sampled_from(ENGINE_LAYOUTS),
+       family=st.sampled_from(("closed-form", "multiplier")),
+       n=st.lists(st.sampled_from((0, 1, 2, 5, 64)), min_size=4, max_size=4),
+       seed=st.integers(0, 2 ** 16))
+def test_box_average_is_the_net_engine_at_one_index(layout, family, n, seed):
+    """``box_average`` at n and a one-index ``net_average_trace`` at n give
+    the same blocks, bit for bit, on every route."""
+    algebra = TracedAlgebra(layout)
+    rng = stream(seed, "test/ergodic/one-engine")
+    ops = multiplier_family(algebra, rng)
+    if family == "closed-form":  # the members with closed forms
+        ops = [ops[0], _coordinate_pinching(algebra), ops[2]]
+    n = tuple(n[:len(ops)])
+    x = algebra.random_element(rng)
+    box = box_average(ops, x, n, check=False)
+    net = net_average_trace(ops, x, SectorNet(len(ops), (n,)), check=False)
+    assert all(np.array_equal(a, b) for a, b in zip(box.data, net.outputs[0].data))
 
 
 def test_closed_form_net_builds_no_matrix(monkeypatch):
