@@ -9,12 +9,11 @@ from .certify import (FiniteTrace, WitnessCertificate, bilateral_to_onesided,
 from .ergodic import (AverageTrace, BesicovitchFunction, InterpolationFlow,
                       SectorNet, Semigroup, TrigPolynomial, UnitaryFlow,
                       besicovitch_average, box_average, cesaro_limit_oracle,
-                      check_besicovitch, net_average_trace, sector_check)
+                      net_average_trace, sector_check)
 from .errors import (InvalidInputError, NcergoError, NoLimitError,
                      NumericFailureError, PostconditionError)
-from .singular import (MeasureNeighborhood, clip_decompose, enlarge_projection,
-                       fava_decompose, fava_membership, fava_support_trace,
-                       in_neighborhood, k_functional, lp_norm, measure_metric,
+from .singular import (clip_decompose, enlarge_projection, fava_decompose,
+                       fava_support_trace, k_functional, lp_norm, measure_metric,
                        mu, mu_at, spectral_projection_below, submajorizes)
 from .stepfn import StepFunction
 from .superops import (BlockExpectation, Composition, ConvexCombination,

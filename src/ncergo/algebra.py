@@ -77,9 +77,6 @@ class TracedAlgebra:
         data = [np.zeros((d, d), dtype=complex) for d in self.dims]
         return Element(self, data, selfadjoint=True, positive=True, projection=True)
 
-    def element(self, data, **flags) -> "Element":
-        return Element(self, data, **flags)
-
     def random_element(self, rng: np.random.Generator, scale: float = 1.0,
                        selfadjoint: bool = False) -> "Element":
         data = []

@@ -173,19 +173,18 @@ class _MeetBuilder:
     def meet(self) -> Element:
         return self._meet_from_sums(self._sums)
 
-    def with_swap(self, index: int, projection: Element) -> Element:
+    def with_swap(self, index: int, projection: Element):
+        """``(meet, sums)`` with term ``index`` swapped for ``projection``;
+        ``commit`` takes the sums back if the swap is kept."""
         # complements differ by (old - new) of the projections themselves
         sums = [s + (old_b - new_b)
                 for s, old_b, new_b in zip(self._sums,
                                            self.current[index].data,
                                            projection.data)]
-        return self._meet_from_sums(sums)
+        return self._meet_from_sums(sums), sums
 
-    def commit(self, index: int, projection: Element):
-        self._sums = [s + (old_b - new_b)
-                      for s, old_b, new_b in zip(self._sums,
-                                                 self.current[index].data,
-                                                 projection.data)]
+    def commit(self, index: int, projection: Element, sums):
+        self._sums = sums
         self.current[index] = projection
 
 
@@ -234,9 +233,9 @@ def _search_witness(differences: Sequence[Element], epsilon: float, mode: str,
         if target is None:
             break
         candidate = term_projection(target, cursor[target] + 1)
-        e_trial = builder.with_swap(target, candidate)
+        e_trial, sums = builder.with_swap(target, candidate)
         if trace_deficiency(e_trial) <= epsilon + BUDGET_SLACK:
-            builder.commit(target, candidate)
+            builder.commit(target, candidate, sums)
             cursor[target] += 1
             e = e_trial
             bounds = _compressed_bounds(stacks, e, mode)
@@ -413,7 +412,8 @@ def _row_spectra(trace: FiniteTrace):
     for a in range(len(trace) - 1):
         parts = []
         for xs in stacks:
-            dd = xs[a] - xs[a + 1:]
+            with np.errstate(over="ignore", invalid="ignore"):
+                dd = xs[a] - xs[a + 1:]
             if not np.isfinite(dd).all():
                 raise InvalidInputError("non-finite matrix entries")
             parts.append(stacked_singular_values(dd).reshape(len(dd), -1))

@@ -60,8 +60,6 @@ PHASE_TOL = 1e-8
 CLOSED_FORM_TOL = 1e-12
 #: default sup-norm gap of successive Simpson refinements that ends quadrature
 QUAD_TOL = 1e-8
-#: smallest horizon of the grid in the Besicovitch mean-gap estimate
-BESICOVITCH_MIN_HORIZON = 1e-3
 
 # -- certificates -------------------------------------------------------------
 

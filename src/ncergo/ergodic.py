@@ -38,8 +38,7 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from .algebra import Element, TracedAlgebra, _adj, check_vecs
-from .config import (BESICOVITCH_MIN_HORIZON, COMMUTE_TOL, IDEMPOTENT_TOL,
-                     QUAD_TOL, SEMIGROUP_TOL)
+from .config import COMMUTE_TOL, IDEMPOTENT_TOL, QUAD_TOL, SEMIGROUP_TOL
 from .errors import InvalidInputError, NumericFailureError
 from .rng import stream
 from .superops import DSCertificate, SuperOperator, UnitaryConjugation, verify_ds
@@ -170,7 +169,8 @@ class _BoxAverager:
             if step:
                 cs, cp = cs + cp @ cs, cp @ cp
         self.prefixes[i] = (m, s, p)
-        sa = x.selfadjoint and op.structurally_selfadjoint()
+        # positive maps preserve adjoints
+        sa = x.selfadjoint and op.structurally_positive()
         return Element.from_vec(self.algebra, (s @ x.vec()) / m,
                                 selfadjoint=True if sa else None)
 
@@ -294,22 +294,14 @@ class TrigPolynomial:
 class BesicovitchFunction:
     """A bounded weight function with a trigonometric approximant.
 
-    The callable value is polynomial(s) + residual(s); the residual's sup
-    bound is declared by the caller and the declared total sup norm must
-    cover the polynomial plus residual.
+    The callable value is polynomial(s) + residual(s).
     """
 
     polynomial: TrigPolynomial
     residual: Optional[Callable[[float], complex]] = None
-    residual_sup: float = 0.0
-    sup_norm: Optional[float] = None
 
     def __post_init__(self):
-        declared = self.sup_norm
-        if declared is None:
-            declared = self.polynomial.sup_bound() + self.residual_sup
-            object.__setattr__(self, "sup_norm", declared)
-        if not np.isfinite(declared):
+        if not np.isfinite(self.polynomial.sup_bound()):
             raise InvalidInputError("sup norm must be finite")
 
     def __call__(self, s: float) -> complex:
@@ -457,28 +449,3 @@ def besicovitch_average(beta: BesicovitchFunction, flow: Semigroup, x: Element,
     raise NumericFailureError(
         f"quadrature did not reach tol {quad_tol} within depth {max_depth} "
         f"(last gap {gap:.3e}, {2 * m + 1} nodes)")
-
-
-def check_besicovitch(beta: BesicovitchFunction, epsilon: float, t_max: float,
-                      grid_points: int = 12, nodes: int = 2048):
-    """Estimate the long-run mean gap between beta and its polynomial part.
-
-    Returns ``(verdict, estimates)`` where estimates are pairs
-    (t, mean of |beta - p| over [0, t]) at a geometric grid of horizons;
-    the verdict holds when the final estimate falls below epsilon.  This
-    is a finite-horizon estimate, not a proof.
-    """
-    if t_max <= 0:
-        raise InvalidInputError("t_max must be > 0")
-    t_min = max(t_max / 2 ** (grid_points - 1), BESICOVITCH_MIN_HORIZON)
-    ts = np.geomspace(t_min, t_max, grid_points)
-    estimates = []
-    for t in ts:
-        if beta.residual is None:
-            estimates.append((float(t), 0.0))
-            continue
-        xs = np.linspace(0.0, t, 2 * nodes + 1)
-        vals = np.array([abs(beta.residual(s)) for s in xs])
-        integral = _simpson(vals, t / (2 * nodes))
-        estimates.append((float(t), float(integral / t)))
-    return estimates[-1][1] < epsilon, estimates

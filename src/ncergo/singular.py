@@ -10,7 +10,6 @@ computed exactly from that step function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
@@ -21,18 +20,6 @@ from .config import (BOUND_SLACK, ENLARGE_DEFICIENCY_SLACK, RANK_REL,
                      SUBMAJOR_SLACK, TWO_ROUTE_REL)
 from .errors import InvalidInputError, PostconditionError
 from .stepfn import StepFunction, integral_dominates
-
-
-@dataclass(frozen=True)
-class MeasureNeighborhood:
-    """The neighborhood of zero with trace budget epsilon and norm level delta."""
-
-    epsilon: float
-    delta: float
-
-    def __post_init__(self):
-        if not (self.epsilon > 0 and self.delta > 0):
-            raise InvalidInputError("epsilon and delta must be positive")
 
 
 def mu(x: Element) -> StepFunction:
@@ -157,19 +144,6 @@ def spectral_projection_below(x: Element, level: float) -> Element:
     return projection_from_ranges(x.algebra, bases)
 
 
-def in_neighborhood(x: Element, nbhd: MeasureNeighborhood):
-    """Membership of x in the neighborhood, with a witness projection.
-
-    Returns ``(True, e)`` with e the spectral projection of |x| at level
-    delta (so ||x e||_inf <= delta and tau(e_perp) <= epsilon), or
-    ``(False, None)``.
-    """
-    if mu_at(x, nbhd.epsilon) > nbhd.delta:
-        return False, None
-    e = spectral_projection_below(x, nbhd.delta)
-    return True, e
-
-
 def enlarge_projection(x: Element, e: Element) -> Element:
     """Turn a two-sided compression bound into a one-sided one.
 
@@ -229,15 +203,3 @@ def fava_support_trace(x: Element, delta: float) -> float:
     for s, weight in zip(x.singular_values(), x.algebra.weights):
         total += weight * int(np.count_nonzero(s > delta))
     return total
-
-
-def fava_membership(x: Element, horizon: float, tol: float) -> bool:
-    """Finite-model surrogate for mu_t(x) -> 0: checks mu at the horizon.
-
-    The true predicate quantifies over t -> infinity; at desk scale the
-    trace is finite, so membership is judged at a user-set horizon and
-    tolerance (recorded in every report that uses it).
-    """
-    if horizon <= 0:
-        raise InvalidInputError("horizon must be > 0")
-    return mu_at(x, horizon) <= tol

@@ -40,15 +40,11 @@ class SuperOperator:
         raise NotImplementedError
 
     def structurally_positive(self) -> bool:
-        """True when positivity holds by construction."""
-        raise NotImplementedError
-
-    def structurally_selfadjoint(self) -> bool:
-        """True when x = x* implies A(x) = A(x)* by construction."""
-        raise NotImplementedError
-
-    def structural_bounds(self) -> Optional[Tuple[float, float]]:
-        """(c_1, c_inf) upper bounds implied by the node structure, if any."""
+        """True when positivity holds by construction: every leaf of the
+        map's tree is a conjugation, pinching or block expectation.  A
+        positive map also preserves adjoints (a selfadjoint x is x+ - x-),
+        and its contraction constants are exactly ||A(1)||_inf and
+        ||A*(1)||_inf, so no other structural fact is needed."""
         raise NotImplementedError
 
     def __call__(self, x: Element) -> Element:
@@ -165,12 +161,6 @@ class UnitaryConjugation(SuperOperator):
     def structurally_positive(self) -> bool:
         return True
 
-    def structurally_selfadjoint(self) -> bool:
-        return True
-
-    def structural_bounds(self):
-        return (1.0, 1.0)
-
 
 class Pinching(SuperOperator):
     """x -> sum_i p_i x p_i for an orthogonal partition of unity."""
@@ -225,12 +215,6 @@ class Pinching(SuperOperator):
     def structurally_positive(self) -> bool:
         return True
 
-    def structurally_selfadjoint(self) -> bool:
-        return True
-
-    def structural_bounds(self):
-        return (1.0, 1.0)
-
 
 class BlockExpectation(SuperOperator):
     """Conditional expectation onto a block-diagonal subalgebra.
@@ -274,12 +258,6 @@ class BlockExpectation(SuperOperator):
     def structurally_positive(self) -> bool:
         return True
 
-    def structurally_selfadjoint(self) -> bool:
-        return True
-
-    def structural_bounds(self):
-        return (1.0, 1.0)
-
 
 class ConvexCombination(SuperOperator):
     """Sub-convex combination sum w_i A_i with w_i >= 0, sum <= 1."""
@@ -307,19 +285,6 @@ class ConvexCombination(SuperOperator):
     def structurally_positive(self) -> bool:
         return all(op.structurally_positive() for _, op in self.terms)
 
-    def structurally_selfadjoint(self) -> bool:
-        return all(op.structurally_selfadjoint() for _, op in self.terms)
-
-    def structural_bounds(self):
-        acc1 = accinf = 0.0
-        for w, op in self.terms:
-            b = op.structural_bounds()
-            if b is None:
-                return None
-            acc1 += w * b[0]
-            accinf += w * b[1]
-        return (acc1, accinf)
-
 
 class Composition(SuperOperator):
     """Left-to-right composition: the first factor is applied last."""
@@ -340,19 +305,6 @@ class Composition(SuperOperator):
 
     def structurally_positive(self) -> bool:
         return all(op.structurally_positive() for op in self.factors)
-
-    def structurally_selfadjoint(self) -> bool:
-        return all(op.structurally_selfadjoint() for op in self.factors)
-
-    def structural_bounds(self):
-        acc1 = accinf = 1.0
-        for op in self.factors:
-            b = op.structural_bounds()
-            if b is None:
-                return None
-            acc1 *= b[0]
-            accinf *= b[1]
-        return (acc1, accinf)
 
 
 class Power(SuperOperator):
@@ -375,15 +327,6 @@ class Power(SuperOperator):
 
     def structurally_positive(self) -> bool:
         return self.base.structurally_positive()
-
-    def structurally_selfadjoint(self) -> bool:
-        return self.base.structurally_selfadjoint()
-
-    def structural_bounds(self):
-        b = self.base.structural_bounds()
-        if b is None:
-            return None
-        return (b[0] ** self.exponent, b[1] ** self.exponent)
 
 
 class ExplicitMatrix(SuperOperator):
@@ -419,12 +362,6 @@ class ExplicitMatrix(SuperOperator):
 
     def structurally_positive(self) -> bool:
         return False
-
-    def structurally_selfadjoint(self) -> bool:
-        return False
-
-    def structural_bounds(self):
-        return None
 
 
 def _idempotent_average(op: SuperOperator, x: Element, m: int) -> Element:
@@ -491,7 +428,9 @@ def check_positivity(op: SuperOperator, trials: int = 50, seed: int = 0) -> bool
 
 
 def check_selfadjointness(op: SuperOperator, trials: int = 20, seed: int = 0) -> bool:
-    if op.structurally_selfadjoint():
+    """Whether A maps selfadjoint elements to selfadjoint ones: exact for
+    structurally positive maps, sampled otherwise."""
+    if op.structurally_positive():  # positive maps preserve adjoints
         return True
     rng = stream(seed, "superops/selfadjointness")
     for _ in range(trials):
@@ -506,10 +445,10 @@ def verify_ds(op: SuperOperator, trials: int = 50, seed: int = 0) -> DSCertifica
     """Certify the trace- and sup-norm bounds of a map.
 
     Structurally positive maps get exact bounds via unitality / trace
-    duality: c_inf = ||A(1)||_inf and c_1 = ||adj(A)(1)||_inf.  Maps with
-    sampled positivity use the same formulas but are marked "sampled";
-    non-positive maps fall back to sampled ratio lower bounds combined
-    with structural upper bounds where available.
+    duality: c_inf = ||A(1)||_inf and c_1 = ||adj(A)(1)||_inf, with method
+    "exact-positive".  Maps with sampled positivity use the same formulas
+    but are marked "sampled"; maps that fail the positivity samples report
+    the largest sampled norm ratios, which are lower bounds only.
     """
     from .singular import lp_norm
 
@@ -522,7 +461,6 @@ def verify_ds(op: SuperOperator, trials: int = 50, seed: int = 0) -> DSCertifica
         method = "exact-positive" if op.structurally_positive() else "sampled"
         return DSCertificate(c_1, c_inf, positive, selfadj, method)
 
-    bounds = op.structural_bounds()
     rng = stream(seed, "superops/norm-ratios")
     c_1 = c_inf = 0.0
     for _ in range(trials):
@@ -530,10 +468,6 @@ def verify_ds(op: SuperOperator, trials: int = 50, seed: int = 0) -> DSCertifica
         y = op.apply(x)
         c_inf = max(c_inf, y.sup_norm() / max(x.sup_norm(), 1e-300))
         c_1 = max(c_1, lp_norm(y, 1) / max(lp_norm(x, 1), 1e-300))
-    if bounds is not None:
-        # structural bounds are valid upper bounds; sampled ratios only
-        # witness that they are not wildly loose
-        c_1, c_inf = bounds
     return DSCertificate(c_1, c_inf, positive, selfadj, "sampled")
 
 

@@ -267,6 +267,7 @@ def test_certify_empty_dir(tmp_path):
                  "--out-dir", str(tmp_path / "out")]) == EXIT_INPUT
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_certify_overflowing_difference_is_input_error(tmp_path, capsys):
     trace_dir = tmp_path / "trace"
     trace_dir.mkdir()

@@ -12,7 +12,7 @@ from conftest import MANY_BLOCKS, SEED, random_block_expectation, \
 from ncergo import BesicovitchFunction, ConvexCombination, Element, \
     InterpolationFlow, Power, SectorNet, TracedAlgebra, TrigPolynomial, \
     UnitaryConjugation, UnitaryFlow, besicovitch_average, box_average, \
-    cesaro_limit_oracle, check_besicovitch, net_average_trace, sector_check, \
+    cesaro_limit_oracle, net_average_trace, sector_check, \
     submajorizes
 from ncergo.config import PHASE_TOL
 from ncergo.ergodic import validate_family
@@ -969,21 +969,3 @@ def test_selfadjoint_flag_verified_at_every_node():
     # unflagged, the same output is accepted
     assert np.isfinite(flow.apply(0.3, Element(a, x.data)).vec()).all()
 
-
-def test_check_besicovitch():
-    pure = BesicovitchFunction(TrigPolynomial(((1.0, 2.0),)))
-    ok, estimates = check_besicovitch(pure, 1e-9, 100.0)
-    assert ok and estimates[-1][1] == 0.0
-
-    square = BesicovitchFunction(
-        TrigPolynomial(((1.0, 1.0),)),
-        residual=lambda s: 0.1 * np.sign(np.sin(s)), residual_sup=0.1)
-    ok, estimates = check_besicovitch(square, 0.05, 200.0)
-    assert not ok
-    assert estimates[-1][1] == pytest.approx(0.1, rel=0.1)
-
-    decaying = BesicovitchFunction(
-        TrigPolynomial(((1.0, 1.0),)),
-        residual=lambda s: 1.0 / (1.0 + s), residual_sup=1.0)
-    ok, estimates = check_besicovitch(decaying, 0.01, 1000.0)
-    assert ok

@@ -4,12 +4,10 @@ from hypothesis import given, strategies as st
 
 from conftest import SEED, BLOCK_CONFIGS, LAYOUTS, abs_element, \
     make_algebra, random_projection, spectrum_elements, spectrum_examples
-from ncergo import Element, TracedAlgebra, MeasureNeighborhood, \
-    clip_decompose, enlarge_projection, fava_decompose, fava_membership, \
-    fava_support_trace, in_neighborhood, k_functional, lp_norm, \
-    measure_metric, mu, mu_at, spectral_projection_below, submajorizes, \
-    trace_deficiency
-from ncergo.certify import remark32_model
+from ncergo import Element, TracedAlgebra, clip_decompose, \
+    enlarge_projection, fava_decompose, fava_support_trace, k_functional, \
+    lp_norm, measure_metric, mu, mu_at, spectral_projection_below, \
+    submajorizes, trace_deficiency
 from ncergo.config import SUBMAJOR_SLACK
 from ncergo.errors import InvalidInputError
 from ncergo.rng import stream
@@ -238,21 +236,6 @@ def test_measure_metric_is_a_metric_sample():
         assert dxy <= measure_metric(x, z) + measure_metric(z, y) + 1e-9
 
 
-def test_in_neighborhood():
-    a = TracedAlgebra(((2, 1.0),))
-    ok, e = in_neighborhood(a.zero(), MeasureNeighborhood(0.5, 0.5))
-    assert ok and (e - a.identity()).sup_norm() < 1e-12
-    x = diag_element([3.0, 1.0])
-    ok, e = in_neighborhood(x, MeasureNeighborhood(1.5, 1.0))
-    assert ok
-    assert trace_deficiency(e) <= 1.5
-    assert (x @ e).sup_norm() <= 1.0 + 1e-9
-    ok, e = in_neighborhood(x, MeasureNeighborhood(0.5, 1.0))
-    assert not ok and e is None
-    with pytest.raises(InvalidInputError):
-        MeasureNeighborhood(0.0, 1.0)
-
-
 def test_spectral_projection_below():
     x = diag_element([3.0, 1.0, 0.5])
     e = spectral_projection_below(x, 1.0)
@@ -325,17 +308,6 @@ def test_fava_decompose_random():
                 np.abs(np.linalg.eigvalsh(b)) > delta))
                 for b, (_, w) in zip(x.data, a.blocks))
             assert fava_support_trace(x, delta) == pytest.approx(expected)
-
-
-def test_fava_membership():
-    a = TracedAlgebra(((2, 1.0),))
-    assert fava_membership(a.zero(), 1.0, 0.0)
-    assert not fava_membership(a.identity(), 1.0, 0.5)
-    _, _, f = remark32_model(6)
-    # support of f ends at 1 - 2^-6 < 1
-    assert fava_membership(f, 1.0, 0.0)
-    with pytest.raises(InvalidInputError):
-        fava_membership(a.zero(), 0.0, 0.0)
 
 
 # -- flat-spectrum readers against the scalar loops ----------------------------

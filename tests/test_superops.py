@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import MANY_BLOCKS, SEED, BLOCK_CONFIGS, make_algebra, \
     random_block_expectation, random_pinching, random_projection, \
@@ -8,6 +10,7 @@ from ncergo import BlockExpectation, Composition, ConvexCombination, Element, \
     ExplicitMatrix, Pinching, Power, TracedAlgebra, UnitaryConjugation, \
     audit_submajorization, check_positivity, fava_decompose, lp_norm, \
     preserves_fava, submajorizes, verify_ds
+from ncergo.config import DS_SLACK, SELFADJOINT_TOL
 from ncergo.errors import InvalidInputError
 from ncergo.rng import stream
 from ncergo.superops import SuperOperator, check_selfadjointness
@@ -279,6 +282,80 @@ def test_exact_positive_norm_bounds_dominate_samples():
                 cert.sup_norm_bound * x.sup_norm() + 1e-9
             assert lp_norm(op.apply(x), 1) <= \
                 cert.one_norm_bound * lp_norm(x, 1) + 1e-9
+
+
+
+# -- operator trees -----------------------------------------------------------
+
+TREE_LEAVES = st.sampled_from(("conjugation", "pinching", "expectation", "explicit"))
+
+
+def tree_shapes(depth):
+    """Leaf names, ("convex" | "composition", [children]) and ("power",
+    [child], exponent) nodes, with leaves at most ``depth`` levels down."""
+    if depth == 0:
+        return TREE_LEAVES
+    child = tree_shapes(depth - 1)
+    return st.one_of(
+        TREE_LEAVES,
+        st.tuples(st.sampled_from(("convex", "composition")),
+                  st.lists(child, min_size=1, max_size=2)),
+        st.tuples(st.just("power"), st.lists(child, min_size=1, max_size=1),
+                  st.integers(0, 3)))
+
+
+def build_tree(shape, rng, a):
+    if shape == "conjugation":
+        return UnitaryConjugation(random_unitary_element(rng, a))
+    if shape == "pinching":
+        return random_pinching(rng, a)
+    if shape == "expectation":
+        return random_block_expectation(rng, a)
+    if shape == "explicit":
+        blocks = [rng.standard_normal((d * d, d * d)) / (d * d) for d in a.dims]
+        return ExplicitMatrix(a, scipy.linalg.block_diag(*blocks))
+    if shape[0] == "power":
+        return Power(build_tree(shape[1][0], rng, a), shape[2])
+    children = [build_tree(c, rng, a) for c in shape[1]]
+    if shape[0] == "composition":
+        return Composition(children)
+    weights = rng.dirichlet(np.ones(len(children))) * rng.uniform(0.5, 1.0)
+    return ConvexCombination(list(zip(weights, children)))
+
+
+def has_explicit_leaf(shape):
+    if isinstance(shape, str):
+        return shape == "explicit"
+    return any(has_explicit_leaf(c) for c in shape[1])
+
+
+@example(layout=MANY_BLOCKS, seed=1,
+         shape=("convex", [("power", [("composition", ["pinching", "expectation"])], 3),
+                           ("power", ["conjugation"], 2)]))
+@example(layout=BLOCK_CONFIGS[5], seed=2,
+         shape=("composition", [("power", ["explicit"], 0), "conjugation"]))
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(layout=st.sampled_from((((1, 1.0),), BLOCK_CONFIGS[5], MANY_BLOCKS)),
+       shape=tree_shapes(3), seed=st.integers(0, 2 ** 16))
+def test_operator_trees_positive_exactly_without_explicit_leaves(layout, shape, seed):
+    """On trees of conjugations, pinchings, block expectations and explicit
+    matrices, structural positivity is the absence of an explicit leaf, and
+    it alone gives the exact certificate and preserved adjoints."""
+    rng = stream(seed, "test/superops/trees")
+    a = TracedAlgebra(layout)
+    op = build_tree(shape, rng, a)
+    positive = not has_explicit_leaf(shape)
+    assert op.structurally_positive() == positive
+    cert = verify_ds(op, trials=10)
+    if not positive:
+        assert cert.method == "sampled"
+        return
+    assert cert.method == "exact-positive"
+    assert cert.one_norm_bound <= 1.0 + DS_SLACK
+    assert cert.sup_norm_bound <= 1.0 + DS_SLACK
+    assert check_selfadjointness(op)
+    y = op.apply(a.random_element(rng, selfadjoint=True))
+    assert (y - y.adjoint()).sup_norm() <= SELFADJOINT_TOL * max(1.0, y.sup_norm())
 
 
 # -- spectral splitting through a map -----------------------------------------
