@@ -9,6 +9,7 @@ flags (selfadjoint / positive / projection).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Optional, Sequence
@@ -26,7 +27,7 @@ class TracedAlgebra:
     blocks: tuple  # tuple of (dim, weight)
 
     def __post_init__(self):
-        blocks = tuple((int(d), float(w)) for d, w in self.blocks)
+        blocks = tuple((_integer(d, "block dim"), float(w)) for d, w in self.blocks)
         if not blocks:
             raise InvalidInputError("algebra needs at least one block")
         for d, w in blocks:
@@ -293,6 +294,14 @@ def rearranged(algebra: TracedAlgebra, values: np.ndarray) -> tuple:
     cumulative = np.concatenate([np.zeros(values.shape[:-1] + (1,)),
                                  np.cumsum(weights, axis=-1)], axis=-1)
     return np.take_along_axis(values, order, axis=-1), weights, cumulative
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int; a float such as 2.5 is refused, not truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

@@ -38,7 +38,6 @@ class FiniteTrace:
         elements = tuple(self.elements)
         if not elements:
             raise InvalidInputError("trace must be non-empty")
-        algebra = elements[0].algebra
         for x in elements[1:]:
             x._same_algebra(elements[0])
         object.__setattr__(self, "elements", elements)
@@ -199,6 +198,8 @@ def _search_witness(differences: Sequence[Element], epsilon: float, mode: str,
     cap_hit says the search stopped after ``max_iter`` iterations with a
     term still open for tightening.
     """
+    if mode not in ("au", "bau"):
+        raise InvalidInputError("mode must be 'au' or 'bau'")
     algebra = differences[0].algebra
     levels = [_distinct_levels(d) for d in differences]
     cursor = []
@@ -248,16 +249,15 @@ def _search_witness(differences: Sequence[Element], epsilon: float, mode: str,
     return e, trace_deficiency(e), bounds, cap_hit
 
 
-def _verdict(bounds: Sequence[float], tail_tol: float) -> str:
+def _verdict(bounds: Sequence[float]) -> str:
     if not bounds:
         return "certified"
-    ok = bounds[-1] <= tail_tol and bounds[-1] <= bounds[0] + TAIL_RISE_SLACK
+    ok = bounds[-1] <= TAIL_TOL and bounds[-1] <= bounds[0] + TAIL_RISE_SLACK
     return "certified" if ok else "refuted-at-horizon"
 
 
 def witness_convergence(trace: FiniteTrace, limit: Element, epsilon: float,
-                        mode: str = "au",
-                        tail_tol: float = TAIL_TOL) -> WitnessCertificate:
+                        mode: str = "au") -> WitnessCertificate:
     """Search for a single projection witnessing convergence to `limit`.
 
     Degenerate budgets (epsilon >= tau(1)) are honored with the zero
@@ -265,8 +265,6 @@ def witness_convergence(trace: FiniteTrace, limit: Element, epsilon: float,
     """
     if epsilon <= 0:
         raise InvalidInputError("epsilon must be > 0")
-    if mode not in ("au", "bau"):
-        raise InvalidInputError("mode must be 'au' or 'bau'")
     limit._same_algebra(trace.elements[0])
     notes = {"horizon_semantics":
              "finite-trace judgment; no claim beyond the horizon"}
@@ -289,11 +287,11 @@ def witness_convergence(trace: FiniteTrace, limit: Element, epsilon: float,
             raise PostconditionError("two-sided bound exceeds one-sided bound")
     return WitnessCertificate(mode, epsilon, e, deficiency,
                               tuple(enumerate(bounds)),
-                              _verdict(bounds, tail_tol), len(trace), notes)
+                              _verdict(bounds), len(trace), notes)
 
 
-def certify_cauchy(trace: FiniteTrace, epsilon: float, mode: str = "bau",
-                   tail_tol: float = TAIL_TOL) -> WitnessCertificate:
+def certify_cauchy(trace: FiniteTrace, epsilon: float,
+                   mode: str = "bau") -> WitnessCertificate:
     """Certify the Cauchy property of a finite trace under one witness.
 
     The witness is built from consecutive differences; the reported tail
@@ -332,27 +330,23 @@ def certify_cauchy(trace: FiniteTrace, epsilon: float, mode: str = "bau",
         sups.append(float(pair[j:, j:].max()))
     return WitnessCertificate(mode, epsilon, e, deficiency,
                               tuple(enumerate(sups)),
-                              _verdict(sups, tail_tol), n, notes)
+                              _verdict(sups), n, notes)
 
 
-def bilateral_to_onesided(trace: FiniteTrace, certificate: WitnessCertificate,
-                          limit: Optional[Element] = None,
-                          tail_tol: float = TAIL_TOL) -> WitnessCertificate:
+def bilateral_to_onesided(trace: FiniteTrace,
+                          certificate: WitnessCertificate) -> WitnessCertificate:
     """Upgrade a bilateral certificate to a one-sided one.
 
-    Each difference is pushed through the projection enlargement, which
-    doubles the trace budget at worst and never worsens the bound.  The
-    enlarged projection varies per index (convergence-in-measure style);
-    the certificate records the worst deficiency and the last projection.
+    Each consecutive difference goes through the projection enlargement,
+    which doubles the trace budget at worst and never worsens the bound.
+    The enlarged projection varies per index (convergence-in-measure
+    style); the certificate records the worst deficiency and last projection.
     """
     if certificate.mode != "bau":
         raise InvalidInputError("input certificate must be bilateral")
     e = certificate.projection
-    if limit is not None:
-        differences = [limit - x for x in trace.elements]
-    else:
-        differences = [trace.elements[i + 1] - trace.elements[i]
-                       for i in range(len(trace) - 1)]
+    differences = [trace.elements[i + 1] - trace.elements[i]
+                   for i in range(len(trace) - 1)]
     def_e = trace_deficiency(e)
     bounds, worst = [], 0.0
     f = e
@@ -372,8 +366,7 @@ def bilateral_to_onesided(trace: FiniteTrace, certificate: WitnessCertificate,
                         "worst case, projection is the last one")
     return WitnessCertificate("au", 2.0 * certificate.epsilon, f, worst,
                               tuple(enumerate(bounds)),
-                              _verdict(bounds, tail_tol),
-                              certificate.horizon, notes)
+                              _verdict(bounds), certificate.horizon, notes)
 
 
 def extract_limit(trace: FiniteTrace) -> Tuple[Element, List[float]]:

@@ -33,13 +33,10 @@ def _config_hash(payload: bytes) -> str:
     return hashlib.sha256(payload).hexdigest()[:16]
 
 
-def _manifest(config_hash: str, seed: int, extra: dict | None = None) -> dict:
-    m = {"config_sha256_16": config_hash, "seed": seed,
-         "tool": "ncergo", "semifinite_emulation":
-         "finite total trace; horizon-limited judgments"}
-    if extra:
-        m.update(extra)
-    return m
+def _manifest(config_hash: str, seed: int) -> dict:
+    return {"config_sha256_16": config_hash, "seed": seed,
+            "tool": "ncergo", "semifinite_emulation":
+            "finite total trace; horizon-limited judgments"}
 
 
 def _write(path: Path, text: str):

@@ -37,7 +37,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .algebra import Element, TracedAlgebra, _adj, check_vecs
+from .algebra import Element, TracedAlgebra, _adj, _integer, check_vecs
 from .config import COMMUTE_TOL, IDEMPOTENT_TOL, QUAD_TOL, SEMIGROUP_TOL
 from .errors import InvalidInputError, NumericFailureError
 from .rng import stream
@@ -59,7 +59,8 @@ class SectorNet:
     sector_constant: Optional[float] = None
 
     def __post_init__(self):
-        idx = tuple(tuple(int(k) for k in n) for n in self.indices)
+        idx = tuple(tuple(_integer(k, "net index") for k in n)
+                    for n in self.indices)
         if not idx:
             raise InvalidInputError("net needs at least one index")
         for n in idx:
@@ -81,26 +82,24 @@ class SectorNet:
 
 
 def sector_check(net: SectorNet, c0: float) -> bool:
-    """True iff every coordinate ratio along the net stays below c0."""
+    """True iff at every index the box sides m_i = max(n_i, 1), the powers
+    the engine averages over, have a largest-to-smallest ratio of at most
+    c0.  A zero coordinate is a side of 1: (10**6, 0) needs c0 >= 10**6."""
     if c0 <= 0:
         raise InvalidInputError("sector constant must be > 0")
-    for n in net.indices:
-        for ni in n:
-            for nj in n:
-                if nj != 0 and ni / nj > c0:
-                    return False
-    return True
+    sides = [[max(k, 1) for k in n] for n in net.indices]
+    return all(max(m, default=1) / min(m, default=1) <= c0 for m in sides)
 
 
 # -- family validation --------------------------------------------------------
 
-def validate_family(ops: Sequence[SuperOperator], trials: int = 10,
+def validate_family(ops: Sequence[SuperOperator],
                     seed: int = 0) -> List[DSCertificate]:
     """Check a family is made of commuting positive contractions.
 
     Contraction and positivity come from ``verify_ds`` certificates;
-    commutativity is a seeded sampled check (structural proof is out of
-    scope).
+    commutativity is sampled: every pair must commute on the same ten
+    random elements, drawn from ``seed`` (structural proof is out of scope).
     """
     if not ops:
         raise InvalidInputError("empty operator family")
@@ -110,7 +109,7 @@ def validate_family(ops: Sequence[SuperOperator], trials: int = 10,
         if not cert.is_ds() or not cert.positivity:
             raise InvalidInputError("family member is not a positive contraction")
     rng = stream(seed, "ergodic/commutativity")
-    for _ in range(trials):
+    for _ in range(10):
         y = algebra.random_element(rng)
         for i, a in enumerate(ops):
             for b in ops[i + 1:]:
@@ -176,17 +175,17 @@ class _BoxAverager:
 
 
 def box_average(ops: Sequence[SuperOperator], x: Element, n: Sequence[int],
-                check: bool = True, seed: int = 0) -> Element:
-    """Normalized mixed-power sum over the box below n, by the engine and
-    routes of the module docstring.  A zero coordinate contributes only the
-    zeroth power and a normalizer factor of 1."""
+                seed: int = 0) -> Element:
+    """Normalized mixed-power sum over the box below n, after
+    ``validate_family``, by the engine and routes of the module docstring.
+    A zero coordinate contributes only the zeroth power and a factor 1."""
     if len(ops) != len(n):
         raise InvalidInputError("one exponent bound per operator required")
+    n = [_integer(k, "exponent bound") for k in n]
     if any(k < 0 for k in n):
         raise InvalidInputError("exponent bounds must be nonnegative")
-    if check:
-        validate_family(ops, seed=seed)
-    return _BoxAverager(ops, x.algebra)(x, [int(k) for k in n])
+    validate_family(ops, seed=seed)
+    return _BoxAverager(ops, x.algebra)(x, n)
 
 
 @dataclass
@@ -203,8 +202,8 @@ class AverageTrace:
         if len(self.outputs) != len(self.net):
             raise InvalidInputError("one output per net index required")
 
-    def to_csv(self, reference: Optional[Element] = None, p: float = 1.0,
-               deficiencies: Optional[Sequence[float]] = None) -> str:
+    def to_csv(self, reference: Optional[Element] = None) -> str:
+        """Per index, the sup- and 1-norm errors against ``reference``."""
         from .singular import lp_norm
         buf = io.StringIO()
         d = self.net.dimension
@@ -213,28 +212,26 @@ class AverageTrace:
         for i, (n, out) in enumerate(zip(self.net.indices, self.outputs)):
             if reference is not None:
                 diff = out - reference
-                err_inf, err_p = diff.sup_norm(), lp_norm(diff, p)
+                err_inf, err_p = diff.sup_norm(), lp_norm(diff, 1.0)
             else:
                 err_inf = err_p = float("nan")
-            deficiency = deficiencies[i] if deficiencies is not None else 0.0
             ns = ",".join(str(k) for k in n)
-            buf.write(f"{i},{ns},{err_inf!r},{err_p!r},{deficiency!r}\n")
+            buf.write(f"{i},{ns},{err_inf!r},{err_p!r},0.0\n")
         return buf.getvalue()
 
 
 def net_average_trace(ops: Sequence[SuperOperator], x: Element, net: SectorNet,
-                      check: bool = True, seed: int = 0) -> AverageTrace:
-    """The box average at every net index, by one engine that carries each
-    coordinate's route and dense prefix from index to index (module
-    docstring).  ``metadata["mode"]`` is "matrix-prefix" up to the size cut
-    and "factorized-per-index" above it; ``metadata["coordinates"]`` names
-    the route each coordinate ran, "closed-form" also for a coordinate that
-    never passes 1.
+                      seed: int = 0) -> AverageTrace:
+    """The box average at every net index, after ``validate_family``, by
+    one engine that carries each coordinate's route and dense prefix from
+    index to index (module docstring).  ``metadata["mode"]`` is
+    "matrix-prefix" up to the size cut and "factorized-per-index" above
+    it; ``metadata["coordinates"]`` names the route each coordinate ran,
+    "closed-form" also for a coordinate that never passes 1.
     """
     if len(ops) != net.dimension:
         raise InvalidInputError("one operator per net dimension required")
-    if check:
-        validate_family(ops, seed=seed)
+    validate_family(ops, seed=seed)
     engine = _BoxAverager(ops, x.algebra)
     outputs = [engine(x, n) for n in net.indices]
 
@@ -340,9 +337,9 @@ class Semigroup:
         row = self._orbit(np.array([s], dtype=float), x)[0]
         return Element.from_vec(x.algebra, row, selfadjoint=x.selfadjoint)
 
-    def _check_law(self, trials: int = 5, seed: int = 0):
-        rng = stream(seed, "ergodic/semigroup-law")
-        for _ in range(trials):
+    def _check_law(self):
+        rng = stream(0, "ergodic/semigroup-law")
+        for _ in range(5):
             x = self.algebra.random_element(rng)
             s, t = rng.uniform(0.0, 2.0, size=2)
             gap = (self.apply(s, self.apply(t, x))

@@ -39,10 +39,10 @@ def conjugation_d2_fixture(seed: int = 2026):
     return algebra, ops, x, net, oracle
 
 
-def besicovitch_theta_fixture(theta: float = 1.0, seed: int = 2026):
-    """Pure exponential weight over the trivial flow on M_2.
+def besicovitch_theta_fixture(seed: int = 2026):
+    """Pure exponential weight e^{is} over the trivial flow on M_2.
 
-    The time average has the closed form x * (e^{i theta t} - 1)/(i theta t).
+    The time average has the closed form x * (e^{it} - 1)/(it).
 
     Returns (algebra, beta, flow, x, closed_form) where closed_form(t) is
     the exact average.
@@ -51,11 +51,11 @@ def besicovitch_theta_fixture(theta: float = 1.0, seed: int = 2026):
     rng = stream(seed, "fixtures/besicovitch-theta/element")
     m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     x = Element(algebra, [m])
-    beta = BesicovitchFunction(TrigPolynomial(((1.0, theta),)))
+    beta = BesicovitchFunction(TrigPolynomial(((1.0, 1.0),)))
     flow = UnitaryFlow(algebra.zero())
 
     def closed_form(t: float) -> Element:
-        factor = (np.exp(1j * theta * t) - 1.0) / (1j * theta * t)
+        factor = (np.exp(1j * t) - 1.0) / (1j * t)
         return x.scaled(factor)
 
     return algebra, beta, flow, x, closed_form

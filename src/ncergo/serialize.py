@@ -46,8 +46,7 @@ def element_to_dict(x: Element) -> dict:
             "blocks": [_matrix_to_pairs(b) for b in x.data]}
 
 
-def element_from_dict(d: dict, algebra: Optional[TracedAlgebra] = None,
-                      **flags) -> Element:
+def element_from_dict(d: dict, algebra: Optional[TracedAlgebra] = None) -> Element:
     try:
         algebra = algebra or algebra_from_dict(d["algebra"])
         data = [_pairs_to_matrix(pairs, dim)
@@ -56,7 +55,7 @@ def element_from_dict(d: dict, algebra: Optional[TracedAlgebra] = None,
             raise InvalidInputError("block count mismatch")
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"bad element spec: {exc}") from exc
-    return Element(algebra, data, **flags)
+    return Element(algebra, data)
 
 
 def superop_to_dict(op: superops.SuperOperator) -> dict:

@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 import scipy.linalg
 
-from .algebra import Element, TracedAlgebra, _adj, stacked
+from .algebra import Element, TracedAlgebra, _adj, _integer, stacked
 from .config import (CLOSED_FORM_TOL, COUPLING_TOL, DS_SLACK, PHASE_TOL,
                      PINCHING_TOL, POSITIVITY_TOL, SELFADJOINT_TOL, UNITARY_TOL,
                      WEIGHT_SUM_SLACK)
@@ -228,8 +228,8 @@ class BlockExpectation(SuperOperator):
         super().__init__(algebra)
         if len(partition) != len(algebra.blocks):
             raise InvalidInputError("partition must cover every block")
-        self.partition = tuple(tuple(tuple(int(i) for i in g) for g in groups)
-                               for groups in partition)
+        self.partition = tuple(tuple(tuple(_integer(i, "partition index") for i in g)
+                                     for g in groups) for groups in partition)
         self._masks = []
         for groups, d in zip(self.partition, algebra.dims):
             seen = sorted(i for g in groups for i in g)
@@ -311,11 +311,12 @@ class Power(SuperOperator):
     """Repeated application of a base map."""
 
     def __init__(self, base: SuperOperator, exponent: int):
+        exponent = _integer(exponent, "exponent")
         if exponent < 0:
             raise InvalidInputError("exponent must be >= 0")
         super().__init__(base.algebra)
         self.base = base
-        self.exponent = int(exponent)
+        self.exponent = exponent
 
     def apply(self, x: Element) -> Element:
         for _ in range(self.exponent):
@@ -487,9 +488,12 @@ def preserves_fava(op: SuperOperator, x: Element, delta: float,
     """Exhibit A(x) = A(y) + A(z) with ||A(z)||_inf <= delta.
 
     Splits x at level delta / c for the certified sup-norm bound c, then
-    pushes both parts through the map.
+    pushes both parts through the map.  Without positivity c is only a
+    sampled lower bound, so such a map is refused.
     """
     cert = certificate or verify_ds(op)
+    if not cert.positivity:
+        raise InvalidInputError("sup-norm bound of a non-positive map is sampled")
     if not cert.selfadjointness:
         raise InvalidInputError("map must be selfadjoint")
     if x.selfadjoint is not True:

@@ -289,7 +289,7 @@ def box_factorization_report(seed):
     for i, n in enumerate(samples):
         ops = family[:len(n)]
         x = a.random_element(rng)
-        fast = box_average(ops, x, n, check=False)
+        fast = box_average(ops, x, n)
         norm = 1
         for k in n:
             norm *= max(k, 1)

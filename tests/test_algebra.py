@@ -26,6 +26,13 @@ def test_algebra_validation():
         TracedAlgebra(((2, -1.0),))
 
 
+def test_algebra_refuses_a_non_integer_dim():
+    for dim in (2.5, 2.0, "2"):
+        with pytest.raises(InvalidInputError, match="block dim"):
+            TracedAlgebra(((dim, 1.0),))
+    assert TracedAlgebra(((np.int64(2), 1.0),)).dims == (2,)
+
+
 def test_total_trace_and_vec_dim():
     a = TracedAlgebra(((2, 0.5), (3, 2.0)))
     assert a.total_trace == 0.5 * 2 + 2.0 * 3

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from ncergo import Element, TracedAlgebra, UnitaryConjugation, \
 from ncergo.certify import FiniteTrace, WitnessCertificate, _MeetBuilder, \
     _compressed_bound, _compressed_bounds, _distinct_levels, \
     _search_witness, _tail_weight, _term_stacks
-from ncergo.config import RANK_REL
+from ncergo.config import RANK_REL, TAIL_TOL
 from ncergo.ergodic import SectorNet, net_average_trace
 from ncergo.errors import InvalidInputError, NoLimitError
 from ncergo.fixtures import conjugation_d2_fixture
@@ -70,10 +71,11 @@ def test_finite_trace_validation():
 # -- witness search -----------------------------------------------------------
 
 def test_witness_reciprocal_trace():
+    """The terms 1/n run until the last bound is within ``TAIL_TOL``."""
     a = TracedAlgebra(((3, 1.0),))
-    terms = tuple(a.identity().scaled(1.0 / n) for n in range(1, 9))
-    cert = witness_convergence(FiniteTrace(terms), a.zero(), 0.5,
-                               mode="au", tail_tol=0.2)
+    horizon = math.ceil(1.0 / TAIL_TOL)
+    terms = tuple(a.identity().scaled(1.0 / n) for n in range(1, horizon + 1))
+    cert = witness_convergence(FiniteTrace(terms), a.zero(), 0.5, mode="au")
     assert cert.certified
     assert (cert.projection - a.identity()).sup_norm() < 1e-10
     assert cert.trace_deficiency == pytest.approx(0.0)
@@ -102,7 +104,7 @@ def test_witness_degenerate_budget():
 
 def test_witness_au_bounds_dominate_bau():
     x, trace, oracle = conjugation_trace()
-    cert = witness_convergence(trace, oracle, 0.05, mode="au", tail_tol=10.0)
+    cert = witness_convergence(trace, oracle, 0.05, mode="au")
     e = cert.projection
     for (idx, bound), term in zip(cert.tail_bounds, trace.elements):
         d = oracle - term
@@ -432,3 +434,22 @@ def test_witness_search_reports_iteration_cap(monkeypatch):
     assert json.loads(cert.to_json())["notes"]["iteration_cap_hit"] is True
     cauchy = certify_cauchy(trace, 2.0 ** -5, mode="bau")
     assert cauchy.notes["iteration_cap_hit"] is True
+
+
+def test_bad_mode_is_refused_before_the_search(monkeypatch):
+    """Both certificate searches check ``mode`` before any spectral cut; the
+    degenerate paths, which run no search, leave it to the certificate."""
+    algebra, trace, f = remark32_model(6)
+    cuts = [0]
+
+    def counting(*args, _cut=certify.spectral_projection_below):
+        cuts[0] += 1
+        return _cut(*args)
+    monkeypatch.setattr(certify, "spectral_projection_below", counting)
+    for search in (lambda: certify_cauchy(trace, 2.0 ** -5, mode="sideways"),
+                   lambda: witness_convergence(trace, f, 2.0 ** -5, mode="sideways"),
+                   lambda: certify_cauchy(trace, 10.0, mode="sideways"),
+                   lambda: witness_convergence(trace, f, 10.0, mode="sideways")):
+        with pytest.raises(InvalidInputError, match="mode"):
+            search()
+    assert cuts[0] == 0

@@ -45,3 +45,29 @@ def test_no_unused_module_level_import():
             found += [f"{path.name}:{node.lineno}: {name}"
                       for name in bound if name not in used]
     assert not found, "\n".join(found)
+
+
+def test_no_config_constant_as_a_parameter_default():
+    """A verdict rests on its inputs and config.py alone: no function takes
+    a constant imported from ``.config`` as a default it lets callers
+    override.  ``besicovitch_average``'s ``quad_tol`` is the one exception,
+    because its callers use two different tolerances."""
+    allowed = {("ergodic.py", "besicovitch_average", "quad_tol")}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        constants = {a.asname or a.name for node in tree.body
+                     if isinstance(node, ast.ImportFrom) and node.module == "config"
+                     for a in node.names}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            pairs = list(zip(positional[len(positional) - len(args.defaults):],
+                             args.defaults)) + list(zip(args.kwonlyargs, args.kw_defaults))
+            found += [f"{path.name}:{fn.lineno}: {fn.name}({arg.arg}={default.id})"
+                      for arg, default in pairs
+                      if isinstance(default, ast.Name) and default.id in constants
+                      and (path.name, fn.name, arg.arg) not in allowed]
+    assert not found, "\n".join(found)

@@ -89,6 +89,26 @@ def test_sector_check_examples():
         sector_check(diag, 0.0)
 
 
+def test_sector_check_reads_zero_coordinates_as_sides_of_one():
+    """The engine averages a zero coordinate over one power, so (5, 0) is a
+    5 x 1 box, outside the unit sector; a zero divisor is no escape."""
+    with pytest.raises(InvalidInputError):
+        SectorNet(2, ((5, 0),), sector_constant=1.0)
+    with pytest.raises(InvalidInputError):
+        SectorNet(2, ((10 ** 6, 0),), sector_constant=1.0)
+    assert not sector_check(SectorNet(2, ((0, 0), (5, 0))), 4.9)
+    net = SectorNet(2, ((0, 0), (1, 0), (1, 1)), sector_constant=1.0)
+    assert sector_check(net, 1.0)
+
+
+def test_non_integer_net_index_is_refused():
+    for index in ((1.5, 2), (1, 2.9), (2.0, 2)):
+        with pytest.raises(InvalidInputError, match="net index"):
+            SectorNet(2, (index,))
+    net = SectorNet(2, ((np.int64(1), 2),))
+    assert net.indices == ((1, 2),) and type(net.indices[0][0]) is int
+
+
 # -- box averages -------------------------------------------------------------
 
 def test_box_average_identity_family():
@@ -104,7 +124,7 @@ def test_box_average_matches_brute_force():
     ops = commuting_pinchings(a)
     x = a.random_element(stream(SEED, "test/ergodic/box-brute"))
     for n in ((3, 4), (1, 6), (0, 5), (4, 0), (2, 2)):
-        fast = box_average(ops, x, n, check=False)
+        fast = box_average(ops, x, n)
         slow = brute_force_box(ops, x, n)
         assert (fast - slow).sup_norm() <= 1e-10
 
@@ -115,7 +135,7 @@ def test_box_average_alternating_closed_form():
     op = UnitaryConjugation(u)
     x = Element(a, [np.array([[0.0, 1.0], [1.0, 0.0]])], selfadjoint=True)
     for n in range(1, 12):
-        avg = box_average([op], x, (n,), check=False)
+        avg = box_average([op], x, (n,))
         expected = x.scaled(1.0 / n) if n % 2 == 1 else a.zero()
         assert (avg - expected).sup_norm() < 1e-12
 
@@ -133,6 +153,16 @@ def test_box_average_rejects_bad_family():
         box_average([UnitaryConjugation(u1)], x, (2, 2))
     with pytest.raises(InvalidInputError):
         box_average([UnitaryConjugation(u1)], x, (-1,))
+
+
+def test_box_average_refuses_a_non_integer_bound():
+    a = TracedAlgebra(((2, 1.0),))
+    op = UnitaryConjugation(Element(a, [np.diag([1.0, -1.0]).astype(complex)]))
+    x = a.random_element(stream(SEED, "test/ergodic/box-float"))
+    with pytest.raises(InvalidInputError, match="exponent bound"):
+        box_average([op], x, (2.7,))
+    same = box_average([op], x, (np.int64(3),))
+    assert (same - box_average([op], x, (3,))).sup_norm() == 0.0
 
 
 # closed-form averages: 1x1, mixed and many-block layouts
@@ -192,11 +222,11 @@ def test_closed_form_average_matches_power_sum(layout, kind, m, seed, selfadjoin
     rng = stream(seed, "test/ergodic/closed-form")
     op = closed_form_operator(kind, algebra, rng)
     x = algebra.random_element(rng, selfadjoint=selfadjoint)
-    y = box_average([op], x, (m,), check=False)
+    y = box_average([op], x, (m,))
     assert y.selfadjoint is (True if selfadjoint else None)
     if m == 1:
         for k in (0, 1):
-            same = box_average([op], x, (k,), check=False)
+            same = box_average([op], x, (k,))
             assert all(np.array_equal(a, b) for a, b in zip(same.data, x.data))
         return
     assert op.cesaro_average(x, m) is not None
@@ -211,7 +241,7 @@ def test_closed_form_across_the_branch_cut():
     op = UnitaryConjugation(Element(a, [np.diag([-1 + 1e-17j, -1 - 1e-17j, 1.0])]))
     x = a.random_element(stream(SEED, "test/ergodic/branch-cut"))
     for m in (97, 1000):
-        gap = (box_average([op], x, (m,), check=False)
+        gap = (box_average([op], x, (m,))
                - power_sum_average(op, x, m)).sup_norm()
         assert gap <= 1e-10 * max(1.0, x.sup_norm())
 
@@ -232,20 +262,28 @@ def test_closed_form_guards_keep_the_power_sum(monkeypatch):
     circle by more than CLOSED_FORM_TOL (but unitary to UNITARY_TOL), and
     a pinching whose projections are idempotent only to PINCHING_TOL, have
     no closed form.  On the 2x2 algebra they take the dense prefix; the
-    sheared conjugator above the 256 size cut sums its powers."""
+    sheared conjugator above the 256 size cut sums its powers.  A
+    conjugator with |lambda| = 1 + 2e-9 has sup bound 1 + 4e-9, above
+    DS_SLACK, so both public averages refuse it."""
     a = TracedAlgebra(((2, 1.0),))
     x = a.random_element(stream(SEED, "test/ergodic/guards"))
     sheared = np.diag([1.0, 1j])
     sheared[0, 1] = 1e-9
     p = np.diag([1.0 + 1e-10, 0.0])
+    too_long = UnitaryConjugation(Element(a, [np.diag([1.0 + 2e-9, 1j])]))
+    assert too_long.cesaro_average(x, 5) is None
+    with pytest.raises(InvalidInputError):
+        box_average([too_long], x, (5,))
+    with pytest.raises(InvalidInputError):
+        net_average_trace([too_long], x, SectorNet(1, ((5,),)))
     ops = [UnitaryConjugation(Element(a, [sheared])),
-           UnitaryConjugation(Element(a, [np.diag([1.0 + 2e-9, 1j])])),
+           UnitaryConjugation(Element(a, [np.diag([1.0 + 2e-10, 1j])])),
            Pinching([Element(a, [p]), Element(a, [np.eye(2) - p])])]
     for op in ops:
         assert op.cesaro_average(x, 5) is None
-        trace = net_average_trace([op], x, SectorNet(1, ((5,),)), check=False)
+        trace = net_average_trace([op], x, SectorNet(1, ((5,),)))
         assert "dense-prefix" in trace.metadata["coordinates"]
-        y = box_average([op], x, (5,), check=False)
+        y = box_average([op], x, (5,))
         assert (y - power_sum_average(op, x, 5)).sup_norm() <= 1e-15
 
     large = TracedAlgebra(((12, 1.0), (12, 1.0)))  # vec_dim 288 > 256
@@ -258,8 +296,8 @@ def test_closed_form_guards_keep_the_power_sum(monkeypatch):
     op = UnitaryConjugation(Element(large, blocks))
     assert op.cesaro_average(x, 5) is None
     calls = counted_applies(monkeypatch)
-    y = box_average([op], x, (5,), check=False)
-    assert calls[0] == 4
+    y = box_average([op], x, (5,))
+    assert calls[0] == 2 + 4  # A(1) and A*(1) in validation, then 4 powers
     assert (y - power_sum_average(op, x, 5)).sup_norm() <= 1e-15 * x.sup_norm()
 
 
@@ -387,11 +425,11 @@ def test_net_average_two_routes_agree():
     for algebra, ops, indices in cases:
         x = algebra.random_element(rng)
         net = SectorNet(len(ops), indices)
-        trace = net_average_trace(ops, x, net, check=False)
+        trace = net_average_trace(ops, x, net)
         assert trace.metadata["mode"] == ("matrix-prefix" if algebra.vec_dim <= 256
                                           else "factorized-per-index")
         for out, n in zip(trace.outputs, net.indices):
-            assert (out - box_average(ops, x, n, check=False)).sup_norm() <= 1e-10
+            assert (out - box_average(ops, x, n)).sup_norm() <= 1e-10
 
 
 def test_net_average_large_index_closed_form():
@@ -566,7 +604,7 @@ def test_net_average_mixed_closed_form_and_fallback(monkeypatch):
                                           else "factorized-per-index")
         scale = max(1.0, x.sup_norm())
         for n, out in zip(indices, trace.outputs):
-            assert (out - box_average(ops, x, n, check=False)).sup_norm() <= 1e-10 * scale
+            assert (out - box_average(ops, x, n)).sup_norm() <= 1e-10 * scale
             assert (out - brute_force_box(ops, x, n)).sup_norm() <= 1e-10 * scale
 
 
@@ -592,8 +630,8 @@ def test_box_average_is_the_net_engine_at_one_index(layout, family, n, seed):
         ops = [ops[0], _coordinate_pinching(algebra), ops[2]]
     n = tuple(n[:len(ops)])
     x = algebra.random_element(rng)
-    box = box_average(ops, x, n, check=False)
-    net = net_average_trace(ops, x, SectorNet(len(ops), (n,)), check=False)
+    box = box_average(ops, x, n)
+    net = net_average_trace(ops, x, SectorNet(len(ops), (n,)))
     assert all(np.array_equal(a, b) for a, b in zip(box.data, net.outputs[0].data))
 
 
@@ -786,7 +824,7 @@ def test_average_and_limit_share_one_schur_basis(monkeypatch):
         calls[0] += 1
         return _schur(*args, **kwargs)
     monkeypatch.setattr(scipy.linalg, "schur", counting)
-    box_average([op], x, (5,), check=False)
+    box_average([op], x, (5,))
     cesaro_limit_oracle([op], x)
     assert calls[0] == 3
 

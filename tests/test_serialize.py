@@ -42,6 +42,11 @@ def test_element_bad_specs():
              "blocks": [[[1.0, 0.0]]]})  # wrong length
 
 
+def test_fractional_json_dim_is_an_input_error():
+    with pytest.raises(InvalidInputError, match="block dim"):
+        serialize.algebra_from_dict({"blocks": [{"dim": 2.9, "weight": 1.0}]})
+
+
 def test_operator_round_trips():
     rng = stream(SEED, "test/serialize/operators")
     a = TracedAlgebra(((2, 1.0), (2, 0.5)))

@@ -93,6 +93,14 @@ def test_block_expectation_masks_groups():
         BlockExpectation(a, [[[0, 1]]])  # index 2 missing
 
 
+def test_block_expectation_refuses_a_non_integer_index():
+    a = TracedAlgebra(((3, 1.0),))
+    with pytest.raises(InvalidInputError, match="partition index"):
+        BlockExpectation(a, [[[0, 1.9], [2]]])
+    op = BlockExpectation(a, [[[np.int64(0), 1], [2]]])
+    assert op.partition == (((0, 1), (2,)),)
+
+
 def test_convex_combination_linearity():
     rng = stream(SEED, "test/superops/convex")
     a = make_algebra(BLOCK_CONFIGS[4])
@@ -139,6 +147,15 @@ def test_power_matches_repeated_application():
         assert (Power(base, k).apply(x) - y).sup_norm() < 1e-10
     with pytest.raises(InvalidInputError):
         Power(base, -1)
+
+
+def test_power_refuses_a_non_integer_exponent():
+    a = TracedAlgebra(((2, 1.0),))
+    base = UnitaryConjugation(a.identity())
+    for exponent in (2.5, 2.0):
+        with pytest.raises(InvalidInputError, match="exponent"):
+            Power(base, exponent)
+    assert Power(base, np.int64(3)).exponent == 3
 
 
 def test_explicit_matrix_rejects_block_coupling():
@@ -377,6 +394,24 @@ def test_preserves_fava_pinching_example():
     y, z = preserves_fava(two_block_pinching(a), x, 0.5)
     assert z.sup_norm() <= 0.5 + 1e-12
     assert ((y + z) - x).sup_norm() < 1e-10
+
+
+def test_preserves_fava_refuses_a_sampled_sup_bound():
+    """A(x) = 1.1 (x12 + x21)/2 E11 on M_2 is not positive and has sup norm
+    1.1, but its sampled norm ratios stay below 1: splitting at that lower
+    bound would give ||A(z)||_inf = 1.1 > delta for x = [[0, 1], [1, 0]]."""
+    a = TracedAlgebra(((2, 1.0),))
+    m = np.zeros((4, 4))
+    m[0, 1] = m[0, 2] = 0.55
+    op = ExplicitMatrix(a, m)
+    cert = verify_ds(op)
+    assert not cert.positivity
+    x = Element(a, [np.array([[0.0, 1.0], [1.0, 0.0]])], selfadjoint=True)
+    assert op.apply(x).sup_norm() == pytest.approx(1.1)
+    with pytest.raises(InvalidInputError, match="non-positive"):
+        preserves_fava(op, x, 1.0)
+    with pytest.raises(InvalidInputError, match="non-positive"):
+        preserves_fava(op, x, 1.0, certificate=cert)
 
 
 def test_preserves_fava_random_suite():
