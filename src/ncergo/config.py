@@ -44,7 +44,9 @@ SELFADJOINT_TOL = 1e-9
 
 # -- families and flows -------------------------------------------------------
 
-#: sampled commutativity threshold for operator families
+#: largest commutator norm sup ||(AB - BA)x|| / ||x|| accepted for a pair of an
+#: operator family; compared with the structural and dense bounds, and with
+#: a sampled gap relative to max(1, ||y||)
 COMMUTE_TOL = 1e-9
 #: sampled semigroup-law threshold
 SEMIGROUP_TOL = 1e-8

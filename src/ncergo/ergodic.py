@@ -31,17 +31,19 @@ from __future__ import annotations
 
 import cmath
 import io
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import Element, TracedAlgebra, _adj, _integer, check_vecs
+from .algebra import Element, TracedAlgebra, _adj, _integer, check_vecs, stacked
 from .config import COMMUTE_TOL, IDEMPOTENT_TOL, QUAD_TOL, SEMIGROUP_TOL
 from .errors import InvalidInputError, NumericFailureError
 from .rng import stream
-from .superops import DSCertificate, SuperOperator, UnitaryConjugation, verify_ds
+from .superops import BlockExpectation, DSCertificate, Pinching, SuperOperator, \
+    UnitaryConjugation, verify_ds
 
 
 # -- index nets ---------------------------------------------------------------
@@ -93,13 +95,29 @@ def sector_check(net: SectorNet, c0: float) -> bool:
 
 # -- family validation --------------------------------------------------------
 
-def validate_family(ops: Sequence[SuperOperator],
-                    seed: int = 0) -> List[DSCertificate]:
+_MATRIX_ROUTE_MAX_DIM = 256
+
+
+def validate_family(ops: Sequence[SuperOperator], seed: int = 0
+                    ) -> Tuple[List[DSCertificate], Tuple[str, ...]]:
     """Check a family is made of commuting positive contractions.
 
-    Contraction and positivity come from ``verify_ds`` certificates;
-    commutativity is sampled: every pair must commute on the same ten
-    random elements, drawn from ``seed`` (structural proof is out of scope).
+    Contraction and positivity come from ``verify_ds`` certificates.  Each
+    pair (i, j), i < j, commutes when a bound on the norm of its
+    commutator, sup ||(AB - BA)x||_inf / ||x||_inf, is at most
+    ``COMMUTE_TOL``; the first rule that decides gives the pair's label:
+
+    - "structural": conjugations, pinchings and block expectations (the
+      last as the pinching by its group indicators) are sums of sandwiches
+      x -> a x b, and the rule of ``_structural_bound`` is exact for two
+      conjugations, sufficient otherwise.  Where it does not prove the
+      bound it gives no verdict, and the next rule decides.
+    - "dense": up to vec_dim 256, ||C||_F sqrt(sum_b d_b) for the matrix C
+      of AB - BA, from the cached ``to_matrix``.
+    - "sampled": above it, the gap on the same ten random elements,
+      drawn from ``seed``; a lower bound only.
+
+    Returns the certificates and the labels, in (i, j) order.
     """
     if not ops:
         raise InvalidInputError("empty operator family")
@@ -108,19 +126,89 @@ def validate_family(ops: Sequence[SuperOperator],
     for op, cert in zip(ops, certs):
         if not cert.is_ds() or not cert.positivity:
             raise InvalidInputError("family member is not a positive contraction")
-    rng = stream(seed, "ergodic/commutativity")
-    for _ in range(10):
-        y = algebra.random_element(rng)
-        for i, a in enumerate(ops):
-            for b in ops[i + 1:]:
+    sandwiches = [_sandwiches(op) for op in ops]
+    labels, sampled = [], []
+    for i, j in itertools.combinations(range(len(ops)), 2):
+        if _structural_bound(sandwiches[i], sandwiches[j]) <= COMMUTE_TOL:
+            labels.append("structural")
+        elif algebra.vec_dim <= _MATRIX_ROUTE_MAX_DIM:
+            bound = _dense_bound(ops[i], ops[j])
+            if bound > COMMUTE_TOL:
+                raise InvalidInputError(
+                    f"family does not commute (dense bound {bound:.3e})")
+            labels.append("dense")
+        else:
+            labels.append("sampled")
+            sampled.append((ops[i], ops[j]))
+    if sampled:
+        rng = stream(seed, "ergodic/commutativity")
+        for _ in range(10):
+            y = algebra.random_element(rng)
+            for a, b in sampled:
                 gap = (a.apply(b.apply(y)) - b.apply(a.apply(y))).sup_norm()
                 if gap > COMMUTE_TOL * max(1.0, y.sup_norm()):
                     raise InvalidInputError(
                         f"family does not commute (sampled gap {gap:.3e})")
-    return certs
+    return certs, tuple(labels)
 
 
-_MATRIX_ROUTE_MAX_DIM = 256
+def _dense_bound(a: SuperOperator, b: SuperOperator) -> float:
+    """||C||_F sqrt(sum_b d_b) for the matrix C of AB - BA: a bound on the
+    commutator norm, as ||y||_inf <= ||vec y||_2 and ||vec x||_2 <=
+    sqrt(sum_b d_b) ||x||_inf."""
+    ma, mb = a.to_matrix(), b.to_matrix()
+    return float(np.linalg.norm(ma @ mb - mb @ ma)) * math.sqrt(sum(a.algebra.dims))
+
+
+def _sandwiches(op: SuperOperator) -> Optional[list]:
+    """Per group of equal-dimension blocks, stacks ``(a, b)`` of shape
+    (terms, blocks, d, d) with op(x) = sum_k a_k x b_k on each block; None
+    for a map of another class."""
+    out = []
+    for g in op.algebra.groups:
+        if isinstance(op, UnitaryConjugation):
+            u = stacked(op.u.data, g)
+            a, b = u[None], _adj(u)[None]
+        elif isinstance(op, Pinching):
+            a = b = np.stack([stacked(p.data, g) for p in op.projections])
+        elif isinstance(op, BlockExpectation):
+            d = op.algebra.dims[g[0]]
+            parts = [op.partition[i] for i in g]
+            a = b = np.zeros((max(map(len, parts)), len(g), d, d), dtype=complex)
+            for i, groups in enumerate(parts):
+                for k, idx in enumerate(groups):
+                    a[k, i, list(idx), list(idx)] = 1.0
+        else:
+            return None
+        out.append((a, b))
+    return out
+
+
+def _structural_bound(s: Optional[list], t: Optional[list]) -> float:
+    """A bound on the commutator norm of the maps with sandwiches s and t
+    (``_sandwiches``), inf where either has none.  Term by term, with
+    a c = lam c a + e and d b = conj(lam) b d + f for any unimodular lam,
+
+        (a c) x (d b) - (c a) x (b d) = lam c a x f + conj(lam) e x b d + e x f,
+
+    so each term's norm is at most ||x|| (||ca|| ||f|| + ||e|| ||bd|| +
+    ||e|| ||f||), with Frobenius norms for operator norms; lam is the phase
+    of <ca, ac>.  The sum over terms is bounded block by block."""
+    if s is None or t is None:
+        return math.inf
+    bound = 0.0
+    for (a, b), (c, d) in zip(s, t):
+        ac, ca = a[:, None] @ c[None], c[None] @ a[:, None]
+        db, bd = d[None] @ b[:, None], b[:, None] @ d[None]
+        inner = np.sum(ca.conj() * ac, axis=(-2, -1), keepdims=True)
+        lam = np.divide(inner, np.abs(inner), out=np.ones_like(inner),
+                        where=inner != 0)
+        e = np.linalg.norm(ac - lam * ca, axis=(-2, -1))
+        f = np.linalg.norm(db - lam.conj() * bd, axis=(-2, -1))
+        terms = (np.linalg.norm(ca, axis=(-2, -1)) * f
+                 + e * np.linalg.norm(bd, axis=(-2, -1)) + e * f)
+        bound = max(bound, terms.sum(axis=(0, 1)).max())
+    return bound
 
 
 class _BoxAverager:
@@ -227,11 +315,14 @@ def net_average_trace(ops: Sequence[SuperOperator], x: Element, net: SectorNet,
     index to index (module docstring).  ``metadata["mode"]`` is
     "matrix-prefix" up to the size cut and "factorized-per-index" above
     it; ``metadata["coordinates"]`` names the route each coordinate ran,
-    "closed-form" also for a coordinate that never passes 1.
+    "closed-form" also for a coordinate that never passes 1.  The rigor of
+    the validation is recorded too: ``metadata["commutativity"]`` holds
+    ``validate_family``'s label per pair and ``metadata["contraction"]``
+    each map's ``DSCertificate.method``.
     """
     if len(ops) != net.dimension:
         raise InvalidInputError("one operator per net dimension required")
-    validate_family(ops, seed=seed)
+    certs, commutativity = validate_family(ops, seed=seed)
     engine = _BoxAverager(ops, x.algebra)
     outputs = [engine(x, n) for n in net.indices]
 
@@ -241,6 +332,8 @@ def net_average_trace(ops: Sequence[SuperOperator], x: Element, net: SectorNet,
     meta = {
         "mode": "matrix-prefix" if engine.dense else "factorized-per-index",
         "coordinates": tuple(engine.routes),
+        "commutativity": commutativity,
+        "contraction": tuple(c.method for c in certs),
         "net_model": "monotone cofinal index sequence (finite stand-in for a net)",
         "seed": seed,
     }

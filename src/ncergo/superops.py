@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -279,6 +280,9 @@ class ConvexCombination(SuperOperator):
             out = out + op.apply(x).scaled(w)
         return out
 
+    def _build_matrix(self) -> np.ndarray:
+        return sum(w * op.to_matrix() for w, op in self.terms)
+
     def adjoint(self) -> "ConvexCombination":
         return ConvexCombination([(w, op.adjoint()) for w, op in self.terms])
 
@@ -299,6 +303,10 @@ class Composition(SuperOperator):
         for op in reversed(self.factors):
             x = op.apply(x)
         return x
+
+    def _build_matrix(self) -> np.ndarray:
+        # the first factor is applied last, so its matrix is leftmost
+        return reduce(np.matmul, [op.to_matrix() for op in self.factors])
 
     def adjoint(self) -> "Composition":
         return Composition([op.adjoint() for op in reversed(self.factors)])
@@ -322,6 +330,9 @@ class Power(SuperOperator):
         for _ in range(self.exponent):
             x = self.base.apply(x)
         return x
+
+    def _build_matrix(self) -> np.ndarray:
+        return np.linalg.matrix_power(self.base.to_matrix(), self.exponent)
 
     def adjoint(self) -> "Power":
         return Power(self.base.adjoint(), self.exponent)

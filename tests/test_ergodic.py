@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import time
@@ -14,13 +15,15 @@ from ncergo import BesicovitchFunction, ConvexCombination, Element, \
     UnitaryConjugation, UnitaryFlow, besicovitch_average, box_average, \
     cesaro_limit_oracle, net_average_trace, sector_check, \
     submajorizes
-from ncergo.config import PHASE_TOL
-from ncergo.ergodic import validate_family
+from ncergo.config import COMMUTE_TOL, PHASE_TOL
+from ncergo.ergodic import _dense_bound, _sandwiches, _structural_bound, \
+    validate_family
 from ncergo.errors import InvalidInputError, NumericFailureError
 from ncergo.fixtures import besicovitch_theta_fixture, conjugation_d2_fixture, \
     unitary_flow_fixture
 from ncergo.rng import stream
-from ncergo.superops import BlockExpectation, Pinching, SuperOperator
+from ncergo.superops import BlockExpectation, Composition, ExplicitMatrix, Pinching, \
+    SuperOperator
 
 
 def commuting_pinchings(algebra):
@@ -367,10 +370,129 @@ def test_validate_family_commutativity():
     a = TracedAlgebra(((3, 1.0),))
     u1 = random_unitary_element(rng, a)
     u2 = random_unitary_element(rng, a)
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match="dense bound"):
         validate_family([UnitaryConjugation(u1), UnitaryConjugation(u2)])
-    certs = validate_family([UnitaryConjugation(u1), UnitaryConjugation(u1)])
+    certs, labels = validate_family([UnitaryConjugation(u1), UnitaryConjugation(u1)])
     assert all(c.is_ds() for c in certs)
+    assert labels == ("structural",)
+
+
+def test_validate_family_pauli_pair_is_structural():
+    """Ad X and Ad Z commute though X and Z anticommute: XZ = -ZX, so the
+    structural rule takes the phase lambda = -1."""
+    a = TracedAlgebra(((2, 1.0),))
+    x = Element(a, [np.array([[0, 1], [1, 0]], dtype=complex)])
+    z = Element(a, [np.diag([1.0, -1.0]).astype(complex)])
+    ops = [UnitaryConjugation(x), UnitaryConjugation(z)]
+    assert _structural_bound(_sandwiches(ops[0]), _sandwiches(ops[1])) == 0.0
+    _, labels = validate_family(ops)
+    assert labels == ("structural",)
+
+
+def test_dense_rule_refuses_a_single_corner_entry():
+    """Two explicit matrices whose commutator is zero but in one entry, at
+    the corner of the last block: no structural verdict, and the dense
+    bound refuses even a 1e-6 gap."""
+    a = TracedAlgebra(((3, 1.0), (1, 0.5), (2, 1.0)))
+    n = a.vec_dim
+    diag = np.arange(1.0, n + 1.0)
+    shear = np.eye(n, dtype=complex)
+    shear[n - 1, n - 2] = 1e-6
+    ops = [ExplicitMatrix(a, np.diag(diag)), ExplicitMatrix(a, shear)]
+    c = ops[0].to_matrix() @ shear - shear @ ops[0].to_matrix()
+    assert np.count_nonzero(c) == 1 and c[n - 1, n - 2] != 0
+    assert _structural_bound(_sandwiches(ops[0]), _sandwiches(ops[1])) == math.inf
+    bound = _dense_bound(*ops)
+    assert bound == pytest.approx(1e-6 * math.sqrt(sum(a.dims)), rel=1e-12)
+    assert bound > COMMUTE_TOL
+
+
+RULE_LAYOUTS = (((1, 1.0),), ((3, 1.0), (1, 0.5), (2, 1.0)), MANY_BLOCKS)
+
+
+def rule_pair(kinds, commuting, algebra, rng):
+    """Two maps of the given kinds ("conjugation", "pinching",
+    "expectation"), built in one unitary basis per block when
+    ``commuting`` (block expectations then diagonal), in independent ones
+    otherwise."""
+    shared = [random_unitary(rng, d) for d in algebra.dims]
+
+    def make(kind):
+        bases = shared if commuting else [random_unitary(rng, d) for d in algebra.dims]
+        if kind == "expectation":
+            return random_block_expectation(rng, algebra)
+        if kind == "conjugation":
+            return UnitaryConjugation(Element(algebra, [
+                (q * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, len(q)))) @ q.conj().T
+                for q in bases]))
+        labels = [rng.integers(0, 2, size=len(q)) for q in bases]
+        return Pinching([Element(algebra, [q[:, lab == k] @ q[:, lab == k].conj().T
+                                           for q, lab in zip(bases, labels)],
+                                 selfadjoint=True, positive=True, projection=True)
+                         for k in (0, 1)])
+
+    if commuting and "expectation" in kinds:
+        shared = [np.eye(d, dtype=complex) for d in algebra.dims]
+    return [make(k) for k in kinds]
+
+
+def commutator_lower_bound(a, b, rng):
+    """The largest ||(AB - BA)x||_inf / ||x||_inf over the top right
+    singular vector of the dense commutator and a few random x: a lower
+    bound on the commutator norm."""
+    ma, mb = a.to_matrix(), b.to_matrix()
+    c = ma @ mb - mb @ ma
+    xs = [np.linalg.svd(c)[2][0].conj()]
+    xs += [a.algebra.random_element(rng).vec() for _ in range(3)]
+    return max(Element.from_vec(a.algebra, c @ v).sup_norm()
+               / Element.from_vec(a.algebra, v).sup_norm() for v in xs)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@example(layout=RULE_LAYOUTS[2], kinds=("conjugation", "pinching"),
+         commuting=False, seed=0)
+@example(layout=RULE_LAYOUTS[1], kinds=("expectation", "conjugation"),
+         commuting=True, seed=1)
+@given(layout=st.sampled_from(RULE_LAYOUTS),
+       kinds=st.tuples(*[st.sampled_from(("conjugation", "pinching", "expectation"))] * 2),
+       commuting=st.booleans(), seed=st.integers(0, 2 ** 16))
+def test_structural_and_dense_rules_agree(layout, kinds, commuting, seed):
+    """On random commuting and non-commuting pairs the structural and dense
+    rules give one verdict, and each structural bound is at least the
+    commutator norm seen through the dense matrices (up to rounding)."""
+    algebra = TracedAlgebra(layout)
+    rng = stream(seed, "test/ergodic/commutator-rules")
+    a, b = rule_pair(kinds, commuting, algebra, rng)
+    structural = _structural_bound(_sandwiches(a), _sandwiches(b))
+    dense = _dense_bound(a, b)
+    assert (structural <= COMMUTE_TOL) == (dense <= COMMUTE_TOL)
+    if commuting:
+        assert structural <= COMMUTE_TOL
+    assert structural >= commutator_lower_bound(a, b, rng) - 1e-12
+
+
+def test_structural_validation_draws_and_applies_nothing(monkeypatch):
+    """Validating the conjugation fixture's family and a pinching with a
+    block expectation draws no random element and applies each map only
+    for ``verify_ds``'s A(1) and A*(1)."""
+    calls = counted_applies(monkeypatch)
+    draws = [0]
+
+    def drawing(self, *args, _draw=TracedAlgebra.random_element, **kwargs):
+        draws[0] += 1
+        return _draw(self, *args, **kwargs)
+
+    mixed = TracedAlgebra(((3, 1.0), (1, 0.5), (2, 1.0)))
+    rng = stream(SEED, "test/ergodic/validation-cost")
+    families = [conjugation_d2_fixture()[1],
+                [_coordinate_pinching(mixed), random_block_expectation(rng, mixed)]]
+    monkeypatch.setattr(TracedAlgebra, "random_element", drawing)
+    for ops in families:
+        calls[0] = 0
+        _, labels = validate_family(ops)
+        assert labels == ("structural",)
+        assert calls[0] == 2 * len(ops)
+    assert draws[0] == 0
 
 
 # -- traces along nets --------------------------------------------------------
@@ -554,14 +676,16 @@ def test_net_average_matches_dense_power_sums():
 
 
 def counted_matrix_builds(monkeypatch):
-    """Count dense matrix builds (``_build_matrix``) of every operator class."""
-    calls = [0]
-    for cls in (SuperOperator, UnitaryConjugation, Pinching, BlockExpectation):
+    """Count dense matrix builds (``_build_matrix``) per map, of every
+    operator class."""
+    builds = collections.Counter()
+    for cls in (SuperOperator, UnitaryConjugation, Pinching, BlockExpectation,
+                ConvexCombination, Composition, Power):
         def counting(self, _build=cls._build_matrix):
-            calls[0] += 1
+            builds[self] += 1
             return _build(self)
         monkeypatch.setattr(cls, "_build_matrix", counting)
-    return calls
+    return builds
 
 
 def multiplier_family(algebra, rng):
@@ -591,15 +715,18 @@ def test_net_average_mixed_closed_form_and_fallback(monkeypatch):
         algebra = TracedAlgebra(layout)
         ops = multiplier_family(algebra, rng)
         x = algebra.random_element(rng, selfadjoint=fallback == "dense-prefix")
-        builds[0] = 0
+        builds.clear()
         for count, routes in ((4, ("closed-form", fallback, "closed-form",
                                    "closed-form")),
                               (6, ("closed-form", fallback, "closed-form",
                                    fallback))):
             trace = net_average_trace(ops, x, SectorNet(4, indices[:count]))
             assert trace.metadata["coordinates"] == routes
-            # ``to_matrix`` is cached: the second net builds only the power's
-            assert builds[0] == routes.count("dense-prefix")
+            # ``to_matrix`` is cached: across validation and both nets, each
+            # map's matrix is built at most once, a dense prefix's exactly
+            assert max(builds.values(), default=0) <= 1
+            assert all(builds[op] == 1 for op, route in zip(ops, routes)
+                       if route == "dense-prefix")
         assert trace.metadata["mode"] == ("matrix-prefix" if algebra.vec_dim <= 256
                                           else "factorized-per-index")
         scale = max(1.0, x.sup_norm())
@@ -652,7 +779,7 @@ def test_closed_form_net_builds_no_matrix(monkeypatch):
                             (10 ** 6,) * d))
         trace = net_average_trace(ops, x, net)
         assert trace.metadata["coordinates"] == ("closed-form",) * d
-    assert builds[0] == 0
+    assert not builds
 
 
 def test_net_average_to_10_12_matches_kernel():

@@ -357,10 +357,13 @@ def has_explicit_leaf(shape):
 def test_operator_trees_positive_exactly_without_explicit_leaves(layout, shape, seed):
     """On trees of conjugations, pinchings, block expectations and explicit
     matrices, structural positivity is the absence of an explicit leaf, and
-    it alone gives the exact certificate and preserved adjoints."""
+    it alone gives the exact certificate and preserved adjoints.  The dense
+    matrix composed from the children's is the apply-per-basis-element
+    build."""
     rng = stream(seed, "test/superops/trees")
     a = TracedAlgebra(layout)
     op = build_tree(shape, rng, a)
+    assert np.abs(op.to_matrix() - SuperOperator._build_matrix(op)).max() <= 1e-12
     positive = not has_explicit_leaf(shape)
     assert op.structurally_positive() == positive
     cert = verify_ds(op, trials=10)
