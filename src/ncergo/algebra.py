@@ -4,7 +4,11 @@ A :class:`TracedAlgebra` is a finite direct sum of square complex matrix
 blocks, each carrying a positive trace weight; the trace of an element is
 the weighted sum of the matrix traces of its blocks.  Elements are
 immutable block-diagonal matrix tuples with optional verified structure
-flags (selfadjoint / positive / projection).
+flags (selfadjoint / positive / projection).  Two kinds of output are
+projections by construction and skip that verification: those of
+:func:`projection_from_ranges` and each algebra's identity and zero.
+A :class:`~ncergo.certify.WitnessCertificate` re-checks the projection it
+emits with the verifying constructor.
 """
 
 from __future__ import annotations
@@ -71,12 +75,22 @@ class TracedAlgebra:
         return sum(d * d for d in self.dims)
 
     def identity(self) -> "Element":
-        data = [np.eye(d, dtype=complex) for d in self.dims]
-        return Element(self, data, selfadjoint=True, positive=True, projection=True)
+        """The unit, built once per algebra; elements are immutable."""
+        return self._identity
 
     def zero(self) -> "Element":
-        data = [np.zeros((d, d), dtype=complex) for d in self.dims]
-        return Element(self, data, selfadjoint=True, positive=True, projection=True)
+        """The zero element, built once per algebra."""
+        return self._zero
+
+    @cached_property
+    def _identity(self) -> "Element":
+        return Element._trusted_projection(
+            self, [np.eye(d, dtype=complex) for d in self.dims])
+
+    @cached_property
+    def _zero(self) -> "Element":
+        return Element._trusted_projection(
+            self, [np.zeros((d, d), dtype=complex) for d in self.dims])
 
     def random_element(self, rng: np.random.Generator, scale: float = 1.0,
                        selfadjoint: bool = False) -> "Element":
@@ -101,6 +115,12 @@ class Element:
     ``svd``, a sequence of per-block ``(u, s, vh)`` with ``u * s @ vh``
     equal to the block, so that no decomposition is recomputed; its
     arrays are made read-only and kept.
+
+    The public constructor copies the blocks and verifies every flag it is
+    given.  :meth:`_trusted_projection` is the package's constructor for
+    projections that hold their flags by construction (see the module
+    docstring): it freezes the caller's fresh arrays without a copy and
+    skips the flag verification.
     """
 
     __slots__ = ("algebra", "data", "selfadjoint", "positive", "projection",
@@ -111,7 +131,28 @@ class Element:
                  positive: Optional[bool] = None,
                  projection: Optional[bool] = None,
                  svd: Optional[Sequence[tuple]] = None):
-        data = tuple(np.array(b, dtype=complex) for b in data)
+        self._freeze(algebra, [np.array(b, dtype=complex) for b in data],
+                     selfadjoint, positive, projection, svd)
+        self._verify_flags()
+
+    @classmethod
+    def _trusted_projection(cls, algebra: TracedAlgebra,
+                            data: Sequence[np.ndarray]) -> "Element":
+        """A projection by construction, flagged selfadjoint, positive and
+        a projection.
+
+        ``data`` must be arrays that no one else holds; complex ones are
+        frozen in place, not copied.  The block-count, shape and finiteness
+        checks run, the flag verification does not.
+        """
+        x = cls.__new__(cls)
+        x._freeze(algebra, [np.asarray(b, dtype=complex) for b in data],
+                  True, True, True, None)
+        return x
+
+    def _freeze(self, algebra, data, selfadjoint, positive, projection, svd):
+        """Check the blocks, make them read-only and set every slot."""
+        data = tuple(data)
         if len(data) != len(algebra.blocks):
             raise InvalidInputError("block count mismatch")
         for b, d in zip(data, algebra.dims):
@@ -132,7 +173,6 @@ class Element:
         object.__setattr__(self, "_mu", None)
         object.__setattr__(self, "_svals",
                            None if svd is None else tuple(s for _, s, _ in svd))
-        self._verify_flags()
 
     def __setattr__(self, name, value):  # immutable after construction
         raise AttributeError("Element is immutable")
@@ -382,7 +422,9 @@ def projection_from_ranges(algebra: TracedAlgebra,
 
     Each basis is orthonormalized; eigenvalue rounding to {0, 1} keeps the
     idempotent defect at machine scale regardless of the input conditioning.
-    Bases of equal shape are orthonormalized in one stacked QR.
+    Bases of equal shape are orthonormalized in one stacked QR.  Each block
+    is q q* for an orthonormal q, so the flags hold by construction and the
+    result is built with :meth:`Element._trusted_projection`.
     """
     if len(bases) != len(algebra.dims):
         raise InvalidInputError("block count mismatch")
@@ -401,7 +443,7 @@ def projection_from_ranges(algebra: TracedAlgebra,
             blocks = [qj[:, kj] @ qj[:, kj].conj().T for qj, kj in zip(q, keep)]
         for i, b in zip(group, blocks):
             data[i] = b
-    return Element(algebra, data, selfadjoint=True, positive=True, projection=True)
+    return Element._trusted_projection(algebra, data)
 
 
 def range_bases(e: Element) -> list:

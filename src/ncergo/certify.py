@@ -56,6 +56,15 @@ class WitnessCertificate:
 
     `verdict` is a finite-horizon judgment: "certified" claims nothing
     about the trace beyond `horizon` indices.
+
+    This is the trust boundary of the witness search: its projections are
+    built trusted (see :mod:`ncergo.algebra`), and `projection` is checked
+    here, once, by the public constructor with every projection flag set.
+    Only the emitted projection is checked; a projection that fed a bound
+    but is not emitted (the per-index enlargements of
+    :func:`bilateral_to_onesided` before the last) rests on
+    ``projection_from_ranges`` building projections, a property the test
+    suite checks for random bases.
     """
 
     mode: str  # "au" | "bau"
@@ -70,6 +79,9 @@ class WitnessCertificate:
     def __post_init__(self):
         if self.mode not in ("au", "bau"):
             raise InvalidInputError("mode must be 'au' or 'bau'")
+        p = self.projection
+        object.__setattr__(self, "projection", Element(
+            p.algebra, p.data, selfadjoint=True, positive=True, projection=True))
         if self.trace_deficiency > self.epsilon + BUDGET_SLACK:
             raise InvalidInputError("trace deficiency exceeds the budget")
         if any(b < 0 for _, b in self.tail_bounds):
@@ -341,6 +353,8 @@ def bilateral_to_onesided(trace: FiniteTrace,
     which doubles the trace budget at worst and never worsens the bound.
     The enlarged projection varies per index (convergence-in-measure
     style); the certificate records the worst deficiency and last projection.
+    The certificate checks only that last projection; the earlier ones are
+    projections by construction of ``projection_from_ranges``.
     """
     if certificate.mode != "bau":
         raise InvalidInputError("input certificate must be bilateral")

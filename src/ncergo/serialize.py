@@ -26,7 +26,7 @@ def algebra_to_dict(a: TracedAlgebra) -> dict:
 def algebra_from_dict(d: dict) -> TracedAlgebra:
     try:
         return TracedAlgebra(tuple((b["dim"], b["weight"]) for b in d["blocks"]))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"bad algebra spec: {exc}") from exc
 
 
@@ -53,7 +53,7 @@ def element_from_dict(d: dict, algebra: Optional[TracedAlgebra] = None) -> Eleme
                 for pairs, dim in zip(d["blocks"], algebra.dims)]
         if len(d["blocks"]) != len(algebra.dims):
             raise InvalidInputError("block count mismatch")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"bad element spec: {exc}") from exc
     return Element(algebra, data)
 
@@ -118,7 +118,7 @@ def superop_from_dict(d: dict, algebra: TracedAlgebra) -> superops.SuperOperator
             dim = algebra.vec_dim
             return superops.ExplicitMatrix(
                 algebra, _pairs_to_matrix(d["matrix"], dim))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"bad operator spec: {exc}") from exc
     raise InvalidInputError(f"unknown operator kind {d.get('kind')!r}")
 

@@ -332,6 +332,60 @@ def test_projection_stack_with_some_rank_deficient_bases():
         projection_from_ranges(a, bases[:3])
 
 
+@spectrum_examples
+@given(layout=LAYOUTS, seed=st.integers(0, 2 ** 16),
+       zero_block=st.none() | st.integers(0, 5))
+def test_checking_constructor_accepts_every_projection_from_ranges(
+        layout, seed, zero_block):
+    """``projection_from_ranges`` builds its output trusted; the public
+    constructor must accept it with the same flags, for empty, full-rank,
+    rank-deficient (block ``zero_block``) and nearly parallel bases (the
+    last column ``tilt`` away from the first, on both sides of the rank
+    cut)."""
+    a = TracedAlgebra(layout)
+    rng = stream(seed, "test/algebra/trusted-projection")
+    ranks = [int(rng.integers(0, d + 1)) for d in a.dims]
+    raw = [rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
+           for d, k in zip(a.dims, ranks)]
+    for tilt in (1.0, 1e-3, 1e-8, 1e-10, 1e-12, 1e-15):
+        bases = [b.copy() for b in raw]
+        for i, basis in enumerate(bases):
+            if basis.shape[1] >= 2:
+                basis[:, -1] = basis[:, 0] + tilt * basis[:, -1]
+                if zero_block is not None and i == zero_block % len(a.dims):
+                    basis[:, -1] = 2.0 * basis[:, 0]
+        e = projection_from_ranges(a, bases)
+        assert (e.selfadjoint, e.positive, e.projection) == (True, True, True)
+        checked = Element(a, e.data, selfadjoint=True, positive=True,
+                          projection=True)
+        assert all(np.array_equal(c, b) for c, b in zip(checked.data, e.data))
+
+
+def test_trusted_constructor_keeps_the_cheap_checks():
+    a = TracedAlgebra(((2, 1.0), (1, 0.5)))
+    with pytest.raises(InvalidInputError, match="block count"):
+        Element._trusted_projection(a, [np.eye(2)])
+    with pytest.raises(InvalidInputError, match="block shape"):
+        Element._trusted_projection(a, [np.eye(2), np.eye(2)])
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        Element._trusted_projection(a, [np.eye(2), np.full((1, 1), np.inf)])
+    blocks = [np.eye(2, dtype=complex), np.ones((1, 1), dtype=complex)]
+    x = Element._trusted_projection(a, blocks)
+    assert (x.selfadjoint, x.positive, x.projection) == (True, True, True)
+    assert all(b is c for b, c in zip(x.data, blocks))  # frozen, not copied
+    assert not any(b.flags.writeable for b in x.data)
+
+
+def test_identity_and_zero_are_built_once_per_algebra():
+    a = TracedAlgebra(((3, 1.0), (1, 0.25)))
+    assert a.identity() is a.identity() and a.zero() is a.zero()
+    for x, diag in ((a.identity(), 1.0), (a.zero(), 0.0)):
+        assert (x.selfadjoint, x.positive, x.projection) == (True, True, True)
+        assert all(np.array_equal(b, diag * np.eye(d))
+                   for b, d in zip(x.data, a.dims))
+        Element(a, x.data, selfadjoint=True, positive=True, projection=True)
+
+
 def reference_sup_norm(x):
     """The per-block loop ``Element.sup_norm`` ran before it went group
     by group."""

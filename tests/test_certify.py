@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from conftest import SEED, LAYOUTS, grouped_examples, \
-    random_layout_element, random_projection, reference_projection_blocks, \
-    spectrum_elements, spectrum_examples
+    random_layout_element, random_projection, random_unitary_element, \
+    reference_projection_blocks, spectrum_elements, spectrum_examples
 from ncergo import certify
 from ncergo import Element, TracedAlgebra, UnitaryConjugation, \
     bilateral_to_onesided, certify_cauchy, extract_limit, lp_norm, \
@@ -56,6 +56,20 @@ def test_certificate_validation():
     lines = cert.tail_csv().strip().splitlines()
     assert lines[0] == "index,bound"
     assert lines[1] == "0,0.5"
+
+
+def test_certificate_refuses_a_non_projection():
+    a = TracedAlgebra(((2, 1.0), (1, 0.5)))
+    half = Element(a, [0.5 * np.eye(2), np.ones((1, 1))], selfadjoint=True)
+    nilpotent = Element(a, [np.array([[0.0, 1.0], [0.0, 0.0]]), np.ones((1, 1))])
+    for e in (half, nilpotent, a.identity().scaled(-1.0)):
+        with pytest.raises(InvalidInputError, match="flag fails verification"):
+            WitnessCertificate("au", 0.1, e, 0.0, ((0, 0.0),), "certified", 1)
+    # an unflagged projection is accepted, and carries its checked flags
+    unflagged = Element(a, [np.diag([1.0, 0.0]), np.ones((1, 1))])
+    cert = WitnessCertificate("au", 0.6, unflagged, 0.5, ((0, 0.0),),
+                              "certified", 1)
+    assert cert.projection.projection is True
 
 
 def test_finite_trace_validation():
@@ -453,3 +467,66 @@ def test_bad_mode_is_refused_before_the_search(monkeypatch):
         with pytest.raises(InvalidInputError, match="mode"):
             search()
     assert cuts[0] == 0
+
+
+# -- the trust boundary: one flag check per emitted witness -------------------
+
+def projection_checks(monkeypatch):
+    """A list that gains every element whose flags are verified with the
+    projection flag set, from now on."""
+    checked = []
+    verify = Element._verify_flags
+
+    def counting(self):
+        if self.projection:
+            checked.append(self)
+        verify(self)
+    monkeypatch.setattr(Element, "_verify_flags", counting)
+    return checked
+
+
+def through_checking_constructor(monkeypatch):
+    """Route every trusted build through the public, checking constructor."""
+    monkeypatch.setattr(Element, "_trusted_projection", classmethod(
+        lambda cls, algebra, data: cls(algebra, data, selfadjoint=True,
+                                       positive=True, projection=True)))
+
+
+def few_block_cesaro_trace():
+    a = TracedAlgebra(((2, 1.0), (1, 0.5), (3, 0.25)))
+    rng = stream(SEED, "test/certify/few-block-cesaro")
+    op = UnitaryConjugation(random_unitary_element(rng, a))
+    x = a.random_element(rng, selfadjoint=True)
+    net = SectorNet(1, tuple((k,) for k in (1, 2, 4, 8, 16, 32, 64)))
+    return FiniteTrace(tuple(net_average_trace([op], x, net).outputs))
+
+
+def assert_same_certificate(got, want):
+    assert got.to_json() == want.to_json()
+    assert all(np.array_equal(g, w) for g, w
+               in zip(got.projection.data, want.projection.data))
+
+
+def test_cauchy_checks_only_the_emitted_witness(monkeypatch):
+    algebra, trace, f = remark32_model(24)
+    checked = projection_checks(monkeypatch)
+    cert = certify_cauchy(trace, 2.0 ** -5, mode="bau")
+    assert len(checked) == 1
+    assert np.array_equal(checked[0].data, cert.projection.data)
+    through_checking_constructor(monkeypatch)
+    assert_same_certificate(cert, certify_cauchy(trace, 2.0 ** -5, mode="bau"))
+    assert len(checked) > 2  # the trusted path saved real checks
+
+
+def test_upgrade_checks_only_the_emitted_witness(monkeypatch):
+    trace = few_block_cesaro_trace()
+    bau = certify_cauchy(trace, 0.6, mode="bau")
+    checked = projection_checks(monkeypatch)
+    au = bilateral_to_onesided(trace, bau)
+    assert len(checked) == 1
+    # the enlargements cut: a meet of two proper projections per index
+    assert au.trace_deficiency > bau.trace_deficiency > 0.0
+    through_checking_constructor(monkeypatch)
+    assert_same_certificate(au, bilateral_to_onesided(
+        trace, certify_cauchy(trace, 0.6, mode="bau")))
+    assert len(checked) > 2

@@ -58,6 +58,43 @@ def test_mu_missing_file(tmp_path):
                  "--out-dir", str(tmp_path / "out")]) == EXIT_INPUT
 
 
+# an integer literal that JSON parses exactly and no float can hold
+HUGE = 10 ** 400
+
+
+@pytest.mark.parametrize("field", ["entry", "weight"])
+def test_mu_overflowing_number_is_input_error(tmp_path, capsys, field):
+    spec = {"algebra": {"blocks": [{"dim": 2, "weight": 1.0}]},
+            "blocks": [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]]}
+    if field == "entry":
+        spec["blocks"][0][0] = [HUGE, 0]
+    else:
+        spec["algebra"]["blocks"][0]["weight"] = HUGE
+    inp = write_json(tmp_path / "x.json", spec)
+    assert main(["mu", "--input", inp, "--out-dir", str(tmp_path / "out")]) \
+        == EXIT_INPUT
+    assert "input error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("place", ["unitary", "combination weight",
+                                   "algebra weight"])
+def test_ds_check_unreadable_number_is_input_error(tmp_path, capsys, place):
+    unitary = {"kind": "unitary_conjugation", "unitary": [[[1.0, 0.0]]]}
+    algebra = {"blocks": [{"dim": 1, "weight": 1.0}]}
+    operator = unitary
+    if place == "unitary":
+        unitary["unitary"][0][0] = [0, HUGE]
+    elif place == "combination weight":
+        operator = {"kind": "convex_combination",
+                    "terms": [{"weight": HUGE, "op": unitary}]}
+    else:
+        algebra["blocks"][0]["weight"] = "heavy"
+    cfg = write_json(tmp_path / "map.json",
+                     {"algebra": algebra, "operator": operator})
+    assert main(["ds-check", cfg]) == EXIT_INPUT
+    assert "input error:" in capsys.readouterr().err
+
+
 # -- ds-check -----------------------------------------------------------------
 
 def test_ds_check_pinching(tmp_path, capsys):
