@@ -14,23 +14,20 @@ import functools
 import hashlib
 import json
 import sys
+from importlib.resources import files
 from pathlib import Path
 
 from . import fixtures, serialize
 from .certify import (FiniteTrace, certify_cauchy, extract_limit,
                       remark32_model, witness_convergence)
 from .config import SCENARIO_ERR_TOL, SCENARIO_QUAD_TOL
-from .ergodic import SectorNet, besicovitch_average, net_average_trace
+from .ergodic import besicovitch_average, net_average_trace
 from .errors import (InvalidInputError, NcergoError, NoLimitError,
                      NumericFailureError)
 from .singular import k_functional, lp_norm, mu
 from .superops import verify_ds
 
 EXIT_OK, EXIT_REFUTED, EXIT_INPUT, EXIT_NUMERIC = 0, 1, 2, 3
-
-
-def _config_hash(payload: bytes) -> str:
-    return hashlib.sha256(payload).hexdigest()[:16]
 
 
 def _manifest(config_hash: str, seed: int) -> dict:
@@ -49,16 +46,8 @@ def _csv_with_header(body: str, manifest: dict) -> str:
     return head + body
 
 
-def _load_json(path: str) -> tuple[dict, str]:
-    raw = Path(path).read_bytes()
-    try:
-        return json.loads(raw), _config_hash(raw)
-    except json.JSONDecodeError as exc:
-        raise InvalidInputError(f"cannot parse {path}: {exc}") from exc
-
-
 def cmd_mu(args) -> int:
-    cfg, h = _load_json(args.input)
+    cfg, h = serialize.read_json(args.input)
     x = serialize.element_from_dict(cfg)
     f = mu(x)
     manifest = _manifest(h, args.seed)
@@ -74,9 +63,8 @@ def cmd_mu(args) -> int:
 
 
 def cmd_ds_check(args) -> int:
-    cfg, h = _load_json(args.map)
-    algebra = serialize.algebra_from_dict(cfg["algebra"])
-    op = serialize.superop_from_dict(cfg["operator"], algebra)
+    cfg, h = serialize.read_json(args.map)
+    op = serialize.ds_check_from_dict(cfg)
     cert = verify_ds(op, trials=args.trials, seed=args.seed)
     payload = json.loads(cert.to_json())
     payload["manifest"] = _manifest(h, args.seed)
@@ -127,26 +115,12 @@ def _run_besicovitch_scenario(seed: int, out: Path, manifest: dict) -> int:
     return EXIT_OK if worst <= quad_tol else EXIT_REFUTED
 
 
-def _run_explicit_average(cfg: dict, seed: int, out: Path, manifest: dict) -> int:
-    algebra = serialize.algebra_from_dict(cfg["algebra"])
-    espec = cfg["element"]
-    if "explicit" in espec:
-        x = serialize.element_from_dict({"blocks": espec["explicit"]}, algebra)
-    else:
-        rnd = espec["random"]
-        from .rng import stream
-        x = algebra.random_element(stream(seed, "cli/average/element"),
-                                   scale=rnd.get("scale", 1.0),
-                                   selfadjoint=rnd.get("selfadjoint", False))
-    ops = [serialize.superop_from_dict(o, algebra) for o in cfg["operators"]]
-    netspec = cfg["net"]
-    net = SectorNet(len(netspec["indices"][0]),
-                    tuple(tuple(n) for n in netspec["indices"]),
-                    netspec.get("sector_constant"))
+def _run_explicit_average(run: tuple, seed: int, out: Path, manifest: dict) -> int:
+    x, ops, net, epsilon = run
     trace = net_average_trace(ops, x, net, seed=seed)
     _write(out / "trace.csv", _csv_with_header(trace.to_csv(), manifest))
     ftrace = FiniteTrace(tuple(trace.outputs))
-    cert = certify_cauchy(ftrace, epsilon=cfg.get("epsilon", 0.05), mode="bau")
+    cert = certify_cauchy(ftrace, epsilon=epsilon, mode="bau")
     payload = json.loads(cert.to_json())
     payload["manifest"] = manifest
     _write(out / "certificate_cauchy.json", serialize.dumps(payload) + "\n")
@@ -154,24 +128,19 @@ def _run_explicit_average(cfg: dict, seed: int, out: Path, manifest: dict) -> in
 
 
 def cmd_average(args) -> int:
-    if args.bundled:
-        from importlib.resources import files
-        raw = files("ncergo.configs").joinpath(f"{args.bundled}.json").read_bytes()
-        cfg, h = json.loads(raw), _config_hash(raw)
-    else:
-        cfg, h = _load_json(args.config)
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    cfg, h = serialize.read_json(
+        args.config or files("ncergo.configs") / f"{args.bundled}.json")
+    seed, fixture, run = serialize.average_from_dict(cfg, args.seed)
     out = Path(args.out_dir)
     manifest = _manifest(h, seed)
     _write(out / "manifest.json", serialize.dumps(manifest) + "\n")
-    fixture = cfg.get("fixture")
+    if fixture is None:
+        return _run_explicit_average(run, seed, out, manifest)
     if fixture == "conjugation-d2-sector":
         return _run_conjugation_scenario(seed, out, manifest)
     if fixture == "besicovitch-theta":
         return _run_besicovitch_scenario(seed, out, manifest)
-    if fixture is not None:
-        raise InvalidInputError(f"unknown fixture {fixture!r}")
-    return _run_explicit_average(cfg, seed, out, manifest)
+    raise InvalidInputError(f"fixture: unknown scenario {fixture!r}")
 
 
 def cmd_certify(args) -> int:
@@ -183,15 +152,15 @@ def cmd_certify(args) -> int:
     digest = hashlib.sha256()
     elements = []
     for p in paths:
-        cfg, _ = _load_json(str(p))
+        cfg, _ = serialize.read_json(p)
         digest.update(p.read_bytes())
         elements.append(serialize.element_from_dict(cfg))
     manifest = _manifest(digest.hexdigest()[:16], args.seed)
     trace = FiniteTrace(tuple(elements))
     try:
         if args.limit:
-            limit = serialize.element_from_dict(_load_json(args.limit)[0],
-                                                elements[0].algebra)
+            limit = serialize.element_from_dict(serialize.read_json(args.limit)[0],
+                                                trace.algebra)
             cert = witness_convergence(trace, limit, args.epsilon, args.mode)
         elif args.cauchy:
             cert = certify_cauchy(trace, args.epsilon, args.mode)
@@ -212,7 +181,8 @@ def cmd_certify(args) -> int:
 def cmd_remark32(args) -> int:
     _, trace, limit = remark32_model(args.n)
     out = Path(args.out_dir)
-    manifest = _manifest(_config_hash(str(args.n).encode()), args.seed)
+    manifest = _manifest(hashlib.sha256(str(args.n).encode()).hexdigest()[:16],
+                         args.seed)
     for i, x in enumerate(trace.elements):
         payload = serialize.element_to_dict(x)
         payload["manifest"] = manifest
@@ -243,7 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("average", help="run an averaging scenario end to end")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--config", help="scenario config JSON")
-    group.add_argument("--bundled", help="name of a bundled scenario config")
+    group.add_argument("--bundled", help="name of a bundled scenario config",
+                       choices=sorted(p.name[:-5] for p in files("ncergo.configs")
+                                      .iterdir() if p.name.endswith(".json")))
     p.add_argument("--out-dir", required=True)
     # SUPPRESS keeps an absent subcommand --seed from overwriting a global one
     p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
@@ -278,7 +250,7 @@ def main(argv=None) -> int:
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return handler(args)
-    except (InvalidInputError, FileNotFoundError) as exc:
+    except InvalidInputError as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT
     except NumericFailureError as exc:

@@ -37,10 +37,6 @@ class StepFunction:
         values.setflags(write=False)
 
     @classmethod
-    def zero(cls) -> "StepFunction":
-        return cls(np.array([0.0]), np.array([]))
-
-    @classmethod
     def from_levels(cls, levels, widths) -> "StepFunction":
         """Build from per-level (value, width) pairs already sorted descending.
 
@@ -79,16 +75,6 @@ class StepFunction:
         lengths = np.clip(upper - self.edges[:-1], 0.0, None)
         out = np.dot(lengths, self.values)
         return out if s.ndim else float(out)
-
-    def total_integral(self) -> float:
-        return self.integral(self.support_end)
-
-    def scaled(self, c: float) -> "StepFunction":
-        if c < 0:
-            raise InvalidInputError("scale must be >= 0")
-        if c == 0 or self.values.size == 0:
-            return StepFunction.zero()
-        return StepFunction(self.edges, self.values * c)
 
     def to_csv(self) -> str:
         """CSV listing of the breakpoints, header ``t,value``.

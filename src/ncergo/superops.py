@@ -464,6 +464,8 @@ def verify_ds(op: SuperOperator, trials: int = 50, seed: int = 0) -> DSCertifica
     """
     from .singular import lp_norm
 
+    if trials < 1:  # no sample can claim positivity
+        raise InvalidInputError(f"trials must be >= 1, got {trials!r}")
     positive = check_positivity(op, trials=trials, seed=seed)
     selfadj = check_selfadjointness(op, trials=max(trials // 2, 5), seed=seed)
     one = op.algebra.identity()

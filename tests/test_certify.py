@@ -116,6 +116,27 @@ def test_witness_degenerate_budget():
         witness_convergence(FiniteTrace(terms), a.zero(), 0.0)
 
 
+@pytest.mark.parametrize("epsilon", [math.nan, -0.5])
+def test_budget_that_is_not_positive_is_refused(epsilon):
+    """NaN fails every comparison, so a test written as epsilon <= 0 lets
+    it through to a certified verdict."""
+    a = TracedAlgebra(((2, 1.0),))
+    trace = FiniteTrace(tuple(a.identity().scaled(1.0 / n) for n in range(1, 5)))
+    with pytest.raises(InvalidInputError, match="epsilon"):
+        witness_convergence(trace, a.zero(), epsilon)
+    with pytest.raises(InvalidInputError, match="epsilon"):
+        certify_cauchy(trace, epsilon)
+
+
+def test_infinite_budget_is_the_degenerate_zero_witness():
+    a = TracedAlgebra(((2, 1.0),))
+    trace = FiniteTrace(tuple(a.identity().scaled(1.0 / n) for n in range(1, 5)))
+    for cert in (witness_convergence(trace, a.zero(), math.inf),
+                 certify_cauchy(trace, math.inf)):
+        assert cert.certified and "degenerate" in cert.notes
+        assert cert.projection.sup_norm() == 0.0
+
+
 def test_witness_au_bounds_dominate_bau():
     x, trace, oracle = conjugation_trace()
     cert = witness_convergence(trace, oracle, 0.05, mode="au")

@@ -1,4 +1,8 @@
+import contextlib
+import copy
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ncergo
 from ncergo import BlockExpectation, ConvexCombination, Element, \
@@ -373,3 +378,240 @@ def test_average_conjugation_independent_of_blas_threads(tmp_path):
         assert sorted(p.name for p in out.iterdir()) == sorted(names)
         outputs.append([(out / name).read_bytes() for name in names])
     assert outputs[0] == outputs[1]
+
+
+# -- malformed input ------------------------------------------------------------
+
+IN, OUT = "<input>", "<out>"
+AVERAGE = ["average", "--config", IN, "--out-dir", OUT]
+TWO_BLOCKS = {"blocks": [{"dim": 2, "weight": 1.0}, {"dim": 1, "weight": 0.5}]}
+DROP = object()  # a key that average_config leaves out
+
+
+def average_config(**changes):
+    """A small explicit ``average`` config that certifies (exit 0): a convex
+    combination and a block expectation on two blocks, over a diagonal net."""
+    flip = {"kind": "unitary_conjugation",
+            "unitary": [[[1, 0], [0, 0], [0, 0], [-1, 0]], [[1, 0]]]}
+    cfg = {"algebra": TWO_BLOCKS,
+           "element": {"random": {"scale": 1.0, "selfadjoint": True}},
+           "operators": [
+               {"kind": "convex_combination", "terms": [
+                   {"weight": 0.5, "op": {"kind": "block_expectation",
+                                          "partition": [[[0], [1]], [[0]]]}},
+                   {"weight": 0.5, "op": flip}]},
+               {"kind": "block_expectation", "partition": [[[0, 1]], [[0]]]}],
+           "net": {"indices": [[1, 1], [16, 16], [256, 256], [4096, 4096]],
+                   "sector_constant": 1.0},
+           "epsilon": 0.25, "seed": 3}
+    cfg.update(changes)
+    return {k: v for k, v in cfg.items() if v is not DROP}
+
+
+# argv (IN and OUT stand for the input and output paths), the input (a JSON
+# value, raw bytes, or None for a directory) and the field the message names
+MALFORMED = {
+    "ds-check on {}": (["ds-check", IN], {}, "algebra"),
+    "ds-check without operator": (["ds-check", IN], {"algebra": TWO_BLOCKS},
+                                  "operator"),
+    "empty net indices": (AVERAGE, average_config(net={"indices": []}),
+                          "net.indices"),
+    "no operators": (AVERAGE, average_config(operators=DROP), "operators"),
+    "empty operators": (AVERAGE, average_config(operators=[]), "operator"),
+    "empty operators and net indices": (
+        AVERAGE, average_config(operators=[], net={"indices": []}), "net.indices"),
+    "config is a list": (AVERAGE, [average_config()], "in.json"),
+    "epsilon is a string": (AVERAGE, average_config(epsilon="x"), "epsilon"),
+    "sector constant is a string": (
+        AVERAGE, average_config(net={"indices": [[1, 1], [2, 2]],
+                                     "sector_constant": "a"}),
+        "net.sector_constant"),
+    "seed is a string": (AVERAGE, average_config(seed="s"), "seed"),
+    "fixture seed is a string": (
+        AVERAGE, {"fixture": "conjugation-d2-sector", "seed": "s"}, "seed"),
+    "no element": (AVERAGE, average_config(element=DROP), "element"),
+    "element neither explicit nor random": (AVERAGE, average_config(element={}),
+                                            "element.random"),
+    "scale is a string": (
+        AVERAGE, average_config(element={"random": {"scale": "big"}}),
+        "element.random.scale"),
+    "selfadjoint is a number": (
+        AVERAGE, average_config(element={"random": {"selfadjoint": 1}}),
+        "element.random.selfadjoint"),
+    "not UTF-8": (AVERAGE, b'{"seed": "\xff\xfe"}', "in.json"),
+    "directory as input": (["mu", "--input", IN, "--out-dir", OUT], None,
+                           "in.json"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_input_exits_2_naming_the_field(tmp_path, capsys, case):
+    argv, content, field = MALFORMED[case]
+    path = tmp_path / "in.json"
+    if content is None:
+        path.mkdir()
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        write_json(path, content)
+    argv = [{IN: str(path), OUT: str(tmp_path / "out")}.get(a, a) for a in argv]
+    assert main(argv) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and field in err, err
+
+
+def test_valid_average_config_certifies(tmp_path):
+    """The base of the malformed cases above is itself valid."""
+    cfg = write_json(tmp_path / "cfg.json", average_config())
+    assert main(["average", "--config", cfg,
+                 "--out-dir", str(tmp_path / "out")]) == EXIT_OK
+
+
+def test_average_bundled_name_must_be_shipped(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["average", "--bundled", "../configs/conjugation-d2-sector",
+              "--out-dir", str(tmp_path)])
+    assert exit_info.value.code == EXIT_INPUT
+    assert "'besicovitch-theta', 'conjugation-d2-sector'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_ds_check_needs_a_positivity_sample(tmp_path, capsys, trials):
+    """A(x) = x_12 E_11 is not positive; with no sample nothing refutes
+    positivity, and the bounds ||A(1)|| = 0 of a positive map would pass."""
+    matrix = [[0.0, 0.0]] * 16
+    matrix[1] = [1.0, 0.0]
+    cfg = write_json(tmp_path / "map.json", {
+        "algebra": {"blocks": [{"dim": 2, "weight": 1.0}]},
+        "operator": {"kind": "explicit_matrix", "matrix": matrix, "dim": 4}})
+    assert main(["ds-check", cfg, "--trials", trials]) == EXIT_INPUT
+    assert "trials" in capsys.readouterr().err
+
+
+def test_certify_nan_epsilon_is_input_error(tmp_path, capsys):
+    trace_dir = tmp_path / "trace"
+    assert main(["remark32", "--n", "6", "--out-dir", str(trace_dir)]) == EXIT_OK
+    assert main(["certify", "--trace-dir", str(trace_dir), "--epsilon", "nan",
+                 "--limit", str(trace_dir / "limit.json"),
+                 "--out-dir", str(tmp_path / "out")]) == EXIT_INPUT
+    assert "epsilon" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_certify_limit_on_another_algebra_is_input_error(tmp_path, capsys):
+    """The limit file's own algebra is read: a limit whose weights differ
+    from the trace's is refused, not certified under the trace's."""
+    trace_dir = tmp_path / "trace"
+    assert main(["remark32", "--n", "6", "--out-dir", str(trace_dir)]) == EXIT_OK
+    limit = json.loads((trace_dir / "limit.json").read_text())
+    for block in limit["algebra"]["blocks"]:
+        block["weight"] = 1.0
+    argv = ["certify", "--trace-dir", str(trace_dir), "--epsilon",
+            str(2.0 ** -5), "--mode", "au", "--out-dir", str(tmp_path / "out")]
+    assert main(argv + ["--limit", write_json(tmp_path / "limit.json", limit)]) \
+        == EXIT_INPUT
+    assert "algebra" in capsys.readouterr().err
+    assert main(argv + ["--limit", str(trace_dir / "limit.json")]) == EXIT_OK
+
+
+# -- fuzzing: main() on mutated valid inputs -------------------------------------
+#
+# Each example applies one to three mutations to a valid input, in the style
+# of mutation-based fuzzing (Zeller et al., The Fuzzing Book): drop a key or
+# list entry, swap a value's type, empty a list or object, nest a value
+# wrongly, or put in NaN, an infinity, an integer beyond the float range or a
+# non-ASCII string.  Whatever comes out, main() must return an exit code.
+
+# keys that size the work: a large value there is a valid request for that
+# much work, not malformed input, so no mutation makes one large
+SIZE_KEYS = {"dim", "indices", "exponent"}
+SWAPS = ["x", 0, -1, 1.5, True, None, [], {}, [1, 2], {"k": 1}]
+SPECIALS = [math.nan, math.inf, -math.inf, "\u00e9t\u00e9 \u2713 \u975e"]
+
+
+def _paths(value, prefix=()):
+    """The path of every node of a JSON value, the root's first."""
+    yield prefix
+    items = value.items() if isinstance(value, dict) else \
+        enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def mutated(draw, valid):
+    root = [copy.deepcopy(valid)]  # a parent for the top-level value
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(root[0]))))
+        parent, key = root, 0
+        for k in path:
+            parent, key = parent[key], k
+        value = parent[key]
+        mutation = draw(st.sampled_from(["drop", "swap", "empty", "nest", "special"]))
+        if mutation == "drop" and path:
+            del parent[key]
+        elif mutation == "swap":  # a copy, so no later mutation edits SWAPS
+            parent[key] = copy.deepcopy(draw(st.sampled_from(
+                [s for s in SWAPS if type(s) is not type(value)])))
+        elif mutation == "empty":
+            parent[key] = {} if isinstance(value, dict) else []
+        elif mutation == "nest":
+            parent[key] = draw(st.sampled_from([[value], {"value": value}]))
+        else:  # "special", or "drop" of the root
+            small = SIZE_KEYS.isdisjoint(k for k in path if isinstance(k, str))
+            parent[key] = draw(st.sampled_from(SPECIALS + [10 ** 400] * small))
+    return root[0]
+
+
+def _valid_inputs(root):
+    """The valid inputs the property mutates, and the argv of each command:
+    (argv, {file name: valid JSON value})."""
+    assert main(["remark32", "--n", "4", "--out-dir", str(root / "trace")]) == EXIT_OK
+    trace = {f"trace/{p.name}": json.loads(p.read_text())
+             for p in sorted((root / "trace").glob("*.json"))}
+    a = TracedAlgebra(((2, 1.0), (1, 0.5)))
+    x = a.random_element(np.random.default_rng(1))
+    projections = [[[[1, 0], [0, 0], [0, 0], [0, 0]], [[1, 0]]],
+                   [[[0, 0], [0, 0], [0, 0], [1, 0]], [[0, 0]]]]
+    matrix = [[0.5 * (i % 6 == 0), 0.0] for i in range(25)]  # 0.5 * identity
+    ds_map = {"algebra": TWO_BLOCKS, "operator": {
+        "kind": "composition", "factors": [
+            {"kind": "pinching", "projections": projections},
+            {"kind": "power", "exponent": 2, "base": {
+                "kind": "explicit_matrix", "matrix": matrix, "dim": 5}}]}}
+    out = str(root / "out")
+    return {
+        "mu": (["mu", "--input", "x.json", "--out-dir", out],
+               {"x.json": serialize.element_to_dict(x)}),
+        "ds-check": (["ds-check", "map.json", "--trials", "5"],
+                     {"map.json": ds_map}),
+        "average": (["average", "--config", "cfg.json", "--out-dir", out],
+                    {"cfg.json": average_config()}),
+        "certify": (["certify", "--trace-dir", "trace", "--epsilon",
+                     str(2.0 ** -5), "--mode", "au", "--limit",
+                     "trace/limit.json", "--out-dir", out], trace),
+    }
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    return root, _valid_inputs(root)
+
+
+@pytest.mark.parametrize("command", ["mu", "ds-check", "average", "certify"])
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_main_returns_an_exit_code_on_mutated_input(fuzz_inputs, command, data):
+    root, inputs = fuzz_inputs
+    argv, files = inputs[command]
+    target = data.draw(st.sampled_from(sorted(files)), label="file")
+    for name, value in files.items():
+        if name == target:
+            value = data.draw(mutated(value), label="input")
+        (root / name).write_text(json.dumps(value))
+    argv = [str(root / a) if a in files or a == "trace" else a for a in argv]
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_REFUTED, EXIT_INPUT, EXIT_NUMERIC)

@@ -12,7 +12,7 @@ def test_from_levels_merges_and_drops():
 
 
 def test_zero_function():
-    f = StepFunction.zero()
+    f = StepFunction.from_levels([], [])
     assert f(0.0) == 0.0
     assert f(17.3) == 0.0
     assert f.integral(5.0) == 0.0
@@ -39,7 +39,6 @@ def test_integral_exact():
     assert f.integral(1.5) == 3.5
     assert f.integral(2.0) == 4.0
     assert f.integral(10.0) == 4.0
-    assert f.total_integral() == 4.0
 
 
 def test_invalid_constructions():
@@ -54,16 +53,6 @@ def test_invalid_constructions():
         StepFunction(np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0]))
     with pytest.raises(InvalidInputError):
         StepFunction(np.array([0.0, 1.0]), np.array([-1.0]))
-
-
-def test_scaled():
-    f = StepFunction.from_levels([3.0, 1.0], [1.0, 1.0])
-    g = f.scaled(0.5)
-    assert np.allclose(g.values, [1.5, 0.5])
-    assert g.integral(2.0) == 2.0
-    assert f.scaled(0.0).support_end == 0.0
-    with pytest.raises(InvalidInputError):
-        f.scaled(-1.0)
 
 
 def test_to_csv():

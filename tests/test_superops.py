@@ -242,6 +242,18 @@ def test_verify_ds_transpose_map():
     assert cert.is_ds()
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_verify_ds_needs_a_positivity_sample(trials):
+    """With no sample, the sampled positivity check has nothing to refute:
+    A(x) = x_12 E_11, which is not positive, would be reported positive,
+    with the bounds ||A(1)|| = 0 of a positive map."""
+    a = TracedAlgebra(((2, 1.0),))
+    matrix = np.zeros((4, 4))
+    matrix[0, 1] = 1.0
+    with pytest.raises(InvalidInputError, match="trials"):
+        verify_ds(ExplicitMatrix(a, matrix), trials=trials)
+
+
 def test_check_positivity():
     rng = stream(SEED, "test/superops/positivity")
     a = TracedAlgebra(((2, 1.0),))
