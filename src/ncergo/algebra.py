@@ -39,6 +39,8 @@ class TracedAlgebra:
                 raise InvalidInputError("block dims must be >= 1")
             if not (w > 0) or not np.isfinite(w):
                 raise InvalidInputError("block weights must be positive and finite")
+        if sum(d * d for d, _ in blocks) > np.iinfo(np.intp).max:
+            raise InvalidInputError("block dims too large for numpy's index range")
         object.__setattr__(self, "blocks", blocks)
 
     @cached_property

@@ -22,9 +22,10 @@ from .algebra import (Element, TracedAlgebra, _adj, block_sup_norms,
                       projection_from_ranges, rearranged, stacked,
                       stacked_singular_values, trace_deficiency)
 from .config import (BOUND_SLACK, BUDGET_SLACK, CAUCHY_TOL, MEET_KERNEL_CUT,
-                     RANK_REL, TAIL_RISE_SLACK, TAIL_TOL)
+                     TAIL_RISE_SLACK, TAIL_TOL)
 from .errors import InvalidInputError, NoLimitError, PostconditionError
-from .singular import enlarge_projection, measure_scan, spectral_projection_below
+from .singular import (enlarge_projection, measure_scan, spectral_cut,
+                       spectral_projection_below)
 
 
 @dataclass(frozen=True)
@@ -149,7 +150,7 @@ def _distinct_levels(d: Element) -> List[float]:
 def _tail_weight(d: Element, level):
     """Weighted count of singular values strictly above the cut, at one
     level or at each of an array of levels."""
-    cut = np.asarray(level) + RANK_REL * max(d.sup_norm(), 1.0)
+    cut = spectral_cut(d, np.asarray(level))
     svals, _, cumulative = d.flat_spectrum()
     return cumulative[np.searchsorted(-svals, -cut)]
 

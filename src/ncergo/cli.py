@@ -30,9 +30,9 @@ from .superops import verify_ds
 EXIT_OK, EXIT_REFUTED, EXIT_INPUT, EXIT_NUMERIC = 0, 1, 2, 3
 
 
-def _manifest(config_hash: str, seed: int) -> dict:
-    return {"config_sha256_16": config_hash, "seed": seed,
-            "tool": "ncergo", "semifinite_emulation":
+def _manifest(config: bytes, seed: int) -> dict:
+    return {"config_sha256_16": hashlib.sha256(config).hexdigest()[:16],
+            "seed": seed, "tool": "ncergo", "semifinite_emulation":
             "finite total trace; horizon-limited judgments"}
 
 
@@ -47,10 +47,10 @@ def _csv_with_header(body: str, manifest: dict) -> str:
 
 
 def cmd_mu(args) -> int:
-    cfg, h = serialize.read_json(args.input)
+    cfg, raw = serialize.read_json(args.input)
     x = serialize.element_from_dict(cfg)
     f = mu(x)
-    manifest = _manifest(h, args.seed)
+    manifest = _manifest(raw, args.seed)
     out = Path(args.out_dir)
     _write(out / "mu.csv", _csv_with_header(f.to_csv(), manifest))
     norms = {"manifest": manifest,
@@ -63,11 +63,11 @@ def cmd_mu(args) -> int:
 
 
 def cmd_ds_check(args) -> int:
-    cfg, h = serialize.read_json(args.map)
+    cfg, raw = serialize.read_json(args.map)
     op = serialize.ds_check_from_dict(cfg)
     cert = verify_ds(op, trials=args.trials, seed=args.seed)
     payload = json.loads(cert.to_json())
-    payload["manifest"] = _manifest(h, args.seed)
+    payload["manifest"] = _manifest(raw, args.seed)
     text = serialize.dumps(payload) + "\n"
     if args.out:
         _write(Path(args.out), text)
@@ -128,11 +128,11 @@ def _run_explicit_average(run: tuple, seed: int, out: Path, manifest: dict) -> i
 
 
 def cmd_average(args) -> int:
-    cfg, h = serialize.read_json(
+    cfg, raw = serialize.read_json(
         args.config or files("ncergo.configs") / f"{args.bundled}.json")
     seed, fixture, run = serialize.average_from_dict(cfg, args.seed)
     out = Path(args.out_dir)
-    manifest = _manifest(h, seed)
+    manifest = _manifest(raw, seed)
     _write(out / "manifest.json", serialize.dumps(manifest) + "\n")
     if fixture is None:
         return _run_explicit_average(run, seed, out, manifest)
@@ -149,14 +149,9 @@ def cmd_certify(args) -> int:
     paths = [p for p in paths if p.name != "limit.json"]
     if not paths:
         raise InvalidInputError(f"no element files in {trace_dir}")
-    digest = hashlib.sha256()
-    elements = []
-    for p in paths:
-        cfg, _ = serialize.read_json(p)
-        digest.update(p.read_bytes())
-        elements.append(serialize.element_from_dict(cfg))
-    manifest = _manifest(digest.hexdigest()[:16], args.seed)
-    trace = FiniteTrace(tuple(elements))
+    read = [serialize.read_json(p) for p in paths]  # each file once
+    manifest = _manifest(b"".join(raw for _, raw in read), args.seed)
+    trace = FiniteTrace(tuple(serialize.element_from_dict(cfg) for cfg, _ in read))
     try:
         if args.limit:
             limit = serialize.element_from_dict(serialize.read_json(args.limit)[0],
@@ -181,8 +176,7 @@ def cmd_certify(args) -> int:
 def cmd_remark32(args) -> int:
     _, trace, limit = remark32_model(args.n)
     out = Path(args.out_dir)
-    manifest = _manifest(hashlib.sha256(str(args.n).encode()).hexdigest()[:16],
-                         args.seed)
+    manifest = _manifest(str(args.n).encode(), args.seed)
     for i, x in enumerate(trace.elements):
         payload = serialize.element_to_dict(x)
         payload["manifest"] = manifest

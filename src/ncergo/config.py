@@ -31,7 +31,7 @@ SUBMAJOR_SLACK = 1e-9
 DS_SLACK = 1e-9
 #: largest entry of u u* - 1 accepted for a conjugating unitary
 UNITARY_TOL = 1e-8
-#: tolerance for pinching projections summing to 1 and being orthogonal
+#: absolute tolerance for pinching projections to sum to 1 and be orthogonal
 PINCHING_TOL = 1e-9
 #: slack above 1.0 accepted for the weight sum of a convex combination
 WEIGHT_SUM_SLACK = 1e-12

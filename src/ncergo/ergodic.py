@@ -38,12 +38,11 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import Element, TracedAlgebra, _adj, _integer, check_vecs, stacked
+from .algebra import Element, TracedAlgebra, _adj, _integer, check_vecs
 from .config import COMMUTE_TOL, IDEMPOTENT_TOL, QUAD_TOL, SEMIGROUP_TOL
 from .errors import InvalidInputError, NumericFailureError
 from .rng import stream
-from .superops import BlockExpectation, DSCertificate, Pinching, SuperOperator, \
-    UnitaryConjugation, verify_ds
+from .superops import DSCertificate, SuperOperator, UnitaryConjugation, verify_ds
 
 
 # -- index nets ---------------------------------------------------------------
@@ -109,9 +108,10 @@ def validate_family(ops: Sequence[SuperOperator], seed: int = 0
 
     - "structural": conjugations, pinchings and block expectations (the
       last as the pinching by its group indicators) are sums of sandwiches
-      x -> a x b, and the rule of ``_structural_bound`` is exact for two
-      conjugations, sufficient otherwise.  Where it does not prove the
-      bound it gives no verdict, and the next rule decides.
+      x -> a x b (``SuperOperator.sandwiches``), and the rule of
+      ``_structural_bound`` is exact for two conjugations, sufficient
+      otherwise.  Where it does not prove the bound it gives no verdict,
+      and the next rule decides.
     - "dense": up to vec_dim 256, ||C||_F sqrt(sum_b d_b) for the matrix C
       of AB - BA, from the cached ``to_matrix``.
     - "sampled": above it, the gap on the same ten random elements,
@@ -126,10 +126,9 @@ def validate_family(ops: Sequence[SuperOperator], seed: int = 0
     for op, cert in zip(ops, certs):
         if not cert.is_ds() or not cert.positivity:
             raise InvalidInputError("family member is not a positive contraction")
-    sandwiches = [_sandwiches(op) for op in ops]
     labels, sampled = [], []
     for i, j in itertools.combinations(range(len(ops)), 2):
-        if _structural_bound(sandwiches[i], sandwiches[j]) <= COMMUTE_TOL:
+        if _structural_bound(ops[i].sandwiches(), ops[j].sandwiches()) <= COMMUTE_TOL:
             labels.append("structural")
         elif algebra.vec_dim <= _MATRIX_ROUTE_MAX_DIM:
             bound = _dense_bound(ops[i], ops[j])
@@ -160,33 +159,9 @@ def _dense_bound(a: SuperOperator, b: SuperOperator) -> float:
     return float(np.linalg.norm(ma @ mb - mb @ ma)) * math.sqrt(sum(a.algebra.dims))
 
 
-def _sandwiches(op: SuperOperator) -> Optional[list]:
-    """Per group of equal-dimension blocks, stacks ``(a, b)`` of shape
-    (terms, blocks, d, d) with op(x) = sum_k a_k x b_k on each block; None
-    for a map of another class."""
-    out = []
-    for g in op.algebra.groups:
-        if isinstance(op, UnitaryConjugation):
-            u = stacked(op.u.data, g)
-            a, b = u[None], _adj(u)[None]
-        elif isinstance(op, Pinching):
-            a = b = np.stack([stacked(p.data, g) for p in op.projections])
-        elif isinstance(op, BlockExpectation):
-            d = op.algebra.dims[g[0]]
-            parts = [op.partition[i] for i in g]
-            a = b = np.zeros((max(map(len, parts)), len(g), d, d), dtype=complex)
-            for i, groups in enumerate(parts):
-                for k, idx in enumerate(groups):
-                    a[k, i, list(idx), list(idx)] = 1.0
-        else:
-            return None
-        out.append((a, b))
-    return out
-
-
-def _structural_bound(s: Optional[list], t: Optional[list]) -> float:
-    """A bound on the commutator norm of the maps with sandwiches s and t
-    (``_sandwiches``), inf where either has none.  Term by term, with
+def _structural_bound(s: Optional[tuple], t: Optional[tuple]) -> float:
+    """A bound on the commutator norm of the maps with sandwich factors s
+    and t, inf where either has none.  Term by term, with
     a c = lam c a + e and d b = conj(lam) b d + f for any unimodular lam,
 
         (a c) x (d b) - (c a) x (b d) = lam c a x f + conj(lam) e x b d + e x f,

@@ -12,7 +12,6 @@ input raises InvalidInputError, and its message names the JSON path.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from contextlib import contextmanager
@@ -66,15 +65,15 @@ def _bool(value) -> bool:
     return value
 
 
-def read_json(source) -> tuple[dict, str]:
+def read_json(source) -> tuple[dict, bytes]:
     """The JSON object in the file `source` (a path, or a bundled config's
-    resource), with the first 16 hex digits of the SHA-256 of its bytes."""
+    resource), with the bytes it was read from."""
     with _reading(source):
         raw = Path(source).read_bytes()
         obj = json.loads(raw)
     if not isinstance(obj, dict):
         raise InvalidInputError(f"{source}: top level must be a JSON object")
-    return obj, hashlib.sha256(raw).hexdigest()[:16]
+    return obj, raw
 
 
 def algebra_to_dict(a: TracedAlgebra) -> dict:
@@ -92,11 +91,14 @@ def _matrix_to_pairs(m: np.ndarray) -> list:
 
 
 def _blocks(specs, dims) -> list:
-    """One matrix per dim from lists of [re, im] pairs in row-major order."""
+    """One finite matrix per dim from lists of [re, im] pairs, row-major."""
     if len(specs) != len(dims):
         raise ValueError(f"{len(specs)} blocks for {len(dims)} algebra blocks")
-    return [np.array([complex(re, im) for re, im in pairs]).reshape(d, d)
-            for pairs, d in zip(specs, dims)]
+    blocks = [np.array([complex(re, im) for re, im in pairs]).reshape(d, d)
+              for pairs, d in zip(specs, dims)]
+    if not all(np.isfinite(b).all() for b in blocks):
+        raise ValueError("non-finite matrix entries")
+    return blocks
 
 
 def element_to_dict(x: Element) -> dict:

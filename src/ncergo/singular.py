@@ -132,14 +132,18 @@ def measure_scan(values: np.ndarray, cumulative: np.ndarray):
     return np.where(point < hi, point, hi[..., -1:]).min(axis=-1)
 
 
+def spectral_cut(x: Element, level):
+    """`level` (a number or an array) plus RANK_REL * max(||x||_inf, 1), the
+    cut of x's singular values there, so that near-ties fall below it."""
+    return level + RANK_REL * max(x.sup_norm(), 1.0)
+
+
 def spectral_projection_below(x: Element, level: float) -> Element:
     """The spectral projection of |x| onto [0, level].
 
-    Built from the right singular vectors of each block; the level is
-    applied with the relative rank tolerance ``RANK_REL`` so near-ties
-    fall below the cut.
+    Built from the right singular vectors of each block, cut at spectral_cut.
     """
-    cut = level + RANK_REL * max(x.sup_norm(), 1.0)
+    cut = spectral_cut(x, level)
     bases = [vh.conj().T[:, s <= cut] for _, s, vh in x.block_svds()]
     return projection_from_ranges(x.algebra, bases)
 

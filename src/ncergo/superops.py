@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg
 
-from .algebra import Element, TracedAlgebra, _adj, _integer, stacked
+from .algebra import (Element, TracedAlgebra, _adj, _integer, block_sup_norms,
+                      stacked)
 from .config import (CLOSED_FORM_TOL, COUPLING_TOL, DS_SLACK, PHASE_TOL,
                      PINCHING_TOL, POSITIVITY_TOL, SELFADJOINT_TOL, UNITARY_TOL,
                      WEIGHT_SUM_SLACK)
@@ -28,6 +29,8 @@ from .singular import submajorizes, fava_decompose
 
 class SuperOperator:
     """Base class: a linear map on the algebra, applied blockwise."""
+
+    _factors: Optional[tuple] = None  # set by the maps held as sandwiches
 
     def __init__(self, algebra: TracedAlgebra):
         self.algebra = algebra
@@ -40,13 +43,19 @@ class SuperOperator:
         """Adjoint with respect to the weighted trace pairing."""
         raise NotImplementedError
 
+    def sandwiches(self) -> Optional[tuple]:
+        """Per group of ``algebra.groups``, stacks ``(a, b)`` of shape (terms,
+        blocks, d, d) with A(x) = sum_k a_k x b_k and b_k = a_k* on each
+        block; None for a map not held as such a sum."""
+        return self._factors
+
     def structurally_positive(self) -> bool:
-        """True when positivity holds by construction: every leaf of the
-        map's tree is a conjugation, pinching or block expectation.  A
-        positive map also preserves adjoints (a selfadjoint x is x+ - x-),
-        and its contraction constants are exactly ||A(1)||_inf and
-        ||A*(1)||_inf, so no other structural fact is needed."""
-        raise NotImplementedError
+        """True when positivity holds by construction: the map, or every
+        leaf of its tree, has sandwich factors, a completely positive form
+        (Choi, LAA 10 (1975)).  A positive map also preserves adjoints (a
+        selfadjoint x is x+ - x-), and its contraction constants are exactly
+        ||A(1)||_inf and ||A*(1)||_inf: no other structural fact is needed."""
+        return self.sandwiches() is not None
 
     def __call__(self, x: Element) -> Element:
         return self.apply(x)
@@ -73,15 +82,31 @@ class SuperOperator:
         return None
 
 
-class UnitaryConjugation(SuperOperator):
+class _Sandwiched(SuperOperator):
+    """A leaf held as its sandwich factors, ``_factors``, built once."""
+
+    def _build_matrix(self) -> np.ndarray:
+        # row-major vec(a x b) = kron(a, b^T) vec(x), block by block
+        blocks = [None] * len(self.algebra.blocks)
+        for g, (a, b) in zip(self.algebra.groups, self._factors):
+            for j, i in enumerate(g):
+                blocks[i] = sum(np.kron(ak[j], bk[j].T) for ak, bk in zip(a, b))
+        return scipy.linalg.block_diag(*blocks)
+
+
+class UnitaryConjugation(_Sandwiched):
     """x -> u x u* for a unitary u."""
 
     def __init__(self, u: Element):
-        super().__init__(u.algebra)
-        gap = max(np.abs(b @ b.conj().T - np.eye(d)).max()
-                  for b, d in zip(u.data, u.algebra.dims))
-        if gap > UNITARY_TOL:
+        if max(np.abs(b @ b.conj().T - np.eye(d)).max()
+               for b, d in zip(u.data, u.algebra.dims)) > UNITARY_TOL:
             raise InvalidInputError("conjugator is not unitary")
+        self._hold(u)
+
+    def _hold(self, u: Element):
+        super().__init__(u.algebra)
+        self._factors = tuple((a[None], _adj(a)[None]) for a in
+                              (stacked(u.data, g) for g in u.algebra.groups))
         self.u = u
         self._schur_cache: Optional[tuple] = None
 
@@ -89,10 +114,6 @@ class UnitaryConjugation(SuperOperator):
         return Element(x.algebra,
                        [ub @ b @ ub.conj().T for ub, b in zip(self.u.data, x.data)],
                        selfadjoint=x.selfadjoint)
-
-    def _build_matrix(self) -> np.ndarray:
-        # row-major vec(u x u*) = kron(u, conj(u)) vec(x), block by block
-        return scipy.linalg.block_diag(*[np.kron(b, b.conj()) for b in self.u.data])
 
     def _schur_basis(self) -> tuple:
         """``(basis, defect)``, cached.  ``basis`` holds per group of
@@ -157,31 +178,40 @@ class UnitaryConjugation(SuperOperator):
             x, lambda phi: np.abs(2.0 * np.sin(phi / 2.0)) <= PHASE_TOL)
 
     def adjoint(self) -> "UnitaryConjugation":
-        return UnitaryConjugation(self.u.adjoint())
+        """x -> u* x u, without the constructor's check on u*: u* is as close
+        to unitary as u in norm, ||u*u - 1||_2 = ||uu* - 1||_2 (uu* and u*u
+        share their eigenvalues), though not entry by entry.  Nothing assumes
+        either is 1: ``verify_ds`` computes c_1 = ||u*u||_inf."""
+        op = UnitaryConjugation.__new__(UnitaryConjugation)
+        op._hold(self.u.adjoint())
+        return op
 
-    def structurally_positive(self) -> bool:
-        return True
 
-
-class Pinching(SuperOperator):
+class Pinching(_Sandwiched):
     """x -> sum_i p_i x p_i for an orthogonal partition of unity."""
 
     def __init__(self, projections: Sequence[Element]):
         if not projections:
             raise InvalidInputError("pinching needs at least one projection")
         super().__init__(projections[0].algebra)
-        total = projections[0]
-        for p in projections[1:]:
-            total = total + p
-        if not all(np.allclose(b, np.eye(d), atol=PINCHING_TOL)
-                   for b, d in zip(total.data, self.algebra.dims)):
+        if any(p.algebra != self.algebra for p in projections):
+            raise InvalidInputError("pinching projections must share one algebra")
+        stacks = [np.stack([stacked(p.data, g) for p in projections])
+                  for g in self.algebra.groups]
+        self._factors = tuple((s, s) for s in stacks)
+        if max(np.abs(s.sum(axis=0) - np.eye(s.shape[-1])).max()
+               for s in stacks) > PINCHING_TOL:
             raise InvalidInputError("pinching projections must sum to 1")
-        for i, p in enumerate(projections):
-            for q in projections[i + 1:]:
-                if (p @ q).sup_norm() > PINCHING_TOL:
+        defect = 0.0  # the largest entry of p_i p_j - delta_ij p_i
+        for s in stacks:  # row by row: k^2 products at once would take k x memory
+            for i, p in enumerate(s):
+                row = p @ s  # p_i p_j for every j
+                if block_sup_norms(row[i + 1:]).max(initial=0.0) > PINCHING_TOL:
                     raise InvalidInputError("pinching projections must be orthogonal")
+                row[i] -= p
+                defect = max(defect, np.abs(row).max())
+        self._idempotent = defect <= CLOSED_FORM_TOL
         self.projections = tuple(projections)
-        self._idempotent: Optional[bool] = None
 
     def apply(self, x: Element) -> Element:
         data = [np.zeros_like(b) for b in x.data]
@@ -190,39 +220,21 @@ class Pinching(SuperOperator):
                 data[k] = data[k] + pb @ xb @ pb
         return Element(x.algebra, data, selfadjoint=x.selfadjoint)
 
-    def _build_matrix(self) -> np.ndarray:
-        # row-major vec(p x p) = kron(p, p^T) vec(x), block by block
-        return scipy.linalg.block_diag(*[
-            sum(np.kron(pb, pb.T) for pb in blocks)
-            for blocks in zip(*(p.data for p in self.projections))])
-
     def cesaro_average(self, x: Element, m: int) -> Optional[Element]:
         """x/m + (1 - 1/m) P(x), when p_i p_j = delta_ij p_i holds entrywise
-        to ``CLOSED_FORM_TOL`` (so that P is idempotent); checked once."""
-        if self._idempotent is None:
-            defect = 0.0
-            for blocks in zip(*(p.data for p in self.projections)):
-                ps = np.stack(blocks)
-                products = ps[:, None] @ ps[None, :]
-                idx = np.arange(len(ps))
-                products[idx, idx] -= ps
-                defect = max(defect, np.abs(products).max())
-            self._idempotent = defect <= CLOSED_FORM_TOL
+        to ``CLOSED_FORM_TOL`` (so that P is idempotent)."""
         return _idempotent_average(self, x, m) if self._idempotent else None
 
     def adjoint(self) -> "Pinching":
         return self
 
-    def structurally_positive(self) -> bool:
-        return True
 
-
-class BlockExpectation(SuperOperator):
+class BlockExpectation(_Sandwiched):
     """Conditional expectation onto a block-diagonal subalgebra.
 
     `partition` gives, per algebra block, a list of index groups; entries
     coupling different groups are zeroed.  Equivalent to the pinching by
-    the group indicator projections.
+    the group indicator projections, which are its sandwich factors.
     """
 
     def __init__(self, algebra: TracedAlgebra, partition: Sequence[Sequence[Sequence[int]]]):
@@ -242,12 +254,24 @@ class BlockExpectation(SuperOperator):
                 mask[np.ix_(idx, idx)] = 1.0
             self._masks.append(mask)
 
+    @cached_property
+    def _factors(self) -> tuple:
+        """The group indicator projections, built on first use: their
+        (terms, blocks, d, d) stacks outweigh the masks terms-fold."""
+        factors = []
+        for g in self.algebra.groups:
+            d = self.algebra.dims[g[0]]
+            a = np.zeros((max(len(self.partition[i]) for i in g), len(g), d, d),
+                         dtype=complex)
+            for j, i in enumerate(g):
+                for k, idx in enumerate(self.partition[i]):
+                    a[k, j, list(idx), list(idx)] = 1.0
+            factors.append((a, a))
+        return tuple(factors)
+
     def apply(self, x: Element) -> Element:
         return Element(x.algebra, [m * b for m, b in zip(self._masks, x.data)],
                        selfadjoint=x.selfadjoint)
-
-    def _build_matrix(self) -> np.ndarray:
-        return np.diag(np.concatenate([m.ravel() for m in self._masks])).astype(complex)
 
     def cesaro_average(self, x: Element, m: int) -> Element:
         """x/m + (1 - 1/m) E(x): E is idempotent exactly (0/1 masks)."""
@@ -255,9 +279,6 @@ class BlockExpectation(SuperOperator):
 
     def adjoint(self) -> "BlockExpectation":
         return self
-
-    def structurally_positive(self) -> bool:
-        return True
 
 
 class ConvexCombination(SuperOperator):
@@ -354,6 +375,8 @@ class ExplicitMatrix(SuperOperator):
         matrix = np.asarray(matrix, dtype=complex)
         if matrix.shape != (d, d):
             raise InvalidInputError(f"matrix must be {d} x {d}")
+        if not np.isfinite(matrix).all():
+            raise InvalidInputError("non-finite matrix entries")
         # verify no coupling between distinct algebra blocks
         offsets = np.cumsum([0] + [dd * dd for dd in algebra.dims])
         coupling = matrix.copy()
@@ -371,9 +394,6 @@ class ExplicitMatrix(SuperOperator):
         w = _pairing_weights(self.algebra)
         adj = (self.matrix.conj().T * w[None, :]) / w[:, None]
         return ExplicitMatrix(self.algebra, adj)
-
-    def structurally_positive(self) -> bool:
-        return False
 
 
 def _idempotent_average(op: SuperOperator, x: Element, m: int) -> Element:

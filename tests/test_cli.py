@@ -1,5 +1,7 @@
+import collections
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import math
@@ -10,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 import ncergo
@@ -290,6 +293,28 @@ def test_remark32_then_certify(tmp_path):
     assert payload["trace_deficiency"] <= 2.0 ** -5 + 1e-12
 
 
+def test_certify_reads_each_file_once(tmp_path, monkeypatch):
+    """Every input file is read once, and the manifest hashes the element
+    files' bytes in name order."""
+    trace_dir = tmp_path / "trace"
+    assert main(["remark32", "--n", "4", "--out-dir", str(trace_dir)]) == EXIT_OK
+    files = sorted(trace_dir.glob("element_*.json"))
+    expected = hashlib.sha256(b"".join(p.read_bytes() for p in files)).hexdigest()
+    reads, read_bytes = collections.Counter(), Path.read_bytes
+
+    def counting(path):
+        reads[path.name] += 1
+        return read_bytes(path)
+    monkeypatch.setattr(Path, "read_bytes", counting)
+    out = tmp_path / "cert"
+    assert main(["certify", "--trace-dir", str(trace_dir), "--epsilon",
+                 str(2.0 ** -5), "--mode", "au", "--limit",
+                 str(trace_dir / "limit.json"), "--out-dir", str(out)]) == EXIT_OK
+    assert reads == {name: 1 for name in [p.name for p in files] + ["limit.json"]}
+    manifest = json.loads((out / "certificate.json").read_text())["manifest"]
+    assert manifest["config_sha256_16"] == expected[:16]
+
+
 def test_certify_alternating_refuted(tmp_path):
     trace_dir = tmp_path / "trace"
     trace_dir.mkdir()
@@ -382,6 +407,23 @@ def test_average_conjugation_independent_of_blas_threads(tmp_path):
 
 # -- malformed input ------------------------------------------------------------
 
+def test_ds_check_conjugator_whose_adjoint_is_further_from_unitary(tmp_path, capsys):
+    """u = sqrtm(1 + D) H passes the unitarity check (max |uu* - 1| =
+    7.5e-9) and u* would not (max |u*u - 1| = 1.5e-8): the map is read, its
+    bounds are ||uu*|| = ||u*u|| = 1 + 1.5e-8, and it is refuted."""
+    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    u = scipy.linalg.sqrtm(np.eye(2) + 0.75e-8 * np.ones((2, 2))) @ h
+    cfg = write_json(tmp_path / "map.json", {
+        "algebra": {"blocks": [{"dim": 2, "weight": 1.0}]},
+        "operator": {"kind": "unitary_conjugation",
+                     "unitary": [[[z.real, z.imag] for z in u.ravel()]]}})
+    assert main(["ds-check", cfg]) == EXIT_REFUTED
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["method"] == "exact-positive"
+    assert payload["one_norm_bound"] == pytest.approx(1.0 + 1.5e-8, abs=1e-12)
+    assert payload["is_ds"] is False
+
+
 IN, OUT = "<input>", "<out>"
 AVERAGE = ["average", "--config", IN, "--out-dir", OUT]
 TWO_BLOCKS = {"blocks": [{"dim": 2, "weight": 1.0}, {"dim": 1, "weight": 0.5}]}
@@ -458,6 +500,65 @@ def test_malformed_input_exits_2_naming_the_field(tmp_path, capsys, case):
     assert main(argv) == EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith("input error:") and field in err, err
+
+
+def one_block(dim):
+    return {"blocks": [{"dim": dim, "weight": 1.0}]}
+
+
+EXPECTATION = {"kind": "block_expectation", "partition": [[[0]]]}
+# argv and input of configs whose block dim numpy cannot index
+HUGE_DIMS = {
+    "average of a random element": (AVERAGE, {
+        "algebra": one_block(HUGE), "element": {"random": {}},
+        "operators": [], "net": {"indices": [[]]}}),
+    "ds-check of a block expectation": (["ds-check", IN], {
+        "algebra": one_block(HUGE), "operator": EXPECTATION}),
+    "ds-check at dim 2**33": (["ds-check", IN], {
+        "algebra": one_block(2 ** 33), "operator": EXPECTATION}),
+}
+
+
+@pytest.mark.parametrize("case", list(HUGE_DIMS))
+def test_block_dim_beyond_numpy_is_input_error(tmp_path, capsys, case):
+    argv, content = HUGE_DIMS[case]
+    path = write_json(tmp_path / "in.json", content)
+    argv = [{IN: path, OUT: str(tmp_path / "out")}.get(a, a) for a in argv]
+    assert main(argv) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "block dim" in err, err
+
+
+def non_finite_input(place, value):
+    """(argv, input, the path the message names) for a 2x2 block with one
+    entry set to `value`, read at `place`."""
+    block = [[1, 0], [value, 0], [0, 0], [1, 0]]
+    if place == "blocks":
+        return (["mu", "--input", IN, "--out-dir", OUT],
+                {"algebra": one_block(2), "blocks": [block]}, place)
+    if place == "element.explicit":
+        return AVERAGE, average_config(algebra=one_block(2), operators=[],
+                                       element={"explicit": [block]}), place
+    operator = {"unitary": {"kind": "unitary_conjugation", "unitary": [block]},
+                "projections": {"kind": "pinching", "projections": [[block]]},
+                "matrix": {"kind": "explicit_matrix", "matrix": block * 4,
+                           "dim": 4}}[place]
+    return (["ds-check", IN], {"algebra": one_block(2), "operator": operator},
+            f"operator.{place}")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("place", ["blocks", "element.explicit", "unitary",
+                                   "projections", "matrix"])
+def test_non_finite_entry_is_input_error_naming_its_path(tmp_path, capsys,
+                                                         place, value):
+    argv, content, field = non_finite_input(place, value)
+    path = write_json(tmp_path / "in.json", content)
+    argv = [{IN: path, OUT: str(tmp_path / "out")}.get(a, a) for a in argv]
+    assert main(argv) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: {field}: non-finite"), err
 
 
 def test_valid_average_config_certifies(tmp_path):

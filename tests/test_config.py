@@ -71,3 +71,17 @@ def test_no_config_constant_as_a_parameter_default():
                       if isinstance(default, ast.Name) and default.id in constants
                       and (path.name, fn.name, arg.arg) not in allowed]
     assert not found, "\n".join(found)
+
+
+def test_no_default_tolerance_comparison():
+    """No module calls ``allclose`` or ``isclose``: their default rtol and
+    atol are thresholds outside config.py."""
+    names = {"allclose", "isclose"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = (node.attr if isinstance(node, ast.Attribute)
+                    else node.id if isinstance(node, ast.Name) else None)
+            if name in names:
+                found.append(f"{path.name}:{node.lineno}: {name}")
+    assert not found, "\n".join(found)

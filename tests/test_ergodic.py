@@ -16,8 +16,7 @@ from ncergo import BesicovitchFunction, ConvexCombination, Element, \
     cesaro_limit_oracle, net_average_trace, sector_check, \
     submajorizes
 from ncergo.config import COMMUTE_TOL, PHASE_TOL
-from ncergo.ergodic import _dense_bound, _sandwiches, _structural_bound, \
-    validate_family
+from ncergo.ergodic import _dense_bound, _structural_bound, validate_family
 from ncergo.errors import InvalidInputError, NumericFailureError
 from ncergo.fixtures import besicovitch_theta_fixture, conjugation_d2_fixture, \
     unitary_flow_fixture
@@ -384,7 +383,7 @@ def test_validate_family_pauli_pair_is_structural():
     x = Element(a, [np.array([[0, 1], [1, 0]], dtype=complex)])
     z = Element(a, [np.diag([1.0, -1.0]).astype(complex)])
     ops = [UnitaryConjugation(x), UnitaryConjugation(z)]
-    assert _structural_bound(_sandwiches(ops[0]), _sandwiches(ops[1])) == 0.0
+    assert _structural_bound(ops[0].sandwiches(), ops[1].sandwiches()) == 0.0
     _, labels = validate_family(ops)
     assert labels == ("structural",)
 
@@ -401,7 +400,7 @@ def test_dense_rule_refuses_a_single_corner_entry():
     ops = [ExplicitMatrix(a, np.diag(diag)), ExplicitMatrix(a, shear)]
     c = ops[0].to_matrix() @ shear - shear @ ops[0].to_matrix()
     assert np.count_nonzero(c) == 1 and c[n - 1, n - 2] != 0
-    assert _structural_bound(_sandwiches(ops[0]), _sandwiches(ops[1])) == math.inf
+    assert _structural_bound(ops[0].sandwiches(), ops[1].sandwiches()) == math.inf
     bound = _dense_bound(*ops)
     assert bound == pytest.approx(1e-6 * math.sqrt(sum(a.dims)), rel=1e-12)
     assert bound > COMMUTE_TOL
@@ -463,7 +462,7 @@ def test_structural_and_dense_rules_agree(layout, kinds, commuting, seed):
     algebra = TracedAlgebra(layout)
     rng = stream(seed, "test/ergodic/commutator-rules")
     a, b = rule_pair(kinds, commuting, algebra, rng)
-    structural = _structural_bound(_sandwiches(a), _sandwiches(b))
+    structural = _structural_bound(a.sandwiches(), b.sandwiches())
     dense = _dense_bound(a, b)
     assert (structural <= COMMUTE_TOL) == (dense <= COMMUTE_TOL)
     if commuting:
@@ -760,6 +759,20 @@ def test_box_average_is_the_net_engine_at_one_index(layout, family, n, seed):
     box = box_average(ops, x, n)
     net = net_average_trace(ops, x, SectorNet(len(ops), (n,)))
     assert all(np.array_equal(a, b) for a, b in zip(box.data, net.outputs[0].data))
+
+
+def test_leaf_matrix_build_is_counted_once(monkeypatch):
+    """Each leaf builds its dense matrix through ``_build_matrix``, once, so
+    ``counted_matrix_builds`` sees it and a zero count above means none."""
+    builds = counted_matrix_builds(monkeypatch)
+    algebra = TracedAlgebra(((3, 1.0), (1, 0.5), (3, 2.0)))
+    rng = stream(SEED, "test/ergodic/leaf-builds")
+    for op in (rotated_conjugation(rng, algebra, [1.0, -1.0, 1j]),
+               random_pinching(rng, algebra, parts=3),
+               random_block_expectation(rng, algebra)):
+        builds.clear()
+        assert op.to_matrix() is op.to_matrix()
+        assert builds == {op: 1}
 
 
 def test_closed_form_net_builds_no_matrix(monkeypatch):

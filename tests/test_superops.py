@@ -164,6 +164,62 @@ def test_explicit_matrix_rejects_block_coupling():
         ExplicitMatrix(a, np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
+@pytest.mark.parametrize("layout", [((1, 1.0),), ((2, 1.0), (1, 0.5), (3, 2.0)),
+                                    MANY_BLOCKS])
+def test_leaf_matrix_is_its_closed_formula(layout):
+    """The one sandwich rule, sum_k kron(a_k, b_k^T) per block, equals the
+    leaves' own formulas exactly: kron(u, conj(u)), sum_p kron(p, p^T) and
+    diag(vec(mask))."""
+    a = TracedAlgebra(layout)
+    rng = stream(SEED, "test/superops/leaf-formulas")
+    u = random_unitary_element(rng, a)
+    pinching = random_pinching(rng, a, parts=3)
+    expectation = random_block_expectation(rng, a)
+    masks = []
+    for groups, d in zip(expectation.partition, a.dims):
+        mask = np.zeros((d, d))
+        for g in groups:
+            mask[np.ix_(g, g)] = 1.0
+        masks.append(mask)
+    formulas = (
+        (UnitaryConjugation(u),
+         scipy.linalg.block_diag(*[np.kron(b, b.conj()) for b in u.data])),
+        (pinching, scipy.linalg.block_diag(*[
+            sum(np.kron(pb, pb.T) for pb in blocks)
+            for blocks in zip(*(p.data for p in pinching.projections))])),
+        (expectation,
+         np.diag(np.concatenate([m.ravel() for m in masks])).astype(complex)))
+    for op, formula in formulas:
+        matrix = op.to_matrix()
+        assert matrix.dtype == formula.dtype
+        assert np.array_equal(matrix, formula)
+
+
+def test_pinching_sums_to_one_absolutely():
+    """The sum check is max |sum p - 1| <= PINCHING_TOL, with no relative
+    slack: a diagonal entry off by 5e-6 is refused."""
+    a = TracedAlgebra(((2, 1.0),))
+    p = Element(a, [np.diag([1.0 + 5e-6, 0.0])])
+    q = Element(a, [np.diag([0.0, 1.0])])
+    with pytest.raises(InvalidInputError, match="sum to 1"):
+        Pinching([p, q])
+
+
+def test_pinching_projections_share_one_algebra():
+    a, b = TracedAlgebra(((2, 1.0),)), TracedAlgebra(((2, 2.0),))
+    p = Element(a, [np.diag([1.0, 0.0])])
+    q = Element(b, [np.diag([0.0, 1.0])])
+    with pytest.raises(InvalidInputError, match="one algebra"):
+        Pinching([p, q])
+
+
+def test_explicit_matrix_refuses_non_finite_entries():
+    a = TracedAlgebra(((1, 1.0),))
+    for value in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            ExplicitMatrix(a, np.array([[value]]))
+
+
 # -- adjoints -----------------------------------------------------------------
 
 @pytest.mark.parametrize("layout", [((1, 1.0),), ((2, 1.0), (1, 0.5), (3, 2.0)),
@@ -210,6 +266,24 @@ def test_adjoint_of_conjugation_is_reverse_conjugation():
     x = a.random_element(rng)
     roundtrip = op.adjoint().apply(op.apply(x))
     assert (roundtrip - x).sup_norm() < 1e-10
+
+
+def test_adjoint_of_an_accepted_conjugator_is_not_checked_again():
+    """u = sqrtm(1 + D) H has max |uu* - 1| = 7.5e-9, within UNITARY_TOL,
+    but max |u*u - 1| = 1.5e-8.  The adjoint holds u* unchecked, and
+    verify_ds computes c_1 = ||u*u|| = 1 + 1.5e-8 from it: not a
+    contraction, and not an input error."""
+    a = TracedAlgebra(((2, 1.0),))
+    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    u = scipy.linalg.sqrtm(np.eye(2) + 0.75e-8 * np.ones((2, 2))) @ h
+    op = UnitaryConjugation(Element(a, [u]))
+    adj = op.adjoint()
+    assert np.array_equal(adj.u.data[0], u.conj().T)
+    cert = verify_ds(op)
+    assert cert.method == "exact-positive"
+    assert cert.one_norm_bound == pytest.approx(1.0 + 1.5e-8, abs=1e-12)
+    assert cert.sup_norm_bound == pytest.approx(1.0 + 1.5e-8, abs=1e-12)
+    assert not cert.is_ds()
 
 
 # -- certification ------------------------------------------------------------
