@@ -110,8 +110,8 @@ class Element:
     """A block-diagonal matrix tuple affiliated with a traced algebra.
 
     The per-block spectrum (the singular values, and on demand the full
-    SVD) is computed once, on first use, and cached, as are the flat
-    spectrum built from it and ``singular.mu``'s step function.  This is
+    SVD) is computed once, on first use, and cached, as is the flat
+    spectrum built from it, the one record of the rearrangement.  This is
     safe because elements are immutable; the cached arrays are read-only.
     Constructors that build the blocks from known factors may pass
     ``svd``, a sequence of per-block ``(u, s, vh)`` with ``u * s @ vh``
@@ -126,7 +126,7 @@ class Element:
     """
 
     __slots__ = ("algebra", "data", "selfadjoint", "positive", "projection",
-                 "_svals", "_svd", "_flat", "_mu")
+                 "_svals", "_svd", "_flat")
 
     def __init__(self, algebra: TracedAlgebra, data: Sequence[np.ndarray],
                  selfadjoint: Optional[bool] = None,
@@ -172,7 +172,6 @@ class Element:
         object.__setattr__(self, "projection", projection)
         object.__setattr__(self, "_svd", svd)
         object.__setattr__(self, "_flat", None)
-        object.__setattr__(self, "_mu", None)
         object.__setattr__(self, "_svals",
                            None if svd is None else tuple(s for _, s, _ in svd))
 

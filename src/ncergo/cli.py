@@ -49,10 +49,9 @@ def _csv_with_header(body: str, manifest: dict) -> str:
 def cmd_mu(args) -> int:
     cfg, raw = serialize.read_json(args.input)
     x = serialize.element_from_dict(cfg)
-    f = mu(x)
     manifest = _manifest(raw, args.seed)
     out = Path(args.out_dir)
-    _write(out / "mu.csv", _csv_with_header(f.to_csv(), manifest))
+    _write(out / "mu.csv", _csv_with_header(mu(x).to_csv(), manifest))
     norms = {"manifest": manifest,
              "sup_norm": lp_norm(x, float("inf")),
              "l1_norm": lp_norm(x, 1.0),

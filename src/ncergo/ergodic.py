@@ -86,7 +86,7 @@ def sector_check(net: SectorNet, c0: float) -> bool:
     """True iff at every index the box sides m_i = max(n_i, 1), the powers
     the engine averages over, have a largest-to-smallest ratio of at most
     c0.  A zero coordinate is a side of 1: (10**6, 0) needs c0 >= 10**6."""
-    if c0 <= 0:
+    if not (c0 > 0):
         raise InvalidInputError("sector constant must be > 0")
     sides = [[max(k, 1) for k in n] for n in net.indices]
     return all(max(m, default=1) / min(m, default=1) <= c0 for m in sides)
@@ -168,21 +168,22 @@ def _structural_bound(s: Optional[tuple], t: Optional[tuple]) -> float:
 
     so each term's norm is at most ||x|| (||ca|| ||f|| + ||e|| ||bd|| +
     ||e|| ||f||), with Frobenius norms for operator norms; lam is the phase
-    of <ca, ac>.  The sum over terms is bounded block by block."""
+    of <ca, ac>.  The sum is bounded block by block, one term of s at a time."""
     if s is None or t is None:
         return math.inf
     bound = 0.0
-    for (a, b), (c, d) in zip(s, t):
-        ac, ca = a[:, None] @ c[None], c[None] @ a[:, None]
-        db, bd = d[None] @ b[:, None], b[:, None] @ d[None]
-        inner = np.sum(ca.conj() * ac, axis=(-2, -1), keepdims=True)
-        lam = np.divide(inner, np.abs(inner), out=np.ones_like(inner),
-                        where=inner != 0)
-        e = np.linalg.norm(ac - lam * ca, axis=(-2, -1))
-        f = np.linalg.norm(db - lam.conj() * bd, axis=(-2, -1))
-        terms = (np.linalg.norm(ca, axis=(-2, -1)) * f
-                 + e * np.linalg.norm(bd, axis=(-2, -1)) + e * f)
-        bound = max(bound, terms.sum(axis=(0, 1)).max())
+    for (a_all, b_all), (c, d) in zip(s, t):
+        total = np.zeros(c.shape[1])
+        for a, b in zip(a_all, b_all):
+            ac, ca, db, bd = a @ c, c @ a, d @ b, b @ d
+            inner = np.sum(ca.conj() * ac, axis=(-2, -1), keepdims=True)
+            lam = np.divide(inner, np.abs(inner), out=np.ones_like(inner),
+                            where=inner != 0)
+            e = np.linalg.norm(ac - lam * ca, axis=(-2, -1))
+            f = np.linalg.norm(db - lam.conj() * bd, axis=(-2, -1))
+            total += (np.linalg.norm(ca, axis=(-2, -1)) * f
+                      + e * np.linalg.norm(bd, axis=(-2, -1)) + e * f).sum(axis=0)
+        bound = max(bound, total.max())
     return bound
 
 
@@ -482,7 +483,7 @@ def besicovitch_average(beta: BesicovitchFunction, flow: Semigroup, x: Element,
     for bit, so their weighted values are reused.  The weight beta is
     called once per node.
     """
-    if t <= 0:
+    if not (t > 0):
         raise InvalidInputError("t must be > 0")
 
     def integrand(times: np.ndarray) -> np.ndarray:

@@ -5,7 +5,7 @@ decreasing rearrangement: the singular values of all blocks sorted
 descending, each occupying an interval of width equal to its block's
 trace weight.  Everything downstream (p-norms, the running-integral
 partial order, the measure-topology metric, witness projections) is
-computed exactly from that step function.
+computed exactly from it, as held in ``Element.flat_spectrum``.
 """
 
 from __future__ import annotations
@@ -26,41 +26,39 @@ def mu(x: Element) -> StepFunction:
     """Decreasing rearrangement of x as a step function on (0, infinity).
 
     Ties between equal singular values are broken by block index, so the
-    result is deterministic; it is built once from the flat spectrum and
-    cached on x.
+    result is deterministic; it is built from the flat spectrum on each call.
     """
-    if x._mu is None:
-        object.__setattr__(x, "_mu", StepFunction.from_levels(
-            *x.flat_spectrum()[:2]))
-    return x._mu
+    return StepFunction.from_levels(*x.flat_spectrum()[:2])
 
 
 def mu_at(x: Element, t: float) -> float:
-    """Pointwise value of the rearrangement.
+    """Pointwise value of the rearrangement, right-continuous: ``mu(x)(t)``
+    bit for bit, read from the flat spectrum.
 
     t = 0 gives the largest singular value.  It agrees with ``sup_norm``
     except possibly in the last bit for complex 1x1 blocks: ``mu`` reads
     LAPACK's singular values and ``sup_norm`` the modulus (Python's ``abs``).
     """
-    if t < 0:
+    if not (t >= 0):
         raise InvalidInputError("t must be >= 0")
-    return mu(x)(t)
+    values, _, cumulative = x.flat_spectrum()
+    i = int(np.searchsorted(cumulative, t, side="right")) - 1
+    return float(values[i]) if i < values.size else 0.0
 
 
 def lp_norm(x: Element, p: float) -> float:
     """The p-norm for p in [1, infinity].
 
-    For finite p the integral route (rearrangement) and the trace route
+    For finite p the integral route (the flat spectrum) and the trace route
     tau(|x|^p)^(1/p) are both evaluated and must agree within the
     relative tolerance ``TWO_ROUTE_REL``.
     """
-    if p < 1:
+    if not (p >= 1):
         raise InvalidInputError("p must be >= 1")
     if p == np.inf:
         return x.sup_norm()
-    f = mu(x)
-    widths = np.diff(f.edges)
-    integral_route = float(np.dot(widths, f.values ** p)) ** (1.0 / p)
+    values, weights, _ = x.flat_spectrum()
+    integral_route = float(np.dot(weights, values ** p)) ** (1.0 / p)
     trace_route = float(sum(w * np.sum(s ** p)
                             for s, w in zip(x.singular_values(),
                                             x.algebra.weights))) ** (1.0 / p)
@@ -77,7 +75,7 @@ def k_functional(x: Element, s: float) -> float:
     Equals the infimum of ||y||_1 + s ||z||_inf over splittings x = y + z;
     see :func:`clip_decompose` for the optimal splitting.
     """
-    if s <= 0:
+    if not (s > 0):
         raise InvalidInputError("s must be > 0")
     return mu(x).integral(s)
 
@@ -89,7 +87,7 @@ def clip_decompose(x: Element, level: float) -> Tuple[Element, Element]:
     is at most `level`); y keeps the excess.  At level mu_s(x) this is the
     optimal splitting for the running integral at s.
     """
-    if level < 0:
+    if not (level >= 0):
         raise InvalidInputError("clip level must be >= 0")
     ysvd, zsvd = [], []
     for u, s, vh in x.block_svds():
@@ -143,6 +141,8 @@ def spectral_projection_below(x: Element, level: float) -> Element:
 
     Built from the right singular vectors of each block, cut at spectral_cut.
     """
+    if not (level >= 0):
+        raise InvalidInputError("level must be >= 0")
     cut = spectral_cut(x, level)
     bases = [vh.conj().T[:, s <= cut] for _, s, vh in x.block_svds()]
     return projection_from_ranges(x.algebra, bases)
@@ -183,7 +183,7 @@ def fava_decompose(x: Element, delta: float) -> Tuple[Element, Element]:
     y is the spectral part of x on {|lambda| > delta}; z = x - y, so the
     reassembly is exact by construction.
     """
-    if delta <= 0:
+    if not (delta > 0):
         raise InvalidInputError("delta must be > 0")
     if x.selfadjoint is not True:
         x = x.as_selfadjoint()
@@ -203,7 +203,7 @@ def fava_support_trace(x: Element, delta: float) -> float:
     Equals the trace of the support projection of the y-part returned by
     :func:`fava_decompose`.
     """
-    total = 0.0
-    for s, weight in zip(x.singular_values(), x.algebra.weights):
-        total += weight * int(np.count_nonzero(s > delta))
-    return total
+    if not (delta > 0):
+        raise InvalidInputError("delta must be > 0")
+    return sum(w * int(np.count_nonzero(s > delta))
+               for s, w in zip(x.singular_values(), x.algebra.weights))

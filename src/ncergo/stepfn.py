@@ -57,7 +57,7 @@ class StepFunction:
         return float(self.edges[-1])
 
     def __call__(self, t: float) -> float:
-        if t < 0:
+        if not (t >= 0):
             raise InvalidInputError("t must be >= 0")
         if self.values.size == 0 or t >= self.edges[-1]:
             return 0.0
@@ -69,7 +69,7 @@ class StepFunction:
         """Exact value of the running integral over [0, s], at every point
         of s when s is an array."""
         s = np.asarray(s, dtype=float)
-        if np.any(s < 0):
+        if not np.all(s >= 0):
             raise InvalidInputError("s must be >= 0")
         upper = np.minimum(self.edges[1:], s[..., None])
         lengths = np.clip(upper - self.edges[:-1], 0.0, None)

@@ -289,9 +289,9 @@ class ConvexCombination(SuperOperator):
             raise InvalidInputError("combination needs at least one term")
         super().__init__(terms[0][1].algebra)
         weights = [float(w) for w, _ in terms]
-        if any(w < 0 for w in weights):
+        if not all(w >= 0 for w in weights):
             raise InvalidInputError("combination weights must be nonnegative")
-        if sum(weights) > 1.0 + WEIGHT_SUM_SLACK:
+        if not (sum(weights) <= 1.0 + WEIGHT_SUM_SLACK):
             raise InvalidInputError("combination weights must sum to at most 1")
         self.terms = tuple((w, op) for w, op in zip(weights, (op for _, op in terms)))
 

@@ -85,3 +85,21 @@ def test_no_default_tolerance_comparison():
             if name in names:
                 found.append(f"{path.name}:{node.lineno}: {name}")
     assert not found, "\n".join(found)
+
+
+def test_object_setattr_writes_only_self():
+    """Every ``object.__setattr__`` call passes ``self`` first: an
+    immutable object's slots, its caches included, are written only by
+    its own class."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "__setattr__"
+                    and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id == "object"
+                    and not (node.args and isinstance(node.args[0], ast.Name)
+                             and node.args[0].id == "self")):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, "\n".join(found)

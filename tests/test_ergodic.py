@@ -2,6 +2,7 @@ import collections
 import itertools
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -492,6 +493,22 @@ def test_structural_validation_draws_and_applies_nothing(monkeypatch):
         assert labels == ("structural",)
         assert calls[0] == 2 * len(ops)
     assert draws[0] == 0
+
+
+def test_structural_bound_memory_is_one_term_of_products():
+    """Two diagonal block expectations on M_32 (32 rank-one factors each):
+    the structural rule forms the products of one factor of the first map
+    at a time, not every pair at once (about 97 MiB of arrays here)."""
+    a = TracedAlgebra(((32, 1.0),))
+    ops = [BlockExpectation(a, [[[i] for i in range(32)]]) for _ in range(2)]
+    tracemalloc.start()
+    try:
+        _, labels = validate_family(ops)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert labels == ("structural",)
+    assert peak < 16 * 2 ** 20
 
 
 # -- traces along nets --------------------------------------------------------

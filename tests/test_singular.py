@@ -4,14 +4,15 @@ from hypothesis import given, strategies as st
 
 from conftest import SEED, BLOCK_CONFIGS, LAYOUTS, abs_element, \
     make_algebra, random_projection, spectrum_elements, spectrum_examples
-from ncergo import Element, TracedAlgebra, clip_decompose, \
+from ncergo import ConvexCombination, Element, SectorNet, TracedAlgebra, \
+    UnitaryConjugation, besicovitch_average, clip_decompose, \
     enlarge_projection, fava_decompose, fava_support_trace, k_functional, \
-    lp_norm, measure_metric, mu, mu_at, spectral_projection_below, \
-    submajorizes, trace_deficiency
+    lp_norm, measure_metric, mu, mu_at, sector_check, \
+    spectral_projection_below, submajorizes, trace_deficiency
 from ncergo.config import SUBMAJOR_SLACK
 from ncergo.errors import InvalidInputError
 from ncergo.rng import stream
-from ncergo.stepfn import integral_dominates
+from ncergo.stepfn import StepFunction, integral_dominates
 
 
 def diag_element(values, weight=1.0):
@@ -376,3 +377,70 @@ def test_flat_spectrum_readers_equal_scalar_loops(layout, seed, zero_block):
             assert measure_metric(x, y) == measure_metric_reference(x, y)
             assert integral_dominates(mu(x), mu(y), SUBMAJOR_SLACK) \
                 == integral_dominates_reference(mu(x), mu(y), SUBMAJOR_SLACK)
+
+
+@spectrum_examples
+@given(layout=LAYOUTS, seed=st.integers(0, 2 ** 16),
+       zero_block=st.none() | st.integers(0, 5))
+def test_mu_at_is_the_step_function_bit_for_bit(layout, seed, zero_block):
+    """mu_at reads the flat spectrum and mu(x)(t) the merged step function;
+    they agree bit for bit at every breakpoint of both, at each piece's
+    midpoint, at the support end, past it and at tau(1)."""
+    a = TracedAlgebra(layout)
+    for x in spectrum_elements(stream(seed, "test/singular/mu-at"), a, zero_block):
+        f = mu(x)
+        cumulative = x.flat_spectrum()[2]
+        points = [*f.edges, *cumulative, *(f.edges[:-1] + f.edges[1:]) / 2,
+                  *(cumulative[:-1] + cumulative[1:]) / 2, f.support_end,
+                  f.support_end + 1.0, a.total_trace, np.inf]
+        for t in map(float, points):
+            got, want = mu_at(x, t), f(t)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), t
+
+
+def test_lp_norm_and_mu_at_build_no_step_function(monkeypatch):
+    built = []
+
+    def counting(self, _post_init=StepFunction.__post_init__):
+        built.append(self)
+        _post_init(self)
+
+    monkeypatch.setattr(StepFunction, "__post_init__", counting)
+    x = make_algebra(BLOCK_CONFIGS[6]).random_element(
+        stream(SEED, "test/singular/no-step-function"))
+    for p in (1, 2, 3):
+        lp_norm(x, p)
+    for t in (0.0, 1.5, x.algebra.total_trace, 100.0):
+        mu_at(x, t)
+    assert not built
+    mu(x)
+    assert len(built) == 1  # the counter sees a build
+
+
+def _nan_argument_calls():
+    x = diag_element([3.0, 1.0])
+    nan = float("nan")
+    net = SectorNet(1, ((1,), (2,)))
+    identity = UnitaryConjugation(x.algebra.identity())
+    return {
+        "mu_at": lambda: mu_at(x, nan),
+        "StepFunction.__call__": lambda: mu(x)(nan),
+        "StepFunction.integral": lambda: mu(x).integral(nan),
+        "StepFunction.integral-array": lambda: mu(x).integral([1.0, nan]),
+        "k_functional": lambda: k_functional(x, nan),
+        "lp_norm": lambda: lp_norm(x, nan),
+        "clip_decompose": lambda: clip_decompose(x, nan),
+        "fava_decompose": lambda: fava_decompose(x, nan),
+        "fava_support_trace": lambda: fava_support_trace(x, nan),
+        "spectral_projection_below": lambda: spectral_projection_below(x, nan),
+        "sector_check": lambda: sector_check(net, nan),
+        "besicovitch_average": lambda: besicovitch_average(None, None, x, nan),
+        "ConvexCombination": lambda: ConvexCombination([(nan, identity)]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_nan_argument_calls()))
+def test_nan_argument_is_refused(name):
+    with pytest.raises(InvalidInputError):
+        _nan_argument_calls()[name]()
