@@ -5,10 +5,10 @@ blocks, each carrying a positive trace weight; the trace of an element is
 the weighted sum of the matrix traces of its blocks.  Elements are
 immutable block-diagonal matrix tuples with optional verified structure
 flags (selfadjoint / positive / projection).  Two kinds of output are
-projections by construction and skip that verification: those of
-:func:`projection_from_ranges` and each algebra's identity and zero.
-A :class:`~ncergo.certify.WitnessCertificate` re-checks the projection it
-emits with the verifying constructor.
+projections by construction and skip that verification: each algebra's
+identity and zero, and ``(v * keep) v*`` of :func:`masked_projection` for a
+unitary factor ``v`` and a column mask ``keep`` (1x1 blocks: the mask).  A
+:class:`~ncergo.certify.WitnessCertificate` re-checks what it emits.
 """
 
 from __future__ import annotations
@@ -417,34 +417,37 @@ def stacked(blocks: Sequence[np.ndarray], group: Sequence[int]) -> np.ndarray:
 
 # -- projection machinery ----------------------------------------------------
 
-def projection_from_ranges(algebra: TracedAlgebra,
-                           bases: Sequence[np.ndarray]) -> Element:
-    """Projection onto the given per-block column spans, as an exact idempotent.
-
-    Each basis is orthonormalized; eigenvalue rounding to {0, 1} keeps the
-    idempotent defect at machine scale regardless of the input conditioning.
-    Bases of equal shape are orthonormalized in one stacked QR.  Each block
-    is q q* for an orthonormal q, so the flags hold by construction and the
-    result is built with :meth:`Element._trusted_projection`.
-    """
-    if len(bases) != len(algebra.dims):
-        raise InvalidInputError("block count mismatch")
-    data = [np.zeros((d, d), dtype=complex) for d in algebra.dims]
-    shapes: dict = {}
-    for i, basis in enumerate(bases):
-        if basis.size:
-            shapes.setdefault(basis.shape, []).append(i)
-    for group in shapes.values():
-        q, r = np.linalg.qr(stacked(bases, group))
-        thresh = RANK_REL * np.maximum(1.0, np.abs(r).max(axis=(-2, -1)))
-        keep = np.abs(np.diagonal(r, axis1=-2, axis2=-1)) > thresh[:, None]
-        if keep.all():
-            blocks = q @ _adj(q)
-        else:
-            blocks = [qj[:, kj] @ qj[:, kj].conj().T for qj, kj in zip(q, keep)]
-        for i, b in zip(group, blocks):
+def masked_projection(algebra: TracedAlgebra, parts: dict) -> Element:
+    """The projection ``(v * keep) v*`` onto the columns of ``v`` that ``keep``
+    marks; ``parts`` maps each group of blocks to its stacks ``(v, keep)``.
+    Each ``v`` has orthonormal columns, so the result is built trusted; None
+    stands for v = 1 on 1x1 blocks, which are then the 0/1 mask itself."""
+    data = [None] * len(algebra.dims)
+    for g, (v, keep) in parts.items():
+        blocks = (keep[..., None].astype(complex) if v is None
+                  else (v * keep[..., None, :]) @ _adj(v))
+        for i, b in zip(g, blocks):
             data[i] = b
     return Element._trusted_projection(algebra, data)
+
+
+def projection_from_ranges(algebra: TracedAlgebra,
+                           bases: Sequence[np.ndarray]) -> Element:
+    """Projection onto the given per-block column spans, for any bases: one
+    stacked QR per basis shape, masking out the columns of ``q`` whose
+    ``r`` diagonal falls below the rank threshold."""
+    if len(bases) != len(algebra.dims):
+        raise InvalidInputError("block count mismatch")
+    shapes: dict = {}
+    for i, basis in enumerate(bases):
+        shapes.setdefault(basis.shape, []).append(i)
+    parts = {}
+    for group in shapes.values():
+        q, r = np.linalg.qr(stacked(bases, group))
+        thresh = RANK_REL * np.maximum(1.0, np.abs(r).max(axis=(-2, -1), initial=0.0))
+        keep = np.abs(np.diagonal(r, axis1=-2, axis2=-1)) > thresh[:, None]
+        parts[tuple(group)] = (q, keep)
+    return masked_projection(algebra, parts)
 
 
 def range_bases(e: Element) -> list:
@@ -460,18 +463,15 @@ def projection_meet(e: Element, f: Element) -> Element:
     """Meet e ^ f via intersection of ranges.
 
     Common directions are the singular vectors of the basis overlap with
-    singular value 1 (within tolerance).
+    singular value 1 (within tolerance), orthonormal: a block is common common*.
     """
     e._same_algebra(f)
-    bases = []
+    data = []
     for be, bf in zip(range_bases(e), range_bases(f)):
-        if be.shape[1] == 0 or bf.shape[1] == 0:
-            bases.append(np.zeros((be.shape[0], 0), dtype=complex))
-            continue
         u, s, _ = np.linalg.svd(be.conj().T @ bf, full_matrices=False)
-        common = be @ u[:, s > MEET_OVERLAP_CUT]
-        bases.append(common)
-    return projection_from_ranges(e.algebra, bases)
+        common = be @ u[:, s > MEET_OVERLAP_CUT]  # (d, 0) if either is empty
+        data.append(common @ _adj(common))
+    return Element._trusted_projection(e.algebra, data)
 
 
 def projection_complement(e: Element) -> Element:

@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .algebra import (Element, TracedAlgebra, _adj, block_sup_norms,
-                      projection_from_ranges, rearranged, stacked,
+                      masked_projection, rearranged, stacked,
                       stacked_singular_values, trace_deficiency)
 from .config import (BOUND_SLACK, BUDGET_SLACK, CAUCHY_TOL, MEET_KERNEL_CUT,
                      TAIL_RISE_SLACK, TAIL_TOL)
@@ -58,13 +58,11 @@ class WitnessCertificate:
     about the trace beyond `horizon` indices.
 
     This is the trust boundary of the witness search: its projections are
-    built trusted (see :mod:`ncergo.algebra`), and `projection` is checked
-    here, once, by the public constructor with every projection flag set.
-    Only the emitted projection is checked; a projection that fed a bound
-    but is not emitted (the per-index enlargements of
-    :func:`bilateral_to_onesided` before the last) rests on
-    ``projection_from_ranges`` building projections, a property the test
-    suite checks for random bases.
+    built trusted, as masks of unitary factors (see :mod:`ncergo.algebra`),
+    and `projection` is checked here, once, by the public constructor with
+    every projection flag set.  The projections that fed a bound but are
+    not emitted (:func:`bilateral_to_onesided`'s enlargements before the
+    last) rest on that rule, which the tests check on each of its outputs.
     """
 
     mode: str  # "au" | "bau"
@@ -158,28 +156,27 @@ def _tail_weight(d: Element, level):
 class _MeetBuilder:
     """Incrementally maintained meet of one projection per difference term.
 
-    The meet is the projection onto the common range, computed per block
-    as the kernel of the sum of the complements; swapping one term's
-    projection only updates that sum.
+    The meet is the projection onto the common range, the kernel of the
+    sum of the complements, which is kept as one ``(k, d, d)`` stack per
+    group; swapping one term's projection only updates that sum.
     """
 
     def __init__(self, algebra, projections):
         self.algebra = algebra
         self.current = list(projections)
-        self._sums = [sum((np.eye(d, dtype=complex) - p.data[i]
-                           for p in self.current),
-                          np.zeros((d, d), dtype=complex))
-                      for i, d in enumerate(algebra.dims)]
+        self._sums = [sum(np.eye(algebra.dims[g[0]]) - stacked(p.data, g)
+                          for p in self.current) for g in algebra.groups]
 
     def _meet_from_sums(self, sums):
-        bases = [None] * len(sums)
         cut = MEET_KERNEL_CUT * max(1.0, len(self.current))
-        for g in self.algebra.groups:
-            s = stacked(sums, g)
-            w, v = np.linalg.eigh((s + _adj(s)) / 2)
-            for i, wi, vi in zip(g, w, v):
-                bases[i] = vi[:, wi < cut]
-        return projection_from_ranges(self.algebra, bases)
+        parts = {}
+        for g, s in zip(self.algebra.groups, sums):
+            if s.shape[-1] == 1:  # a 1x1 sum's real part is its eigenvalue
+                parts[g] = (None, s.real[..., 0] < cut)
+            else:
+                w, v = np.linalg.eigh((s + _adj(s)) / 2)
+                parts[g] = (v, w < cut)
+        return masked_projection(self.algebra, parts)
 
     def meet(self) -> Element:
         return self._meet_from_sums(self._sums)
@@ -188,10 +185,9 @@ class _MeetBuilder:
         """``(meet, sums)`` with term ``index`` swapped for ``projection``;
         ``commit`` takes the sums back if the swap is kept."""
         # complements differ by (old - new) of the projections themselves
-        sums = [s + (old_b - new_b)
-                for s, old_b, new_b in zip(self._sums,
-                                           self.current[index].data,
-                                           projection.data)]
+        old = self.current[index].data
+        sums = [s + (stacked(old, g) - stacked(projection.data, g))
+                for s, g in zip(self._sums, self.algebra.groups)]
         return self._meet_from_sums(sums), sums
 
     def commit(self, index: int, projection: Element, sums):
@@ -220,13 +216,9 @@ def _search_witness(differences: Sequence[Element], epsilon: float, mode: str,
         fits = _tail_weight(d, levels[n]) <= epsilon * 2.0 ** (-(n + 1))
         cursor.append(max(int(fits.sum()) - 1, 0))
 
-    proj_cache: dict = {}
-
     def term_projection(n: int, k: int) -> Element:
-        if (n, k) not in proj_cache:
-            proj_cache[n, k] = spectral_projection_below(
-                differences[n], levels[n][k])
-        return proj_cache[n, k]
+        # asked once per (n, k): cursors only advance, a refused swap sticks
+        return spectral_projection_below(differences[n], levels[n][k])
 
     def worst_open_term() -> Optional[int]:
         order = sorted(range(len(differences)), key=lambda n: -bounds[n])
@@ -354,7 +346,7 @@ def bilateral_to_onesided(trace: FiniteTrace,
     The enlarged projection varies per index (convergence-in-measure
     style); the certificate records the worst deficiency and last projection.
     The certificate checks only that last projection; the earlier ones are
-    projections by construction of ``projection_from_ranges``.
+    projections by construction, masks of a unitary factor.
     """
     if certificate.mode != "bau":
         raise InvalidInputError("input certificate must be bilateral")

@@ -150,7 +150,9 @@ def cmd_certify(args) -> int:
         raise InvalidInputError(f"no element files in {trace_dir}")
     read = [serialize.read_json(p) for p in paths]  # each file once
     manifest = _manifest(b"".join(raw for _, raw in read), args.seed)
-    trace = FiniteTrace(tuple(serialize.element_from_dict(cfg) for cfg, _ in read))
+    first = serialize.element_from_dict(read[0][0])  # the rest on its algebra
+    trace = FiniteTrace((first, *(serialize.element_from_dict(cfg, first.algebra)
+                                  for cfg, _ in read[1:])))
     try:
         if args.limit:
             limit = serialize.element_from_dict(serialize.read_json(args.limit)[0],

@@ -14,8 +14,8 @@ from typing import Tuple
 
 import numpy as np
 
-from .algebra import (Element, projection_from_ranges, projection_meet,
-                      trace_deficiency)
+from .algebra import (Element, _adj, masked_projection, projection_meet,
+                      stacked, trace_deficiency)
 from .config import (BOUND_SLACK, ENLARGE_DEFICIENCY_SLACK, RANK_REL,
                      SUBMAJOR_SLACK, TWO_ROUTE_REL)
 from .errors import InvalidInputError, PostconditionError
@@ -139,13 +139,19 @@ def spectral_cut(x: Element, level):
 def spectral_projection_below(x: Element, level: float) -> Element:
     """The spectral projection of |x| onto [0, level].
 
-    Built from the right singular vectors of each block, cut at spectral_cut.
+    Per group, the right singular vectors of the cached SVD masked by
+    ``s <= spectral_cut`` on the cached singular values, the values the
+    witness search takes its levels from; 1x1 blocks need no vectors.
     """
     if not (level >= 0):
         raise InvalidInputError("level must be >= 0")
     cut = spectral_cut(x, level)
-    bases = [vh.conj().T[:, s <= cut] for _, s, vh in x.block_svds()]
-    return projection_from_ranges(x.algebra, bases)
+    parts = {}
+    for g in x.algebra.groups:
+        v = None if x.algebra.dims[g[0]] == 1 else _adj(stacked(
+            [vh for *_, vh in x.block_svds()], g))
+        parts[g] = (v, stacked(x.singular_values(), g) <= cut)
+    return masked_projection(x.algebra, parts)
 
 
 def enlarge_projection(x: Element, e: Element) -> Element:

@@ -85,8 +85,10 @@ def random_layout_element(rng, algebra, zero_block=None):
     return Element(algebra, data)
 
 
-def reference_projection_blocks(algebra, bases, rank_rel=1e-10):
-    """Blocks of ``projection_from_ranges``, one QR per block."""
+def reference_projection_blocks(algebra, bases, rank_rel=1e-10, sliced=False):
+    """Blocks of ``projection_from_ranges``, one QR per block: the mask rule
+    ``(q * keep) q*``, or with ``sliced`` the product over the kept columns
+    only, the rule before masks (equal to it up to rounding)."""
     data = []
     for basis, d in zip(bases, algebra.dims):
         if basis.size == 0:
@@ -94,8 +96,9 @@ def reference_projection_blocks(algebra, bases, rank_rel=1e-10):
             continue
         q, r = np.linalg.qr(basis)
         keep = np.abs(np.diag(r)) > rank_rel * max(1.0, np.abs(r).max())
-        q = q[:, keep]
-        data.append(q @ q.conj().T)
+        if sliced:
+            q, keep = q[:, keep], True
+        data.append((q * keep) @ q.conj().T)
     return data
 
 

@@ -298,8 +298,8 @@ def test_grouped_spectrum_equals_per_block(layout, seed, zero_block):
        zero_block=st.none() | st.integers(0, 5))
 def test_grouped_projection_equals_per_block(layout, seed, zero_block):
     """Bases share a shape per dim, so stacks are real; the block at
-    ``zero_block`` repeats a column, so some stacks take the per-block
-    rank fallback."""
+    ``zero_block`` repeats a column, so some stacks mask a column out.
+    The sliced reference is the rule before masks, equal up to rounding."""
     a = TracedAlgebra(layout)
     rng = stream(seed, "test/algebra/grouped-projection")
     cols = {d: int(rng.integers(0, d + 1)) for d in set(a.dims)}
@@ -313,6 +313,8 @@ def test_grouped_projection_equals_per_block(layout, seed, zero_block):
     e = projection_from_ranges(a, bases)
     for got, want in zip(e.data, reference_projection_blocks(a, bases)):
         assert np.array_equal(got, want)
+    for got, old in zip(e.data, reference_projection_blocks(a, bases, sliced=True)):
+        assert np.abs(got - old).max(initial=0.0) <= 1e-12
 
 
 def test_projection_stack_with_some_rank_deficient_bases():

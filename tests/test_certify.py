@@ -12,7 +12,8 @@ from conftest import SEED, LAYOUTS, grouped_examples, \
 from ncergo import certify
 from ncergo import Element, TracedAlgebra, UnitaryConjugation, \
     bilateral_to_onesided, certify_cauchy, extract_limit, lp_norm, \
-    measure_metric, remark32_model, submajorizes, trace_deficiency, \
+    measure_metric, projection_meet, remark32_model, \
+    spectral_projection_below, submajorizes, trace_deficiency, \
     witness_convergence
 from ncergo.certify import FiniteTrace, WitnessCertificate, _MeetBuilder, \
     _compressed_bound, _compressed_bounds, _distinct_levels, \
@@ -406,19 +407,31 @@ def test_pipeline_average_to_certified_limit():
 @given(layout=LAYOUTS, seed=st.integers(0, 2 ** 16),
        zero_block=st.none() | st.integers(0, 5))
 def test_grouped_meet_equals_per_block(layout, seed, zero_block):
+    """The grouped meet (a mask on 1x1 groups) equals the mask rule on one
+    ``eigh`` per block bit for bit, and the QR route it replaced up to
+    rounding."""
     a = TracedAlgebra(layout)
     rng = stream(seed, "test/certify/grouped-meet")
     projections = [random_projection(rng, a, min_rank=1) for _ in range(3)]
     if zero_block is not None:
         projections.append(a.zero())
     builder = _MeetBuilder(a, projections)
-    bases = []
-    for s in builder._sums:
+    sums = [None] * len(a.dims)
+    for g, stack in zip(a.groups, builder._sums):
+        for i, s in zip(g, stack):
+            sums[i] = s
+    blocks, bases = [], []
+    for s in sums:
         w, v = np.linalg.eigh((s + s.conj().T) / 2)
-        bases.append(v[:, w < 1e-7 * len(projections)])
+        keep = w < 1e-7 * len(projections)
+        blocks.append((v * keep) @ v.conj().T)
+        bases.append(v[:, keep])
     meet = builder.meet()
-    for got, want in zip(meet.data, reference_projection_blocks(a, bases)):
+    for got, want in zip(meet.data, blocks):
         assert np.array_equal(got, want)
+    for got, old in zip(meet.data,
+                        reference_projection_blocks(a, bases, sliced=True)):
+        assert np.abs(got - old).max(initial=0.0) <= 1e-12
 
 
 @grouped_examples
@@ -551,3 +564,62 @@ def test_upgrade_checks_only_the_emitted_witness(monkeypatch):
     assert_same_certificate(au, bilateral_to_onesided(
         trace, certify_cauchy(trace, 0.6, mode="bau")))
     assert len(checked) > 2
+
+
+@spectrum_examples
+@example(layout=((1, 0.5), (1, 1.0), (1, 2.0), (1, 0.25)), seed=5, zero_block=2)
+@given(layout=LAYOUTS, seed=st.integers(0, 2 ** 16),
+       zero_block=st.none() | st.integers(0, 5))
+def test_checking_constructor_accepts_every_masked_projection(
+        layout, seed, zero_block):
+    """Every output of the mask rule, built trusted, passes the public
+    constructor with all three flags: spectral cuts at random levels and at
+    levels equal to a singular value, meets (also after swaps) and
+    ``projection_meet``, on 1x1 (complex), multi-member and singleton
+    groups, zero blocks, ties and zero elements."""
+    a = TracedAlgebra(layout)
+    rng = stream(seed, "test/certify/trusted-masked")
+    cuts = []
+    for x in spectrum_elements(rng, a, zero_block):
+        values = x.flat_spectrum()[0]
+        top = max(x.sup_norm(), 1e-3)
+        levels = [*values[::max(1, len(values) // 4)], 0.0,
+                  *rng.uniform(0.0, 1.5 * top, size=3)]
+        cuts += [spectral_projection_below(x, float(v)) for v in levels]
+    builder = _MeetBuilder(a, cuts[:3])
+    outputs = cuts + [builder.meet()]
+    for n, p in enumerate(cuts[3:9]):
+        meet, sums = builder.with_swap(n % 3, p)
+        builder.commit(n % 3, p, sums)
+        outputs.append(meet)
+    outputs += [projection_meet(p, q) for p, q in zip(cuts[::3], cuts[1::3])]
+    for e in outputs:
+        assert (e.selfadjoint, e.positive, e.projection) == (True, True, True)
+        checked = Element(a, e.data, selfadjoint=True, positive=True,
+                          projection=True)
+        assert all(np.array_equal(c, b) for c, b in zip(checked.data, e.data))
+
+
+def test_mask_searches_make_no_qr_and_no_vectors_on_1x1_blocks(monkeypatch):
+    """On remark32's 1x1 blocks the witness search cuts and meets by masks,
+    with no QR, ``eigh`` or SVD with vectors; on a few-large-block layout,
+    where it needs vectors, it still makes no QR."""
+    calls = []
+    for name in ("qr", "eigh", "svd"):
+        fn = getattr(np.linalg, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            if _name != "svd" or kwargs.get("compute_uv", True):
+                calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    _, trace, limit = remark32_model(24)
+    cert = witness_convergence(trace, limit, 2.0 ** -10, mode="au")
+    assert cert.certified and calls == []
+    a = TracedAlgebra(((10, 1.0), (6, 0.5)))
+    rng = stream(SEED, "test/certify/no-qr")
+    x, y = a.random_element(rng), a.random_element(rng)
+    cauchy = FiniteTrace(tuple(x + y.scaled(2.0 ** -k) for k in range(8)))
+    cert = certify_cauchy(cauchy, 0.5, mode="bau")
+    assert cert.trace_deficiency > 0.0
+    assert "qr" not in calls and "svd" in calls and "eigh" in calls

@@ -315,6 +315,36 @@ def test_certify_reads_each_file_once(tmp_path, monkeypatch):
     assert manifest["config_sha256_16"] == expected[:16]
 
 
+def test_certify_reads_every_element_on_the_first_files_algebra(
+        tmp_path, monkeypatch):
+    """Every trace element shares the first file's algebra object; the
+    certificate's bytes are those of a trace read file by file, each on its
+    own algebra; a file naming another algebra still exits 2."""
+    trace_dir = tmp_path / "trace"
+    assert main(["remark32", "--n", "8", "--out-dir", str(trace_dir)]) == EXIT_OK
+    argv = ["certify", "--trace-dir", str(trace_dir), "--epsilon",
+            str(2.0 ** -5), "--cauchy", "--out-dir"]
+    traces, cauchy = [], ncergo.cli.certify_cauchy
+
+    def spy(trace, *args, **kwargs):
+        traces.append(trace)
+        return cauchy(trace, *args, **kwargs)
+    monkeypatch.setattr(ncergo.cli, "certify_cauchy", spy)
+    assert main(argv + [str(tmp_path / "shared")]) == EXIT_OK
+    first = traces[0].elements[0].algebra
+    assert all(x.algebra is first for x in traces[0].elements)
+    read = serialize.element_from_dict
+    with monkeypatch.context() as m:
+        m.setattr(serialize, "element_from_dict", lambda d, algebra=None: read(d))
+        assert main(argv + [str(tmp_path / "own")]) == EXIT_OK
+    assert len({id(x.algebra) for x in traces[1].elements}) == 8
+    assert read_tree(tmp_path / "shared") == read_tree(tmp_path / "own")
+    spec = json.loads((trace_dir / "element_005.json").read_text())
+    spec["algebra"]["blocks"][0]["weight"] = 1.0
+    write_json(trace_dir / "element_005.json", spec)
+    assert main(argv + [str(tmp_path / "mismatch")]) == EXIT_INPUT
+
+
 def test_certify_alternating_refuted(tmp_path):
     trace_dir = tmp_path / "trace"
     trace_dir.mkdir()
