@@ -2,12 +2,14 @@
 
 A :class:`TracedAlgebra` is a finite direct sum of square complex matrix
 blocks, each carrying a positive trace weight; the trace of an element is
-the weighted sum of the matrix traces of its blocks.  Elements are
-immutable block-diagonal matrix tuples with optional verified structure
-flags (selfadjoint / positive / projection).  Two kinds of output are
-projections by construction and skip that verification: each algebra's
-identity and zero, and ``(v * keep) v*`` of :func:`masked_projection` for a
-unitary factor ``v`` and a column mask ``keep`` (1x1 blocks: the mask).  A
+the weighted sum of the matrix traces of its blocks.  An element is
+immutable, held as one read-only ``(k, d, d)`` stack per group of
+equal-dimension blocks, with optional verified structure flags
+(selfadjoint / positive / projection); this module alone turns blocks into
+group stacks and back.  Two kinds of output are projections by
+construction and skip that verification: each algebra's identity and
+zero, and ``(v * keep) v*`` of :func:`masked_projection` for a unitary
+factor ``v`` and a column mask ``keep`` (1x1 blocks: the mask).  A
 :class:`~ncergo.certify.WitnessCertificate` re-checks what it emits.
 """
 
@@ -87,12 +89,12 @@ class TracedAlgebra:
     @cached_property
     def _identity(self) -> "Element":
         return Element._trusted_projection(
-            self, [np.eye(d, dtype=complex) for d in self.dims])
+            self, _group_stacks(self, [np.eye(d) for d in self.dims]))
 
     @cached_property
     def _zero(self) -> "Element":
         return Element._trusted_projection(
-            self, [np.zeros((d, d), dtype=complex) for d in self.dims])
+            self, _group_stacks(self, [np.zeros((d, d)) for d in self.dims]))
 
     def random_element(self, rng: np.random.Generator, scale: float = 1.0,
                        selfadjoint: bool = False) -> "Element":
@@ -109,67 +111,69 @@ class TracedAlgebra:
 class Element:
     """A block-diagonal matrix tuple affiliated with a traced algebra.
 
-    The per-block spectrum (the singular values, and on demand the full
-    SVD) is computed once, on first use, and cached, as is the flat
-    spectrum built from it, the one record of the rearrangement.  This is
-    safe because elements are immutable; the cached arrays are read-only.
-    Constructors that build the blocks from known factors may pass
-    ``svd``, a sequence of per-block ``(u, s, vh)`` with ``u * s @ vh``
-    equal to the block, so that no decomposition is recomputed; its
-    arrays are made read-only and kept.
-
-    The public constructor copies the blocks and verifies every flag it is
-    given.  :meth:`_trusted_projection` is the package's constructor for
-    projections that hold their flags by construction (see the module
-    docstring): it freezes the caller's fresh arrays without a copy and
-    skips the flag verification.
+    Its one record is ``stacks``, one read-only ``(k, d, d)`` complex array
+    per entry of ``algebra.groups``.  The spectrum of each stack (singular
+    values, and on demand the full SVD) is computed once, one stacked call
+    per group, and cached, as is the flat spectrum built from it, the one
+    record of the rearrangement; ``data``, ``singular_values()`` and
+    ``block_svds()`` are per-block read-only views of these.  The public
+    constructor stacks the given blocks, its copy, and verifies every flag
+    it is given; the package's own constructors take the stacks themselves.
     """
 
-    __slots__ = ("algebra", "data", "selfadjoint", "positive", "projection",
-                 "_svals", "_svd", "_flat")
+    __slots__ = ("algebra", "stacks", "selfadjoint", "positive", "projection",
+                 "_data", "_svals", "_svd", "_flat")
 
     def __init__(self, algebra: TracedAlgebra, data: Sequence[np.ndarray],
                  selfadjoint: Optional[bool] = None,
                  positive: Optional[bool] = None,
-                 projection: Optional[bool] = None,
-                 svd: Optional[Sequence[tuple]] = None):
-        self._freeze(algebra, [np.array(b, dtype=complex) for b in data],
-                     selfadjoint, positive, projection, svd)
+                 projection: Optional[bool] = None):
+        self._freeze(algebra, _group_stacks(algebra, data),
+                     selfadjoint, positive, projection)
         self._verify_flags()
 
     @classmethod
-    def _trusted_projection(cls, algebra: TracedAlgebra,
-                            data: Sequence[np.ndarray]) -> "Element":
-        """A projection by construction, flagged selfadjoint, positive and
-        a projection.
-
-        ``data`` must be arrays that no one else holds; complex ones are
-        frozen in place, not copied.  The block-count, shape and finiteness
-        checks run, the flag verification does not.
-        """
+    def _from_stacks(cls, algebra: TracedAlgebra, stacks: Sequence[np.ndarray],
+                     svd: Optional[Sequence[tuple]] = None, **flags) -> "Element":
+        """The public constructor's element from one stack per group that no
+        one else writes; ``svd``, per group ``(u, s, vh)`` with
+        ``(u * s[..., None, :]) @ vh`` the stack, is kept, not recomputed."""
         x = cls.__new__(cls)
-        x._freeze(algebra, [np.asarray(b, dtype=complex) for b in data],
-                  True, True, True, None)
+        x._freeze(algebra, stacks, svd=svd, **flags)
+        x._verify_flags()
         return x
 
-    def _freeze(self, algebra, data, selfadjoint, positive, projection, svd):
-        """Check the blocks, make them read-only and set every slot."""
-        data = tuple(data)
-        if len(data) != len(algebra.blocks):
+    @classmethod
+    def _trusted_projection(cls, algebra: TracedAlgebra,
+                            stacks: Sequence[np.ndarray]) -> "Element":
+        """A projection by construction, all three flags set without their
+        verification, from one stack per group that no one else holds;
+        complex stacks are frozen in place, not copied."""
+        x = cls.__new__(cls)
+        x._freeze(algebra, stacks, True, True, True)
+        return x
+
+    def _freeze(self, algebra, stacks, selfadjoint=None, positive=None,
+                projection=None, svd=None):
+        """Check the group stacks, make them read-only and set every slot."""
+        stacks = tuple([np.asarray(s, dtype=complex) for s in stacks])
+        if len(stacks) != len(algebra.groups):
             raise InvalidInputError("block count mismatch")
-        for b, d in zip(data, algebra.dims):
-            if b.shape != (d, d):
-                raise InvalidInputError(f"block shape {b.shape} != ({d}, {d})")
-            b.setflags(write=False)
-        if not np.isfinite(np.concatenate([b.ravel() for b in data])).all():
-            raise InvalidInputError("non-finite matrix entries")
+        for s, g in zip(stacks, algebra.groups):
+            shape = (len(g),) + (algebra.dims[g[0]],) * 2
+            if s.shape != shape:
+                raise InvalidInputError(f"block shape: stack {s.shape} != {shape}")
+            if not np.isfinite(s).all():
+                raise InvalidInputError("non-finite matrix entries")
+            s.setflags(write=False)
         if svd is not None:
-            svd = tuple(tuple(_frozen(a) for a in usv) for usv in svd)
+            svd = tuple(tuple(map(_frozen, usv)) for usv in svd)
         object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "stacks", stacks)
         object.__setattr__(self, "selfadjoint", selfadjoint)
         object.__setattr__(self, "positive", positive)
         object.__setattr__(self, "projection", projection)
+        object.__setattr__(self, "_data", None)
         object.__setattr__(self, "_svd", svd)
         object.__setattr__(self, "_flat", None)
         object.__setattr__(self, "_svals",
@@ -182,17 +186,23 @@ class Element:
         if not (self.selfadjoint or self.positive or self.projection):
             return
         scale = max(self.sup_norm(), 1.0)
-        stacks = [stacked(self.data, g) for g in self.algebra.groups]
-        check_selfadjoint(stacks, scale)
+        check_selfadjoint(self.stacks, scale)
         if self.positive or self.projection:
             lo = min(np.linalg.eigvalsh((b + _adj(b)) / 2).min(initial=0.0)
-                     for b in stacks)
+                     for b in self.stacks)
             if lo < -FLAG_TOL * scale:
                 raise InvalidInputError("positive flag fails verification")
         if self.projection:
-            gap = max(np.abs(b @ b - b).max(initial=0.0) for b in stacks)
+            gap = max(np.abs(b @ b - b).max(initial=0.0) for b in self.stacks)
             if gap > FLAG_TOL:
                 raise InvalidInputError("projection flag fails verification")
+
+    @property
+    def data(self) -> tuple:
+        """The blocks in block order, read-only views of ``stacks`` built once."""
+        if self._data is None:
+            object.__setattr__(self, "_data", tuple(_blocks_of(self.algebra, self.stacks)))
+        return self._data
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -203,31 +213,36 @@ class Element:
     def __add__(self, other: "Element") -> "Element":
         self._same_algebra(other)
         sa = True if (self.selfadjoint and other.selfadjoint) else None
-        return Element(self.algebra, [a + b for a, b in zip(self.data, other.data)],
-                       selfadjoint=sa)
+        return Element._from_stacks(
+            self.algebra, [a + b for a, b in zip(self.stacks, other.stacks)],
+            selfadjoint=sa)
 
     def __sub__(self, other: "Element") -> "Element":
         self._same_algebra(other)
         sa = True if (self.selfadjoint and other.selfadjoint) else None
-        return Element(self.algebra, [a - b for a, b in zip(self.data, other.data)],
-                       selfadjoint=sa)
+        return Element._from_stacks(
+            self.algebra, [a - b for a, b in zip(self.stacks, other.stacks)],
+            selfadjoint=sa)
 
     def __neg__(self) -> "Element":
-        return Element(self.algebra, [-a for a in self.data],
-                       selfadjoint=self.selfadjoint)
+        return Element._from_stacks(self.algebra, [-a for a in self.stacks],
+                                    selfadjoint=self.selfadjoint)
 
     def scaled(self, c: complex) -> "Element":
         sa = True if (self.selfadjoint and np.isreal(c)) else None
-        return Element(self.algebra, [c * a for a in self.data], selfadjoint=sa)
+        return Element._from_stacks(self.algebra, [c * a for a in self.stacks],
+                                    selfadjoint=sa)
 
     def __matmul__(self, other: "Element") -> "Element":
         self._same_algebra(other)
-        return Element(self.algebra, [a @ b for a, b in zip(self.data, other.data)])
+        return Element._from_stacks(
+            self.algebra, [a @ b for a, b in zip(self.stacks, other.stacks)])
 
     def adjoint(self) -> "Element":
-        return Element(self.algebra, [a.conj().T for a in self.data],
-                       selfadjoint=self.selfadjoint, positive=self.positive,
-                       projection=self.projection)
+        return Element._from_stacks(self.algebra, [_adj(a) for a in self.stacks],
+                                    selfadjoint=self.selfadjoint,
+                                    positive=self.positive,
+                                    projection=self.projection)
 
     # -- scalars ------------------------------------------------------------
 
@@ -237,33 +252,35 @@ class Element:
         return float(t.real) if self.selfadjoint else complex(t)
 
     def sup_norm(self) -> float:
-        """The largest singular value, group by group, by the rule of
-        :func:`block_sup_norms`; larger blocks read the cached spectrum.
+        """The largest singular value, group by group: 1x1 blocks by the
+        rule of :func:`block_sup_norms`, larger ones from the cached spectrum.
         """
         out = 0.0
-        for g in self.algebra.groups:
-            if self.data[g[0]].shape[0] == 1:
-                top = block_sup_norms(stacked(self.data, g)).max()
-            else:
-                svals = self.singular_values()
-                top = max([svals[i][0] for i in g])
+        for j, b in enumerate(self.stacks):
+            if b.shape[-1] == 1:
+                top = block_sup_norms(b).max()
+            else:  # a few blocks: Python's max beats a NumPy reduction
+                top = max(self.stack_singular_values()[j][:, 0])
             out = max(out, top)
         return float(out)
 
-    def singular_values(self) -> list:
-        """Per-block singular values, descending within each block.
-
-        One stacked SVD per group of equal-dimension blocks; the cached
-        slices are read-only because the stacked result is.
-        """
+    def stack_singular_values(self) -> tuple:
+        """Per group, the cached ``(k, d)`` singular values of its stack."""
         if self._svals is None:
-            svals = [None] * len(self.data)
-            for g in self.algebra.groups:
-                s = stacked_singular_values(stacked(self.data, g))
-                for i, si in zip(g, _frozen(s)):
-                    svals[i] = si
-            object.__setattr__(self, "_svals", tuple(svals))
-        return list(self._svals)
+            object.__setattr__(self, "_svals", tuple(
+                [_frozen(stacked_singular_values(b)) for b in self.stacks]))
+        return self._svals
+
+    def stack_svds(self) -> tuple:
+        """Per group, the full SVD ``(u, s, vh)`` of its stack, cached read-only."""
+        if self._svd is None:
+            object.__setattr__(self, "_svd", tuple(
+                [tuple(map(_frozen, np.linalg.svd(b))) for b in self.stacks]))
+        return self._svd
+
+    def singular_values(self) -> list:
+        """Per-block views of :meth:`stack_singular_values`, descending."""
+        return _blocks_of(self.algebra, self.stack_singular_values())
 
     def flat_spectrum(self) -> tuple:
         """Every singular value with its block's trace weight, in the order
@@ -274,25 +291,18 @@ class Element:
         leading 0: ``values[i]`` spans ``[cumulative[i], cumulative[i+1])``.
         """
         if self._flat is None:
-            flat = rearranged(self.algebra,
-                              np.concatenate(self.singular_values()))
+            flat = rearranged(self.algebra, self.stack_singular_values())
             object.__setattr__(self, "_flat", tuple(map(_frozen, flat)))
         return self._flat
 
     def block_svds(self) -> list:
-        """Per-block full SVDs ``(u, s, vh)`` with ``b = u * s @ vh``."""
-        if self._svd is None:
-            usv = [None] * len(self.data)
-            for g in self.algebra.groups:
-                parts = map(_frozen, np.linalg.svd(stacked(self.data, g)))
-                for i, *row in zip(g, *parts):
-                    usv[i] = tuple(row)
-            object.__setattr__(self, "_svd", tuple(usv))
-        return list(self._svd)
+        """Per-block views ``(u, s, vh)`` of :meth:`stack_svds`, ``b = u * s @ vh``."""
+        return list(zip(*(_blocks_of(self.algebra, part)
+                          for part in zip(*self.stack_svds()))))
 
     def as_selfadjoint(self) -> "Element":
         """Re-tag with a verified selfadjoint flag."""
-        return Element(self.algebra, self.data, selfadjoint=True)
+        return Element._from_stacks(self.algebra, self.stacks, selfadjoint=True)
 
     def vec(self) -> np.ndarray:
         """Row-major concatenation of the blocks."""
@@ -300,11 +310,7 @@ class Element:
 
     @classmethod
     def from_vec(cls, algebra: TracedAlgebra, v: np.ndarray, **flags) -> "Element":
-        data, k = [], 0
-        for d in algebra.dims:
-            data.append(v[k:k + d * d].reshape(d, d))
-            k += d * d
-        return cls(algebra, data, **flags)
+        return cls._from_stacks(algebra, _vec_stacks(algebra, v), **flags)
 
     def __repr__(self):
         return f"Element(dims={self.algebra.dims}, sup_norm={self.sup_norm():.4g})"
@@ -327,9 +333,12 @@ def stacked_singular_values(stack: np.ndarray) -> np.ndarray:
     return s
 
 
-def rearranged(algebra: TracedAlgebra, values: np.ndarray) -> tuple:
-    """:meth:`Element.flat_spectrum` from singular values in block order
-    along the last axis; the stable sort breaks ties by block index."""
+def rearranged(algebra: TracedAlgebra, parts: Sequence[np.ndarray]) -> tuple:
+    """:meth:`Element.flat_spectrum` from singular values held as one
+    ``(k, d)`` or ``(rows, k, d)`` array per group, put in block order along
+    the last axis; the stable sort breaks ties by block index."""
+    values = np.concatenate(_blocks_of(algebra, [p.swapaxes(0, -2) for p in parts]),
+                            axis=-1)
     order = np.argsort(-values, axis=-1, kind="stable")
     weights = algebra.value_weights[order]
     cumulative = np.concatenate([np.zeros(values.shape[:-1] + (1,)),
@@ -391,44 +400,50 @@ def check_vecs(algebra: TracedAlgebra, rows: np.ndarray,
         raise InvalidInputError("non-finite matrix entries")
     if not selfadjoint:
         return
-    ends = np.cumsum([d * d for d in algebra.dims])
-    stacks, norms = [], np.zeros(len(rows))
-    for g in algebra.groups:
-        d = algebra.dims[g[0]]
-        b = np.stack([rows[:, ends[i] - d * d:ends[i]] for i in g], axis=1)
-        b = b.reshape(len(rows), len(g), d, d)
-        stacks.append(b)
-        norms = np.maximum(norms, block_sup_norms(b).max(axis=-1))
+    stacks = _vec_stacks(algebra, rows)
+    norms = reduce(np.maximum, [block_sup_norms(b).max(axis=-1) for b in stacks])
     check_selfadjoint(stacks, np.maximum(norms, 1.0))
 
 
-def stacked(blocks: Sequence[np.ndarray], group: Sequence[int]) -> np.ndarray:
-    """The blocks of one group as a ``(k, d, d)`` stack.
+# -- the one layout: group stacks and the per-block views of them --------------
 
-    A singleton group is a view with a new leading axis, so layouts with
-    all-distinct dimensions pay no copy.  Blocks of any one equal shape
-    stack alike; ``np.concatenate`` does it at half ``np.stack``'s cost.
-    """
-    if len(group) == 1:
-        return blocks[group[0]][None]
-    shape = (len(group),) + blocks[group[0]].shape
-    return np.concatenate([blocks[i] for i in group]).reshape(shape)
+def _vec_stacks(algebra: TracedAlgebra, rows: np.ndarray) -> list:
+    """Vectorized elements (``Element.vec`` along the last axis) as one
+    ``(..., k, d, d)`` stack per group, a copy."""
+    blocks, end = [], 0
+    for d in algebra.dims:
+        blocks.append(rows[..., end:end + d * d].reshape(rows.shape[:-1] + (1, d, d)))
+        end += d * d
+    return [np.concatenate([blocks[i] for i in g], axis=-3) for g in algebra.groups]
+
+
+def _group_stacks(algebra: TracedAlgebra, blocks: Sequence[np.ndarray]) -> list:
+    """Per-block arrays as one complex stack per group, a copy."""
+    blocks = tuple(blocks)
+    if len(blocks) != len(algebra.blocks):
+        raise InvalidInputError("block count mismatch")
+    try:
+        return [np.array([blocks[i] for i in g], dtype=complex) for g in algebra.groups]
+    except ValueError as exc:  # blocks of unequal shapes, or not numbers
+        raise InvalidInputError(f"block shape: {exc}") from None
+
+
+def _blocks_of(algebra: TracedAlgebra, stacks: Sequence[np.ndarray]) -> list:
+    """The entries of one stack per group (views), in block order."""
+    entries = {i: b for g, s in zip(algebra.groups, stacks) for i, b in zip(g, s)}
+    return [entries[i] for i in range(len(entries))]
 
 
 # -- projection machinery ----------------------------------------------------
 
-def masked_projection(algebra: TracedAlgebra, parts: dict) -> Element:
+def masked_projection(algebra: TracedAlgebra, parts: Sequence[tuple]) -> Element:
     """The projection ``(v * keep) v*`` onto the columns of ``v`` that ``keep``
-    marks; ``parts`` maps each group of blocks to its stacks ``(v, keep)``.
+    marks; ``parts`` holds, per group of blocks, its stacks ``(v, keep)``.
     Each ``v`` has orthonormal columns, so the result is built trusted; None
     stands for v = 1 on 1x1 blocks, which are then the 0/1 mask itself."""
-    data = [None] * len(algebra.dims)
-    for g, (v, keep) in parts.items():
-        blocks = (keep[..., None].astype(complex) if v is None
-                  else (v * keep[..., None, :]) @ _adj(v))
-        for i, b in zip(g, blocks):
-            data[i] = b
-    return Element._trusted_projection(algebra, data)
+    return Element._trusted_projection(algebra, [
+        keep[..., None].astype(complex) if v is None
+        else (v * keep[..., None, :]) @ _adj(v) for v, keep in parts])
 
 
 def projection_from_ranges(algebra: TracedAlgebra,
@@ -441,13 +456,14 @@ def projection_from_ranges(algebra: TracedAlgebra,
     shapes: dict = {}
     for i, basis in enumerate(bases):
         shapes.setdefault(basis.shape, []).append(i)
-    parts = {}
-    for group in shapes.values():
-        q, r = np.linalg.qr(stacked(bases, group))
+    data = [None] * len(bases)
+    for members in shapes.values():
+        q, r = np.linalg.qr(np.array([bases[i] for i in members]))
         thresh = RANK_REL * np.maximum(1.0, np.abs(r).max(axis=(-2, -1), initial=0.0))
         keep = np.abs(np.diagonal(r, axis1=-2, axis2=-1)) > thresh[:, None]
-        parts[tuple(group)] = (q, keep)
-    return masked_projection(algebra, parts)
+        for i, b in zip(members, (q * keep[..., None, :]) @ _adj(q)):
+            data[i] = b
+    return Element._trusted_projection(algebra, _group_stacks(algebra, data))
 
 
 def range_bases(e: Element) -> list:
@@ -471,16 +487,19 @@ def projection_meet(e: Element, f: Element) -> Element:
         u, s, _ = np.linalg.svd(be.conj().T @ bf, full_matrices=False)
         common = be @ u[:, s > MEET_OVERLAP_CUT]  # (d, 0) if either is empty
         data.append(common @ _adj(common))
-    return Element._trusted_projection(e.algebra, data)
+    return Element._trusted_projection(e.algebra, _group_stacks(e.algebra, data))
 
 
 def projection_complement(e: Element) -> Element:
-    return Element(e.algebra, [np.eye(d, dtype=complex) - b
-                               for b, d in zip(e.data, e.algebra.dims)],
-                   selfadjoint=True, positive=True, projection=True)
+    return Element._from_stacks(
+        e.algebra, [np.eye(b.shape[-1], dtype=complex) - b for b in e.stacks],
+        selfadjoint=True, positive=True, projection=True)
 
 
 def trace_deficiency(e: Element) -> float:
-    """tau(e_perp) of a projection."""
-    return float(sum(w * (d - np.trace(b).real)
-                     for b, (d, w) in zip(e.data, e.algebra.blocks)))
+    """tau(e_perp) of a projection: one trace per group, and ``w * (d - tr)``
+    summed in block order, in sequence by ``cumsum``, as a per-block sum."""
+    traces = np.array(_blocks_of(e.algebra, [np.trace(b, axis1=-2, axis2=-1).real
+                                             for b in e.stacks]))
+    dims, weights = np.array(e.algebra.blocks).T
+    return float(np.cumsum(weights * (dims - traces))[-1])

@@ -19,8 +19,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .algebra import (Element, TracedAlgebra, _adj, block_sup_norms,
-                      masked_projection, rearranged, stacked,
-                      stacked_singular_values, trace_deficiency)
+                      masked_projection, rearranged, stacked_singular_values,
+                      trace_deficiency)
 from .config import (BOUND_SLACK, BUDGET_SLACK, CAUCHY_TOL, MEET_KERNEL_CUT,
                      TAIL_RISE_SLACK, TAIL_TOL)
 from .errors import InvalidInputError, NoLimitError, PostconditionError
@@ -111,16 +111,13 @@ class WitnessCertificate:
 
 
 def _compressed_bound(d: Element, e: Element, mode: str) -> float:
-    if mode == "au":
-        return (d @ e).sup_norm()
-    return (e @ d @ e).sup_norm()
+    return _compressed_bounds(_term_stacks([d]), e, mode)[0]
 
 
 def _term_stacks(elements: Sequence[Element]) -> list:
-    """Per group of equal-dimension blocks, all terms' blocks as one
+    """Per group of equal-dimension blocks, all terms' stacks as one
     ``(terms, k, d, d)`` array."""
-    return [np.array([[x.data[i] for i in g] for x in elements])
-            for g in elements[0].algebra.groups]
+    return [np.array(terms) for terms in zip(*(x.stacks for x in elements))]
 
 
 def _compressed_bounds(stacks: Sequence[np.ndarray], e: Element,
@@ -128,8 +125,7 @@ def _compressed_bounds(stacks: Sequence[np.ndarray], e: Element,
     """``_compressed_bound`` of every term of ``stacks`` (see
     :func:`_term_stacks`) at once, by the rule of :func:`block_sup_norms`."""
     out = 0.0
-    for g, dd in zip(e.algebra.groups, stacks):
-        ee = stacked(e.data, g)
+    for dd, ee in zip(stacks, e.stacks):
         p = dd @ ee if mode == "au" else ee @ dd @ ee
         if not np.isfinite(p).all():
             raise InvalidInputError("non-finite matrix entries")
@@ -164,18 +160,18 @@ class _MeetBuilder:
     def __init__(self, algebra, projections):
         self.algebra = algebra
         self.current = list(projections)
-        self._sums = [sum(np.eye(algebra.dims[g[0]]) - stacked(p.data, g)
-                          for p in self.current) for g in algebra.groups]
+        self._sums = [sum(np.eye(b.shape[-1]) - b for b in terms)
+                      for terms in zip(*(p.stacks for p in self.current))]
 
     def _meet_from_sums(self, sums):
         cut = MEET_KERNEL_CUT * max(1.0, len(self.current))
-        parts = {}
-        for g, s in zip(self.algebra.groups, sums):
+        parts = []
+        for s in sums:
             if s.shape[-1] == 1:  # a 1x1 sum's real part is its eigenvalue
-                parts[g] = (None, s.real[..., 0] < cut)
+                parts.append((None, s.real[..., 0] < cut))
             else:
                 w, v = np.linalg.eigh((s + _adj(s)) / 2)
-                parts[g] = (v, w < cut)
+                parts.append((v, w < cut))
         return masked_projection(self.algebra, parts)
 
     def meet(self) -> Element:
@@ -185,9 +181,8 @@ class _MeetBuilder:
         """``(meet, sums)`` with term ``index`` swapped for ``projection``;
         ``commit`` takes the sums back if the swap is kept."""
         # complements differ by (old - new) of the projections themselves
-        old = self.current[index].data
-        sums = [s + (stacked(old, g) - stacked(projection.data, g))
-                for s, g in zip(self._sums, self.algebra.groups)]
+        sums = [s + (old - new) for s, old, new in
+                zip(self._sums, self.current[index].stacks, projection.stacks)]
         return self._meet_from_sums(sums), sums
 
     def commit(self, index: int, projection: Element, sums):
@@ -396,13 +391,9 @@ def extract_limit(trace: FiniteTrace) -> Tuple[Element, List[float]]:
 def _row_spectra(trace: FiniteTrace):
     """For each a < n - 1, the ``flat_spectrum`` values and cumulative
     weights of x_a - x_b, one row per b > a, from one stacked
-    computation per group, the one :meth:`Element.singular_values`
+    computation per group, the one :meth:`Element.stack_singular_values`
     makes, so the rows equal the per-pair ``measure_metric`` table.
     """
-    algebra = trace.algebra
-    offsets = np.cumsum((0,) + algebra.dims)
-    cols = np.concatenate([np.arange(offsets[i], offsets[i + 1])
-                           for g in algebra.groups for i in g])
     stacks = _term_stacks(trace.elements)
     for a in range(len(trace) - 1):
         parts = []
@@ -411,10 +402,8 @@ def _row_spectra(trace: FiniteTrace):
                 dd = xs[a] - xs[a + 1:]
             if not np.isfinite(dd).all():
                 raise InvalidInputError("non-finite matrix entries")
-            parts.append(stacked_singular_values(dd).reshape(len(dd), -1))
-        svals = np.empty((len(trace) - a - 1, offsets[-1]))
-        svals[:, cols] = np.concatenate(parts, axis=1)  # into block order
-        values, _, cumulative = rearranged(algebra, svals)
+            parts.append(stacked_singular_values(dd))
+        values, _, cumulative = rearranged(trace.algebra, parts)
         yield values, cumulative
 
 

@@ -15,7 +15,7 @@ from typing import Tuple
 import numpy as np
 
 from .algebra import (Element, _adj, masked_projection, projection_meet,
-                      stacked, trace_deficiency)
+                      trace_deficiency)
 from .config import (BOUND_SLACK, ENLARGE_DEFICIENCY_SLACK, RANK_REL,
                      SUBMAJOR_SLACK, TWO_ROUTE_REL)
 from .errors import InvalidInputError, PostconditionError
@@ -90,11 +90,12 @@ def clip_decompose(x: Element, level: float) -> Tuple[Element, Element]:
     if not (level >= 0):
         raise InvalidInputError("clip level must be >= 0")
     ysvd, zsvd = [], []
-    for u, s, vh in x.block_svds():
+    for u, s, vh in x.stack_svds():
         ysvd.append((u, np.maximum(s - level, 0.0), vh))
         zsvd.append((u, np.minimum(s, level), vh))
-    return (Element(x.algebra, [(u * s) @ vh for u, s, vh in ysvd], svd=ysvd),
-            Element(x.algebra, [(u * s) @ vh for u, s, vh in zsvd], svd=zsvd))
+    return tuple(Element._from_stacks(
+        x.algebra, [(u * s[..., None, :]) @ vh for u, s, vh in usv], svd=usv)
+        for usv in (ysvd, zsvd))
 
 
 def submajorizes(x: Element, y: Element) -> bool:
@@ -146,11 +147,10 @@ def spectral_projection_below(x: Element, level: float) -> Element:
     if not (level >= 0):
         raise InvalidInputError("level must be >= 0")
     cut = spectral_cut(x, level)
-    parts = {}
-    for g in x.algebra.groups:
-        v = None if x.algebra.dims[g[0]] == 1 else _adj(stacked(
-            [vh for *_, vh in x.block_svds()], g))
-        parts[g] = (v, stacked(x.singular_values(), g) <= cut)
+    parts = []
+    for j, s in enumerate(x.stack_singular_values()):
+        v = None if s.shape[-1] == 1 else _adj(x.stack_svds()[j][2])
+        parts.append((v, s <= cut))
     return masked_projection(x.algebra, parts)
 
 

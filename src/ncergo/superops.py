@@ -17,8 +17,8 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 import scipy.linalg
 
-from .algebra import (Element, TracedAlgebra, _adj, _integer, block_sup_norms,
-                      stacked)
+from .algebra import (Element, TracedAlgebra, _adj, _blocks_of, _integer,
+                      block_sup_norms)
 from .config import (CLOSED_FORM_TOL, COUPLING_TOL, DS_SLACK, PHASE_TOL,
                      PINCHING_TOL, POSITIVITY_TOL, SELFADJOINT_TOL, UNITARY_TOL,
                      WEIGHT_SUM_SLACK)
@@ -87,44 +87,40 @@ class _Sandwiched(SuperOperator):
 
     def _build_matrix(self) -> np.ndarray:
         # row-major vec(a x b) = kron(a, b^T) vec(x), block by block
-        blocks = [None] * len(self.algebra.blocks)
-        for g, (a, b) in zip(self.algebra.groups, self._factors):
-            for j, i in enumerate(g):
-                blocks[i] = sum(np.kron(ak[j], bk[j].T) for ak, bk in zip(a, b))
-        return scipy.linalg.block_diag(*blocks)
+        return scipy.linalg.block_diag(*_blocks_of(self.algebra, [
+            [sum(np.kron(ak[j], bk[j].T) for ak, bk in zip(a, b))
+             for j in range(a.shape[1])] for a, b in self._factors]))
 
 
 class UnitaryConjugation(_Sandwiched):
     """x -> u x u* for a unitary u."""
 
     def __init__(self, u: Element):
-        if max(np.abs(b @ b.conj().T - np.eye(d)).max()
-               for b, d in zip(u.data, u.algebra.dims)) > UNITARY_TOL:
+        if max(np.abs(b @ _adj(b) - np.eye(b.shape[-1])).max()
+               for b in u.stacks) > UNITARY_TOL:
             raise InvalidInputError("conjugator is not unitary")
         self._hold(u)
 
     def _hold(self, u: Element):
         super().__init__(u.algebra)
-        self._factors = tuple((a[None], _adj(a)[None]) for a in
-                              (stacked(u.data, g) for g in u.algebra.groups))
+        self._factors = tuple((a[None], _adj(a)[None]) for a in u.stacks)
         self.u = u
         self._schur_cache: Optional[tuple] = None
 
     def apply(self, x: Element) -> Element:
-        return Element(x.algebra,
-                       [ub @ b @ ub.conj().T for ub, b in zip(self.u.data, x.data)],
-                       selfadjoint=x.selfadjoint)
+        return Element._from_stacks(
+            x.algebra, [a @ b @ _adj(a) for a, b in zip(self.u.stacks, x.stacks)],
+            selfadjoint=x.selfadjoint)
 
     def _schur_basis(self) -> tuple:
         """``(basis, defect)``, cached.  ``basis`` holds per group of
-        equal-dimension blocks ``(group, q, phi)``: the stacked complex Schur
+        equal-dimension blocks ``(q, phi)``: the stacked complex Schur
         bases q of u and the phase differences phi[a, b] = theta_a - theta_b
         of its eigenvalues, wrapped into [-pi, pi].  ``defect`` is the
         largest distance of a Schur factor from diagonal and unimodular."""
         if self._schur_cache is None:
             basis, defect = [], 0.0
-            for g in self.algebra.groups:
-                u = stacked(self.u.data, g)
+            for u in self.u.stacks:
                 if u.shape[-1] == 1:
                     t, q = u, np.ones_like(u)
                 else:
@@ -136,18 +132,16 @@ class UnitaryConjugation(_Sandwiched):
                 theta = np.angle(lam)
                 phi = theta[:, :, None] - theta[:, None, :]
                 phi -= 2.0 * np.pi * np.round(phi / (2.0 * np.pi))
-                basis.append((g, q, phi))
+                basis.append((q, phi))
             self._schur_cache = (tuple(basis), defect)
         return self._schur_cache
 
     def _hadamard(self, x: Element, kernel) -> Element:
         """q (y o kernel(phi)) q* with y = q* x q, over the cached Schur basis."""
-        data = list(x.data)
-        for g, q, phi in self._schur_basis()[0]:
-            y = _adj(q) @ stacked(x.data, g) @ q
-            for i, b in zip(g, q @ (y * kernel(phi)) @ _adj(q)):
-                data[i] = b
-        return Element(x.algebra, data, selfadjoint=True if x.selfadjoint else None)
+        return Element._from_stacks(
+            x.algebra, [q @ ((_adj(q) @ b @ q) * kernel(phi)) @ _adj(q)
+                        for (q, phi), b in zip(self._schur_basis()[0], x.stacks)],
+            selfadjoint=True if x.selfadjoint else None)
 
     def cesaro_average(self, x: Element, m: int) -> Optional[Element]:
         """The Hadamard kernel K[a, b] = e^{i(m-1)phi/2} sin(m phi/2) /
@@ -196,8 +190,7 @@ class Pinching(_Sandwiched):
         super().__init__(projections[0].algebra)
         if any(p.algebra != self.algebra for p in projections):
             raise InvalidInputError("pinching projections must share one algebra")
-        stacks = [np.stack([stacked(p.data, g) for p in projections])
-                  for g in self.algebra.groups]
+        stacks = [np.stack(terms) for terms in zip(*(p.stacks for p in projections))]
         self._factors = tuple((s, s) for s in stacks)
         if max(np.abs(s.sum(axis=0) - np.eye(s.shape[-1])).max()
                for s in stacks) > PINCHING_TOL:
@@ -214,11 +207,9 @@ class Pinching(_Sandwiched):
         self.projections = tuple(projections)
 
     def apply(self, x: Element) -> Element:
-        data = [np.zeros_like(b) for b in x.data]
-        for p in self.projections:
-            for k, (pb, xb) in enumerate(zip(p.data, x.data)):
-                data[k] = data[k] + pb @ xb @ pb
-        return Element(x.algebra, data, selfadjoint=x.selfadjoint)
+        return Element._from_stacks(x.algebra, [
+            sum(p @ b @ p for p in s) for (s, _), b in zip(self._factors, x.stacks)],
+            selfadjoint=x.selfadjoint)
 
     def cesaro_average(self, x: Element, m: int) -> Optional[Element]:
         """x/m + (1 - 1/m) P(x), when p_i p_j = delta_ij p_i holds entrywise

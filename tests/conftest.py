@@ -102,6 +102,22 @@ def reference_projection_blocks(algebra, bases, rank_rel=1e-10, sliced=False):
     return data
 
 
+def group_stacks(algebra, blocks):
+    """Per-block arrays as one ``(k, d, d)`` complex stack per group, the
+    layout ``Element.stacks`` holds."""
+    return [np.array([blocks[i] for i in g], dtype=complex)
+            for g in algebra.groups]
+
+
+def split_stacks(algebra, stacks):
+    """The blocks of one stack per group, in block order."""
+    blocks = [None] * len(algebra.dims)
+    for g, stack in zip(algebra.groups, stacks):
+        for i, b in zip(g, stack):
+            blocks[i] = b
+    return blocks
+
+
 def random_unitary(rng, d):
     m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q, r = np.linalg.qr(m)

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conftest import SEED, BLOCK_CONFIGS, LAYOUTS, grouped_examples, \
-    make_algebra, random_layout_element, random_projection, \
-    reference_projection_blocks, spectrum_elements, spectrum_examples
-from ncergo import Element, TracedAlgebra, k_functional, lp_norm, mu, \
-    projection_complement, projection_meet, trace_deficiency
-from ncergo.algebra import projection_from_ranges, range_bases, \
-    stacked_singular_values
+    group_stacks, make_algebra, random_layout_element, random_projection, \
+    random_unitary, reference_projection_blocks, spectrum_elements, \
+    spectrum_examples
+from ncergo import Element, TracedAlgebra, clip_decompose, k_functional, \
+    lp_norm, mu, projection_complement, projection_meet, \
+    spectral_projection_below, trace_deficiency
+from ncergo.algebra import masked_projection, projection_from_ranges, \
+    range_bases, stacked_singular_values
 from ncergo.certify import _tail_weight
 from ncergo.config import SVD_UNSCALED_MIN
 from ncergo.errors import InvalidInputError
@@ -293,6 +295,92 @@ def test_grouped_spectrum_equals_per_block(layout, seed, zero_block):
                    for got, want in zip(usv, np.linalg.svd(b)))
 
 
+def one_record_cases(a, rng, zero_block):
+    """``(element, the blocks it was built from, its per-block SVDs or
+    None)`` for every constructor path: None stands for LAPACK's SVDs of
+    the blocks, ``clip_decompose`` keeps its clipped factors of x's."""
+    x = random_layout_element(rng, a, zero_block)
+    y = random_projection(rng, a)
+    c = complex(rng.standard_normal(), rng.standard_normal())
+    level = float(rng.uniform(0.0, 2.0))
+    v = rng.standard_normal(a.vec_dim) + 1j * rng.standard_normal(a.vec_dim)
+    ends = np.cumsum([d * d for d in a.dims])
+    xsvd = [np.linalg.svd(b) for b in x.data]
+    clipped = [[(u, np.maximum(s - level, 0.0), vh) for u, s, vh in xsvd],
+               [(u, np.minimum(s, level), vh) for u, s, vh in xsvd]]
+    unitaries = [random_unitary(rng, d) for d in a.dims]
+    keeps = [rng.random(d) < 0.5 for d in a.dims]
+    parts = [(None if a.dims[g[0]] == 1 else np.array([unitaries[i] for i in g]),
+              np.array([keeps[i] for i in g])) for g in a.groups]
+    masks = [k[:, None].astype(complex) if d == 1 else (u * k) @ u.conj().T
+             for u, k, d in zip(unitaries, keeps, a.dims)]
+    given = [b.copy() for b in y.data]
+    cases = [
+        (Element(a, x.data), x.data, None),
+        (Element._trusted_projection(a, group_stacks(a, given)), given, None),
+        (x + y, [p + q for p, q in zip(x.data, y.data)], None),
+        (x - y, [p - q for p, q in zip(x.data, y.data)], None),
+        (x @ y, [p @ q for p, q in zip(x.data, y.data)], None),
+        (-x, [-p for p in x.data], None),
+        (x.scaled(c), [c * p for p in x.data], None),
+        (x.adjoint(), [p.conj().T for p in x.data], None),
+        (Element.from_vec(a, v), [r.reshape(d, d) for r, d in
+                                  zip(np.split(v, ends[:-1]), a.dims)], None),
+        (masked_projection(a, parts), masks, None)]
+    for e, usv in zip(clip_decompose(x, level), clipped):
+        cases.append((e, [(u * s) @ vh for u, s, vh in usv], usv))
+    return cases
+
+
+@spectrum_examples
+@given(layout=LAYOUTS, seed=st.integers(0, 2 ** 16),
+       zero_block=st.none() | st.integers(0, 5))
+def test_every_element_is_one_record_of_group_stacks(layout, seed, zero_block):
+    """Each block of ``data`` is the block the element was built from, bit
+    for bit, as a read-only view of its group's stack, and the per-block
+    spectra equal the per-block LAPACK calls."""
+    a = TracedAlgebra(layout)
+    rng = stream(seed, "test/algebra/one-record")
+    for e, blocks, svds in one_record_cases(a, rng, zero_block):
+        assert len(e.data) == len(blocks)
+        for b, want in zip(e.data, blocks):
+            assert b.shape == want.shape and np.array_equal(b, want)
+            assert not b.flags.writeable
+        for g, stack in zip(a.groups, e.stacks):
+            assert all(np.shares_memory(e.data[i], stack) for i in g)
+        svals = [np.linalg.svd(b, compute_uv=False) for b in blocks]
+        if svds is None:
+            svds = [np.linalg.svd(b) for b in blocks]
+        else:
+            svals = [s for _, s, _ in svds]
+        assert all(np.array_equal(got, want)
+                   for got, want in zip(e.singular_values(), svals))
+        for got, want in zip(e.block_svds(), svds):
+            assert all(np.array_equal(p, q) for p, q in zip(got, want))
+
+
+# enough blocks, with weights that round, that numpy's pairwise sum and
+# the per-block sequential sum part ways
+LONG_LAYOUT = tuple((1 + k % 3, 0.1 + k / 7.0) for k in range(40))
+
+
+@spectrum_examples
+@example(layout=LONG_LAYOUT, seed=11, zero_block=4)
+@given(layout=LAYOUTS, seed=st.integers(0, 2 ** 16),
+       zero_block=st.none() | st.integers(0, 5))
+def test_trace_deficiency_is_the_per_block_sum_bit_for_bit(layout, seed,
+                                                           zero_block):
+    a = TracedAlgebra(layout)
+    rng = stream(seed, "test/algebra/trace-deficiency")
+    xs = spectrum_elements(rng, a, zero_block)
+    es = xs + [a.identity(), random_projection(rng, a),
+               spectral_projection_below(xs[0], float(rng.uniform(0.0, 2.0)))]
+    for e in es:
+        want = float(sum(w * (d - np.trace(b).real)
+                         for b, (d, w) in zip(e.data, a.blocks)))
+        assert repr(trace_deficiency(e)) == repr(want)
+
+
 @grouped_examples
 @given(layout=LAYOUTS, seed=st.integers(0, 2 ** 16),
        zero_block=st.none() | st.integers(0, 5))
@@ -363,18 +451,42 @@ def test_checking_constructor_accepts_every_projection_from_ranges(
 
 
 def test_trusted_constructor_keeps_the_cheap_checks():
-    a = TracedAlgebra(((2, 1.0), (1, 0.5)))
+    """The trusted constructor takes one stack per group (here the groups
+    are blocks (0, 2) of dim 2 and block 1 of dim 1) and runs the count,
+    shape and finiteness checks on them."""
+    a = TracedAlgebra(((2, 1.0), (1, 0.5), (2, 0.25)))
+    eyes = np.array([np.eye(2), np.eye(2)])
     with pytest.raises(InvalidInputError, match="block count"):
-        Element._trusted_projection(a, [np.eye(2)])
+        Element._trusted_projection(a, [eyes])
     with pytest.raises(InvalidInputError, match="block shape"):
-        Element._trusted_projection(a, [np.eye(2), np.eye(2)])
+        Element._trusted_projection(a, [np.eye(2)[None], np.ones((1, 1, 1))])
+    with pytest.raises(InvalidInputError, match="block shape"):
+        Element._trusted_projection(a, [eyes, np.eye(2)[None]])
+    with pytest.raises(InvalidInputError, match="block shape"):
+        Element._trusted_projection(a, [eyes, np.ones((1, 1))])
     with pytest.raises(InvalidInputError, match="non-finite"):
-        Element._trusted_projection(a, [np.eye(2), np.full((1, 1), np.inf)])
-    blocks = [np.eye(2, dtype=complex), np.ones((1, 1), dtype=complex)]
-    x = Element._trusted_projection(a, blocks)
+        Element._trusted_projection(a, [eyes, np.full((1, 1, 1), np.inf)])
+    stacks = [eyes.astype(complex), np.ones((1, 1, 1), dtype=complex)]
+    x = Element._trusted_projection(a, stacks)
     assert (x.selfadjoint, x.positive, x.projection) == (True, True, True)
-    assert all(b is c for b, c in zip(x.data, blocks))  # frozen, not copied
-    assert not any(b.flags.writeable for b in x.data)
+    assert all(b is c for b, c in zip(x.stacks, stacks))  # held as given
+    assert not any(b.flags.writeable for b in x.stacks + x.data)
+
+
+def test_public_constructor_runs_the_same_checks_on_its_stacks():
+    a = TracedAlgebra(((2, 1.0), (1, 0.5), (2, 0.25)))
+    blocks = [np.eye(2), np.ones((1, 1)), np.eye(2)]
+    with pytest.raises(InvalidInputError, match="block count"):
+        Element(a, blocks[:2])
+    with pytest.raises(InvalidInputError, match="block shape"):
+        Element(a, [np.eye(2), np.eye(2), np.eye(2)])
+    with pytest.raises(InvalidInputError, match="block shape"):
+        Element(a, [np.eye(2), np.ones((1, 1)), np.eye(3)])  # does not stack
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        Element(a, [np.eye(2), np.full((1, 1), np.nan), np.eye(2)])
+    x = Element(a, blocks)
+    assert not any(np.shares_memory(b, c) for b in x.stacks for c in blocks)
+    assert all(np.array_equal(b, c) for b, c in zip(x.data, blocks))
 
 
 def test_identity_and_zero_are_built_once_per_algebra():

@@ -8,7 +8,8 @@ from hypothesis import example, given, strategies as st
 
 from conftest import SEED, LAYOUTS, grouped_examples, \
     random_layout_element, random_projection, random_unitary_element, \
-    reference_projection_blocks, spectrum_elements, spectrum_examples
+    reference_projection_blocks, spectrum_elements, spectrum_examples, \
+    split_stacks
 from ncergo import certify
 from ncergo import Element, TracedAlgebra, UnitaryConjugation, \
     bilateral_to_onesided, certify_cauchy, extract_limit, lp_norm, \
@@ -520,10 +521,12 @@ def projection_checks(monkeypatch):
 
 
 def through_checking_constructor(monkeypatch):
-    """Route every trusted build through the public, checking constructor."""
+    """Route every trusted build through the public, checking constructor,
+    which takes the blocks of the trusted build's group stacks."""
     monkeypatch.setattr(Element, "_trusted_projection", classmethod(
-        lambda cls, algebra, data: cls(algebra, data, selfadjoint=True,
-                                       positive=True, projection=True)))
+        lambda cls, algebra, stacks: cls(algebra, split_stacks(algebra, stacks),
+                                         selfadjoint=True, positive=True,
+                                         projection=True)))
 
 
 def few_block_cesaro_trace():

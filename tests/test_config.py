@@ -25,6 +25,19 @@ def test_no_threshold_literal_outside_config():
     assert not found, "\n".join(found)
 
 
+def _bound_names(node) -> list:
+    """The names an import statement binds; none for ``from __future__``."""
+    if isinstance(node, ast.Import):
+        return [a.asname or a.name.split(".")[0] for a in node.names]
+    if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+        return [a.asname or a.name for a in node.names]
+    return []
+
+
+def _read_names(tree) -> set:
+    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+
+
 def test_no_unused_module_level_import():
     """Every module-level import of a package module is read as a name in
     it (a name only in a quoted annotation counts as unused);
@@ -34,16 +47,24 @@ def test_no_unused_module_level_import():
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text())
-        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-        for node in tree.body:
-            if isinstance(node, ast.Import):
-                bound = [a.asname or a.name.split(".")[0] for a in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-                bound = [a.asname or a.name for a in node.names]
-            else:
-                continue
-            found += [f"{path.name}:{node.lineno}: {name}"
-                      for name in bound if name not in used]
+        used = _read_names(tree)
+        found += [f"{path.name}:{node.lineno}: {name}" for node in tree.body
+                  for name in _bound_names(node) if name not in used]
+    assert not found, "\n".join(found)
+
+
+def test_no_unused_import_inside_a_function():
+    """Every import inside a function of a package module is read as a
+    name in that function, so no scope of ``src/ncergo`` keeps a dead
+    import."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                used = _read_names(fn)
+                found += [f"{path.name}:{node.lineno}: {name}"
+                          for node in ast.walk(fn)
+                          for name in _bound_names(node) if name not in used]
     assert not found, "\n".join(found)
 
 
