@@ -9,7 +9,8 @@ equal-dimension blocks, with optional verified structure flags
 group stacks and back.  Two kinds of output are projections by
 construction and skip that verification: each algebra's identity and
 zero, and ``(v * keep) v*`` of :func:`masked_projection` for a unitary
-factor ``v`` and a column mask ``keep`` (1x1 blocks: the mask).  A
+factor ``v`` and a column mask ``keep`` (1x1 blocks: the mask); every
+meet, the kernel of a sum of complements, is one.  A
 :class:`~ncergo.certify.WitnessCertificate` re-checks what it emits.
 """
 
@@ -22,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import FLAG_TOL, MEET_OVERLAP_CUT, RANK_REL, SVD_UNSCALED_MIN
+from .config import FLAG_TOL, MEET_KERNEL_CUT, RANK_REL, SVD_UNSCALED_MIN
 from .errors import InvalidInputError
 
 
@@ -301,8 +302,14 @@ class Element:
                           for part in zip(*self.stack_svds()))))
 
     def as_selfadjoint(self) -> "Element":
-        """Re-tag with a verified selfadjoint flag."""
-        return Element._from_stacks(self.algebra, self.stacks, selfadjoint=True)
+        """Itself if flagged selfadjoint, else re-tagged with a verified flag."""
+        return self if self.selfadjoint else Element._from_stacks(
+            self.algebra, self.stacks, selfadjoint=True)
+
+    def as_projection(self) -> "Element":
+        """Itself if flagged a projection, else re-tagged with verified flags."""
+        return self if self.projection else Element._from_stacks(
+            self.algebra, self.stacks, selfadjoint=True, positive=True, projection=True)
 
     def vec(self) -> np.ndarray:
         """Row-major concatenation of the blocks."""
@@ -476,18 +483,57 @@ def range_bases(e: Element) -> list:
 
 
 def projection_meet(e: Element, f: Element) -> Element:
-    """Meet e ^ f via intersection of ranges.
-
-    Common directions are the singular vectors of the basis overlap with
-    singular value 1 (within tolerance), orthonormal: a block is common common*.
-    """
+    """The meet e ^ f, the projection onto the intersection of the ranges:
+    the kernel of (1 - e) + (1 - f), by the one meet rule (:class:`_MeetBuilder`);
+    an input not flagged a projection is verified first."""
     e._same_algebra(f)
-    data = []
-    for be, bf in zip(range_bases(e), range_bases(f)):
-        u, s, _ = np.linalg.svd(be.conj().T @ bf, full_matrices=False)
-        common = be @ u[:, s > MEET_OVERLAP_CUT]  # (d, 0) if either is empty
-        data.append(common @ _adj(common))
-    return Element._trusted_projection(e.algebra, _group_stacks(e.algebra, data))
+    return _MeetBuilder(e.algebra, [e.as_projection(), f.as_projection()]).meet()
+
+
+class _MeetBuilder:
+    """Incrementally maintained meet of a list of projections.
+
+    The meet is the projection onto the common range, the kernel of the
+    sum of the complements, which is kept as one ``(k, d, d)`` stack per
+    group; swapping one term's projection only updates that sum.
+    """
+
+    def __init__(self, algebra, projections):
+        self.algebra = algebra
+        self.current = list(projections)
+        self._sums = [sum(np.eye(b.shape[-1]) - b for b in terms)
+                      for terms in zip(*(p.stacks for p in self.current))]
+
+    def meet(self) -> Element:
+        return _meet_of_sums(self.algebra, self._sums, len(self.current))
+
+    def with_swap(self, index: int, projection: Element):
+        """``(meet, sums)`` with term ``index`` swapped for ``projection``;
+        ``commit`` takes the sums back if the swap is kept."""
+        # complements differ by (old - new) of the projections themselves
+        sums = [s + (old - new) for s, old, new in
+                zip(self._sums, self.current[index].stacks, projection.stacks)]
+        return _meet_of_sums(self.algebra, sums, len(self.current)), sums
+
+    def commit(self, index: int, projection: Element, sums):
+        self._sums = sums
+        self.current[index] = projection
+
+
+def _meet_of_sums(algebra: TracedAlgebra, sums: Sequence[np.ndarray],
+                  terms: int) -> Element:
+    """The meet of ``terms`` projections from their complement sums: per
+    group, the kernel of the sum, its eigenvectors below ``MEET_KERNEL_CUT``
+    times ``terms`` (the sum's spectrum lies in [0, terms])."""
+    cut = MEET_KERNEL_CUT * max(1, terms)
+    parts = []
+    for s in sums:
+        if s.shape[-1] == 1:  # a 1x1 sum's real part is its eigenvalue
+            parts.append((None, s.real[..., 0] < cut))
+        else:
+            w, v = np.linalg.eigh((s + _adj(s)) / 2)
+            parts.append((v, w < cut))
+    return masked_projection(algebra, parts)
 
 
 def projection_complement(e: Element) -> Element:

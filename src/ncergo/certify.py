@@ -18,11 +18,10 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import (Element, TracedAlgebra, _adj, block_sup_norms,
-                      masked_projection, rearranged, stacked_singular_values,
-                      trace_deficiency)
-from .config import (BOUND_SLACK, BUDGET_SLACK, CAUCHY_TOL, MEET_KERNEL_CUT,
-                     TAIL_RISE_SLACK, TAIL_TOL)
+from .algebra import (Element, TracedAlgebra, _MeetBuilder, block_sup_norms,
+                      rearranged, stacked_singular_values, trace_deficiency)
+from .config import (BOUND_SLACK, BUDGET_SLACK, CAUCHY_TOL, TAIL_RISE_SLACK,
+                     TAIL_TOL)
 from .errors import InvalidInputError, NoLimitError, PostconditionError
 from .singular import (enlarge_projection, measure_scan, spectral_cut,
                        spectral_projection_below)
@@ -147,47 +146,6 @@ def _tail_weight(d: Element, level):
     cut = spectral_cut(d, np.asarray(level))
     svals, _, cumulative = d.flat_spectrum()
     return cumulative[np.searchsorted(-svals, -cut)]
-
-
-class _MeetBuilder:
-    """Incrementally maintained meet of one projection per difference term.
-
-    The meet is the projection onto the common range, the kernel of the
-    sum of the complements, which is kept as one ``(k, d, d)`` stack per
-    group; swapping one term's projection only updates that sum.
-    """
-
-    def __init__(self, algebra, projections):
-        self.algebra = algebra
-        self.current = list(projections)
-        self._sums = [sum(np.eye(b.shape[-1]) - b for b in terms)
-                      for terms in zip(*(p.stacks for p in self.current))]
-
-    def _meet_from_sums(self, sums):
-        cut = MEET_KERNEL_CUT * max(1.0, len(self.current))
-        parts = []
-        for s in sums:
-            if s.shape[-1] == 1:  # a 1x1 sum's real part is its eigenvalue
-                parts.append((None, s.real[..., 0] < cut))
-            else:
-                w, v = np.linalg.eigh((s + _adj(s)) / 2)
-                parts.append((v, w < cut))
-        return masked_projection(self.algebra, parts)
-
-    def meet(self) -> Element:
-        return self._meet_from_sums(self._sums)
-
-    def with_swap(self, index: int, projection: Element):
-        """``(meet, sums)`` with term ``index`` swapped for ``projection``;
-        ``commit`` takes the sums back if the swap is kept."""
-        # complements differ by (old - new) of the projections themselves
-        sums = [s + (old - new) for s, old, new in
-                zip(self._sums, self.current[index].stacks, projection.stacks)]
-        return self._meet_from_sums(sums), sums
-
-    def commit(self, index: int, projection: Element, sums):
-        self._sums = sums
-        self.current[index] = projection
 
 
 def _search_witness(differences: Sequence[Element], epsilon: float, mode: str,

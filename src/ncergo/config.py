@@ -12,9 +12,8 @@ divide-by-zero guards; ``tests/test_config.py`` checks this.
 RANK_REL = 1e-10
 #: absolute tolerance for verifying selfadjoint / positive / projection flags
 FLAG_TOL = 1e-10
-#: basis-overlap singular value above which a direction is common to a meet
-MEET_OVERLAP_CUT = 1.0 - 1e-10
-#: eigenvalue cut (times the term count) of the kernel spanning a witness meet
+#: eigenvalue cut (times the term count) of the kernel of a sum of complements,
+#: which spans their meet; absolute, as such a sum's spectrum lies in [0, terms]
 MEET_KERNEL_CUT = 1e-7
 #: LAPACK's gesdd rescales a matrix whose largest entry is nonzero and below
 #: this (sqrt(tiny) / eps) or above its inverse; between them a 1x1 block's

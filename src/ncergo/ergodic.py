@@ -421,8 +421,7 @@ class UnitaryFlow(Semigroup):
     """T_s(x) = e^{i s H} x e^{-i s H} for a selfadjoint generator H."""
 
     def __init__(self, generator: Element):
-        if generator.selfadjoint is not True:
-            generator = generator.as_selfadjoint()
+        generator = generator.as_selfadjoint()
         self.algebra = generator.algebra
         self.generator = generator
         self._eig = [np.linalg.eigh((b + b.conj().T) / 2) for b in generator.data]

@@ -162,9 +162,7 @@ def enlarge_projection(x: Element, e: Element) -> Element:
     tau(f_perp) <= 2 tau(e_perp) and ||x f||_inf <= ||e x e||_inf, both
     asserted (with tolerance slack) before returning.
     """
-    if e.projection is not True:
-        e = Element(e.algebra, e.data, selfadjoint=True, positive=True,
-                    projection=True)
+    e = e.as_projection()
     xe = x @ e
     exe = e @ xe
     delta = exe.sup_norm()
@@ -191,8 +189,7 @@ def fava_decompose(x: Element, delta: float) -> Tuple[Element, Element]:
     """
     if not (delta > 0):
         raise InvalidInputError("delta must be > 0")
-    if x.selfadjoint is not True:
-        x = x.as_selfadjoint()
+    x = x.as_selfadjoint()
     ydata = []
     for b in x.data:
         w, v = np.linalg.eigh((b + b.conj().T) / 2)

@@ -520,8 +520,6 @@ def preserves_fava(op: SuperOperator, x: Element, delta: float,
         raise InvalidInputError("sup-norm bound of a non-positive map is sampled")
     if not cert.selfadjointness:
         raise InvalidInputError("map must be selfadjoint")
-    if x.selfadjoint is not True:
-        x = x.as_selfadjoint()
     c = max(cert.sup_norm_bound, 1e-300)
     y, z = fava_decompose(x, delta / c)
     return op.apply(y), op.apply(z)

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
@@ -6,9 +8,9 @@ from conftest import SEED, BLOCK_CONFIGS, LAYOUTS, grouped_examples, \
     group_stacks, make_algebra, random_layout_element, random_projection, \
     random_unitary, reference_projection_blocks, spectrum_elements, \
     spectrum_examples
-from ncergo import Element, TracedAlgebra, clip_decompose, k_functional, \
-    lp_norm, mu, projection_complement, projection_meet, \
-    spectral_projection_below, trace_deficiency
+from ncergo import Element, TracedAlgebra, clip_decompose, \
+    enlarge_projection, k_functional, lp_norm, mu, projection_complement, \
+    projection_meet, spectral_projection_below, trace_deficiency
 from ncergo.algebra import masked_projection, projection_from_ranges, \
     range_bases, stacked_singular_values
 from ncergo.certify import _tail_weight
@@ -231,6 +233,74 @@ def test_projection_meet_disjoint_ranges():
     q = projection_from_ranges(a, [np.array([[0.0], [1.0]], dtype=complex)])
     m = projection_meet(p, q)
     assert m.sup_norm() < 1e-12
+
+
+def test_projection_meet_refuses_a_non_projection(monkeypatch):
+    """An input not flagged a projection is verified, as by
+    ``enlarge_projection``, and a selfadjoint non-projection is refused;
+    flagged inputs are taken as they are."""
+    a = TracedAlgebra(((3, 1.0), (1, 2.0)))
+    x = a.random_element(stream(SEED, "test/algebra/meet-refuses"),
+                         selfadjoint=True)
+    for e, f in ((x, a.identity()), (a.identity(), x)):
+        with pytest.raises(InvalidInputError, match="flag fails verification"):
+            projection_meet(e, f)
+    with pytest.raises(InvalidInputError, match="flag fails verification"):
+        enlarge_projection(x, x)
+    p = Element(a, a.identity().data)  # a projection not flagged as one
+    assert projection_meet(p, a.identity()).projection is True
+    checked = []
+    verify = Element._verify_flags
+    monkeypatch.setattr(Element, "_verify_flags",
+                        lambda self: checked.append(self) or verify(self))
+    projection_meet(a.identity(), a.zero())
+    assert checked == []
+
+
+def _planted_ranges(rng, d, common):
+    """Orthonormal bases (C, A, B) in one d-dimensional block: ``common``
+    columns C, and extra columns A and B with dim C + dim A + dim B <= d,
+    B turned towards A by a random angle in [pi/8, 3pi/8], so that ran[C|A]
+    and ran[C|B] meet in ran C at angles bounded away from zero."""
+    extra_a = int(rng.integers(0, d - common + 1))
+    extra_b = int(rng.integers(0, d - common - extra_a + 1))
+    u = random_unitary(rng, d)
+    c, b = u[:, :common], u[:, common + extra_a:common + extra_a + extra_b].copy()
+    a_ = u[:, common:common + extra_a]
+    k = min(extra_a, extra_b)
+    phi = rng.uniform(np.pi / 8, 3 * np.pi / 8)
+    b[:, :k] = np.cos(phi) * b[:, :k] + np.sin(phi) * a_[:, :k]
+    return c, a_, b
+
+
+@spectrum_examples
+@given(layout=LAYOUTS, seed=st.integers(0, 2 ** 16),
+       zero_block=st.none() | st.integers(0, 5))
+def test_projection_meet_recovers_a_planted_common_range(layout, seed,
+                                                         zero_block):
+    """proj[C|A] ^ proj[C|B] = proj C within 1e-12 for a common range C
+    planted in every block (none in block ``zero_block``), e ^ 1 = e and
+    e ^ 0 = 0; each meet makes one ``eigh`` per group of blocks larger
+    than 1x1 and none on 1x1 groups."""
+    a = TracedAlgebra(layout)
+    rng = stream(seed, "test/algebra/planted-meet")
+    planted = []
+    for i, d in enumerate(a.dims):
+        common = 0 if zero_block is not None and i == zero_block % len(a.dims) \
+            else int(rng.integers(0, d + 1))
+        planted.append(_planted_ranges(rng, d, common))
+    c = [c_ for c_, _, _ in planted]
+    e = projection_from_ranges(a, [np.hstack([c_, a_]) for c_, a_, _ in planted])
+    f = projection_from_ranges(a, [np.hstack([c_, b]) for c_, _, b in planted])
+    with mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
+        meets = [projection_meet(e, f), projection_meet(e, a.identity()),
+                 projection_meet(e, a.zero())]
+    assert eigh.call_count == 3 * sum(a.dims[g[0]] > 1 for g in a.groups)
+    for got, want in zip(meets[0].data, reference_projection_blocks(a, c)):
+        assert np.abs(got - want).max() <= 1e-12
+    for got, want in zip(meets[1].data, e.data):
+        assert np.abs(got - want).max() <= 1e-12
+    assert meets[2].sup_norm() == 0.0
 
 
 def test_complement_and_deficiency():

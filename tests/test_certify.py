@@ -12,11 +12,12 @@ from conftest import SEED, LAYOUTS, grouped_examples, \
     split_stacks
 from ncergo import certify
 from ncergo import Element, TracedAlgebra, UnitaryConjugation, \
-    bilateral_to_onesided, certify_cauchy, extract_limit, lp_norm, \
-    measure_metric, projection_meet, remark32_model, \
-    spectral_projection_below, submajorizes, trace_deficiency, \
-    witness_convergence
-from ncergo.certify import FiniteTrace, WitnessCertificate, _MeetBuilder, \
+    bilateral_to_onesided, certify_cauchy, enlarge_projection, \
+    extract_limit, lp_norm, measure_metric, projection_meet, \
+    remark32_model, spectral_projection_below, submajorizes, \
+    trace_deficiency, witness_convergence
+from ncergo.algebra import _MeetBuilder
+from ncergo.certify import FiniteTrace, WitnessCertificate, \
     _compressed_bound, _compressed_bounds, _distinct_levels, \
     _search_witness, _tail_weight, _term_stacks
 from ncergo.config import RANK_REL, TAIL_TOL
@@ -433,6 +434,10 @@ def test_grouped_meet_equals_per_block(layout, seed, zero_block):
     for got, old in zip(meet.data,
                         reference_projection_blocks(a, bases, sliced=True)):
         assert np.abs(got - old).max(initial=0.0) <= 1e-12
+    pair = projections[-2:]  # with the zero element, if there is one
+    for got, want in zip(projection_meet(*pair).stacks,
+                         _MeetBuilder(a, pair).meet().stacks):
+        assert np.array_equal(got, want)
 
 
 @grouped_examples
@@ -577,18 +582,21 @@ def test_checking_constructor_accepts_every_masked_projection(
         layout, seed, zero_block):
     """Every output of the mask rule, built trusted, passes the public
     constructor with all three flags: spectral cuts at random levels and at
-    levels equal to a singular value, meets (also after swaps) and
-    ``projection_meet``, on 1x1 (complex), multi-member and singleton
-    groups, zero blocks, ties and zero elements."""
+    levels equal to a singular value, meets (also after swaps),
+    ``projection_meet`` and ``enlarge_projection`` of each element and each
+    of its cuts, on 1x1 (complex), multi-member and singleton groups, zero
+    blocks, ties and zero elements."""
     a = TracedAlgebra(layout)
     rng = stream(seed, "test/certify/trusted-masked")
-    cuts = []
+    cuts, enlarged = [], []
     for x in spectrum_elements(rng, a, zero_block):
         values = x.flat_spectrum()[0]
         top = max(x.sup_norm(), 1e-3)
         levels = [*values[::max(1, len(values) // 4)], 0.0,
                   *rng.uniform(0.0, 1.5 * top, size=3)]
-        cuts += [spectral_projection_below(x, float(v)) for v in levels]
+        own = [spectral_projection_below(x, float(v)) for v in levels]
+        cuts += own
+        enlarged += [enlarge_projection(x, e) for e in own]
     builder = _MeetBuilder(a, cuts[:3])
     outputs = cuts + [builder.meet()]
     for n, p in enumerate(cuts[3:9]):
@@ -596,6 +604,7 @@ def test_checking_constructor_accepts_every_masked_projection(
         builder.commit(n % 3, p, sums)
         outputs.append(meet)
     outputs += [projection_meet(p, q) for p, q in zip(cuts[::3], cuts[1::3])]
+    outputs += enlarged
     for e in outputs:
         assert (e.selfadjoint, e.positive, e.projection) == (True, True, True)
         checked = Element(a, e.data, selfadjoint=True, positive=True,

@@ -68,6 +68,25 @@ def test_no_unused_import_inside_a_function():
     assert not found, "\n".join(found)
 
 
+def test_every_config_constant_is_read_elsewhere():
+    """Every constant config.py defines is imported from it and read as a
+    name by some other package module, so no threshold outlives its use."""
+    config = ast.parse((PACKAGE / "config.py").read_text())
+    defined = {t.id for node in config.body if isinstance(node, ast.Assign)
+               for t in node.targets if isinstance(t, ast.Name)}
+    read = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "config.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = _read_names(tree)
+        read |= {a.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module == "config"
+                 for a in node.names if (a.asname or a.name) in used}
+    missing = sorted(defined - read)
+    assert defined and not missing, missing
+
+
 def test_no_config_constant_as_a_parameter_default():
     """A verdict rests on its inputs and config.py alone: no function takes
     a constant imported from ``.config`` as a default it lets callers
