@@ -207,19 +207,15 @@ class Element:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _same_algebra(self, other: "Element"):
-        if self.algebra is not other.algebra and self.algebra != other.algebra:
-            raise InvalidInputError("elements belong to different algebras")
-
     def __add__(self, other: "Element") -> "Element":
-        self._same_algebra(other)
+        check_algebra(self.algebra, other.algebra)
         sa = True if (self.selfadjoint and other.selfadjoint) else None
         return Element._from_stacks(
             self.algebra, [a + b for a, b in zip(self.stacks, other.stacks)],
             selfadjoint=sa)
 
     def __sub__(self, other: "Element") -> "Element":
-        self._same_algebra(other)
+        check_algebra(self.algebra, other.algebra)
         sa = True if (self.selfadjoint and other.selfadjoint) else None
         return Element._from_stacks(
             self.algebra, [a - b for a, b in zip(self.stacks, other.stacks)],
@@ -235,7 +231,7 @@ class Element:
                                     selfadjoint=sa)
 
     def __matmul__(self, other: "Element") -> "Element":
-        self._same_algebra(other)
+        check_algebra(self.algebra, other.algebra)
         return Element._from_stacks(
             self.algebra, [a @ b for a, b in zip(self.stacks, other.stacks)])
 
@@ -351,6 +347,12 @@ def rearranged(algebra: TracedAlgebra, parts: Sequence[np.ndarray]) -> tuple:
     cumulative = np.concatenate([np.zeros(values.shape[:-1] + (1,)),
                                  np.cumsum(weights, axis=-1)], axis=-1)
     return np.take_along_axis(values, order, axis=-1), weights, cumulative
+
+
+def check_algebra(algebra: TracedAlgebra, other: TracedAlgebra) -> None:
+    """Refuse unequal algebras, also where only trace weights differ."""
+    if algebra is not other and algebra != other:
+        raise InvalidInputError("operands belong to different algebras")
 
 
 def _integer(value, name: str) -> int:
@@ -486,7 +488,7 @@ def projection_meet(e: Element, f: Element) -> Element:
     """The meet e ^ f, the projection onto the intersection of the ranges:
     the kernel of (1 - e) + (1 - f), by the one meet rule (:class:`_MeetBuilder`);
     an input not flagged a projection is verified first."""
-    e._same_algebra(f)
+    check_algebra(e.algebra, f.algebra)
     return _MeetBuilder(e.algebra, [e.as_projection(), f.as_projection()]).meet()
 
 

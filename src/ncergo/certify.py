@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import (Element, TracedAlgebra, _MeetBuilder, block_sup_norms,
+from .algebra import (Element, TracedAlgebra, _MeetBuilder, block_sup_norms, check_algebra,
                       rearranged, stacked_singular_values, trace_deficiency)
 from .config import (BOUND_SLACK, BUDGET_SLACK, CAUCHY_TOL, TAIL_RISE_SLACK,
                      TAIL_TOL)
@@ -38,7 +38,7 @@ class FiniteTrace:
         if not elements:
             raise InvalidInputError("trace must be non-empty")
         for x in elements[1:]:
-            x._same_algebra(elements[0])
+            check_algebra(x.algebra, elements[0].algebra)
         object.__setattr__(self, "elements", elements)
 
     @property
@@ -222,7 +222,7 @@ def witness_convergence(trace: FiniteTrace, limit: Element, epsilon: float,
     """
     if not epsilon > 0:  # NaN too
         raise InvalidInputError(f"epsilon must be > 0, got {epsilon!r}")
-    limit._same_algebra(trace.elements[0])
+    check_algebra(limit.algebra, trace.elements[0].algebra)
     notes = {"horizon_semantics":
              "finite-trace judgment; no claim beyond the horizon"}
     if epsilon >= trace.algebra.total_trace:

@@ -28,7 +28,7 @@ TWO_ROUTE_REL = 1e-9
 SUBMAJOR_SLACK = 1e-9
 #: slack above 1.0 accepted when declaring a trace- and sup-norm contraction
 DS_SLACK = 1e-9
-#: largest entry of u u* - 1 accepted for a conjugating unitary
+#: largest entry of u u* - 1 for a conjugator u, and of v* v - 1 for a flow's eigenbasis
 UNITARY_TOL = 1e-8
 #: absolute tolerance for pinching projections to sum to 1 and be orthogonal
 PINCHING_TOL = 1e-9
@@ -38,7 +38,8 @@ WEIGHT_SUM_SLACK = 1e-12
 COUPLING_TOL = 1e-12
 #: relative tolerance of sampled positivity: A(x* x) selfadjoint, spectrum >= 0
 POSITIVITY_TOL = 1e-9
-#: relative tolerance of the sampled check that A preserves selfadjointness
+#: largest dense bound of M - T conj(M) T, relative to max(1, that of M), for
+#: a map's matrix M and block transpose T: A preserves selfadjointness exactly
 SELFADJOINT_TOL = 1e-9
 
 # -- families and flows -------------------------------------------------------
@@ -47,9 +48,7 @@ SELFADJOINT_TOL = 1e-9
 #: operator family; compared with the structural and dense bounds, and with
 #: a sampled gap relative to max(1, ||y||)
 COMMUTE_TOL = 1e-9
-#: sampled semigroup-law threshold
-SEMIGROUP_TOL = 1e-8
-#: relative sampled idempotency threshold for an interpolation expectation
+#: largest dense bound of E^2 - E, absolute, for an interpolation flow's expectation
 IDEMPOTENT_TOL = 1e-9
 #: distance |lambda_a - lambda_b| under which two eigenvalues of a conjugator
 #: are equal (pairwise, not chained) in its Cesaro limit, the eigenspace pinching

@@ -38,11 +38,12 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import Element, TracedAlgebra, _adj, _integer, check_vecs
-from .config import COMMUTE_TOL, IDEMPOTENT_TOL, QUAD_TOL, SEMIGROUP_TOL
+from .algebra import Element, TracedAlgebra, _adj, _integer, check_algebra, check_vecs
+from .config import COMMUTE_TOL, IDEMPOTENT_TOL, QUAD_TOL, UNITARY_TOL
 from .errors import InvalidInputError, NumericFailureError
 from .rng import stream
-from .superops import DSCertificate, SuperOperator, UnitaryConjugation, verify_ds
+from .superops import (DSCertificate, SuperOperator, UnitaryConjugation,
+                       _dense_bound, verify_ds)
 
 
 # -- index nets ---------------------------------------------------------------
@@ -113,7 +114,7 @@ def validate_family(ops: Sequence[SuperOperator], seed: int = 0
       otherwise.  Where it does not prove the bound it gives no verdict,
       and the next rule decides.
     - "dense": up to vec_dim 256, ||C||_F sqrt(sum_b d_b) for the matrix C
-      of AB - BA, from the cached ``to_matrix``.
+      of AB - BA, from the cached ``to_matrix`` (``superops._dense_bound``).
     - "sampled": above it, the gap on the same ten random elements,
       drawn from ``seed``; a lower bound only.
 
@@ -124,6 +125,7 @@ def validate_family(ops: Sequence[SuperOperator], seed: int = 0
     algebra = ops[0].algebra
     certs = [verify_ds(op, seed=seed) for op in ops]
     for op, cert in zip(ops, certs):
+        check_algebra(algebra, op.algebra)
         if not cert.is_ds() or not cert.positivity:
             raise InvalidInputError("family member is not a positive contraction")
     labels, sampled = [], []
@@ -131,7 +133,8 @@ def validate_family(ops: Sequence[SuperOperator], seed: int = 0
         if _structural_bound(ops[i].sandwiches(), ops[j].sandwiches()) <= COMMUTE_TOL:
             labels.append("structural")
         elif algebra.vec_dim <= _MATRIX_ROUTE_MAX_DIM:
-            bound = _dense_bound(ops[i], ops[j])
+            ma, mb = ops[i].to_matrix(), ops[j].to_matrix()
+            bound = _dense_bound(algebra, ma @ mb - mb @ ma)
             if bound > COMMUTE_TOL:
                 raise InvalidInputError(
                     f"family does not commute (dense bound {bound:.3e})")
@@ -149,14 +152,6 @@ def validate_family(ops: Sequence[SuperOperator], seed: int = 0
                     raise InvalidInputError(
                         f"family does not commute (sampled gap {gap:.3e})")
     return certs, tuple(labels)
-
-
-def _dense_bound(a: SuperOperator, b: SuperOperator) -> float:
-    """||C||_F sqrt(sum_b d_b) for the matrix C of AB - BA: a bound on the
-    commutator norm, as ||y||_inf <= ||vec y||_2 and ||vec x||_2 <=
-    sqrt(sum_b d_b) ||x||_inf."""
-    ma, mb = a.to_matrix(), b.to_matrix()
-    return float(np.linalg.norm(ma @ mb - mb @ ma)) * math.sqrt(sum(a.algebra.dims))
 
 
 def _structural_bound(s: Optional[tuple], t: Optional[tuple]) -> float:
@@ -194,6 +189,7 @@ class _BoxAverager:
     advance the prefix instead of restarting it."""
 
     def __init__(self, ops: Sequence[SuperOperator], algebra: TracedAlgebra):
+        check_algebra(ops[0].algebra, algebra)  # the algebra of the averaged x
         self.ops = ops
         self.algebra = algebra
         self.dense = algebra.vec_dim <= _MATRIX_ROUTE_MAX_DIM
@@ -347,6 +343,8 @@ class TrigPolynomial:
 
     def __post_init__(self):
         terms = tuple((complex(w), float(th)) for w, th in self.terms)
+        if not all(math.isfinite(th) for _, th in terms):
+            raise InvalidInputError("frequencies must be finite")
         object.__setattr__(self, "terms", terms)
 
     def __call__(self, s: float) -> complex:
@@ -397,24 +395,16 @@ class Semigroup:
         Each row passes the checks ``Element``'s constructor runs on T_s(x):
         finite entries and, when x is flagged selfadjoint, a verified flag.
         """
+        check_algebra(self.algebra, x.algebra)
         rows = self._orbit(np.asarray(times, dtype=float), x)
         check_vecs(x.algebra, rows, selfadjoint=x.selfadjoint)
         return rows
 
     def apply(self, s: float, x: Element) -> Element:
         """T_s(x), flagged selfadjoint when x is."""
+        check_algebra(self.algebra, x.algebra)
         row = self._orbit(np.array([s], dtype=float), x)[0]
         return Element.from_vec(x.algebra, row, selfadjoint=x.selfadjoint)
-
-    def _check_law(self):
-        rng = stream(0, "ergodic/semigroup-law")
-        for _ in range(5):
-            x = self.algebra.random_element(rng)
-            s, t = rng.uniform(0.0, 2.0, size=2)
-            gap = (self.apply(s, self.apply(t, x))
-                   - self.apply(s + t, x)).sup_norm()
-            if gap > SEMIGROUP_TOL * max(1.0, x.sup_norm()):
-                raise NumericFailureError(f"semigroup law violated: gap {gap:.3e}")
 
 
 class UnitaryFlow(Semigroup):
@@ -425,7 +415,10 @@ class UnitaryFlow(Semigroup):
         self.algebra = generator.algebra
         self.generator = generator
         self._eig = [np.linalg.eigh((b + b.conj().T) / 2) for b in generator.data]
-        self._check_law()
+        # u_s u_t = u_{s+t} for u_s = v e^{isw} v* wherever v*v = 1
+        if max(np.abs(_adj(v) @ v - np.eye(len(w))).max()
+               for w, v in self._eig) > UNITARY_TOL:
+            raise NumericFailureError("generator eigenbasis is not unitary")
 
     def _orbit(self, times: np.ndarray, x: Element) -> np.ndarray:
         rows = []
@@ -443,16 +436,13 @@ class InterpolationFlow(Semigroup):
 
     def __init__(self, expectation: SuperOperator):
         self.algebra = expectation.algebra
-        rng = stream(0, "ergodic/idempotency")
-        y = self.algebra.random_element(rng)
-        gap = (expectation.apply(expectation.apply(y))
-               - expectation.apply(y)).sup_norm()
-        if gap > IDEMPOTENT_TOL * max(1.0, y.sup_norm()):
-            raise InvalidInputError("expectation must be idempotent")
         if not expectation.structurally_positive():
             raise InvalidInputError("expectation must be structurally positive")
+        # T_s T_t - T_{s+t} = (1 - e^{-s})(1 - e^{-t})(E^2 - E)
+        e = expectation.to_matrix()
+        if _dense_bound(self.algebra, e @ e - e) > IDEMPOTENT_TOL:
+            raise InvalidInputError("expectation must be idempotent")
         self.expectation = expectation
-        self._check_law()
 
     def _orbit(self, times: np.ndarray, x: Element) -> np.ndarray:
         # math.exp per node: np.exp may differ from it in the last bit
@@ -482,8 +472,8 @@ def besicovitch_average(beta: BesicovitchFunction, flow: Semigroup, x: Element,
     for bit, so their weighted values are reused.  The weight beta is
     called once per node.
     """
-    if not (t > 0):
-        raise InvalidInputError("t must be > 0")
+    if not (0 < t < math.inf):
+        raise InvalidInputError("t must be finite and > 0")
 
     def integrand(times: np.ndarray) -> np.ndarray:
         weights = np.array([complex(beta(s)) for s in times])

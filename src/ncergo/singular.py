@@ -14,8 +14,8 @@ from typing import Tuple
 
 import numpy as np
 
-from .algebra import (Element, _adj, masked_projection, projection_meet,
-                      trace_deficiency)
+from .algebra import (Element, _adj, check_algebra, masked_projection,
+                      projection_meet, trace_deficiency)
 from .config import (BOUND_SLACK, ENLARGE_DEFICIENCY_SLACK, RANK_REL,
                      SUBMAJOR_SLACK, TWO_ROUTE_REL)
 from .errors import InvalidInputError, PostconditionError
@@ -114,7 +114,7 @@ def measure_metric(x: Element, y: Element) -> float:
     Computed by scanning the intervals of the rearrangement of x - y: on
     each constant piece the condition is a simple threshold.
     """
-    x._same_algebra(y)
+    check_algebra(x.algebra, y.algebra)
     values, _, cumulative = (x - y).flat_spectrum()
     return float(measure_scan(values, cumulative))
 

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg
 
 from .algebra import (Element, TracedAlgebra, _adj, _blocks_of, _integer,
-                      block_sup_norms)
+                      _vec_stacks, block_sup_norms)
 from .config import (CLOSED_FORM_TOL, COUPLING_TOL, DS_SLACK, PHASE_TOL,
                      PINCHING_TOL, POSITIVITY_TOL, SELFADJOINT_TOL, UNITARY_TOL,
                      WEIGHT_SUM_SLACK)
@@ -450,18 +450,26 @@ def check_positivity(op: SuperOperator, trials: int = 50, seed: int = 0) -> bool
     return True
 
 
-def check_selfadjointness(op: SuperOperator, trials: int = 20, seed: int = 0) -> bool:
-    """Whether A maps selfadjoint elements to selfadjoint ones: exact for
-    structurally positive maps, sampled otherwise."""
+def check_selfadjointness(op: SuperOperator) -> bool:
+    """Whether A maps selfadjoint elements to selfadjoint ones, exactly: a
+    structurally positive map does, and another iff M = T conj(M) T for its
+    matrix M and the permutation T of vec indices that transposes every
+    block, that is iff its Choi matrix is Hermitian (Choi, LAA 10 (1975))."""
     if op.structurally_positive():  # positive maps preserve adjoints
         return True
-    rng = stream(seed, "superops/selfadjointness")
-    for _ in range(trials):
-        x = op.algebra.random_element(rng, selfadjoint=True)
-        y = op.apply(x)
-        if (y - y.adjoint()).sup_norm() > SELFADJOINT_TOL * max(1.0, y.sup_norm()):
-            return False
-    return True
+    a, m = op.algebra, op.to_matrix()
+    t = np.concatenate([b.T.reshape(-1) for b in
+                        _blocks_of(a, _vec_stacks(a, np.arange(a.vec_dim)))])
+    return (_dense_bound(a, m - m.conj()[t][:, t])
+            <= SELFADJOINT_TOL * max(1.0, _dense_bound(a, m)))
+
+
+def _dense_bound(algebra: TracedAlgebra, c: np.ndarray) -> float:
+    """||C||_F sqrt(sum_b d_b) >= sup ||C vec x||_inf / ||x||_inf, as ||y||_inf
+    <= ||vec y||_2 and ||vec x||_2 <= sqrt(sum_b d_b) ||x||_inf: the one rule
+    that decides a law of a map (commutation, idempotency, selfadjointness
+    preservation) on its matrix."""
+    return float(np.linalg.norm(c) * np.sqrt(sum(algebra.dims)))
 
 
 def verify_ds(op: SuperOperator, trials: int = 50, seed: int = 0) -> DSCertificate:
@@ -478,7 +486,7 @@ def verify_ds(op: SuperOperator, trials: int = 50, seed: int = 0) -> DSCertifica
     if trials < 1:  # no sample can claim positivity
         raise InvalidInputError(f"trials must be >= 1, got {trials!r}")
     positive = check_positivity(op, trials=trials, seed=seed)
-    selfadj = check_selfadjointness(op, trials=max(trials // 2, 5), seed=seed)
+    selfadj = check_selfadjointness(op)
     one = op.algebra.identity()
     if positive:
         c_inf = op.apply(one).sup_norm()

@@ -143,3 +143,26 @@ def test_object_setattr_writes_only_self():
                              and node.args[0].id == "self")):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, "\n".join(found)
+
+
+def test_random_draws_only_in_the_sampled_routes():
+    """The package functions that call ``random_element`` are exactly the
+    sampled routes: positivity, the norm ratios of a non-positive map, the
+    commutator sample above the dense limit and a config's random input.
+    The semigroup law, idempotency and selfadjointness preservation are
+    decided without a draw."""
+    callers = set()
+
+    def visit(node, module, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "random_element"):
+            callers.add(f"{module}.{scope}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, scope)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, None)
+    assert callers == {"superops.check_positivity", "superops.verify_ds",
+                       "ergodic.validate_family", "serialize.average_from_dict"}

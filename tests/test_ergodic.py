@@ -1,4 +1,5 @@
 import collections
+import inspect
 import itertools
 import math
 import time
@@ -17,13 +18,13 @@ from ncergo import BesicovitchFunction, ConvexCombination, Element, \
     cesaro_limit_oracle, net_average_trace, sector_check, \
     submajorizes
 from ncergo.config import COMMUTE_TOL, PHASE_TOL
-from ncergo.ergodic import _dense_bound, _structural_bound, validate_family
+from ncergo.ergodic import _structural_bound, validate_family
 from ncergo.errors import InvalidInputError, NumericFailureError
 from ncergo.fixtures import besicovitch_theta_fixture, conjugation_d2_fixture, \
     unitary_flow_fixture
 from ncergo.rng import stream
 from ncergo.superops import BlockExpectation, Composition, ExplicitMatrix, Pinching, \
-    SuperOperator
+    SuperOperator, _dense_bound, check_selfadjointness
 
 
 def commuting_pinchings(algebra):
@@ -166,6 +167,38 @@ def test_box_average_refuses_a_non_integer_bound():
         box_average([op], x, (2.7,))
     same = box_average([op], x, (np.int64(3),))
     assert (same - box_average([op], x, (3,))).sup_norm() == 0.0
+
+
+def test_mixed_algebras_are_input_errors():
+    """Maps and elements on different algebras, trace weights alone
+    included, are refused with ``InvalidInputError`` by the family
+    validation, both averaging routes and both flows, before any product
+    or reshape; an equal algebra built twice is not mixed."""
+    m2 = TracedAlgebra(((2, 1.0),))
+    rng = stream(SEED, "test/ergodic/mixed-algebras")
+    op = UnitaryConjugation(m2.identity())
+    net = SectorNet(1, ((2,), (3,)))
+    flows = [UnitaryFlow(Element(m2, [np.diag([0.0, 1.0])], selfadjoint=True)),
+             InterpolationFlow(_coordinate_pinching(m2))]
+    for other in (TracedAlgebra(((3, 1.0),)), TracedAlgebra(((2, 2.0),)),
+                  TracedAlgebra(((2, 1.0), (1, 1.0)))):
+        with pytest.raises(InvalidInputError, match="different algebras"):
+            validate_family([op, UnitaryConjugation(other.identity())])
+        y = other.random_element(rng)
+        with pytest.raises(InvalidInputError, match="different algebras"):
+            box_average([op], y, (2,))
+        with pytest.raises(InvalidInputError, match="different algebras"):
+            net_average_trace([op], y, net)
+        for flow in flows:
+            with pytest.raises(InvalidInputError, match="different algebras"):
+                flow.apply(0.5, y)
+            with pytest.raises(InvalidInputError, match="different algebras"):
+                flow.orbit([0.0, 0.5], y)
+    y = TracedAlgebra(((2, 1.0),)).random_element(rng)
+    validate_family([op, UnitaryConjugation(TracedAlgebra(((2, 1.0),)).identity())])
+    assert (box_average([op], y, (2,)) - y).sup_norm() == 0.0
+    for flow in flows:
+        assert np.array_equal(flow.orbit([0.5], y)[0], flow.apply(0.5, y).vec())
 
 
 # closed-form averages: 1x1, mixed and many-block layouts
@@ -402,7 +435,7 @@ def test_dense_rule_refuses_a_single_corner_entry():
     c = ops[0].to_matrix() @ shear - shear @ ops[0].to_matrix()
     assert np.count_nonzero(c) == 1 and c[n - 1, n - 2] != 0
     assert _structural_bound(ops[0].sandwiches(), ops[1].sandwiches()) == math.inf
-    bound = _dense_bound(*ops)
+    bound = _dense_bound(a, c)
     assert bound == pytest.approx(1e-6 * math.sqrt(sum(a.dims)), rel=1e-12)
     assert bound > COMMUTE_TOL
 
@@ -464,7 +497,8 @@ def test_structural_and_dense_rules_agree(layout, kinds, commuting, seed):
     rng = stream(seed, "test/ergodic/commutator-rules")
     a, b = rule_pair(kinds, commuting, algebra, rng)
     structural = _structural_bound(a.sandwiches(), b.sandwiches())
-    dense = _dense_bound(a, b)
+    ma, mb = a.to_matrix(), b.to_matrix()
+    dense = _dense_bound(algebra, ma @ mb - mb @ ma)
     assert (structural <= COMMUTE_TOL) == (dense <= COMMUTE_TOL)
     if commuting:
         assert structural <= COMMUTE_TOL
@@ -1023,6 +1057,21 @@ def test_besicovitch_failure_paths():
         besicovitch_average(beta, flow, x, 5.0, quad_tol=1e-16, max_depth=1)
 
 
+def test_non_finite_times_and_frequencies_are_input_errors():
+    a = TracedAlgebra(((2, 1.0),))
+    x = a.random_element(stream(SEED, "test/ergodic/bes-non-finite"))
+    beta = BesicovitchFunction(TrigPolynomial(((1.0, 3.0),)))
+    flow = UnitaryFlow(a.zero())
+    for t in (math.inf, -math.inf, math.nan):
+        with pytest.raises(InvalidInputError, match="finite"):
+            besicovitch_average(beta, flow, x, t)
+    for theta in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidInputError, match="frequencies must be finite"):
+            besicovitch_average(
+                BesicovitchFunction(TrigPolynomial(((1.0, 0.0), (0.5, theta)))),
+                flow, x, 1.0)
+
+
 def test_unitary_flow_semigroup_law():
     algebra, _, flow, x = unitary_flow_fixture()
     y = flow.apply(0.7, flow.apply(1.1, x))
@@ -1045,6 +1094,62 @@ def test_interpolation_flow():
     u = Element(a, [np.diag([1.0, 1.0j])])
     with pytest.raises(InvalidInputError):
         InterpolationFlow(UnitaryConjugation(u))
+
+
+def test_interpolation_flow_decides_idempotency_on_the_matrix():
+    """E^2 = E is read from E's matrix: a block expectation and a pinching
+    composed with itself are accepted, and their flows keep the semigroup
+    law; a convex combination of a pinching and a conjugation, positive
+    but not idempotent, is refused."""
+    rng = stream(SEED, "test/ergodic/interp-matrix")
+    a = TracedAlgebra(((2, 1.0), (1, 0.5), (3, 2.0), (2, 0.25)))
+    p = random_pinching(rng, a)
+    x = a.random_element(rng)
+    for e in (random_block_expectation(rng, a), Composition([p, p])):
+        flow = InterpolationFlow(e)
+        law = flow.apply(1.5, x) - flow.apply(0.5, flow.apply(1.0, x))
+        assert law.sup_norm() <= 1e-12 * max(1.0, x.sup_norm())
+    mixed = ConvexCombination(
+        [(0.5, p), (0.5, UnitaryConjugation(random_unitary_element(rng, a)))])
+    assert mixed.structurally_positive()
+    with pytest.raises(InvalidInputError, match="idempotent"):
+        InterpolationFlow(mixed)
+
+
+def test_unitary_flow_refuses_a_non_unitary_eigenbasis(monkeypatch):
+    """The flow's one law check: an eigenbasis v with v*v - 1 above
+    ``UNITARY_TOL`` is a numeric failure."""
+    gen = Element(TracedAlgebra(((2, 1.0),)), [np.diag([0.0, 1.0])], selfadjoint=True)
+
+    def skewed(h, _eigh=np.linalg.eigh):
+        w, v = _eigh(h)
+        return w, v * (1.0 + 1e-6)
+    monkeypatch.setattr(np.linalg, "eigh", skewed)
+    with pytest.raises(NumericFailureError, match="eigenbasis"):
+        UnitaryFlow(gen)
+
+
+def test_flow_laws_and_selfadjointness_draw_no_random_element(monkeypatch):
+    """The semigroup law, an expectation's idempotency and selfadjointness
+    preservation are decided without a random draw: with
+    ``random_element`` raising, both flows are built and applied, and
+    ``check_selfadjointness``, which takes the map alone, decides the
+    transpose and a left multiplication."""
+    a = TracedAlgebra(((2, 1.0), (1, 0.5), (2, 0.25)))
+    rng = stream(SEED, "test/ergodic/no-draw")
+    gen = a.random_element(rng, selfadjoint=True)
+    x = a.random_element(rng)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("random_element called")
+    monkeypatch.setattr(TracedAlgebra, "random_element", refuse)
+    for flow in (UnitaryFlow(gen), InterpolationFlow(_coordinate_pinching(a))):
+        assert np.isfinite(flow.apply(0.5, x).vec()).all()
+    m2 = TracedAlgebra(((2, 1.0),))
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    assert check_selfadjointness(ExplicitMatrix(m2, np.eye(4)[[0, 2, 1, 3]]))
+    assert not check_selfadjointness(ExplicitMatrix(m2, np.kron(swap, np.eye(2))))
+    assert list(inspect.signature(check_selfadjointness).parameters) == ["op"]
 
 
 # flows on a 1x1 layout and on a multi-block layout with a repeated dim

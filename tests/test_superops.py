@@ -1,10 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import MANY_BLOCKS, SEED, BLOCK_CONFIGS, make_algebra, \
-    random_block_expectation, random_pinching, random_projection, \
+from conftest import LAYOUTS, MANY_BLOCKS, SEED, BLOCK_CONFIGS, make_algebra, \
+    random_block_expectation, random_pinching, random_projection, spectrum_examples, \
     random_unitary_element
 from ncergo import BlockExpectation, Composition, ConvexCombination, Element, \
     ExplicitMatrix, Pinching, Power, TracedAlgebra, UnitaryConjugation, \
@@ -339,6 +341,82 @@ def test_check_positivity():
     left = ExplicitMatrix(a, np.kron(v, np.eye(2)))
     assert not check_positivity(left)
     assert not check_selfadjointness(left)
+
+
+def partial_transpose(d, d1):
+    """The d^2 x d^2 matrix, on row-major vec, of the transpose of the second
+    factor of M_d = M_d1 (x) M_(d/d1): the identity for d1 = d, the full
+    transpose for d1 = 1."""
+    d2 = d // d1
+    m = np.zeros((d * d, d * d))
+    for i1, i2, j1, j2 in itertools.product(range(d1), range(d2), range(d1), range(d2)):
+        m[(i1 * d2 + j2) * d + j1 * d2 + i2, (i1 * d2 + i2) * d + j1 * d2 + j2] = 1.0
+    return m
+
+
+def choi_hermitian(op):
+    """Brute force: each block's Choi matrix sum_ij E_ij (x) A(E_ij), built
+    from ``apply`` on the block's matrix units, is Hermitian to 1e-9
+    relative to its largest entry."""
+    a = op.algebra
+    for b, d in enumerate(a.dims):
+        choi = np.zeros((d, d, d, d), dtype=complex)
+        for i, j in itertools.product(range(d), repeat=2):
+            data = [np.zeros((e, e)) for e in a.dims]
+            data[b][i, j] = 1.0
+            choi[i, :, j, :] = op.apply(Element(a, data)).data[b]
+        choi = choi.reshape(d * d, d * d)
+        if np.abs(choi - choi.conj().T).max() > 1e-9 * max(1.0, np.abs(choi).max()):
+            return False
+    return True
+
+
+@spectrum_examples
+@given(layout=LAYOUTS, seed=st.integers(0, 2 ** 16),
+       zero_block=st.none() | st.integers(0, 5))
+def test_selfadjointness_is_choi_hermiticity(layout, seed, zero_block):
+    """``check_selfadjointness`` agrees with the brute-force Choi test on
+    random explicit maps, the transpose, partial transposes, the sums
+    x -> sum_k c_k a_k x a_k* (matrix sum_k c_k a_k (x) conj(a_k)) with
+    real and with complex c_k, and trees of them with structural maps.
+    Every layout gets a 4x4 block, where M_2 (x) M_2 has a partial
+    transpose that is neither the identity nor the transpose; block
+    ``zero_block`` of every explicit map is zero."""
+    a = TracedAlgebra(tuple(layout) + ((4, 0.5),))
+    rng = stream(seed, "test/superops/choi")
+
+    def explicit(blocks):
+        blocks = [np.asarray(m, dtype=complex) for m in blocks]
+        if zero_block is not None:
+            blocks[zero_block % len(blocks)] *= 0.0
+        return ExplicitMatrix(a, scipy.linalg.block_diag(*blocks))
+
+    def rand(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    def sandwich_sum(d, coefficients):
+        return sum(c * np.kron(ak, ak.conj()) for c, ak in
+                   zip(coefficients, rand(len(coefficients), d, d)))
+
+    partial = [partial_transpose(d, int(rng.choice([f for f in range(1, d + 1)
+                                                    if d % f == 0])))
+               for d in a.dims[:-1]] + [partial_transpose(4, 2)]
+    preserving = [
+        explicit([partial_transpose(d, 1) for d in a.dims]),
+        explicit(partial),
+        explicit([sandwich_sum(d, rng.uniform(-1.0, 1.0, 3)) for d in a.dims]),
+    ]
+    others = [
+        explicit([rand(d * d, d * d) / (d * d) for d in a.dims]),
+        explicit([sandwich_sum(d, rand(3)) for d in a.dims]),
+    ]
+    trees = [Composition([preserving[1], UnitaryConjugation(random_unitary_element(rng, a))]),
+             ConvexCombination([(0.5, others[0]), (0.5, random_pinching(rng, a))]),
+             Power(preserving[2], 2)]
+    assert all(check_selfadjointness(op) for op in preserving)
+    assert not any(check_selfadjointness(op) for op in others)
+    for op in preserving + others + trees:
+        assert check_selfadjointness(op) == choi_hermitian(op)
 
 
 def test_certificate_json_stable():
