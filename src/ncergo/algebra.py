@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -187,7 +187,9 @@ class Element:
         if not (self.selfadjoint or self.positive or self.projection):
             return
         scale = max(self.sup_norm(), 1.0)
-        check_selfadjoint(self.stacks, scale)
+        gap = max(np.abs(b - _adj(b)).max() for b in self.stacks)
+        if gap > FLAG_TOL * scale:
+            raise InvalidInputError("selfadjoint flag fails verification")
         if self.positive or self.projection:
             lo = min(np.linalg.eigvalsh((b + _adj(b)) / 2).min(initial=0.0)
                      for b in self.stacks)
@@ -383,35 +385,6 @@ def block_sup_norms(stack: np.ndarray) -> np.ndarray:
     if stack.shape[-1] == 1:
         return np.hypot(stack.real[..., 0, 0], stack.imag[..., 0, 0])
     return np.linalg.svd(stack, compute_uv=False)[..., 0]
-
-
-def check_selfadjoint(stacks: Sequence[np.ndarray], scales) -> None:
-    """The selfadjoint flag check of a batch of elements.
-
-    ``stacks`` holds one ``(..., k, d, d)`` stack per group of the
-    algebra, the leading axes indexing the batch (none for a single
-    element), and ``scales`` the batch's max(sup norm, 1).  Raises
-    unless every element is selfadjoint to ``FLAG_TOL`` times its scale.
-    """
-    gap = reduce(np.maximum, [np.abs(b - _adj(b)).max(axis=(-3, -2, -1))
-                              for b in stacks])
-    over = gap > FLAG_TOL * scales
-    if over.any() if over.ndim else over:  # a scalar's .any() is slow
-        raise InvalidInputError("selfadjoint flag fails verification")
-
-
-def check_vecs(algebra: TracedAlgebra, rows: np.ndarray,
-               selfadjoint: Optional[bool] = None) -> None:
-    """The constructor's checks of ``Element.from_vec(algebra, row,
-    selfadjoint=selfadjoint)`` for every row of ``rows``, without building
-    the elements: finite entries and, if flagged, selfadjointness."""
-    if not np.isfinite(rows).all():
-        raise InvalidInputError("non-finite matrix entries")
-    if not selfadjoint:
-        return
-    stacks = _vec_stacks(algebra, rows)
-    norms = reduce(np.maximum, [block_sup_norms(b).max(axis=-1) for b in stacks])
-    check_selfadjoint(stacks, np.maximum(norms, 1.0))
 
 
 # -- the one layout: group stacks and the per-block views of them --------------

@@ -100,18 +100,17 @@ def _run_conjugation_scenario(seed: int, out: Path, manifest: dict) -> int:
 
 def _run_besicovitch_scenario(seed: int, out: Path, manifest: dict) -> int:
     algebra, beta, flow, x, closed = fixtures.besicovitch_theta_fixture(seed=seed)
-    quad_tol = SCENARIO_QUAD_TOL
     rows = ["t,gap_to_closed_form\n"]
     worst = 0.0
     for t in (1.0, 10.0, 100.0):
-        avg = besicovitch_average(beta, flow, x, t, quad_tol=quad_tol)
+        avg = besicovitch_average(beta, flow, x, t)
         gap = (avg - closed(t)).sup_norm()
         worst = max(worst, gap)
         rows.append(f"{t!r},{gap!r}\n")
     _write(out / "besicovitch.csv", _csv_with_header("".join(rows), manifest))
-    summary = {"manifest": manifest, "quad_tol": quad_tol, "worst_gap": worst}
+    summary = {"manifest": manifest, "quad_tol": SCENARIO_QUAD_TOL, "worst_gap": worst}
     _write(out / "summary.json", serialize.dumps(summary) + "\n")
-    return EXIT_OK if worst <= quad_tol else EXIT_REFUTED
+    return EXIT_OK if worst <= SCENARIO_QUAD_TOL else EXIT_REFUTED
 
 
 def _run_explicit_average(run: tuple, seed: int, out: Path, manifest: dict) -> int:

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg
 
 from .algebra import (Element, TracedAlgebra, _adj, _blocks_of, _integer,
-                      _vec_stacks, block_sup_norms)
+                      _vec_stacks, block_sup_norms, check_algebra)
 from .config import (CLOSED_FORM_TOL, COUPLING_TOL, DS_SLACK, PHASE_TOL,
                      PINCHING_TOL, POSITIVITY_TOL, SELFADJOINT_TOL, UNITARY_TOL,
                      WEIGHT_SUM_SLACK)
@@ -279,6 +279,8 @@ class ConvexCombination(SuperOperator):
         if not terms:
             raise InvalidInputError("combination needs at least one term")
         super().__init__(terms[0][1].algebra)
+        for _, op in terms:
+            check_algebra(self.algebra, op.algebra)
         weights = [float(w) for w, _ in terms]
         if not all(w >= 0 for w in weights):
             raise InvalidInputError("combination weights must be nonnegative")
@@ -309,6 +311,8 @@ class Composition(SuperOperator):
         if not factors:
             raise InvalidInputError("composition needs at least one factor")
         super().__init__(factors[0].algebra)
+        for op in factors:
+            check_algebra(self.algebra, op.algebra)
         self.factors = tuple(factors)
 
     def apply(self, x: Element) -> Element:

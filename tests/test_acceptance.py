@@ -338,22 +338,22 @@ def test_criterion_07_conjugation_scenario(announce):
              time.perf_counter() - t0, 120.0)
 
 
-# -- criterion 8: weighted flow quadrature ------------------------------------
+# -- criterion 8: weighted flow averages ---------------------------------------
 
 def besicovitch_report(seed):
     ok = True
     lines = []
     algebra, beta, flow, x, closed = besicovitch_theta_fixture()
     for t in (1.0, 10.0, 100.0):
-        avg = besicovitch_average(beta, flow, x, t, quad_tol=1e-6)
+        avg = besicovitch_average(beta, flow, x, t)
         gap = (avg - closed(t)).sup_norm()
-        ok = ok and gap <= 1e-6
+        ok = ok and gap <= 1e-10
         lines.append(f"theta,{_fmt(t)},{_fmt(gap)}")
 
     algebra2, beta2, flow2, x2 = unitary_flow_fixture()
     t = 7.3
-    avg = besicovitch_average(beta2, flow2, x2, t, quad_tol=1e-6)
-    # independent half-step reference: fixed-resolution composite Simpson
+    avg = besicovitch_average(beta2, flow2, x2, t)
+    # independent reference: fixed-resolution composite Simpson over apply
     m = 4096
     nodes = np.linspace(0.0, t, 2 * m + 1)
     vals = np.array([complex(beta2(s)) * flow2.apply(s, x2).vec()
@@ -362,7 +362,7 @@ def besicovitch_report(seed):
     ref = (h / 3.0) * (vals[0] + vals[-1] + 4.0 * vals[1:-1:2].sum(axis=0)
                        + 2.0 * vals[2:-1:2].sum(axis=0)) / t
     gap = (avg - Element.from_vec(algebra2, ref)).sup_norm()
-    ok = ok and gap <= 1e-6
+    ok = ok and gap <= 1e-10
     lines.append(f"unitary,{_fmt(t)},{_fmt(gap)}")
     return ok, "\n".join(lines)
 
@@ -371,7 +371,7 @@ def test_criterion_08_besicovitch(announce):
     t0 = time.perf_counter()
     ok, report = besicovitch_report(SEED)
     _record("08", report)
-    announce("08", "weighted flow quadrature vs closed forms", ok,
+    announce("08", "weighted flow averages vs closed form and quadrature", ok,
              time.perf_counter() - t0, 60.0)
 
 

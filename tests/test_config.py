@@ -90,9 +90,7 @@ def test_every_config_constant_is_read_elsewhere():
 def test_no_config_constant_as_a_parameter_default():
     """A verdict rests on its inputs and config.py alone: no function takes
     a constant imported from ``.config`` as a default it lets callers
-    override.  ``besicovitch_average``'s ``quad_tol`` is the one exception,
-    because its callers use two different tolerances."""
-    allowed = {("ergodic.py", "besicovitch_average", "quad_tol")}
+    override."""
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -108,8 +106,7 @@ def test_no_config_constant_as_a_parameter_default():
                              args.defaults)) + list(zip(args.kwonlyargs, args.kw_defaults))
             found += [f"{path.name}:{fn.lineno}: {fn.name}({arg.arg}={default.id})"
                       for arg, default in pairs
-                      if isinstance(default, ast.Name) and default.id in constants
-                      and (path.name, fn.name, arg.arg) not in allowed]
+                      if isinstance(default, ast.Name) and default.id in constants]
     assert not found, "\n".join(found)
 
 

@@ -172,12 +172,15 @@ def test_box_average_refuses_a_non_integer_bound():
 def test_mixed_algebras_are_input_errors():
     """Maps and elements on different algebras, trace weights alone
     included, are refused with ``InvalidInputError`` by the family
-    validation, both averaging routes and both flows, before any product
-    or reshape; an equal algebra built twice is not mixed."""
+    validation, both averaging routes, both flows and their weighted
+    averages, before any product or reshape, and so are composite maps
+    built from children on different algebras; an equal algebra built
+    twice is not mixed."""
     m2 = TracedAlgebra(((2, 1.0),))
     rng = stream(SEED, "test/ergodic/mixed-algebras")
     op = UnitaryConjugation(m2.identity())
     net = SectorNet(1, ((2,), (3,)))
+    beta = BesicovitchFunction(TrigPolynomial(((1.0, 0.5),)))
     flows = [UnitaryFlow(Element(m2, [np.diag([0.0, 1.0])], selfadjoint=True)),
              InterpolationFlow(_coordinate_pinching(m2))]
     for other in (TracedAlgebra(((3, 1.0),)), TracedAlgebra(((2, 2.0),)),
@@ -193,12 +196,22 @@ def test_mixed_algebras_are_input_errors():
             with pytest.raises(InvalidInputError, match="different algebras"):
                 flow.apply(0.5, y)
             with pytest.raises(InvalidInputError, match="different algebras"):
-                flow.orbit([0.0, 0.5], y)
-    y = TracedAlgebra(((2, 1.0),)).random_element(rng)
-    validate_family([op, UnitaryConjugation(TracedAlgebra(((2, 1.0),)).identity())])
+                besicovitch_average(beta, flow, y, 2.0)
+        mixed = [op, UnitaryConjugation(other.identity())]
+        with pytest.raises(InvalidInputError, match="different algebras"):
+            Composition(mixed)
+        with pytest.raises(InvalidInputError, match="different algebras"):
+            ConvexCombination([(0.5, a) for a in mixed])
+    twin = TracedAlgebra(((2, 1.0),))
+    y = twin.random_element(rng)
+    validate_family([op, UnitaryConjugation(twin.identity())])
     assert (box_average([op], y, (2,)) - y).sup_norm() == 0.0
+    for combined in (Composition([op, UnitaryConjugation(twin.identity())]),
+                     ConvexCombination([(0.5, op), (0.5, UnitaryConjugation(twin.identity()))])):
+        assert (combined.apply(y) - y).sup_norm() < 1e-15
     for flow in flows:
-        assert np.array_equal(flow.orbit([0.5], y)[0], flow.apply(0.5, y).vec())
+        assert np.isfinite(flow.apply(0.5, y).vec()).all()
+        assert np.isfinite(besicovitch_average(beta, flow, y, 2.0).vec()).all()
 
 
 # closed-form averages: 1x1, mixed and many-block layouts
@@ -1027,23 +1040,15 @@ def test_besicovitch_constant_weight_identity_flow():
     x = a.random_element(stream(SEED, "test/ergodic/bes-const"))
     beta = BesicovitchFunction(TrigPolynomial(((1.0, 0.0),)))
     flow = UnitaryFlow(a.zero())
-    avg = besicovitch_average(beta, flow, x, 3.0, quad_tol=1e-10)
-    assert (avg - x).sup_norm() < 1e-9
+    avg = besicovitch_average(beta, flow, x, 3.0)
+    assert (avg - x).sup_norm() < 1e-14
 
 
 def test_besicovitch_closed_form():
     algebra, beta, flow, x, closed = besicovitch_theta_fixture()
     for t in (1.0, 10.0, 100.0):
-        avg = besicovitch_average(beta, flow, x, t, quad_tol=1e-6)
-        assert (avg - closed(t)).sup_norm() <= 1e-6
-
-
-def test_besicovitch_quad_tol_consistency():
-    algebra, beta, flow, x = unitary_flow_fixture()
-    for tol in (1e-4, 1e-6):
-        coarse = besicovitch_average(beta, flow, x, 7.3, quad_tol=tol)
-        fine = besicovitch_average(beta, flow, x, 7.3, quad_tol=tol / 2)
-        assert (coarse - fine).sup_norm() <= tol
+        avg = besicovitch_average(beta, flow, x, t)
+        assert (avg - closed(t)).sup_norm() <= 1e-14
 
 
 def test_besicovitch_failure_paths():
@@ -1053,8 +1058,6 @@ def test_besicovitch_failure_paths():
     flow = UnitaryFlow(a.zero())
     with pytest.raises(InvalidInputError):
         besicovitch_average(beta, flow, x, 0.0)
-    with pytest.raises(NumericFailureError):
-        besicovitch_average(beta, flow, x, 5.0, quad_tol=1e-16, max_depth=1)
 
 
 def test_non_finite_times_and_frequencies_are_input_errors():
@@ -1175,7 +1178,8 @@ FLOWS = {layout: _flows(TracedAlgebra(layout)) for layout in FLOW_LAYOUTS}
 
 
 def reference_apply(flow, s, x):
-    """T_s(x) node by node, as the flows computed it before ``orbit``."""
+    """T_s(x) from the flow's defining formula, through ``Element``
+    arithmetic."""
     if isinstance(flow, InterpolationFlow):
         decay = math.exp(-s)
         return x.scaled(decay) + flow.expectation.apply(x).scaled(1.0 - decay)
@@ -1196,34 +1200,86 @@ def reference_apply(flow, s, x):
        times=st.lists(st.sampled_from((0.0, 0.25, 1.0, 3.7))
                       | st.floats(0.0, 20.0), min_size=1, max_size=7))
 def test_orbit_rows_equal_apply(layout, kind, seed, selfadjoint, times):
-    """Batching over nodes changes no bit, against the per-node reference
-    too: s = 0 and repeated times included."""
+    """Each flow's ``apply`` equals the reference bit for bit along an
+    orbit: s = 0 and repeated times included."""
     flow = FLOWS[layout][kind]
     x = flow.algebra.random_element(stream(seed, "test/ergodic/orbit"),
                                     selfadjoint=selfadjoint)
-    rows = flow.orbit(times, x)
-    assert rows.shape == (len(times), flow.algebra.vec_dim)
-    for s, row in zip(times, rows):
-        assert np.array_equal(row, flow.apply(s, x).vec())
-        assert np.array_equal(row, reference_apply(flow, s, x).vec())
+    for s in times:
+        assert np.array_equal(flow.apply(s, x).vec(),
+                              reference_apply(flow, s, x).vec())
 
 
-def test_besicovitch_evaluates_each_final_node_once():
-    algebra, beta, flow, x = unitary_flow_fixture()
-    calls = []
-    orbit = flow.orbit
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(layout=st.sampled_from(FLOW_LAYOUTS), kind=st.sampled_from((0, 1)),
+       seed=st.integers(0, 2 ** 16),
+       t=st.sampled_from((1e-3, 7.0, 1e3)) | st.floats(1e-3, 1e3))
+def test_besicovitch_average_scales_by_powers_of_two(layout, kind, seed, t):
+    """The average of 2^k x is 2^k times the average of x, bit for bit,
+    for every k in [-60, 60]."""
+    flow = FLOWS[layout][kind]
+    x = flow.algebra.random_element(stream(seed, "test/ergodic/scale"))
+    beta = BesicovitchFunction(TrigPolynomial(((1.0, 0.0), (0.5, 1.3))))
+    base = besicovitch_average(beta, flow, x, t).vec()
+    for k in range(-60, 61):
+        scaled = besicovitch_average(beta, flow, x.scaled(2.0 ** k), t).vec()
+        assert np.array_equal(scaled, base * 2.0 ** k), k
 
-    def counted(times, y):
-        calls.append(np.array(times))
-        return orbit(times, y)
 
-    flow.orbit = counted
-    besicovitch_average(beta, flow, x, 7.3, quad_tol=1e-10)
-    assert len(calls) >= 3  # the first level and at least two refinements
-    nodes = np.concatenate(calls)
-    assert np.array_equal(np.sort(nodes), np.linspace(0.0, 7.3, len(nodes)))
-    m = (len(calls[0]) - 1) // 2
-    assert len(nodes) == 2 * m * 2 ** (len(calls) - 1) + 1
+def brute_exp_mean(z):
+    """(e^z - 1)/z, 1 at z = 0, entry by entry from the real and imaginary
+    parts, e^z - 1 = expm1(Re z) cos(Im z) - 2 sin^2(Im z / 2) + i e^{Re z} sin(Im z)."""
+    if z == 0:
+        return 1.0
+    re = math.expm1(z.real) * math.cos(z.imag) - 2.0 * math.sin(z.imag / 2) ** 2
+    return complex(re, math.exp(z.real) * math.sin(z.imag)) / z
+
+
+@pytest.mark.parametrize("t", (1e-3, 7.3, 1e3))
+def test_besicovitch_average_matches_a_per_entry_kernel(t):
+    """Both flows' closed forms against kernels built entry by entry: the
+    unitary flow's in the generator's known eigenbasis q, with repeated
+    eigenvalues and a frequency theta = w_b - w_a of the flow's own
+    eigenvalues (its g(0) entries), on 1x1, mixed and many-block layouts;
+    the empty weight averages to 0."""
+    rng = stream(SEED, "test/ergodic/besicovitch-kernel")
+    for layout in CLOSED_FORM_LAYOUTS:
+        algebra = TracedAlgebra(layout)
+        ws = [rng.choice([-1.0, 0.5, 2.0], size=d) for d in algebra.dims]
+        for w in ws:
+            w[1:2] = w[0]  # a repeated eigenvalue in every block larger than 1x1
+        qs = [random_unitary(rng, d) for d in algebra.dims]
+        gen = Element(algebra, [(q * w) @ q.conj().T for q, w in zip(qs, ws)])
+        unitary = UnitaryFlow(gen)
+        pinching = InterpolationFlow(_coordinate_pinching(algebra))
+        x = algebra.random_element(rng)
+        w_eig = unitary._eig[-1][0]
+        terms = ((0.6, 0.7), (0.4j, -1.3), (0.25 - 0.5j, w_eig[-1] - w_eig[0]),
+                 (0.3, 0.0))
+        beta = BesicovitchFunction(TrigPolynomial(terms))
+        scale = max(1.0, x.sup_norm())
+
+        expected = []
+        for q, w, xb in zip(qs, ws, x.data):
+            y = q.conj().T @ xb @ q
+            k = np.array([[sum(c * brute_exp_mean(1j * (th + w[a] - w[b]) * t)
+                               for c, th in terms)
+                           for b in range(len(w))] for a in range(len(w))])
+            expected.append(q @ (y * k) @ q.conj().T)
+        got = besicovitch_average(beta, unitary, x, t)
+        assert (got - Element(algebra, expected)).sup_norm() <= 1e-10 * scale
+
+        a = sum(c * brute_exp_mean(1j * th * t) for c, th in terms)
+        b = sum(c * brute_exp_mean(complex(-t, th * t)) for c, th in terms)
+        expected = [xb * np.where(np.equal.outer(np.arange(len(xb)) % 2,
+                                                 np.arange(len(xb)) % 2), a, b)
+                    for xb in x.data]
+        got = besicovitch_average(beta, pinching, x, t)
+        assert (got - Element(algebra, expected)).sup_norm() <= 1e-10 * scale
+
+        empty = BesicovitchFunction(TrigPolynomial(()))
+        for flow in (unitary, pinching):
+            assert not besicovitch_average(empty, flow, x, t).vec().any()
 
 
 def test_flow_outputs_must_be_finite():
@@ -1237,18 +1293,17 @@ def test_flow_outputs_must_be_finite():
     x = a.random_element(stream(SEED, "test/ergodic/finite"))
     for flow in (unitary, InterpolationFlow(_coordinate_pinching(a))):
         with pytest.raises(InvalidInputError, match="non-finite"):
-            flow.orbit([0.0, np.nan], x)
-        with pytest.raises(InvalidInputError, match="non-finite"):
             flow.apply(np.nan, x)
     huge = Element(a, [1.5e308 * np.array([[1.0, 1.0], [1.0, -1.0]])])
     with np.errstate(over="ignore", invalid="ignore"):
-        assert np.isfinite(unitary.orbit([0.0], huge)).all()
+        assert np.isfinite(unitary.apply(0.0, huge).vec()).all()
         with pytest.raises(InvalidInputError, match="non-finite"):
             unitary.apply(0.4, huge)
-        with pytest.raises(InvalidInputError, match="non-finite"):
-            unitary.orbit([0.0, 0.4], huge)
-        with pytest.raises(InvalidInputError, match="non-finite"):
-            besicovitch_average(beta, unitary, huge, 2.0)
+    # the average of the rotated huge x is finite, 1.5e308 times that of the
+    # unit-scale x: no node T_s(x) is formed
+    unit = besicovitch_average(beta, unitary, huge.scaled(1 / 1.5e308), 2.0)
+    avg = besicovitch_average(beta, unitary, huge, 2.0)
+    assert np.abs(avg.vec() / 1.5e308 - unit.vec()).max() <= 1e-15
 
 
 def test_selfadjoint_flag_verified_at_every_node():
@@ -1259,13 +1314,8 @@ def test_selfadjoint_flag_verified_at_every_node():
     w, v = flow._eig[0]
     flow._eig = [(w, v + 1e6 * np.ones((2, 2)))]
     x = Element(a, [np.diag([1.0, -1.0])], selfadjoint=True)
-    beta = BesicovitchFunction(TrigPolynomial(((1.0, 0.0),)))
     with pytest.raises(InvalidInputError, match="selfadjoint flag fails"):
         flow.apply(0.3, x)
-    with pytest.raises(InvalidInputError, match="selfadjoint flag fails"):
-        flow.orbit([0.3], x)
-    with pytest.raises(InvalidInputError, match="selfadjoint flag fails"):
-        besicovitch_average(beta, flow, x, 2.0)
     # unflagged, the same output is accepted
     assert np.isfinite(flow.apply(0.3, Element(a, x.data)).vec()).all()
 
