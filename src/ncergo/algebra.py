@@ -5,13 +5,15 @@ blocks, each carrying a positive trace weight; the trace of an element is
 the weighted sum of the matrix traces of its blocks.  An element is
 immutable, held as one read-only ``(k, d, d)`` stack per group of
 equal-dimension blocks, with optional verified structure flags
-(selfadjoint / positive / projection); this module alone turns blocks into
-group stacks and back.  Two kinds of output are projections by
-construction and skip that verification: each algebra's identity and
-zero, and ``(v * keep) v*`` of :func:`masked_projection` for a unitary
-factor ``v`` and a column mask ``keep`` (1x1 blocks: the mask); every
-meet, the kernel of a sum of complements, is one.  A
-:class:`~ncergo.certify.WitnessCertificate` re-checks what it emits.
+(selfadjoint / positive / projection).  This module alone turns blocks
+into group stacks and back; the rest of the package reads the stacks,
+except :mod:`ncergo.serialize`, which writes the blocks in order.  Two
+kinds of output are projections by construction and skip that
+verification: each algebra's identity and zero, and ``(v * keep) v*`` of
+:func:`masked_projection` for a unitary factor ``v`` and a column mask
+``keep`` (1x1 blocks: the mask); every meet, the kernel of a sum of
+complements, is one.  A :class:`~ncergo.certify.WitnessCertificate`
+re-checks what it emits.
 """
 
 from __future__ import annotations
@@ -116,10 +118,10 @@ class Element:
     per entry of ``algebra.groups``.  The spectrum of each stack (singular
     values, and on demand the full SVD) is computed once, one stacked call
     per group, and cached, as is the flat spectrum built from it, the one
-    record of the rearrangement; ``data``, ``singular_values()`` and
-    ``block_svds()`` are per-block read-only views of these.  The public
-    constructor stacks the given blocks, its copy, and verifies every flag
-    it is given; the package's own constructors take the stacks themselves.
+    record of the rearrangement; ``data`` and ``singular_values()`` are
+    per-block read-only views of these.  The public constructor stacks the
+    given blocks, its copy, and verifies every flag it is given; the
+    package's own constructors take the stacks themselves.
     """
 
     __slots__ = ("algebra", "stacks", "selfadjoint", "positive", "projection",
@@ -247,7 +249,8 @@ class Element:
 
     def tau(self) -> complex:
         """The weighted trace.  Real for selfadjoint elements."""
-        t = sum(w * np.trace(b) for b, w in zip(self.data, self.algebra.weights))
+        t = weighted_block_sum(self.algebra, [np.trace(b, axis1=-2, axis2=-1)
+                                              for b in self.stacks])
         return float(t.real) if self.selfadjoint else complex(t)
 
     def sup_norm(self) -> float:
@@ -293,11 +296,6 @@ class Element:
             flat = rearranged(self.algebra, self.stack_singular_values())
             object.__setattr__(self, "_flat", tuple(map(_frozen, flat)))
         return self._flat
-
-    def block_svds(self) -> list:
-        """Per-block views ``(u, s, vh)`` of :meth:`stack_svds`, ``b = u * s @ vh``."""
-        return list(zip(*(_blocks_of(self.algebra, part)
-                          for part in zip(*self.stack_svds()))))
 
     def as_selfadjoint(self) -> "Element":
         """Itself if flagged selfadjoint, else re-tagged with a verified flag."""
@@ -416,6 +414,12 @@ def _blocks_of(algebra: TracedAlgebra, stacks: Sequence[np.ndarray]) -> list:
     return [entries[i] for i in range(len(entries))]
 
 
+def weighted_block_sum(algebra: TracedAlgebra, parts: Sequence[np.ndarray]):
+    """sum_i w_i v_i term by term in block order, as Python's ``sum``, for
+    per-block values v held as one ``(k,)`` array per group."""
+    return sum(w * v for v, w in zip(_blocks_of(algebra, parts), algebra.weights))
+
+
 # -- projection machinery ----------------------------------------------------
 
 def masked_projection(algebra: TracedAlgebra, parts: Sequence[tuple]) -> Element:
@@ -519,8 +523,6 @@ def projection_complement(e: Element) -> Element:
 
 def trace_deficiency(e: Element) -> float:
     """tau(e_perp) of a projection: one trace per group, and ``w * (d - tr)``
-    summed in block order, in sequence by ``cumsum``, as a per-block sum."""
-    traces = np.array(_blocks_of(e.algebra, [np.trace(b, axis1=-2, axis2=-1).real
-                                             for b in e.stacks]))
-    dims, weights = np.array(e.algebra.blocks).T
-    return float(np.cumsum(weights * (dims - traces))[-1])
+    summed in block order."""
+    return float(weighted_block_sum(e.algebra, [
+        b.shape[-1] - np.trace(b, axis1=-2, axis2=-1).real for b in e.stacks]))

@@ -58,10 +58,11 @@ class WitnessCertificate:
 
     This is the trust boundary of the witness search: its projections are
     built trusted, as masks of unitary factors (see :mod:`ncergo.algebra`),
-    and `projection` is checked here, once, by the public constructor with
-    every projection flag set.  The projections that fed a bound but are
-    not emitted (:func:`bilateral_to_onesided`'s enlargements before the
-    last) rest on that rule, which the tests check on each of its outputs.
+    and `projection` is checked here, once, rebuilt from its group stacks
+    with all three projection flags set and verified.  The projections that
+    fed a bound but are not emitted (:func:`bilateral_to_onesided`'s
+    enlargements before the last) rest on that rule, which the tests check
+    on each of its outputs.
     """
 
     mode: str  # "au" | "bau"
@@ -77,8 +78,8 @@ class WitnessCertificate:
         if self.mode not in ("au", "bau"):
             raise InvalidInputError("mode must be 'au' or 'bau'")
         p = self.projection
-        object.__setattr__(self, "projection", Element(
-            p.algebra, p.data, selfadjoint=True, positive=True, projection=True))
+        object.__setattr__(self, "projection", Element._from_stacks(
+            p.algebra, p.stacks, selfadjoint=True, positive=True, projection=True))
         if self.trace_deficiency > self.epsilon + BUDGET_SLACK:
             raise InvalidInputError("trace deficiency exceeds the budget")
         if any(b < 0 for _, b in self.tail_bounds):

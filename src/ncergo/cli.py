@@ -24,7 +24,7 @@ from .config import SCENARIO_ERR_TOL, SCENARIO_QUAD_TOL
 from .ergodic import besicovitch_average, net_average_trace
 from .errors import (InvalidInputError, NcergoError, NoLimitError,
                      NumericFailureError)
-from .singular import k_functional, lp_norm, mu
+from .singular import k_functional, lp_norm, mu, submajorizes
 from .superops import verify_ds
 
 EXIT_OK, EXIT_REFUTED, EXIT_INPUT, EXIT_NUMERIC = 0, 1, 2, 3
@@ -39,6 +39,11 @@ def _manifest(config: bytes, seed: int) -> dict:
 def _write(path: Path, text: str):
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text)
+
+
+def _certificate_json(cert, manifest: dict) -> str:
+    """A certificate's JSON with the run manifest added, as written to disk."""
+    return serialize.dumps({**json.loads(cert.to_json()), "manifest": manifest}) + "\n"
 
 
 def _csv_with_header(body: str, manifest: dict) -> str:
@@ -65,9 +70,7 @@ def cmd_ds_check(args) -> int:
     cfg, raw = serialize.read_json(args.map)
     op = serialize.ds_check_from_dict(cfg)
     cert = verify_ds(op, trials=args.trials, seed=args.seed)
-    payload = json.loads(cert.to_json())
-    payload["manifest"] = _manifest(raw, args.seed)
-    text = serialize.dumps(payload) + "\n"
+    text = _certificate_json(cert, _manifest(raw, args.seed))
     if args.out:
         _write(Path(args.out), text)
     sys.stdout.write(text)
@@ -84,12 +87,9 @@ def _run_conjugation_scenario(seed: int, out: Path, manifest: dict) -> int:
     limit, _ = extract_limit(ftrace)
     witness = witness_convergence(ftrace, limit, epsilon=0.05, mode="bau")
     for name, cert in (("cauchy", cauchy), ("witness", witness)):
-        payload = json.loads(cert.to_json())
-        payload["manifest"] = manifest
-        _write(out / f"certificate_{name}.json", serialize.dumps(payload) + "\n")
+        _write(out / f"certificate_{name}.json", _certificate_json(cert, manifest))
         _write(out / f"tails_{name}.csv",
                _csv_with_header(cert.tail_csv(), manifest))
-    from .singular import submajorizes
     err = (trace.outputs[-1] - oracle).sup_norm()
     summary = {"manifest": manifest, "final_err_inf": err,
                "limit_submajorized_by_input": submajorizes(x, limit)}
@@ -119,9 +119,7 @@ def _run_explicit_average(run: tuple, seed: int, out: Path, manifest: dict) -> i
     _write(out / "trace.csv", _csv_with_header(trace.to_csv(), manifest))
     ftrace = FiniteTrace(tuple(trace.outputs))
     cert = certify_cauchy(ftrace, epsilon=epsilon, mode="bau")
-    payload = json.loads(cert.to_json())
-    payload["manifest"] = manifest
-    _write(out / "certificate_cauchy.json", serialize.dumps(payload) + "\n")
+    _write(out / "certificate_cauchy.json", _certificate_json(cert, manifest))
     return EXIT_OK if cert.certified else EXIT_REFUTED
 
 
@@ -166,9 +164,7 @@ def cmd_certify(args) -> int:
         sys.stderr.write(f"no-limit: {exc}\n")
         return EXIT_REFUTED
     out = Path(args.out_dir)
-    payload = json.loads(cert.to_json())
-    payload["manifest"] = manifest
-    _write(out / "certificate.json", serialize.dumps(payload) + "\n")
+    _write(out / "certificate.json", _certificate_json(cert, manifest))
     _write(out / "tails.csv", _csv_with_header(cert.tail_csv(), manifest))
     return EXIT_OK if cert.certified else EXIT_REFUTED
 
@@ -177,13 +173,10 @@ def cmd_remark32(args) -> int:
     _, trace, limit = remark32_model(args.n)
     out = Path(args.out_dir)
     manifest = _manifest(str(args.n).encode(), args.seed)
-    for i, x in enumerate(trace.elements):
-        payload = serialize.element_to_dict(x)
-        payload["manifest"] = manifest
-        _write(out / f"element_{i:03d}.json", serialize.dumps(payload) + "\n")
-    payload = serialize.element_to_dict(limit)
-    payload["manifest"] = manifest
-    _write(out / "limit.json", serialize.dumps(payload) + "\n")
+    names = [f"element_{i:03d}" for i in range(len(trace))] + ["limit"]
+    for name, x in zip(names, (*trace.elements, limit)):
+        payload = {**serialize.element_to_dict(x), "manifest": manifest}
+        _write(out / f"{name}.json", serialize.dumps(payload) + "\n")
     return EXIT_OK
 
 

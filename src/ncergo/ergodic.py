@@ -31,7 +31,8 @@ closed forms too.  The weight is a trigonometric polynomial, so the
 average is a sum of exponential means g(z) = expm1(z)/z: a Hadamard kernel
 in the unitary flow's cached eigenbasis, two scalars on E(x) and x - E(x)
 for the interpolation flow.  O(d^3) whatever t is, with O(eps) rounding
-and no tolerance.
+and no tolerance.  Both Hadamard kernels, the conjugations' and this
+flow's, are ``superops.hadamard_in_basis`` on one stacked basis per group.
 """
 
 from __future__ import annotations
@@ -49,8 +50,9 @@ from .algebra import Element, TracedAlgebra, _adj, _integer, check_algebra
 from .config import COMMUTE_TOL, IDEMPOTENT_TOL, UNITARY_TOL
 from .errors import InvalidInputError, NumericFailureError
 from .rng import stream
+from .singular import lp_norm
 from .superops import (DSCertificate, SuperOperator, UnitaryConjugation,
-                       _dense_bound, verify_ds)
+                       _dense_bound, hadamard_in_basis, verify_ds)
 
 
 # -- index nets ---------------------------------------------------------------
@@ -271,7 +273,6 @@ class AverageTrace:
 
     def to_csv(self, reference: Optional[Element] = None) -> str:
         """Per index, the sup- and 1-norm errors against ``reference``."""
-        from .singular import lp_norm
         buf = io.StringIO()
         d = self.net.dimension
         cols = ",".join(f"n_{i + 1}" for i in range(d))
@@ -304,8 +305,6 @@ def net_average_trace(ops: Sequence[SuperOperator], x: Element, net: SectorNet,
     certs, commutativity = validate_family(ops, seed=seed)
     engine = _BoxAverager(ops, x.algebra)
     outputs = [engine(x, n) for n in net.indices]
-
-    from .singular import lp_norm
     sup_norms = [y.sup_norm() for y in outputs]
     one_norms = [lp_norm(y, 1) for y in outputs]
     meta = {
@@ -406,9 +405,10 @@ class UnitaryFlow(Semigroup):
     def __init__(self, generator: Element):
         generator = generator.as_selfadjoint()
         self.algebra = generator.algebra
-        self._eig = [np.linalg.eigh((b + b.conj().T) / 2) for b in generator.data]
+        self._eig = [  # per group, the stacked eigenbasis (w, v)
+            np.linalg.eigh((b + _adj(b)) / 2) for b in generator.stacks]
         # u_s u_t = u_{s+t} for u_s = v e^{isw} v* wherever v*v = 1
-        if max(np.abs(_adj(v) @ v - np.eye(len(w))).max()
+        if max(np.abs(_adj(v) @ v - np.eye(w.shape[-1])).max()
                for w, v in self._eig) > UNITARY_TOL:
             raise NumericFailureError("generator eigenbasis is not unitary")
 
@@ -416,22 +416,19 @@ class UnitaryFlow(Semigroup):
         """T_s(x) = u_s x u_s* with u_s = (v e^{i s w}) v* per block, flagged
         selfadjoint when x is."""
         check_algebra(self.algebra, x.algebra)
-        data = []
-        for (w, v), xb in zip(self._eig, x.data):
-            u = (v * np.exp(1j * s * w)) @ _adj(v)
-            data.append(u @ xb @ _adj(u))
-        return Element(x.algebra, data, selfadjoint=x.selfadjoint)
+        stacks = []
+        for (w, v), b in zip(self._eig, x.stacks):
+            u = (v * np.exp(1j * s * w)[..., None, :]) @ _adj(v)
+            stacks.append(u @ b @ _adj(u))
+        return Element._from_stacks(x.algebra, stacks, selfadjoint=x.selfadjoint)
 
     def _average(self, terms: tuple, t: float, x: Element) -> Element:
         """With y = v* x v per block, T_s(x) = v (y_ab e^{is(w_a - w_b)}) v*,
         so the average is v (y o K) v* with the Hadamard kernel
         K_ab = sum_j c_j g(i (theta_j + w_a - w_b) t)."""
-        data = []
-        for (w, v), xb in zip(self._eig, x.data):
-            gaps = w[:, None] - w[None, :]
-            k = sum(c * _exp_mean(1j * ((th + gaps) * t)) for c, th in terms)
-            data.append(v @ ((_adj(v) @ xb @ v) * k) @ _adj(v))
-        return Element(x.algebra, data)
+        return hadamard_in_basis(
+            [(v, w[..., :, None] - w[..., None, :]) for w, v in self._eig], x,
+            lambda gaps: sum(c * _exp_mean(1j * ((th + gaps) * t)) for c, th in terms))
 
 
 class InterpolationFlow(Semigroup):
@@ -451,8 +448,9 @@ class InterpolationFlow(Semigroup):
         """T_s(x), flagged selfadjoint when x is."""
         check_algebra(self.algebra, x.algebra)
         decay = math.exp(-s)
-        return Element.from_vec(
-            x.algebra, decay * x.vec() + (1.0 - decay) * self.expectation.apply(x).vec(),
+        return Element._from_stacks(x.algebra, [
+            decay * b + (1.0 - decay) * e
+            for b, e in zip(x.stacks, self.expectation.apply(x).stacks)],
             selfadjoint=x.selfadjoint)
 
     def _average(self, terms: tuple, t: float, x: Element) -> Element:

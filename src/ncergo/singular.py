@@ -15,7 +15,7 @@ from typing import Tuple
 import numpy as np
 
 from .algebra import (Element, _adj, check_algebra, masked_projection,
-                      projection_meet, trace_deficiency)
+                      projection_meet, trace_deficiency, weighted_block_sum)
 from .config import (BOUND_SLACK, ENLARGE_DEFICIENCY_SLACK, RANK_REL,
                      SUBMAJOR_SLACK, TWO_ROUTE_REL)
 from .errors import InvalidInputError, PostconditionError
@@ -59,9 +59,8 @@ def lp_norm(x: Element, p: float) -> float:
         return x.sup_norm()
     values, weights, _ = x.flat_spectrum()
     integral_route = float(np.dot(weights, values ** p)) ** (1.0 / p)
-    trace_route = float(sum(w * np.sum(s ** p)
-                            for s, w in zip(x.singular_values(),
-                                            x.algebra.weights))) ** (1.0 / p)
+    trace_route = float(weighted_block_sum(x.algebra, [
+        np.sum(s ** p, axis=-1) for s in x.stack_singular_values()])) ** (1.0 / p)
     scale = max(integral_route, trace_route, 1e-300)
     if abs(integral_route - trace_route) > TWO_ROUTE_REL * scale:
         raise PostconditionError(
@@ -190,14 +189,14 @@ def fava_decompose(x: Element, delta: float) -> Tuple[Element, Element]:
     if not (delta > 0):
         raise InvalidInputError("delta must be > 0")
     x = x.as_selfadjoint()
-    ydata = []
-    for b in x.data:
-        w, v = np.linalg.eigh((b + b.conj().T) / 2)
-        big = np.abs(w) > delta
-        ydata.append((v[:, big] * w[big]) @ v[:, big].conj().T)
-    y = Element(x.algebra, ydata, selfadjoint=True)
-    z = x - y
-    return y, z
+    ystacks = []
+    for b in x.stacks:
+        w, v = np.linalg.eigh((b + _adj(b)) / 2)
+        # block by block: a masked stacked product would round differently
+        ystacks.append(np.array([(vb[:, big] * wb[big]) @ _adj(vb[:, big])
+                                 for wb, vb, big in zip(w, v, np.abs(w) > delta)]))
+    y = Element._from_stacks(x.algebra, ystacks, selfadjoint=True)
+    return y, x - y
 
 
 def fava_support_trace(x: Element, delta: float) -> float:
@@ -208,5 +207,5 @@ def fava_support_trace(x: Element, delta: float) -> float:
     """
     if not (delta > 0):
         raise InvalidInputError("delta must be > 0")
-    return sum(w * int(np.count_nonzero(s > delta))
-               for s, w in zip(x.singular_values(), x.algebra.weights))
+    return float(weighted_block_sum(x.algebra, [
+        np.count_nonzero(s > delta, axis=-1) for s in x.stack_singular_values()]))

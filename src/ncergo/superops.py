@@ -24,7 +24,7 @@ from .config import (CLOSED_FORM_TOL, COUPLING_TOL, DS_SLACK, PHASE_TOL,
                      WEIGHT_SUM_SLACK)
 from .errors import InvalidInputError
 from .rng import stream
-from .singular import submajorizes, fava_decompose
+from .singular import fava_decompose, lp_norm, submajorizes
 
 
 class SuperOperator:
@@ -108,6 +108,7 @@ class UnitaryConjugation(_Sandwiched):
         self._schur_cache: Optional[tuple] = None
 
     def apply(self, x: Element) -> Element:
+        check_algebra(self.algebra, x.algebra)
         return Element._from_stacks(
             x.algebra, [a @ b @ _adj(a) for a, b in zip(self.u.stacks, x.stacks)],
             selfadjoint=x.selfadjoint)
@@ -136,13 +137,6 @@ class UnitaryConjugation(_Sandwiched):
             self._schur_cache = (tuple(basis), defect)
         return self._schur_cache
 
-    def _hadamard(self, x: Element, kernel) -> Element:
-        """q (y o kernel(phi)) q* with y = q* x q, over the cached Schur basis."""
-        return Element._from_stacks(
-            x.algebra, [q @ ((_adj(q) @ b @ q) * kernel(phi)) @ _adj(q)
-                        for (q, phi), b in zip(self._schur_basis()[0], x.stacks)],
-            selfadjoint=True if x.selfadjoint else None)
-
     def cesaro_average(self, x: Element, m: int) -> Optional[Element]:
         """The Hadamard kernel K[a, b] = e^{i(m-1)phi/2} sin(m phi/2) /
         (m sin(phi/2)), and 1 where sin(phi/2) = 0, in u's Schur basis; None
@@ -158,7 +152,7 @@ class UnitaryConjugation(_Sandwiched):
             return np.divide(np.exp(0.5j * (m - 1) * phi) * np.sin(0.5 * m * phi),
                              m * half, out=np.ones(phi.shape, dtype=complex),
                              where=half != 0)
-        return self._hadamard(x, kernel)
+        return hadamard_in_basis(self._schur_basis()[0], x, kernel, hermitian=True)
 
     def cesaro_limit(self, x: Element) -> Element:
         """The m -> infinity limit of ``cesaro_average``: the pinching onto
@@ -168,8 +162,9 @@ class UnitaryConjugation(_Sandwiched):
         the ends of a chain of eigenvalues whose steps are within
         ``PHASE_TOL`` but whose span is not.  Uses the basis whatever its
         defect."""
-        return self._hadamard(
-            x, lambda phi: np.abs(2.0 * np.sin(phi / 2.0)) <= PHASE_TOL)
+        return hadamard_in_basis(
+            self._schur_basis()[0], x,
+            lambda phi: np.abs(2.0 * np.sin(phi / 2.0)) <= PHASE_TOL, hermitian=True)
 
     def adjoint(self) -> "UnitaryConjugation":
         """x -> u* x u, without the constructor's check on u*: u* is as close
@@ -207,6 +202,7 @@ class Pinching(_Sandwiched):
         self.projections = tuple(projections)
 
     def apply(self, x: Element) -> Element:
+        check_algebra(self.algebra, x.algebra)
         return Element._from_stacks(x.algebra, [
             sum(p @ b @ p for p in s) for (s, _), b in zip(self._factors, x.stacks)],
             selfadjoint=x.selfadjoint)
@@ -234,16 +230,14 @@ class BlockExpectation(_Sandwiched):
             raise InvalidInputError("partition must cover every block")
         self.partition = tuple(tuple(tuple(_integer(i, "partition index") for i in g)
                                      for g in groups) for groups in partition)
-        self._masks = []
+        masks = []  # per block, 1.0 where both indices lie in one group
         for groups, d in zip(self.partition, algebra.dims):
-            seen = sorted(i for g in groups for i in g)
-            if seen != list(range(d)):
+            if sorted(i for g in groups for i in g) != list(range(d)):
                 raise InvalidInputError("groups must partition the block indices")
-            mask = np.zeros((d, d))
+            masks.append(np.zeros((d, d)))
             for g in groups:
-                idx = np.array(g)
-                mask[np.ix_(idx, idx)] = 1.0
-            self._masks.append(mask)
+                masks[-1][np.ix_(g, g)] = 1.0
+        self._masks = [np.array([masks[i] for i in g]) for g in algebra.groups]
 
     @cached_property
     def _factors(self) -> tuple:
@@ -261,8 +255,10 @@ class BlockExpectation(_Sandwiched):
         return tuple(factors)
 
     def apply(self, x: Element) -> Element:
-        return Element(x.algebra, [m * b for m, b in zip(self._masks, x.data)],
-                       selfadjoint=x.selfadjoint)
+        check_algebra(self.algebra, x.algebra)
+        return Element._from_stacks(
+            x.algebra, [m * b for m, b in zip(self._masks, x.stacks)],
+            selfadjoint=x.selfadjoint)
 
     def cesaro_average(self, x: Element, m: int) -> Element:
         """x/m + (1 - 1/m) E(x): E is idempotent exactly (0/1 masks)."""
@@ -383,6 +379,7 @@ class ExplicitMatrix(SuperOperator):
         self._matrix_cache = matrix
 
     def apply(self, x: Element) -> Element:
+        check_algebra(self.algebra, x.algebra)
         return Element.from_vec(self.algebra, self.matrix @ x.vec())
 
     def adjoint(self) -> "ExplicitMatrix":
@@ -394,9 +391,20 @@ class ExplicitMatrix(SuperOperator):
 def _idempotent_average(op: SuperOperator, x: Element, m: int) -> Element:
     """(1/m) sum_{k<m} P^k(x) = x/m + (1 - 1/m) P(x) for an idempotent P."""
     px = op.apply(x)
-    return Element(x.algebra, [b / m + (1.0 - 1.0 / m) * pb
-                               for b, pb in zip(x.data, px.data)],
-                   selfadjoint=True if x.selfadjoint else None)
+    return Element._from_stacks(
+        x.algebra, [b / m + (1.0 - 1.0 / m) * pb for b, pb in zip(x.stacks, px.stacks)],
+        selfadjoint=True if x.selfadjoint else None)
+
+
+def hadamard_in_basis(basis: Sequence[tuple], x: Element, kernel,
+                      hermitian: bool = False) -> Element:
+    """q ((q* x q) o kernel(diff)) q* per group of ``basis``, the stacks
+    ``(q, diff)`` of a unitary basis and its eigenvalue differences; a
+    ``hermitian`` kernel keeps x's selfadjoint flag."""
+    return Element._from_stacks(
+        x.algebra, [q @ ((_adj(q) @ b @ q) * kernel(diff)) @ _adj(q)
+                    for (q, diff), b in zip(basis, x.stacks)],
+        selfadjoint=True if hermitian and x.selfadjoint else None)
 
 
 def _pairing_weights(algebra: TracedAlgebra) -> np.ndarray:
@@ -436,19 +444,22 @@ def check_positivity(op: SuperOperator, trials: int = 50, seed: int = 0) -> bool
     """Positivity check: exact for structural trees, sampled otherwise.
 
     The sampled route draws random x and tests the spectrum of A(x* x)
-    against -POSITIVITY_TOL relative to its norm.
+    against -POSITIVITY_TOL relative to its norm.  Either route needs trials >= 1.
     """
+    trials = _integer(trials, "trials")
+    if trials < 1:  # no sample can refute positivity
+        raise InvalidInputError(f"trials must be >= 1, got {trials!r}")
     if op.structurally_positive():
         return True
     rng = stream(seed, "superops/positivity")
     for _ in range(trials):
         x = op.algebra.random_element(rng)
         y = op.apply(x.adjoint() @ x)
-        ysa = Element(y.algebra, [(b + b.conj().T) / 2 for b in y.data],
-                      selfadjoint=True)
+        ysa = Element._from_stacks(y.algebra, [(b + _adj(b)) / 2 for b in y.stacks],
+                                   selfadjoint=True)
         if (ysa - y).sup_norm() > POSITIVITY_TOL * max(1.0, y.sup_norm()):
             return False
-        lo = min(np.linalg.eigvalsh(b).min() for b in ysa.data)
+        lo = min(np.linalg.eigvalsh(b).min() for b in ysa.stacks)
         if lo < -POSITIVITY_TOL * max(1.0, ysa.sup_norm()):
             return False
     return True
@@ -485,10 +496,6 @@ def verify_ds(op: SuperOperator, trials: int = 50, seed: int = 0) -> DSCertifica
     but are marked "sampled"; maps that fail the positivity samples report
     the largest sampled norm ratios, which are lower bounds only.
     """
-    from .singular import lp_norm
-
-    if trials < 1:  # no sample can claim positivity
-        raise InvalidInputError(f"trials must be >= 1, got {trials!r}")
     positive = check_positivity(op, trials=trials, seed=seed)
     selfadj = check_selfadjointness(op)
     one = op.algebra.identity()

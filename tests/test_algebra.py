@@ -91,7 +91,7 @@ def test_spectrum_cache_is_read_only():
     rng = stream(SEED, "test/algebra/spectrum-cache")
     x = make_algebra(BLOCK_CONFIGS[5]).random_element(rng)
     before = [s.copy() for s in x.singular_values()]
-    svals, svds = x.singular_values(), x.block_svds()
+    svals, svds = x.singular_values(), x.stack_svds()
     for s in svals:
         with pytest.raises(ValueError):
             s[0] = -1.0
@@ -101,8 +101,7 @@ def test_spectrum_cache_is_read_only():
                 arr[0] = 0.0
     svals[0] = np.zeros(1)
     svals.clear()
-    svds.clear()
-    assert len(x.block_svds()) == len(x.data)
+    assert len(x.stack_svds()) == len(x.stacks)
     assert all(np.array_equal(s, b)
                for s, b in zip(x.singular_values(), before))
     flat = [a.copy() for a in x.flat_spectrum()]
@@ -360,9 +359,10 @@ def test_grouped_spectrum_equals_per_block(layout, seed, zero_block):
                               zero_block)
     for s, b in zip(x.singular_values(), x.data):
         assert np.array_equal(s, np.linalg.svd(b, compute_uv=False))
-    for usv, b in zip(x.block_svds(), x.data):
-        assert all(np.array_equal(got, want)
-                   for got, want in zip(usv, np.linalg.svd(b)))
+    for g, usv in zip(a.groups, x.stack_svds()):
+        for j, i in enumerate(g):
+            assert all(np.array_equal(got[j], want)
+                       for got, want in zip(usv, np.linalg.svd(x.data[i])))
 
 
 def one_record_cases(a, rng, zero_block):
@@ -425,8 +425,9 @@ def test_every_element_is_one_record_of_group_stacks(layout, seed, zero_block):
             svals = [s for _, s, _ in svds]
         assert all(np.array_equal(got, want)
                    for got, want in zip(e.singular_values(), svals))
-        for got, want in zip(e.block_svds(), svds):
-            assert all(np.array_equal(p, q) for p, q in zip(got, want))
+        for g, usv in zip(a.groups, e.stack_svds()):
+            for j, i in enumerate(g):
+                assert all(np.array_equal(p[j], q) for p, q in zip(usv, svds[i]))
 
 
 # enough blocks, with weights that round, that numpy's pairwise sum and

@@ -163,3 +163,19 @@ def test_random_draws_only_in_the_sampled_routes():
         visit(ast.parse(path.read_text()), path.stem, None)
     assert callers == {"superops.check_positivity", "superops.verify_ds",
                        "ergodic.validate_family", "serialize.average_from_dict"}
+
+
+def test_per_block_views_only_in_algebra_and_serialize():
+    """An element's one record is its group stacks: outside ``algebra.py``,
+    which converts between the layouts, and ``serialize.py``, which writes
+    the JSON block order, no module reads ``.data`` or calls
+    ``.singular_values()`` or ``.block_svds()``."""
+    views = {"data", "singular_values", "block_svds"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name in ("algebra.py", "serialize.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in views:
+                found.append(f"{path.name}:{node.lineno}: .{node.attr}")
+    assert not found, "\n".join(sorted(found))

@@ -172,10 +172,11 @@ def test_box_average_refuses_a_non_integer_bound():
 def test_mixed_algebras_are_input_errors():
     """Maps and elements on different algebras, trace weights alone
     included, are refused with ``InvalidInputError`` by the family
-    validation, both averaging routes, both flows and their weighted
-    averages, before any product or reshape, and so are composite maps
-    built from children on different algebras; an equal algebra built
-    twice is not mixed."""
+    validation, both averaging routes, the four leaf maps' ``apply``, both
+    flows and their weighted averages, before any product or reshape, also
+    where the vectorized dimensions agree, and so are composite maps built
+    from children on different algebras; an equal algebra built twice is
+    not mixed."""
     m2 = TracedAlgebra(((2, 1.0),))
     rng = stream(SEED, "test/ergodic/mixed-algebras")
     op = UnitaryConjugation(m2.identity())
@@ -183,8 +184,10 @@ def test_mixed_algebras_are_input_errors():
     beta = BesicovitchFunction(TrigPolynomial(((1.0, 0.5),)))
     flows = [UnitaryFlow(Element(m2, [np.diag([0.0, 1.0])], selfadjoint=True)),
              InterpolationFlow(_coordinate_pinching(m2))]
+    leaves = [op, _coordinate_pinching(m2), BlockExpectation(m2, [[[0], [1]]]),
+              ExplicitMatrix(m2, np.eye(4))]
     for other in (TracedAlgebra(((3, 1.0),)), TracedAlgebra(((2, 2.0),)),
-                  TracedAlgebra(((2, 1.0), (1, 1.0)))):
+                  TracedAlgebra(((2, 1.0), (1, 1.0))), TracedAlgebra(((1, 1.0),) * 4)):
         with pytest.raises(InvalidInputError, match="different algebras"):
             validate_family([op, UnitaryConjugation(other.identity())])
         y = other.random_element(rng)
@@ -192,6 +195,9 @@ def test_mixed_algebras_are_input_errors():
             box_average([op], y, (2,))
         with pytest.raises(InvalidInputError, match="different algebras"):
             net_average_trace([op], y, net)
+        for leaf in leaves:
+            with pytest.raises(InvalidInputError, match="different algebras"):
+                leaf.apply(y)
         for flow in flows:
             with pytest.raises(InvalidInputError, match="different algebras"):
                 flow.apply(0.5, y)
@@ -1183,10 +1189,11 @@ def reference_apply(flow, s, x):
     if isinstance(flow, InterpolationFlow):
         decay = math.exp(-s)
         return x.scaled(decay) + flow.expectation.apply(x).scaled(1.0 - decay)
-    data = []
-    for (w, v), xb in zip(flow._eig, x.data):
-        u = (v * np.exp(1j * s * w)) @ v.conj().T
-        data.append(u @ xb @ u.conj().T)
+    data = [None] * len(x.algebra.dims)
+    for g, (ws, vs), xs in zip(x.algebra.groups, flow._eig, x.stacks):
+        for i, w, v, xb in zip(g, ws, vs, xs):
+            u = (v * np.exp(1j * s * w)) @ v.conj().T
+            data[i] = u @ xb @ u.conj().T
     return Element(x.algebra, data, selfadjoint=x.selfadjoint)
 
 
@@ -1253,7 +1260,9 @@ def test_besicovitch_average_matches_a_per_entry_kernel(t):
         unitary = UnitaryFlow(gen)
         pinching = InterpolationFlow(_coordinate_pinching(algebra))
         x = algebra.random_element(rng)
-        w_eig = unitary._eig[-1][0]
+        # the eigenvalues of the last block, the last of its group
+        j = next(j for j, g in enumerate(algebra.groups) if len(algebra.dims) - 1 in g)
+        w_eig = unitary._eig[j][0][-1]
         terms = ((0.6, 0.7), (0.4j, -1.3), (0.25 - 0.5j, w_eig[-1] - w_eig[0]),
                  (0.3, 0.0))
         beta = BesicovitchFunction(TrigPolynomial(terms))

@@ -318,16 +318,18 @@ def test_verify_ds_transpose_map():
     assert cert.is_ds()
 
 
-@pytest.mark.parametrize("trials", [0, -1])
+@pytest.mark.parametrize("trials", [0, -1, 2.5])
 def test_verify_ds_needs_a_positivity_sample(trials):
     """With no sample, the sampled positivity check has nothing to refute:
     A(x) = x_12 E_11, which is not positive, would be reported positive,
-    with the bounds ||A(1)|| = 0 of a positive map."""
+    with the bounds ||A(1)|| = 0 of a positive map.  ``check_positivity``
+    itself refuses such a count, and one that is not an integer."""
     a = TracedAlgebra(((2, 1.0),))
     matrix = np.zeros((4, 4))
     matrix[0, 1] = 1.0
-    with pytest.raises(InvalidInputError, match="trials"):
-        verify_ds(ExplicitMatrix(a, matrix), trials=trials)
+    for check in (verify_ds, check_positivity):
+        with pytest.raises(InvalidInputError, match="trials"):
+            check(ExplicitMatrix(a, matrix), trials=trials)
 
 
 def test_check_positivity():
