@@ -25,7 +25,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import FLAG_TOL, MEET_KERNEL_CUT, RANK_REL, SVD_UNSCALED_MIN
+from .config import (COUPLING_TOL, FLAG_TOL, MEET_KERNEL_CUT, RANK_REL,
+                     SVD_UNSCALED_MIN)
 from .errors import InvalidInputError
 
 
@@ -412,6 +413,23 @@ def _blocks_of(algebra: TracedAlgebra, stacks: Sequence[np.ndarray]) -> list:
     """The entries of one stack per group (views), in block order."""
     entries = {i: b for g, s in zip(algebra.groups, stacks) for i, b in zip(g, s)}
     return [entries[i] for i in range(len(entries))]
+
+
+def block_matrices(algebra: TracedAlgebra, matrix: np.ndarray) -> list:
+    """A map's matrix on ``Element.vec`` as one ``(k, d^2, d^2)`` stack per
+    group, each block's matrix on its row-major vec (copies); an entry
+    between two blocks above ``COUPLING_TOL`` is refused, one below it dropped."""
+    block = np.repeat(np.arange(len(algebra.dims)), [d * d for d in algebra.dims])
+    if np.abs(matrix[block[:, None] != block]).max(initial=0.0) > COUPLING_TOL:
+        raise InvalidInputError("matrix couples distinct algebra blocks")
+    ends = np.cumsum([0] + [d * d for d in algebra.dims])
+    return _group_stacks(algebra, [matrix[a:b, a:b] for a, b in zip(ends, ends[1:])])
+
+
+def vec_action(matrices: Sequence[np.ndarray], stacks: Sequence[np.ndarray]) -> list:
+    """Per group, each block's ``(d^2, d^2)`` matrix times its row-major vec."""
+    return [(m @ b.reshape(len(b), -1, 1)).reshape(b.shape)
+            for m, b in zip(matrices, stacks)]
 
 
 def weighted_block_sum(algebra: TracedAlgebra, parts: Sequence[np.ndarray]):

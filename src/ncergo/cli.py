@@ -13,6 +13,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import sys
 from importlib.resources import files
 from pathlib import Path
@@ -140,6 +141,8 @@ def cmd_average(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    if not math.isfinite(args.epsilon):
+        raise InvalidInputError(f"epsilon must be finite, got {args.epsilon!r}")
     trace_dir = Path(args.trace_dir)
     paths = sorted(trace_dir.glob("*.json"))
     paths = [p for p in paths if p.name != "limit.json"]

@@ -16,8 +16,8 @@ takes one of three routes:
   numerically repeated conjugator eigenvalues.
 - "dense-prefix": a map without one, on algebras of vectorized dimension
   up to 256.  Its matrix A is built once (cached on the map), and the
-  prefix sum S(k) = sum_{j<k} A^j is advanced from the previous index by
-  binary doubling: O(log k) dense products per index, error about k * eps.
+  prefix sum S(k) = sum_{j<k} A^j, a stack per group, is advanced by
+  binary doubling: O(log k) products per index, error about k * eps.
 - "power-sum": a map without one, on larger algebras.  It sums its
   powers, O(m_i) applications per index, error about m_i * eps.
 
@@ -46,7 +46,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import Element, TracedAlgebra, _adj, _integer, check_algebra
+from .algebra import (Element, TracedAlgebra, _adj, _integer, check_algebra,
+                      vec_action)
 from .config import COMMUTE_TOL, IDEMPOTENT_TOL, UNITARY_TOL
 from .errors import InvalidInputError, NumericFailureError
 from .rng import stream
@@ -142,8 +143,8 @@ def validate_family(ops: Sequence[SuperOperator], seed: int = 0
         if _structural_bound(ops[i].sandwiches(), ops[j].sandwiches()) <= COMMUTE_TOL:
             labels.append("structural")
         elif algebra.vec_dim <= _MATRIX_ROUTE_MAX_DIM:
-            ma, mb = ops[i].to_matrix(), ops[j].to_matrix()
-            bound = _dense_bound(algebra, ma @ mb - mb @ ma)
+            bound = _dense_bound(algebra, [a @ b - b @ a for a, b in
+                                           zip(ops[i].to_matrix(), ops[j].to_matrix())])
             if bound > COMMUTE_TOL:
                 raise InvalidInputError(
                     f"family does not commute (dense bound {bound:.3e})")
@@ -194,8 +195,8 @@ def _structural_bound(s: Optional[tuple], t: Optional[tuple]) -> float:
 class _BoxAverager:
     """The box average at an index, one coordinate at a time, by the routes
     of the module docstring.  It keeps each coordinate's route and dense
-    prefix ``(k, S(k), A^k)``, so that calls at nondecreasing indices
-    advance the prefix instead of restarting it."""
+    prefix ``(k, [(S(k), A^k) per group])``, so that calls at nondecreasing
+    indices advance the prefix instead of restarting it."""
 
     def __init__(self, ops: Sequence[SuperOperator], algebra: TracedAlgebra):
         check_algebra(ops[0].algebra, algebra)  # the algebra of the averaged x
@@ -226,21 +227,23 @@ class _BoxAverager:
                 acc = acc + z
             return acc.scaled(1.0 / m)
         self.routes[i] = "dense-prefix"
-        a = op.to_matrix()
-        eye = np.eye(len(a), dtype=complex)
-        count, s, p = self.prefixes[i] or (0, np.zeros_like(eye), eye)
-        step, cs, cp = m - count, eye, a
-        while step:
-            if step & 1:
-                s, p = s + p @ cs, p @ cp
-            step >>= 1
-            if step:
-                cs, cp = cs + cp @ cs, cp @ cp
-        self.prefixes[i] = (m, s, p)
+        count, prefix = self.prefixes[i] or (0, [None] * len(x.stacks))
+        for g, a in enumerate(op.to_matrix()):
+            step, cs, cp = m - count, np.zeros_like(a) + np.eye(a.shape[-1]), a
+            s, p = prefix[g] or (np.zeros_like(a), cs)
+            while step:
+                if step & 1:
+                    s, p = s + p @ cs, p @ cp
+                step >>= 1
+                if step:
+                    cs, cp = cs + cp @ cs, cp @ cp
+            prefix[g] = (s, p)
+        self.prefixes[i] = (m, prefix)
         # positive maps preserve adjoints
         sa = x.selfadjoint and op.structurally_positive()
-        return Element.from_vec(self.algebra, (s @ x.vec()) / m,
-                                selfadjoint=True if sa else None)
+        return Element._from_stacks(
+            self.algebra, [b / m for b in vec_action([s for s, _ in prefix], x.stacks)],
+            selfadjoint=True if sa else None)
 
 
 def box_average(ops: Sequence[SuperOperator], x: Element, n: Sequence[int],
@@ -439,8 +442,8 @@ class InterpolationFlow(Semigroup):
         if not expectation.structurally_positive():
             raise InvalidInputError("expectation must be structurally positive")
         # T_s T_t - T_{s+t} = (1 - e^{-s})(1 - e^{-t})(E^2 - E)
-        e = expectation.to_matrix()
-        if _dense_bound(self.algebra, e @ e - e) > IDEMPOTENT_TOL:
+        gap = [e @ e - e for e in expectation.to_matrix()]
+        if _dense_bound(self.algebra, gap) > IDEMPOTENT_TOL:
             raise InvalidInputError("expectation must be idempotent")
         self.expectation = expectation
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .algebra import Element, TracedAlgebra, _integer
 from .ergodic import SectorNet
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NumericFailureError
 from .rng import stream
 from . import superops
 
@@ -224,5 +224,8 @@ def average_from_dict(cfg: dict, seed: Optional[int]) -> tuple:
 
 
 def dumps(obj: dict) -> str:
-    """Canonical JSON used by all reports (stable bytes for fixed inputs)."""
-    return json.dumps(obj, sort_keys=True, indent=2)
+    """Canonical report JSON (stable bytes); inf or NaN is a numeric failure."""
+    try:
+        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NumericFailureError(f"report is not JSON: {exc}") from None

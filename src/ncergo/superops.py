@@ -4,7 +4,8 @@ Maps are represented as node trees (unitary conjugation, pinching,
 block-diagonal conditional expectation, convex combination, composition,
 power, explicit matrix) so that positivity and the trace/sup contraction
 bounds are exactly analyzable wherever the structure allows it, and only
-sampled where it does not.
+sampled where it does not.  A map's dense matrix, ``to_matrix()``, is one
+``(k, d^2, d^2)`` stack per group, and its laws are decided block by block.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 import scipy.linalg
 
-from .algebra import (Element, TracedAlgebra, _adj, _blocks_of, _integer,
-                      _vec_stacks, block_sup_norms, check_algebra)
-from .config import (CLOSED_FORM_TOL, COUPLING_TOL, DS_SLACK, PHASE_TOL,
+from .algebra import (Element, TracedAlgebra, _adj, _integer, block_matrices,
+                      block_sup_norms, check_algebra, vec_action)
+from .config import (CLOSED_FORM_TOL, DS_SLACK, PHASE_TOL,
                      PINCHING_TOL, POSITIVITY_TOL, SELFADJOINT_TOL, UNITARY_TOL,
                      WEIGHT_SUM_SLACK)
 from .errors import InvalidInputError
@@ -34,7 +35,7 @@ class SuperOperator:
 
     def __init__(self, algebra: TracedAlgebra):
         self.algebra = algebra
-        self._matrix_cache: Optional[np.ndarray] = None
+        self._matrix_cache: Optional[tuple] = None
 
     def apply(self, x: Element) -> Element:
         raise NotImplementedError
@@ -60,21 +61,18 @@ class SuperOperator:
     def __call__(self, x: Element) -> Element:
         return self.apply(x)
 
-    def to_matrix(self) -> np.ndarray:
-        """Dense action on vectorized elements (cached)."""
+    def to_matrix(self) -> tuple:
+        """The dense action, cached: per entry of ``algebra.groups``, one
+        ``(k, d^2, d^2)`` stack of each block's matrix on its row-major vec."""
         if self._matrix_cache is None:
-            self._matrix_cache = self._build_matrix()
+            self._matrix_cache = tuple(self._build_matrix())
         return self._matrix_cache
 
-    def _build_matrix(self) -> np.ndarray:
+    def _build_matrix(self) -> list:
         """The dense matrix column by column: ``apply`` on each basis element."""
-        d = self.algebra.vec_dim
-        cols = []
-        for j in range(d):
-            v = np.zeros(d, dtype=complex)
-            v[j] = 1.0
-            cols.append(self.apply(Element.from_vec(self.algebra, v)).vec())
-        return np.column_stack(cols)
+        return block_matrices(self.algebra, np.column_stack([
+            self.apply(Element.from_vec(self.algebra, v)).vec()
+            for v in np.eye(self.algebra.vec_dim, dtype=complex)]))
 
     def cesaro_average(self, x: Element, m: int) -> Optional[Element]:
         """The average (1/m) sum_{k<m} A^k(x) in closed form, or None where
@@ -85,11 +83,11 @@ class SuperOperator:
 class _Sandwiched(SuperOperator):
     """A leaf held as its sandwich factors, ``_factors``, built once."""
 
-    def _build_matrix(self) -> np.ndarray:
-        # row-major vec(a x b) = kron(a, b^T) vec(x), block by block
-        return scipy.linalg.block_diag(*_blocks_of(self.algebra, [
-            [sum(np.kron(ak[j], bk[j].T) for ak, bk in zip(a, b))
-             for j in range(a.shape[1])] for a, b in self._factors]))
+    def _build_matrix(self) -> list:
+        # row-major vec(a x b) = kron(a, b^T) vec(x), batched over a group's blocks
+        return [sum((ak[:, :, None, :, None] * bk.swapaxes(-1, -2)[:, None, :, None, :])
+                    .reshape(len(ak), ak.shape[-1] ** 2, -1) for ak, bk in zip(a, b))
+                for a, b in self._factors]
 
 
 class UnitaryConjugation(_Sandwiched):
@@ -290,8 +288,9 @@ class ConvexCombination(SuperOperator):
             out = out + op.apply(x).scaled(w)
         return out
 
-    def _build_matrix(self) -> np.ndarray:
-        return sum(w * op.to_matrix() for w, op in self.terms)
+    def _build_matrix(self) -> list:
+        return [sum(w * m for (w, _), m in zip(self.terms, stacks))
+                for stacks in zip(*(op.to_matrix() for _, op in self.terms))]
 
     def adjoint(self) -> "ConvexCombination":
         return ConvexCombination([(w, op.adjoint()) for w, op in self.terms])
@@ -316,9 +315,10 @@ class Composition(SuperOperator):
             x = op.apply(x)
         return x
 
-    def _build_matrix(self) -> np.ndarray:
-        # the first factor is applied last, so its matrix is leftmost
-        return reduce(np.matmul, [op.to_matrix() for op in self.factors])
+    def _build_matrix(self) -> list:
+        # the first factor is applied last, so its matrices are leftmost
+        return [reduce(np.matmul, stacks)
+                for stacks in zip(*(op.to_matrix() for op in self.factors))]
 
     def adjoint(self) -> "Composition":
         return Composition([op.adjoint() for op in reversed(self.factors)])
@@ -343,8 +343,8 @@ class Power(SuperOperator):
             x = self.base.apply(x)
         return x
 
-    def _build_matrix(self) -> np.ndarray:
-        return np.linalg.matrix_power(self.base.to_matrix(), self.exponent)
+    def _build_matrix(self) -> list:
+        return [np.linalg.matrix_power(m, self.exponent) for m in self.base.to_matrix()]
 
     def adjoint(self) -> "Power":
         return Power(self.base.adjoint(), self.exponent)
@@ -356,8 +356,8 @@ class Power(SuperOperator):
 class ExplicitMatrix(SuperOperator):
     """A map given by its dense action on vectorized elements.
 
-    The matrix must be block diagonal with respect to the per-block
-    segments of the vectorization, so outputs stay in the algebra.
+    Only its diagonal blocks, ``algebra.block_matrices``, act, and an entry
+    between blocks above ``COUPLING_TOL`` is refused.
     """
 
     def __init__(self, algebra: TracedAlgebra, matrix: np.ndarray):
@@ -368,24 +368,15 @@ class ExplicitMatrix(SuperOperator):
             raise InvalidInputError(f"matrix must be {d} x {d}")
         if not np.isfinite(matrix).all():
             raise InvalidInputError("non-finite matrix entries")
-        # verify no coupling between distinct algebra blocks
-        offsets = np.cumsum([0] + [dd * dd for dd in algebra.dims])
-        coupling = matrix.copy()
-        for a, b in zip(offsets[:-1], offsets[1:]):
-            coupling[a:b, a:b] = 0.0
-        if np.abs(coupling).max(initial=0.0) > COUPLING_TOL:
-            raise InvalidInputError("matrix couples distinct algebra blocks")
         self.matrix = matrix
-        self._matrix_cache = matrix
+        self._matrix_cache = tuple(block_matrices(algebra, matrix))
 
     def apply(self, x: Element) -> Element:
         check_algebra(self.algebra, x.algebra)
-        return Element.from_vec(self.algebra, self.matrix @ x.vec())
+        return Element._from_stacks(self.algebra, vec_action(self.to_matrix(), x.stacks))
 
-    def adjoint(self) -> "ExplicitMatrix":
-        w = _pairing_weights(self.algebra)
-        adj = (self.matrix.conj().T * w[None, :]) / w[:, None]
-        return ExplicitMatrix(self.algebra, adj)
+    def adjoint(self) -> "ExplicitMatrix":  # the trace weights cancel in a block
+        return ExplicitMatrix(self.algebra, self.matrix.conj().T)
 
 
 def _idempotent_average(op: SuperOperator, x: Element, m: int) -> Element:
@@ -405,11 +396,6 @@ def hadamard_in_basis(basis: Sequence[tuple], x: Element, kernel,
         x.algebra, [q @ ((_adj(q) @ b @ q) * kernel(diff)) @ _adj(q)
                     for (q, diff), b in zip(basis, x.stacks)],
         selfadjoint=True if hermitian and x.selfadjoint else None)
-
-
-def _pairing_weights(algebra: TracedAlgebra) -> np.ndarray:
-    """Per-entry weights of the trace pairing <a, b> = vec(a)^H W vec(b)."""
-    return np.concatenate([np.full(d * d, w) for d, w in algebra.blocks])
 
 
 # -- certification ------------------------------------------------------------
@@ -467,24 +453,25 @@ def check_positivity(op: SuperOperator, trials: int = 50, seed: int = 0) -> bool
 
 def check_selfadjointness(op: SuperOperator) -> bool:
     """Whether A maps selfadjoint elements to selfadjoint ones, exactly: a
-    structurally positive map does, and another iff M = T conj(M) T for its
-    matrix M and the permutation T of vec indices that transposes every
-    block, that is iff its Choi matrix is Hermitian (Choi, LAA 10 (1975))."""
+    structurally positive map does, and another iff M = T conj(M) T for each
+    block's matrix M and the transpose T of the block, that is iff its Choi
+    matrix is Hermitian (Choi, LAA 10 (1975))."""
     if op.structurally_positive():  # positive maps preserve adjoints
         return True
     a, m = op.algebra, op.to_matrix()
-    t = np.concatenate([b.T.reshape(-1) for b in
-                        _blocks_of(a, _vec_stacks(a, np.arange(a.vec_dim)))])
-    return (_dense_bound(a, m - m.conj()[t][:, t])
+    # M[(i, j), (k, l)] - conj(M[(j, i), (l, k)]) on the (blocks, d, d, d, d) view
+    gap = [s - s.reshape((len(s),) + (a.dims[g[0]],) * 4).transpose(
+        0, 2, 1, 4, 3).reshape(s.shape).conj() for s, g in zip(m, a.groups)]
+    return (_dense_bound(a, gap)
             <= SELFADJOINT_TOL * max(1.0, _dense_bound(a, m)))
 
 
-def _dense_bound(algebra: TracedAlgebra, c: np.ndarray) -> float:
-    """||C||_F sqrt(sum_b d_b) >= sup ||C vec x||_inf / ||x||_inf, as ||y||_inf
-    <= ||vec y||_2 and ||vec x||_2 <= sqrt(sum_b d_b) ||x||_inf: the one rule
-    that decides a law of a map (commutation, idempotency, selfadjointness
-    preservation) on its matrix."""
-    return float(np.linalg.norm(c) * np.sqrt(sum(algebra.dims)))
+def _dense_bound(algebra: TracedAlgebra, c: Sequence[np.ndarray]) -> float:
+    """||C||_F sqrt(sum_b d_b) >= sup ||C vec x||_inf / ||x||_inf for C held as
+    ``to_matrix``, as ||y||_inf <= ||vec y||_2 and ||vec x||_2 <= sqrt(sum_b d_b)
+    ||x||_inf: the one rule that decides a law of a map on its matrix."""
+    return float(np.hypot.reduce([np.linalg.norm(s) for s in c])
+                 * np.sqrt(sum(algebra.dims)))
 
 
 def verify_ds(op: SuperOperator, trials: int = 50, seed: int = 0) -> DSCertificate:

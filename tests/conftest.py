@@ -5,6 +5,7 @@ every test run is reproducible bit for bit.
 """
 
 import numpy as np
+import scipy.linalg
 from hypothesis import example, settings, strategies as st
 
 from ncergo import BlockExpectation, Element, Pinching, TracedAlgebra
@@ -116,6 +117,20 @@ def split_stacks(algebra, stacks):
         for i, b in zip(g, stack):
             blocks[i] = b
     return blocks
+
+
+def assembled(algebra, stacks):
+    """The ``vec_dim x vec_dim`` matrix on ``Element.vec`` of a map held as
+    ``to_matrix`` holds it, one ``(k, d^2, d^2)`` stack per group: the
+    blocks' matrices on the diagonal, in block order."""
+    return scipy.linalg.block_diag(*split_stacks(algebra, stacks))
+
+
+def assert_group_stacks(algebra, stacks):
+    """Each entry of ``stacks`` is one ``(k, d^2, d^2)`` stack per group."""
+    assert len(stacks) == len(algebra.groups)
+    for s, g in zip(stacks, algebra.groups):
+        assert s.shape == (len(g),) + (algebra.dims[g[0]] ** 2,) * 2
 
 
 def random_unitary(rng, d):

@@ -146,6 +146,20 @@ def test_ds_check_transpose_sampled(tmp_path, capsys):
     assert payload["positivity"] is True
 
 
+def test_ds_check_explicit_map_with_coupling_below_tolerance(tmp_path, capsys):
+    """The identity on 1x1 blocks of weights 1 and 1000 with an entry
+    0.9e-12 between them, which the constructor accepts, is certified."""
+    cfg = write_json(tmp_path / "map.json", {
+        "algebra": {"blocks": [{"dim": 1, "weight": 1.0},
+                               {"dim": 1, "weight": 1000.0}]},
+        "operator": {"kind": "explicit_matrix", "dim": 2, "matrix": [
+            [1.0, 0.0], [0.0, 0.0], [0.9e-12, 0.0], [1.0, 0.0]]}})
+    assert main(["ds-check", cfg]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["is_ds"] is True
+    assert payload["method"] == "sampled"
+
+
 def test_main_calls_share_no_argument_state(tmp_path, capsys):
     """One parser serves every in-process call; no option, seed or default
     of one call reaches the next."""
@@ -375,6 +389,33 @@ def test_certify_overflowing_difference_is_input_error(tmp_path, capsys):
                  "--epsilon", "0.5", "--out-dir", str(tmp_path / "out")])
     assert code == EXIT_INPUT
     assert "non-finite matrix entries" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("epsilon", ["inf", "1e400", "nan"])
+def test_certify_refuses_a_non_finite_epsilon(tmp_path, capsys, epsilon):
+    trace_dir, out = tmp_path / "trace", tmp_path / "out"
+    assert main(["remark32", "--n", "4", "--out-dir", str(trace_dir)]) == EXIT_OK
+    assert main(["certify", "--trace-dir", str(trace_dir), "--epsilon", epsilon,
+                 "--cauchy", "--out-dir", str(out)]) == EXIT_INPUT
+    assert "input error: epsilon must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_finite_report_is_a_numeric_failure(tmp_path):
+    """``mu`` on [[1e200]], whose l2 norm overflows to inf: JSON has no
+    inf, so the run exits 3 and writes no norms.json."""
+    src = str(Path(ncergo.__file__).resolve().parents[1])
+    spec = {"algebra": {"blocks": [{"dim": 1, "weight": 1.0}]},
+            "blocks": [[[1e200, 0.0]]]}
+    inp, out = write_json(tmp_path / "x.json", spec), tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-m", "ncergo.cli", "mu", "--input", inp,
+                          "--out-dir", str(out)], env=env, capture_output=True,
+                         timeout=120)
+    assert run.returncode == EXIT_NUMERIC, run.stderr
+    assert b"numeric failure: report is not JSON" in run.stderr
+    assert not (out / "norms.json").exists()
 
 
 def test_certify_cauchy_flag(tmp_path):

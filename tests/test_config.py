@@ -165,6 +165,25 @@ def test_random_draws_only_in_the_sampled_routes():
                        "ergodic.validate_family", "serialize.average_from_dict"}
 
 
+def test_layout_conversions_only_in_algebra():
+    """Only ``algebra.py`` converts between blocks, group stacks and the vec
+    order: no other module names ``_blocks_of``, ``_vec_stacks``,
+    ``_group_stacks`` or ``block_diag``."""
+    names = {"_blocks_of", "_vec_stacks", "_group_stacks", "block_diag"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "algebra.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.name.split(".")[-1] if isinstance(node, ast.alias)
+                    else None)
+            if name in names:
+                found.append(f"{path.name}:{getattr(node, 'lineno', '?')}: {name}")
+    assert not found, "\n".join(sorted(found))
+
+
 def test_per_block_views_only_in_algebra_and_serialize():
     """An element's one record is its group stacks: outside ``algebra.py``,
     which converts between the layouts, and ``serialize.py``, which writes

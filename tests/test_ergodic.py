@@ -10,7 +10,7 @@ import pytest
 import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import MANY_BLOCKS, SEED, random_block_expectation, \
+from conftest import MANY_BLOCKS, SEED, assembled, random_block_expectation, \
     random_pinching, random_unitary, random_unitary_element
 from ncergo import BesicovitchFunction, ConvexCombination, Element, \
     InterpolationFlow, Power, SectorNet, TracedAlgebra, TrigPolynomial, \
@@ -451,8 +451,9 @@ def test_dense_rule_refuses_a_single_corner_entry():
     shear = np.eye(n, dtype=complex)
     shear[n - 1, n - 2] = 1e-6
     ops = [ExplicitMatrix(a, np.diag(diag)), ExplicitMatrix(a, shear)]
-    c = ops[0].to_matrix() @ shear - shear @ ops[0].to_matrix()
-    assert np.count_nonzero(c) == 1 and c[n - 1, n - 2] != 0
+    c = [x @ y - y @ x for x, y in zip(ops[0].to_matrix(), ops[1].to_matrix())]
+    full = assembled(a, c)
+    assert np.count_nonzero(full) == 1 and full[n - 1, n - 2] != 0
     assert _structural_bound(ops[0].sandwiches(), ops[1].sandwiches()) == math.inf
     bound = _dense_bound(a, c)
     assert bound == pytest.approx(1e-6 * math.sqrt(sum(a.dims)), rel=1e-12)
@@ -492,7 +493,7 @@ def commutator_lower_bound(a, b, rng):
     """The largest ||(AB - BA)x||_inf / ||x||_inf over the top right
     singular vector of the dense commutator and a few random x: a lower
     bound on the commutator norm."""
-    ma, mb = a.to_matrix(), b.to_matrix()
+    ma, mb = assembled(a.algebra, a.to_matrix()), assembled(a.algebra, b.to_matrix())
     c = ma @ mb - mb @ ma
     xs = [np.linalg.svd(c)[2][0].conj()]
     xs += [a.algebra.random_element(rng).vec() for _ in range(3)]
@@ -516,8 +517,8 @@ def test_structural_and_dense_rules_agree(layout, kinds, commuting, seed):
     rng = stream(seed, "test/ergodic/commutator-rules")
     a, b = rule_pair(kinds, commuting, algebra, rng)
     structural = _structural_bound(a.sandwiches(), b.sandwiches())
-    ma, mb = a.to_matrix(), b.to_matrix()
-    dense = _dense_bound(algebra, ma @ mb - mb @ ma)
+    dense = _dense_bound(algebra, [x @ y - y @ x for x, y in
+                                   zip(a.to_matrix(), b.to_matrix())])
     assert (structural <= COMMUTE_TOL) == (dense <= COMMUTE_TOL)
     if commuting:
         assert structural <= COMMUTE_TOL
@@ -546,6 +547,22 @@ def test_structural_validation_draws_and_applies_nothing(monkeypatch):
         assert labels == ("structural",)
         assert calls[0] == 2 * len(ops)
     assert draws[0] == 0
+
+
+def test_interpolation_flow_decides_idempotency_per_block():
+    """On 100 blocks of dimension 4, ``InterpolationFlow`` checks E o E = E
+    on one (100, 16, 16) stack, not on the 1600 x 1600 matrix of the whole
+    algebra (78 MiB of arrays)."""
+    a = TracedAlgebra(((4, 1.0),) * 100)
+    expectation = BlockExpectation(a, [[[0, 1], [2, 3]]] * 100)
+    tracemalloc.start()
+    try:
+        flow = InterpolationFlow(expectation)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert flow.expectation is expectation
+    assert peak < 8 * 2 ** 20
 
 
 def test_structural_bound_memory_is_one_term_of_products():

@@ -7,7 +7,7 @@ from conftest import SEED, BLOCK_CONFIGS, make_algebra, \
     random_unitary_element
 from ncergo import Element, TracedAlgebra
 from ncergo import serialize
-from ncergo.errors import InvalidInputError
+from ncergo.errors import InvalidInputError, NumericFailureError
 from ncergo.rng import stream
 from ncergo.superops import BlockExpectation, Composition, \
     ConvexCombination, ExplicitMatrix, Pinching, Power, UnitaryConjugation
@@ -89,3 +89,10 @@ def test_dumps_is_canonical():
     s2 = serialize.dumps({"a": [1.5, 2.5], "b": 1})
     assert s1 == s2
     assert s1.startswith("{\n")
+
+
+@pytest.mark.parametrize("value", [float("inf"), -float("inf"), float("nan")])
+def test_dumps_refuses_a_non_finite_number(value):
+    """JSON has no inf or NaN: a report holding one is a numeric failure."""
+    with pytest.raises(NumericFailureError, match="report is not JSON"):
+        serialize.dumps({"manifest": {}, "norms": [1.0, value]})

@@ -5,14 +5,14 @@ import pytest
 import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import LAYOUTS, MANY_BLOCKS, SEED, BLOCK_CONFIGS, make_algebra, \
-    random_block_expectation, random_pinching, random_projection, spectrum_examples, \
+from conftest import LAYOUTS, MANY_BLOCKS, SEED, BLOCK_CONFIGS, assembled, \
+    assert_group_stacks, make_algebra, random_block_expectation, random_pinching, random_projection, spectrum_examples, \
     random_unitary_element
 from ncergo import BlockExpectation, Composition, ConvexCombination, Element, \
     ExplicitMatrix, Pinching, Power, TracedAlgebra, UnitaryConjugation, \
     audit_submajorization, check_positivity, fava_decompose, lp_norm, \
     preserves_fava, submajorizes, verify_ds
-from ncergo.config import DS_SLACK, SELFADJOINT_TOL
+from ncergo.config import COUPLING_TOL, DS_SLACK, SELFADJOINT_TOL
 from ncergo.errors import InvalidInputError
 from ncergo.rng import stream
 from ncergo.superops import SuperOperator, check_selfadjointness
@@ -166,6 +166,40 @@ def test_explicit_matrix_rejects_block_coupling():
         ExplicitMatrix(a, np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
+def test_explicit_matrix_entries_between_blocks_do_not_act():
+    """Entries between blocks below ``COUPLING_TOL`` are accepted and
+    ignored: ``apply`` equals, bit for bit, the map with them zeroed, and
+    ``matrix`` keeps them as given."""
+    rng = stream(SEED, "test/superops/coupling-ignored")
+    for layout in (((1, 1.0), (1, 1000.0)), BLOCK_CONFIGS[6], MANY_BLOCKS):
+        a = TracedAlgebra(layout)
+        clean = scipy.linalg.block_diag(*[rng.standard_normal((d * d, d * d))
+                                          for d in a.dims])
+        inside = scipy.linalg.block_diag(*[np.ones((d * d, d * d)) for d in a.dims])
+        noisy = clean + np.where(inside > 0, 0.0, 0.9 * COUPLING_TOL
+                                 * rng.uniform(-1.0, 1.0, clean.shape))
+        op = ExplicitMatrix(a, noisy)
+        x = a.random_element(rng)
+        got, want = op.apply(x), ExplicitMatrix(a, clean).apply(x)
+        assert all(np.array_equal(p, q) for p, q in zip(got.stacks, want.stacks))
+        assert np.array_equal(op.matrix, noisy)
+
+
+def test_verify_ds_certifies_an_explicit_map_its_constructor_accepts():
+    """The identity on 1x1 blocks of weights 1 and 1000 with an entry
+    0.9e-12 between them: its adjoint, the conjugate transpose, keeps that
+    entry below ``COUPLING_TOL`` (scaled by the weight ratio it would be
+    9e-10 and refused), and the map is certified."""
+    a = TracedAlgebra(((1, 1.0), (1, 1000.0)))
+    m = np.eye(2)
+    m[1, 0] = 0.9e-12
+    op = ExplicitMatrix(a, m)
+    assert np.array_equal(op.adjoint().matrix, m.T)
+    cert = verify_ds(op)
+    assert cert.positivity and cert.is_ds()
+    assert cert.one_norm_bound == cert.sup_norm_bound == 1.0
+
+
 @pytest.mark.parametrize("layout", [((1, 1.0),), ((2, 1.0), (1, 0.5), (3, 2.0)),
                                     MANY_BLOCKS])
 def test_leaf_matrix_is_its_closed_formula(layout):
@@ -192,7 +226,7 @@ def test_leaf_matrix_is_its_closed_formula(layout):
         (expectation,
          np.diag(np.concatenate([m.ravel() for m in masks])).astype(complex)))
     for op, formula in formulas:
-        matrix = op.to_matrix()
+        matrix = assembled(a, op.to_matrix())
         assert matrix.dtype == formula.dtype
         assert np.array_equal(matrix, formula)
 
@@ -228,16 +262,20 @@ def test_explicit_matrix_refuses_non_finite_entries():
                                     MANY_BLOCKS])
 def test_closed_form_matrix_equals_column_build(layout):
     """kron(u, conj(u)), sum_p kron(p, p^T) and diag(vec(mask)) per block
-    against the base class's apply-per-basis-element build."""
+    against the base class's apply-per-basis-element build, each one
+    ``(k, d^2, d^2)`` stack per group."""
     a = TracedAlgebra(layout)
     rng = stream(SEED, "test/superops/to-matrix")
     for op in (UnitaryConjugation(random_unitary_element(rng, a)),
                random_pinching(rng, a, parts=3), random_block_expectation(rng, a)):
         closed = op.to_matrix()
         columns = SuperOperator._build_matrix(op)
-        assert closed.shape == columns.shape == (a.vec_dim, a.vec_dim)
-        assert closed.dtype == columns.dtype
-        assert np.abs(closed - columns).max() <= 1e-15
+        assert_group_stacks(a, closed)
+        assert_group_stacks(a, columns)
+        closed_full, columns_full = assembled(a, closed), assembled(a, columns)
+        assert closed_full.shape == columns_full.shape == (a.vec_dim, a.vec_dim)
+        assert closed_full.dtype == columns_full.dtype
+        assert np.abs(closed_full - columns_full).max() <= 1e-15
         assert op.to_matrix() is closed
 
 
@@ -524,12 +562,14 @@ def test_operator_trees_positive_exactly_without_explicit_leaves(layout, shape, 
     """On trees of conjugations, pinchings, block expectations and explicit
     matrices, structural positivity is the absence of an explicit leaf, and
     it alone gives the exact certificate and preserved adjoints.  The dense
-    matrix composed from the children's is the apply-per-basis-element
-    build."""
+    matrix composed from the children's, one ``(k, d^2, d^2)`` stack per
+    group, is the apply-per-basis-element build."""
     rng = stream(seed, "test/superops/trees")
     a = TracedAlgebra(layout)
     op = build_tree(shape, rng, a)
-    assert np.abs(op.to_matrix() - SuperOperator._build_matrix(op)).max() <= 1e-12
+    assert_group_stacks(a, op.to_matrix())
+    assert np.abs(assembled(a, op.to_matrix())
+                  - assembled(a, SuperOperator._build_matrix(op))).max() <= 1e-12
     positive = not has_explicit_leaf(shape)
     assert op.structurally_positive() == positive
     cert = verify_ds(op, trials=10)
