@@ -1,8 +1,7 @@
 """Ergodic averaging and almost-uniform convergence certification on
 finite direct sums of traced matrix blocks."""
 
-from .algebra import (Element, TracedAlgebra, projection_complement,
-                      projection_meet, trace_deficiency)
+from .algebra import Element, TracedAlgebra, projection_meet, trace_deficiency
 from .certify import (FiniteTrace, WitnessCertificate, bilateral_to_onesided,
                       certify_cauchy, extract_limit, remark32_model,
                       witness_convergence)

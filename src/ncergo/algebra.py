@@ -255,17 +255,8 @@ class Element:
         return float(t.real) if self.selfadjoint else complex(t)
 
     def sup_norm(self) -> float:
-        """The largest singular value, group by group: 1x1 blocks by the
-        rule of :func:`block_sup_norms`, larger ones from the cached spectrum.
-        """
-        out = 0.0
-        for j, b in enumerate(self.stacks):
-            if b.shape[-1] == 1:
-                top = block_sup_norms(b).max()
-            else:  # a few blocks: Python's max beats a NumPy reduction
-                top = max(self.stack_singular_values()[j][:, 0])
-            out = max(out, top)
-        return float(out)
+        """The largest singular value, read from the cached spectrum."""
+        return float(max(s[:, 0].max() for s in self.stack_singular_values()))
 
     def stack_singular_values(self) -> tuple:
         """Per group, the cached ``(k, d)`` singular values of its stack."""
@@ -372,18 +363,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 def _adj(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose of each matrix in a stack."""
     return a.conj().swapaxes(-1, -2)
-
-
-def block_sup_norms(stack: np.ndarray) -> np.ndarray:
-    """The sup norm of each block of a ``(..., d, d)`` stack.
-
-    A 1x1 block takes its modulus, ``np.hypot``, which is Python's ``abs``
-    of the complex entry bit for bit (vectorized ``np.abs`` can differ from
-    it in the last bit); larger blocks take LAPACK's largest singular value.
-    """
-    if stack.shape[-1] == 1:
-        return np.hypot(stack.real[..., 0, 0], stack.imag[..., 0, 0])
-    return np.linalg.svd(stack, compute_uv=False)[..., 0]
 
 
 # -- the one layout: group stacks and the per-block views of them --------------
@@ -531,12 +510,6 @@ def _meet_of_sums(algebra: TracedAlgebra, sums: Sequence[np.ndarray],
             w, v = np.linalg.eigh((s + _adj(s)) / 2)
             parts.append((v, w < cut))
     return masked_projection(algebra, parts)
-
-
-def projection_complement(e: Element) -> Element:
-    return Element._from_stacks(
-        e.algebra, [np.eye(b.shape[-1], dtype=complex) - b for b in e.stacks],
-        selfadjoint=True, positive=True, projection=True)
 
 
 def trace_deficiency(e: Element) -> float:

@@ -18,8 +18,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import (Element, TracedAlgebra, _MeetBuilder, block_sup_norms, check_algebra,
-                      rearranged, stacked_singular_values, trace_deficiency)
+from .algebra import (Element, TracedAlgebra, _MeetBuilder, check_algebra, rearranged,
+                      stacked_singular_values, trace_deficiency)
 from .config import (BOUND_SLACK, BUDGET_SLACK, CAUCHY_TOL, TAIL_RISE_SLACK,
                      TAIL_TOL)
 from .errors import InvalidInputError, NoLimitError, PostconditionError
@@ -123,13 +123,14 @@ def _term_stacks(elements: Sequence[Element]) -> list:
 def _compressed_bounds(stacks: Sequence[np.ndarray], e: Element,
                        mode: str) -> list:
     """``_compressed_bound`` of every term of ``stacks`` (see
-    :func:`_term_stacks`) at once, by the rule of :func:`block_sup_norms`."""
+    :func:`_term_stacks`) at once, each the largest singular value of
+    :func:`stacked_singular_values`."""
     out = 0.0
     for dd, ee in zip(stacks, e.stacks):
         p = dd @ ee if mode == "au" else ee @ dd @ ee
         if not np.isfinite(p).all():
             raise InvalidInputError("non-finite matrix entries")
-        out = np.maximum(out, block_sup_norms(p).max(axis=1))
+        out = np.maximum(out, stacked_singular_values(p)[..., 0].max(axis=1))
     return out.tolist()
 
 
@@ -277,15 +278,12 @@ def certify_cauchy(trace: FiniteTrace, epsilon: float,
     e, deficiency, _, cap_hit = _search_witness(consecutive, epsilon, mode)
     if cap_hit:
         notes["iteration_cap_hit"] = True
-    # pair[a, b] bounds x_b - x_a; one batched row per a keeps memory O(n)
+    # row a bounds x_b - x_a for every b > a, one batched row at a time, so
+    # memory stays O(n); the sup of window j is the largest row maximum from j on
     stacks = _term_stacks(trace.elements)
-    pair = np.zeros((n, n))
-    for a in range(n - 1):
-        pair[a, a + 1:] = _compressed_bounds(
-            [x[a + 1:] - x[a] for x in stacks], e, mode)
-    sups = []
-    for j in range(n - 1):
-        sups.append(float(pair[j:, j:].max()))
+    rows = [max(_compressed_bounds([x[a + 1:] - x[a] for x in stacks], e, mode))
+            for a in range(n - 1)]
+    sups = np.maximum.accumulate(rows[::-1])[::-1].tolist()
     return WitnessCertificate(mode, epsilon, e, deficiency,
                               tuple(enumerate(sups)),
                               _verdict(sups), n, notes)

@@ -22,8 +22,6 @@ SVD_UNSCALED_MIN = 2.0 ** -459
 
 # -- norms and contractions ---------------------------------------------------
 
-#: relative agreement required of the integral and trace routes of p-norms
-TWO_ROUTE_REL = 1e-9
 #: absolute slack of the running-integral order in submajorization checks
 SUBMAJOR_SLACK = 1e-9
 #: slack above 1.0 accepted when declaring a trace- and sup-norm contraction

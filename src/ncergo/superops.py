@@ -19,7 +19,7 @@ import numpy as np
 import scipy.linalg
 
 from .algebra import (Element, TracedAlgebra, _adj, _integer, block_matrices,
-                      block_sup_norms, check_algebra, vec_action)
+                      check_algebra, stacked_singular_values, vec_action)
 from .config import (CLOSED_FORM_TOL, DS_SLACK, PHASE_TOL,
                      PINCHING_TOL, POSITIVITY_TOL, SELFADJOINT_TOL, UNITARY_TOL,
                      WEIGHT_SUM_SLACK)
@@ -192,7 +192,8 @@ class Pinching(_Sandwiched):
         for s in stacks:  # row by row: k^2 products at once would take k x memory
             for i, p in enumerate(s):
                 row = p @ s  # p_i p_j for every j
-                if block_sup_norms(row[i + 1:]).max(initial=0.0) > PINCHING_TOL:
+                cross = stacked_singular_values(row[i + 1:])[..., 0]
+                if cross.max(initial=0.0) > PINCHING_TOL:
                     raise InvalidInputError("pinching projections must be orthogonal")
                 row[i] -= p
                 defect = max(defect, np.abs(row).max())

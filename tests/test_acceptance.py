@@ -78,7 +78,7 @@ def mu_oracle_report(seed):
                                [0.0], cum[:-1]])
         worst = max(abs(mu_at(x, t) - oracle(t)) for t in grid)
         ok = ok and worst <= 1e-9
-        norms = [lp_norm(x, p) for p in (1.0, 2.0, 3.0)]  # two-route checked
+        norms = [lp_norm(x, p) for p in (1.0, 2.0, 3.0)]  # one spectrum; see test_singular
         lines.append(f"{i},{_fmt(worst)}," + ",".join(map(_fmt, norms)))
     return ok, "\n".join(lines)
 

@@ -401,12 +401,25 @@ def test_certify_refuses_a_non_finite_epsilon(tmp_path, capsys, epsilon):
     assert not out.exists()
 
 
-def test_non_finite_report_is_a_numeric_failure(tmp_path):
-    """``mu`` on [[1e200]], whose l2 norm overflows to inf: JSON has no
-    inf, so the run exits 3 and writes no norms.json."""
-    src = str(Path(ncergo.__file__).resolve().parents[1])
+@pytest.mark.parametrize("value", [1e200, 1e-200])
+def test_mu_norms_of_extreme_magnitudes(tmp_path, value):
+    """The norms of [[1e200]] and [[1e-200]] are the entry itself: the
+    p-norm neither overflows nor underflows short of the float range."""
     spec = {"algebra": {"blocks": [{"dim": 1, "weight": 1.0}]},
-            "blocks": [[[1e200, 0.0]]]}
+            "blocks": [[[value, 0.0]]]}
+    inp, out = write_json(tmp_path / "x.json", spec), tmp_path / "out"
+    assert main(["mu", "--input", inp, "--out-dir", str(out)]) == EXIT_OK
+    norms = json.loads((out / "norms.json").read_text())
+    assert norms["l2_norm"] == norms["l1_norm"] == norms["sup_norm"] == value
+
+
+def test_non_finite_report_is_a_numeric_failure(tmp_path):
+    """``mu`` on [[1e308]] at weight 4, whose l1 norm 4e308 is past the
+    float range: JSON has no inf, so the run exits 3 and writes no
+    norms.json."""
+    src = str(Path(ncergo.__file__).resolve().parents[1])
+    spec = {"algebra": {"blocks": [{"dim": 1, "weight": 4.0}]},
+            "blocks": [[[1e308, 0.0]]]}
     inp, out = write_json(tmp_path / "x.json", spec), tmp_path / "out"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -198,3 +198,24 @@ def test_per_block_views_only_in_algebra_and_serialize():
             if isinstance(node, ast.Attribute) and node.attr in views:
                 found.append(f"{path.name}:{node.lineno}: .{node.attr}")
     assert not found, "\n".join(sorted(found))
+
+
+def test_only_the_spectrum_rule_factorizes():
+    """Every norm reads one spectrum: in the package only
+    ``algebra.stacked_singular_values`` and ``Element.stack_svds`` call
+    ``np.linalg.svd``."""
+    callers = set()
+
+    def visit(node, module, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        elif (isinstance(node, ast.Attribute) and node.attr == "svd"
+              and isinstance(node.value, ast.Attribute)
+              and node.value.attr == "linalg"):
+            callers.add(f"{module}.{scope}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, scope)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, None)
+    assert callers == {"algebra.stacked_singular_values", "algebra.stack_svds"}

@@ -123,14 +123,18 @@ def test_lp_norm_examples():
 
 
 def test_lp_norm_two_routes_random():
-    # the implementation itself raises if the integral and trace routes
-    # disagree, so a clean pass is the assertion
+    """lp_norm against a plain-numpy reference, (sum_i w_i sum s_i^p)^(1/p)
+    over one ``np.linalg.svd`` per block, within 1e-13 relative: the two
+    differ only in summation order and the power-of-two scaling."""
     rng = stream(SEED, "test/singular/lp-two-routes")
     for config in BLOCK_CONFIGS:
         a = make_algebra(config)
         x = a.random_element(rng)
+        svals = [np.linalg.svd(b, compute_uv=False) for b in x.data]
         for p in (1.0, 2.0, 3.0):
-            assert lp_norm(x, p) >= 0.0
+            want = sum(w * np.sum(s ** p)
+                       for s, w in zip(svals, a.weights)) ** (1.0 / p)
+            assert abs(lp_norm(x, p) - want) <= 1e-13 * want
 
 
 def test_k_functional_examples():
@@ -397,6 +401,47 @@ def test_mu_at_is_the_step_function_bit_for_bit(layout, seed, zero_block):
             got, want = mu_at(x, t), f(t)
             assert type(got) is float
             assert np.float64(got).tobytes() == np.float64(want).tobytes(), t
+
+
+def _magnitude_elements(rng, algebra):
+    """Complex elements whose blocks span twelve decades, where LAPACK's
+    singular value of a 1x1 block and its modulus by ``hypot`` can differ
+    in the last bit."""
+    return [Element(algebra, [10.0 ** rng.uniform(-6, 6)
+                              * (rng.standard_normal((d, d))
+                                 + 1j * rng.standard_normal((d, d)))
+                              for d in algebra.dims]) for _ in range(8)]
+
+
+@spectrum_examples
+@given(layout=LAYOUTS, seed=st.integers(0, 2 ** 16),
+       zero_block=st.none() | st.integers(0, 5))
+def test_every_sup_norm_is_the_top_of_one_spectrum(layout, seed, zero_block):
+    """mu_at(x, 0), sup_norm and the inf-norm are one number, bit for bit,
+    on complex 1x1 blocks, zero blocks and the zero element too."""
+    a = TracedAlgebra(layout)
+    rng = stream(seed, "test/singular/sup-norm-top")
+    for x in spectrum_elements(rng, a, zero_block) + _magnitude_elements(rng, a):
+        top = mu_at(x, 0.0)
+        assert np.float64(x.sup_norm()).tobytes() == np.float64(top).tobytes()
+        assert np.float64(lp_norm(x, np.inf)).tobytes() == np.float64(top).tobytes()
+
+
+@spectrum_examples
+@given(layout=LAYOUTS, seed=st.integers(0, 2 ** 16),
+       zero_block=st.none() | st.integers(0, 5))
+def test_lp_norm_scales_by_powers_of_two(layout, seed, zero_block):
+    """lp_norm(2^k x) == 2^k lp_norm(x) bit for bit for k in [-60, 60]
+    (both ends and three draws): the singular values scale exactly, and
+    the norm divides out their top power of two."""
+    a = TracedAlgebra(layout)
+    rng = stream(seed, "test/singular/lp-scale")
+    xs = spectrum_elements(rng, a, zero_block) + _magnitude_elements(rng, a)[:2]
+    for k in (-60, 60, *rng.integers(-60, 61, 3).tolist()):
+        for x in xs:
+            y = x.scaled(2.0 ** k)
+            for p in (1.0, 2.0, 3.0, np.inf):
+                assert lp_norm(y, p) == np.ldexp(lp_norm(x, p), k), (p, k)
 
 
 def test_lp_norm_and_mu_at_build_no_step_function(monkeypatch):
