@@ -4,7 +4,8 @@ A :class:`TracedAlgebra` is a finite direct sum of square complex matrix
 blocks, each carrying a positive trace weight; the trace of an element is
 the weighted sum of the matrix traces of its blocks.  An element is
 immutable, held as one read-only ``(k, d, d)`` stack per group of
-equal-dimension blocks, with optional verified structure flags
+equal-dimension blocks (a clip part: as the per-group SVD they are built
+from on first read), with optional verified structure flags
 (selfadjoint / positive / projection).  This module alone turns blocks
 into group stacks and back; the rest of the package reads the stacks,
 except :mod:`ncergo.serialize`, which writes the blocks in order.  Two
@@ -116,16 +117,17 @@ class Element:
     """A block-diagonal matrix tuple affiliated with a traced algebra.
 
     Its one record is ``stacks``, one read-only ``(k, d, d)`` complex array
-    per entry of ``algebra.groups``.  The spectrum of each stack (singular
-    values, and on demand the full SVD) is computed once, one stacked call
-    per group, and cached, as is the flat spectrum built from it, the one
-    record of the rearrangement; ``data`` and ``singular_values()`` are
-    per-block read-only views of these.  The public constructor stacks the
-    given blocks, its copy, and verifies every flag it is given; the
-    package's own constructors take the stacks themselves.
+    per entry of ``algebra.groups``; a clip part holds its per-group SVD
+    and builds ``stacks`` from it on first read.  The spectrum of each
+    stack (singular values, and on demand the full SVD) is computed once,
+    one stacked call per group, and cached, as is the flat spectrum built
+    from it, the one record of the rearrangement; ``data`` and
+    ``singular_values()`` are per-block read-only views of these.  The
+    public constructor stacks the given blocks, its copy, and verifies
+    every flag it is given; the package's own take stacks or an SVD.
     """
 
-    __slots__ = ("algebra", "stacks", "selfadjoint", "positive", "projection",
+    __slots__ = ("algebra", "_stacks", "selfadjoint", "positive", "projection",
                  "_data", "_svals", "_svd", "_flat")
 
     def __init__(self, algebra: TracedAlgebra, data: Sequence[np.ndarray],
@@ -138,13 +140,18 @@ class Element:
 
     @classmethod
     def _from_stacks(cls, algebra: TracedAlgebra, stacks: Sequence[np.ndarray],
-                     svd: Optional[Sequence[tuple]] = None, **flags) -> "Element":
-        """The public constructor's element from one stack per group that no
-        one else writes; ``svd``, per group ``(u, s, vh)`` with
-        ``(u * s[..., None, :]) @ vh`` the stack, is kept, not recomputed."""
+                     **flags) -> "Element":
+        """The public constructor's element from group stacks no one else writes."""
         x = cls.__new__(cls)
-        x._freeze(algebra, stacks, svd=svd, **flags)
+        x._freeze(algebra, stacks, **flags)
         x._verify_flags()
+        return x
+
+    @classmethod
+    def _from_svd(cls, algebra: TracedAlgebra, usv: Sequence[tuple]) -> "Element":
+        """An unflagged element held as its SVD ``(u, s, vh)`` per group."""
+        x = cls.__new__(cls)
+        x._freeze(algebra, None, svd=usv)
         return x
 
     @classmethod
@@ -159,21 +166,21 @@ class Element:
 
     def _freeze(self, algebra, stacks, selfadjoint=None, positive=None,
                 projection=None, svd=None):
-        """Check the group stacks, make them read-only and set every slot."""
-        stacks = tuple([np.asarray(s, dtype=complex) for s in stacks])
-        if len(stacks) != len(algebra.groups):
-            raise InvalidInputError("block count mismatch")
-        for s, g in zip(stacks, algebra.groups):
-            shape = (len(g),) + (algebra.dims[g[0]],) * 2
-            if s.shape != shape:
-                raise InvalidInputError(f"block shape: stack {s.shape} != {shape}")
-            if not np.isfinite(s).all():
-                raise InvalidInputError("non-finite matrix entries")
-            s.setflags(write=False)
+        """Check the group stacks, make them read-only and set every slot;
+        None stands for the stacks of ``svd``, built on first read."""
+        if stacks is not None:
+            stacks = tuple([np.asarray(s, dtype=complex) for s in stacks])
+            if len(stacks) != len(algebra.groups):
+                raise InvalidInputError("block count mismatch")
+            for s, g in zip(stacks, algebra.groups):
+                shape = (len(g),) + (algebra.dims[g[0]],) * 2
+                if s.shape != shape:
+                    raise InvalidInputError(f"block shape: stack {s.shape} != {shape}")
+                _frozen(_finite(s))
         if svd is not None:
             svd = tuple(tuple(map(_frozen, usv)) for usv in svd)
         object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "stacks", stacks)
+        object.__setattr__(self, "_stacks", stacks)
         object.__setattr__(self, "selfadjoint", selfadjoint)
         object.__setattr__(self, "positive", positive)
         object.__setattr__(self, "projection", projection)
@@ -202,6 +209,15 @@ class Element:
             gap = max(np.abs(b @ b - b).max(initial=0.0) for b in self.stacks)
             if gap > FLAG_TOL:
                 raise InvalidInputError("projection flag fails verification")
+
+    @property
+    def stacks(self) -> tuple:
+        """One read-only ``(k, d, d)`` stack per group; an element held as
+        its SVD builds ``(u * s[..., None, :]) @ vh`` on first read."""
+        if self._stacks is None:
+            object.__setattr__(self, "_stacks", tuple([_frozen(_finite(
+                (u * s[..., None, :]) @ vh)) for u, s, vh in self._svd]))
+        return self._stacks
 
     @property
     def data(self) -> tuple:
@@ -357,6 +373,13 @@ def _integer(value, name: str) -> int:
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
+    return a
+
+
+def _finite(a: np.ndarray) -> np.ndarray:
+    """``a`` itself, refused if an entry is inf or NaN."""
+    if not np.isfinite(a).all():
+        raise InvalidInputError("non-finite matrix entries")
     return a
 
 

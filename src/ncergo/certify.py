@@ -18,8 +18,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import (Element, TracedAlgebra, _MeetBuilder, check_algebra, rearranged,
-                      stacked_singular_values, trace_deficiency)
+from .algebra import (Element, TracedAlgebra, _MeetBuilder, _finite, check_algebra,
+                      rearranged, stacked_singular_values, trace_deficiency)
 from .config import (BOUND_SLACK, BUDGET_SLACK, CAUCHY_TOL, TAIL_RISE_SLACK,
                      TAIL_TOL)
 from .errors import InvalidInputError, NoLimitError, PostconditionError
@@ -127,9 +127,7 @@ def _compressed_bounds(stacks: Sequence[np.ndarray], e: Element,
     :func:`stacked_singular_values`."""
     out = 0.0
     for dd, ee in zip(stacks, e.stacks):
-        p = dd @ ee if mode == "au" else ee @ dd @ ee
-        if not np.isfinite(p).all():
-            raise InvalidInputError("non-finite matrix entries")
+        p = _finite(dd @ ee if mode == "au" else ee @ dd @ ee)
         out = np.maximum(out, stacked_singular_values(p)[..., 0].max(axis=1))
     return out.tolist()
 
@@ -357,9 +355,7 @@ def _row_spectra(trace: FiniteTrace):
         for xs in stacks:
             with np.errstate(over="ignore", invalid="ignore"):
                 dd = xs[a] - xs[a + 1:]
-            if not np.isfinite(dd).all():
-                raise InvalidInputError("non-finite matrix entries")
-            parts.append(stacked_singular_values(dd))
+            parts.append(stacked_singular_values(_finite(dd)))
         values, _, cumulative = rearranged(trace.algebra, parts)
         yield values, cumulative
 

@@ -84,13 +84,11 @@ def clip_decompose(x: Element, level: float) -> Tuple[Element, Element]:
     """
     if not (level >= 0):
         raise InvalidInputError("clip level must be >= 0")
-    ysvd, zsvd = [], []
-    for u, s, vh in x.stack_svds():
-        ysvd.append((u, np.maximum(s - level, 0.0), vh))
-        zsvd.append((u, np.minimum(s, level), vh))
-    return tuple(Element._from_stacks(
-        x.algebra, [(u * s[..., None, :]) @ vh for u, s, vh in usv], svd=usv)
-        for usv in (ysvd, zsvd))
+    if not x.sup_norm() < np.inf:
+        raise InvalidInputError("clip of an element whose norm overflows")
+    ysvd = [(u, np.maximum(s - level, 0.0), vh) for u, s, vh in x.stack_svds()]
+    zsvd = [(u, np.minimum(s, level), vh) for u, s, vh in x.stack_svds()]
+    return Element._from_svd(x.algebra, ysvd), Element._from_svd(x.algebra, zsvd)
 
 
 def submajorizes(x: Element, y: Element) -> bool:

@@ -18,7 +18,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 import scipy.linalg
 
-from .algebra import (Element, TracedAlgebra, _adj, _integer, block_matrices,
+from .algebra import (Element, TracedAlgebra, _adj, _finite, _integer, block_matrices,
                       check_algebra, stacked_singular_values, vec_action)
 from .config import (CLOSED_FORM_TOL, DS_SLACK, PHASE_TOL,
                      PINCHING_TOL, POSITIVITY_TOL, SELFADJOINT_TOL, UNITARY_TOL,
@@ -367,9 +367,7 @@ class ExplicitMatrix(SuperOperator):
         matrix = np.asarray(matrix, dtype=complex)
         if matrix.shape != (d, d):
             raise InvalidInputError(f"matrix must be {d} x {d}")
-        if not np.isfinite(matrix).all():
-            raise InvalidInputError("non-finite matrix entries")
-        self.matrix = matrix
+        self.matrix = _finite(matrix)
         self._matrix_cache = tuple(block_matrices(algebra, matrix))
 
     def apply(self, x: Element) -> Element:

@@ -406,10 +406,18 @@ def one_record_cases(a, rng, zero_block):
 def test_every_element_is_one_record_of_group_stacks(layout, seed, zero_block):
     """Each block of ``data`` is the block the element was built from, bit
     for bit, as a read-only view of its group's stack, and the per-block
-    spectra equal the per-block LAPACK calls."""
+    spectra equal the per-block LAPACK calls.  An element held as its SVD
+    builds its stacks on the first read, ``(u * s) @ vh`` per group, once."""
     a = TracedAlgebra(layout)
     rng = stream(seed, "test/algebra/one-record")
     for e, blocks, svds in one_record_cases(a, rng, zero_block):
+        if svds is not None:
+            assert e._stacks is None
+            first = e.stacks
+            assert e.stacks is first
+            for stack, (u, s, vh) in zip(first, e.stack_svds()):
+                assert np.array_equal(stack, (u * s[..., None, :]) @ vh)
+                assert not stack.flags.writeable
         assert len(e.data) == len(blocks)
         for b, want in zip(e.data, blocks):
             assert b.shape == want.shape and np.array_equal(b, want)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -190,6 +192,31 @@ def test_clip_decompose_hands_known_spectrum():
                 for p in (1.0, 2.0, 3.0):
                     assert abs(lp_norm(part, p) - lp_norm(fresh, p)) \
                         <= tol * max(1.0, a.total_trace)
+
+
+def test_clip_parts_read_their_spectrum_without_building_stacks():
+    rng = stream(SEED, "test/singular/clip-lazy")
+    for config in BLOCK_CONFIGS:
+        x = make_algebra(config).random_element(rng)
+        y, z = clip_decompose(x, mu_at(x, 0.5))
+        for part in (y, z):
+            lp_norm(part, 1)
+            part.sup_norm()
+            mu_at(part, 0.5)
+            part.flat_spectrum()
+            part.stack_svds()
+            assert part._stacks is None
+        assert y.stacks is y._stacks is not None  # a read builds them
+
+
+def test_clip_of_an_overflowing_norm_is_refused_before_any_product():
+    a = TracedAlgebra(((2, 1.0),))
+    x = Element(a, [np.full((2, 2), 1.5e308)])
+    assert x.sup_norm() == np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="overflows"):
+            clip_decompose(x, 1.0)
 
 
 # -- submajorization and the measure metric -----------------------------------
