@@ -6,7 +6,7 @@ from .certify import (FiniteTrace, WitnessCertificate, bilateral_to_onesided,
                       certify_cauchy, extract_limit, remark32_model,
                       witness_convergence)
 from .ergodic import (AverageTrace, BesicovitchFunction, InterpolationFlow,
-                      SectorNet, Semigroup, TrigPolynomial, UnitaryFlow,
+                      SectorNet, TrigPolynomial, UnitaryFlow,
                       besicovitch_average, box_average, cesaro_limit_oracle,
                       net_average_trace, sector_check)
 from .errors import (InvalidInputError, NcergoError, NoLimitError,
@@ -22,3 +22,20 @@ from .superops import (BlockExpectation, Composition, ConvexCombination,
                        verify_ds)
 
 __version__ = "0.1.0"
+
+__all__ = [
+    "Element", "TracedAlgebra", "projection_meet", "trace_deficiency",
+    "FiniteTrace", "WitnessCertificate", "bilateral_to_onesided",
+    "certify_cauchy", "extract_limit", "remark32_model", "witness_convergence",
+    "AverageTrace", "BesicovitchFunction", "InterpolationFlow", "SectorNet",
+    "TrigPolynomial", "UnitaryFlow", "besicovitch_average", "box_average",
+    "cesaro_limit_oracle", "net_average_trace", "sector_check",
+    "InvalidInputError", "NcergoError", "NoLimitError", "NumericFailureError",
+    "PostconditionError", "clip_decompose", "enlarge_projection",
+    "fava_decompose", "fava_support_trace", "k_functional", "lp_norm",
+    "measure_metric", "mu", "mu_at", "spectral_projection_below",
+    "submajorizes", "StepFunction", "BlockExpectation", "Composition",
+    "ConvexCombination", "DSCertificate", "ExplicitMatrix", "Pinching",
+    "Power", "SuperOperator", "UnitaryConjugation", "audit_submajorization",
+    "check_positivity", "preserves_fava", "verify_ds",
+]

@@ -5,16 +5,17 @@ blocks, each carrying a positive trace weight; the trace of an element is
 the weighted sum of the matrix traces of its blocks.  An element is
 immutable, held as one read-only ``(k, d, d)`` stack per group of
 equal-dimension blocks (a clip part: as the per-group SVD they are built
-from on first read), with optional verified structure flags
-(selfadjoint / positive / projection).  This module alone turns blocks
-into group stacks and back; the rest of the package reads the stacks,
-except :mod:`ncergo.serialize`, which writes the blocks in order.  Two
-kinds of output are projections by construction and skip that
-verification: each algebra's identity and zero, and ``(v * keep) v*`` of
-:func:`masked_projection` for a unitary factor ``v`` and a column mask
-``keep`` (1x1 blocks: the mask); every meet, the kernel of a sum of
-complements, is one.  A :class:`~ncergo.certify.WitnessCertificate`
-re-checks what it emits.
+from on first read), with optional structure flags (selfadjoint /
+positive / projection).  This module alone turns blocks into group stacks
+and back; the rest of the package reads the stacks, except
+:mod:`ncergo.serialize`, which writes the blocks in order.  A flag is
+checked where a claim enters, by the public constructor or by
+:meth:`Element._checked` (``as_selfadjoint``, ``as_projection`` and a
+:class:`~ncergo.certify.WitnessCertificate`), and carried by construction
+inside: each package operation sets, unchecked, the flags it guarantees,
+as do each algebra's identity and zero and ``(v * keep) v*`` of
+:func:`masked_projection` for a unitary ``v`` and a column mask ``keep``
+(1x1 blocks: the mask), which every meet is.
 """
 
 from __future__ import annotations
@@ -93,13 +94,13 @@ class TracedAlgebra:
 
     @cached_property
     def _identity(self) -> "Element":
-        return Element._trusted_projection(
-            self, _group_stacks(self, [np.eye(d) for d in self.dims]))
+        return Element._from_stacks(self, _group_stacks(
+            self, [np.eye(d) for d in self.dims]), True, True, True)
 
     @cached_property
     def _zero(self) -> "Element":
-        return Element._trusted_projection(
-            self, _group_stacks(self, [np.zeros((d, d)) for d in self.dims]))
+        return Element._from_stacks(self, _group_stacks(
+            self, [np.zeros((d, d)) for d in self.dims]), True, True, True)
 
     def random_element(self, rng: np.random.Generator, scale: float = 1.0,
                        selfadjoint: bool = False) -> "Element":
@@ -124,7 +125,8 @@ class Element:
     from it, the one record of the rearrangement; ``data`` and
     ``singular_values()`` are per-block read-only views of these.  The
     public constructor stacks the given blocks, its copy, and verifies
-    every flag it is given; the package's own take stacks or an SVD.
+    every flag it is given, as :meth:`_checked` does; the package's own
+    take stacks or an SVD, with the flags they guarantee, unchecked.
     """
 
     __slots__ = ("algebra", "_stacks", "selfadjoint", "positive", "projection",
@@ -140,28 +142,26 @@ class Element:
 
     @classmethod
     def _from_stacks(cls, algebra: TracedAlgebra, stacks: Sequence[np.ndarray],
-                     **flags) -> "Element":
-        """The public constructor's element from group stacks no one else writes."""
+                     selfadjoint=None, positive=None, projection=None) -> "Element":
+        """From one stack per group that no one else holds (frozen in place,
+        not copied), with the flags its construction guarantees, unchecked."""
         x = cls.__new__(cls)
-        x._freeze(algebra, stacks, **flags)
-        x._verify_flags()
+        x._freeze(algebra, stacks, selfadjoint, positive, projection)
         return x
 
     @classmethod
     def _from_svd(cls, algebra: TracedAlgebra, usv: Sequence[tuple]) -> "Element":
-        """An unflagged element held as its SVD ``(u, s, vh)`` per group."""
+        """An unflagged element held as its SVD ``(u, s, vh)`` per group,
+        where ``u`` and ``vh`` are read-only and only ``s`` is new."""
         x = cls.__new__(cls)
         x._freeze(algebra, None, svd=usv)
         return x
 
-    @classmethod
-    def _trusted_projection(cls, algebra: TracedAlgebra,
-                            stacks: Sequence[np.ndarray]) -> "Element":
-        """A projection by construction, all three flags set without their
-        verification, from one stack per group that no one else holds;
-        complex stacks are frozen in place, not copied."""
-        x = cls.__new__(cls)
-        x._freeze(algebra, stacks, True, True, True)
+    def _checked(self, *flags) -> "Element":
+        """Its stacks re-tagged with ``flags`` (selfadjoint, positive,
+        projection), verified: a claim entering, as in the public constructor."""
+        x = Element._from_stacks(self.algebra, self.stacks, *flags)
+        x._verify_flags()
         return x
 
     def _freeze(self, algebra, stacks, selfadjoint=None, positive=None,
@@ -178,7 +178,7 @@ class Element:
                     raise InvalidInputError(f"block shape: stack {s.shape} != {shape}")
                 _frozen(_finite(s))
         if svd is not None:
-            svd = tuple(tuple(map(_frozen, usv)) for usv in svd)
+            svd = tuple((u, _frozen(s), vh) for u, s, vh in svd)
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "_stacks", stacks)
         object.__setattr__(self, "selfadjoint", selfadjoint)
@@ -307,21 +307,19 @@ class Element:
 
     def as_selfadjoint(self) -> "Element":
         """Itself if flagged selfadjoint, else re-tagged with a verified flag."""
-        return self if self.selfadjoint else Element._from_stacks(
-            self.algebra, self.stacks, selfadjoint=True)
+        return self if self.selfadjoint else self._checked(True)
 
     def as_projection(self) -> "Element":
         """Itself if flagged a projection, else re-tagged with verified flags."""
-        return self if self.projection else Element._from_stacks(
-            self.algebra, self.stacks, selfadjoint=True, positive=True, projection=True)
+        return self if self.projection else self._checked(True, True, True)
 
     def vec(self) -> np.ndarray:
         """Row-major concatenation of the blocks."""
         return np.concatenate([b.reshape(-1) for b in self.data])
 
     @classmethod
-    def from_vec(cls, algebra: TracedAlgebra, v: np.ndarray, **flags) -> "Element":
-        return cls._from_stacks(algebra, _vec_stacks(algebra, v), **flags)
+    def from_vec(cls, algebra: TracedAlgebra, v: np.ndarray) -> "Element":
+        return cls._from_stacks(algebra, _vec_stacks(algebra, v))
 
     def __repr__(self):
         return f"Element(dims={self.algebra.dims}, sup_norm={self.sup_norm():.4g})"
@@ -364,11 +362,11 @@ def check_algebra(algebra: TracedAlgebra, other: TracedAlgebra) -> None:
 
 
 def _integer(value, name: str) -> int:
-    """``value`` as an int; a float such as 2.5 is refused, not truncated."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InvalidInputError(f"{name} must be an integer, got {value!r}") from None
+    """``value`` as an int; a float such as 2.5 is refused, not truncated,
+    and so is a bool, which is not a count."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -445,11 +443,11 @@ def weighted_block_sum(algebra: TracedAlgebra, parts: Sequence[np.ndarray]):
 def masked_projection(algebra: TracedAlgebra, parts: Sequence[tuple]) -> Element:
     """The projection ``(v * keep) v*`` onto the columns of ``v`` that ``keep``
     marks; ``parts`` holds, per group of blocks, its stacks ``(v, keep)``.
-    Each ``v`` has orthonormal columns, so the result is built trusted; None
+    Each ``v`` has orthonormal columns, so it is flagged a projection; None
     stands for v = 1 on 1x1 blocks, which are then the 0/1 mask itself."""
-    return Element._trusted_projection(algebra, [
+    return Element._from_stacks(algebra, [
         keep[..., None].astype(complex) if v is None
-        else (v * keep[..., None, :]) @ _adj(v) for v, keep in parts])
+        else (v * keep[..., None, :]) @ _adj(v) for v, keep in parts], True, True, True)
 
 
 def projection_from_ranges(algebra: TracedAlgebra,
@@ -469,7 +467,7 @@ def projection_from_ranges(algebra: TracedAlgebra,
         keep = np.abs(np.diagonal(r, axis1=-2, axis2=-1)) > thresh[:, None]
         for i, b in zip(members, (q * keep[..., None, :]) @ _adj(q)):
             data[i] = b
-    return Element._trusted_projection(algebra, _group_stacks(algebra, data))
+    return Element._from_stacks(algebra, _group_stacks(algebra, data), True, True, True)
 
 
 def range_bases(e: Element) -> list:

@@ -56,13 +56,13 @@ class WitnessCertificate:
     `verdict` is a finite-horizon judgment: "certified" claims nothing
     about the trace beyond `horizon` indices.
 
-    This is the trust boundary of the witness search: its projections are
-    built trusted, as masks of unitary factors (see :mod:`ncergo.algebra`),
-    and `projection` is checked here, once, rebuilt from its group stacks
-    with all three projection flags set and verified.  The projections that
-    fed a bound but are not emitted (:func:`bilateral_to_onesided`'s
-    enlargements before the last) rest on that rule, which the tests check
-    on each of its outputs.
+    This is the trust boundary of the witness search, one of the two sites
+    where a flag is checked (see :mod:`ncergo.algebra`): its projections
+    carry their flags by construction, as masks of unitary factors, and
+    `projection` is re-tagged here, once, flagged or not, with all three
+    projection flags verified.  The projections that fed a bound but are
+    not emitted (:func:`bilateral_to_onesided`'s enlargements before the
+    last) rest on that rule, which the tests check on each of its outputs.
     """
 
     mode: str  # "au" | "bau"
@@ -77,9 +77,8 @@ class WitnessCertificate:
     def __post_init__(self):
         if self.mode not in ("au", "bau"):
             raise InvalidInputError("mode must be 'au' or 'bau'")
-        p = self.projection
-        object.__setattr__(self, "projection", Element._from_stacks(
-            p.algebra, p.stacks, selfadjoint=True, positive=True, projection=True))
+        object.__setattr__(self, "projection",
+                           self.projection._checked(True, True, True))
         if self.trace_deficiency > self.epsilon + BUDGET_SLACK:
             raise InvalidInputError("trace deficiency exceeds the budget")
         if any(b < 0 for _, b in self.tail_bounds):

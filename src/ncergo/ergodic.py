@@ -384,25 +384,9 @@ def _exp_mean(z):
     return np.where(z == 0, 1.0, np.expm1(safe) / safe)
 
 
-class Semigroup:
-    """Base for the two built-in strongly continuous positive flows.
-
-    A flow binds ``apply(s, x)``, T_s(x), in its own class body, so that
-    per-class instrumentation sees it, and ``_average(terms, t, x)``, the
-    closed-form time average of T_s(x) weighted by sum_j c_j e^{i theta_j s}
-    for ``terms`` ((c_j, theta_j), ...).
-    """
-
-    algebra: TracedAlgebra
-
-    def apply(self, s: float, x: Element) -> Element:
-        raise NotImplementedError
-
-    def _average(self, terms: tuple, t: float, x: Element) -> Element:
-        raise NotImplementedError
-
-
-class UnitaryFlow(Semigroup):
+# Each flow binds ``apply(s, x)``, T_s(x), in its own class body, where
+# per-class instrumentation sees it, and ``besicovitch_average``'s closed form.
+class UnitaryFlow:
     """T_s(x) = e^{i s H} x e^{-i s H} for a selfadjoint generator H."""
 
     def __init__(self, generator: Element):
@@ -434,7 +418,7 @@ class UnitaryFlow(Semigroup):
             lambda gaps: sum(c * _exp_mean(1j * ((th + gaps) * t)) for c, th in terms))
 
 
-class InterpolationFlow(Semigroup):
+class InterpolationFlow:
     """T_s(x) = e^{-s} x + (1 - e^{-s}) E(x) for an idempotent expectation E."""
 
     def __init__(self, expectation: SuperOperator):
@@ -467,8 +451,8 @@ class InterpolationFlow(Semigroup):
             x.algebra, [a * e + b * (y - e) for y, e in zip(x.stacks, ex.stacks)])
 
 
-def besicovitch_average(beta: BesicovitchFunction, flow: Semigroup, x: Element,
-                        t: float) -> Element:
+def besicovitch_average(beta: BesicovitchFunction, flow: UnitaryFlow | InterpolationFlow,
+                        x: Element, t: float) -> Element:
     """The weighted time average (1/t) * integral of beta(s) T_s(x) over [0, t].
 
     For beta = sum_j c_j e^{i theta_j s} it is a sum of the exponential

@@ -29,13 +29,13 @@ from . import superops
 
 @contextmanager
 def _reading(path: str):
-    """Turn an error raised while reading the JSON value at `path` into an
-    InvalidInputError naming the path.  Wrap no computation on what was
-    read: an error there is a bug, and stays a traceback."""
+    """Turn an error raised while reading the JSON value at `path`, a reader's
+    refusal too, into an InvalidInputError naming the path.  Wrap no
+    computation on what was read: an error there is a bug, and stays a traceback."""
     try:
         yield
     except (OSError, KeyError, IndexError, TypeError, ValueError,
-            OverflowError, AttributeError) as exc:
+            OverflowError, AttributeError, InvalidInputError) as exc:
         reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
         raise InvalidInputError(f"{path}: {reason}") from exc
 
@@ -81,9 +81,9 @@ def algebra_to_dict(a: TracedAlgebra) -> dict:
 
 
 def algebra_from_dict(d: dict) -> TracedAlgebra:
-    # TracedAlgebra checks each dim and weight; float() fails here, not there
     return TracedAlgebra(_field(d, "algebra.blocks", lambda blocks: tuple(
-        (b["dim"], float(b["weight"])) for b in blocks)))
+        (_integer(b["dim"], "block dim"), _real(b["weight"], positive=True))
+        for b in blocks)))
 
 
 def _matrix_to_pairs(m: np.ndarray) -> list:
@@ -216,7 +216,7 @@ def average_from_dict(cfg: dict, seed: Optional[int]) -> tuple:
             selfadjoint=_field(spec, "element.random.selfadjoint", _bool, False))
     net = _field(cfg, "net")
     dimension, indices = _field(net, "net.indices", lambda ns: (
-        len(ns[0]), tuple(tuple(n) for n in ns)))
+        len(ns[0]), tuple(tuple(_integer(k, "net index") for k in n) for n in ns)))
     net = SectorNet(dimension, indices, _field(
         net, "net.sector_constant", lambda c: None if c is None else _real(c), None))
     epsilon = _field(cfg, "epsilon", lambda e: _real(e, positive=True), 0.05)

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import SEED, BLOCK_CONFIGS, LAYOUTS, grouped_examples, \
-    group_stacks, make_algebra, random_layout_element, random_projection, \
-    random_unitary, reference_projection_blocks, spectrum_elements, \
-    spectrum_examples
-from ncergo import Element, TracedAlgebra, clip_decompose, \
-    enlarge_projection, k_functional, lp_norm, mu, projection_meet, \
+from conftest import SEED, BLOCK_CONFIGS, LAYOUTS, assembled, \
+    grouped_examples, group_stacks, make_algebra, random_block_expectation, \
+    random_layout_element, random_pinching, random_projection, \
+    random_unitary, random_unitary_element, reference_projection_blocks, \
+    spectrum_elements, spectrum_examples
+from ncergo import ConvexCombination, Element, ExplicitMatrix, \
+    InterpolationFlow, TracedAlgebra, UnitaryConjugation, UnitaryFlow, \
+    box_average, check_positivity, clip_decompose, enlarge_projection, \
+    fava_decompose, k_functional, lp_norm, mu, projection_meet, \
     spectral_projection_below, trace_deficiency
 from ncergo.algebra import masked_projection, projection_from_ranges, \
     range_bases, stacked_singular_values
@@ -385,7 +388,8 @@ def one_record_cases(a, rng, zero_block):
     given = [b.copy() for b in y.data]
     cases = [
         (Element(a, x.data), x.data, None),
-        (Element._trusted_projection(a, group_stacks(a, given)), given, None),
+        (Element._from_stacks(a, group_stacks(a, given), selfadjoint=True,
+                              positive=True, projection=True), given, None),
         (x + y, [p + q for p, q in zip(x.data, y.data)], None),
         (x - y, [p - q for p, q in zip(x.data, y.data)], None),
         (x @ y, [p @ q for p, q in zip(x.data, y.data)], None),
@@ -527,27 +531,80 @@ def test_checking_constructor_accepts_every_projection_from_ranges(
         assert all(np.array_equal(c, b) for c, b in zip(checked.data, e.data))
 
 
+@spectrum_examples
+@given(layout=LAYOUTS, seed=st.integers(0, 2 ** 16),
+       zero_block=st.none() | st.integers(0, 5))
+def test_checking_constructor_accepts_every_flag_set_by_construction(
+        layout, seed, zero_block):
+    """Inside the package a flag is carried by construction, unchecked: for
+    flagged inputs, every element an operation builds with a flag passes
+    the public constructor with its flags.  The operations: ``+``, ``-``,
+    negation, ``scaled`` and ``adjoint``; the four leaves' ``apply``,
+    ``cesaro_average`` and ``cesaro_limit``; both flows' ``apply``; the
+    dense prefix; ``fava_decompose``; and ``check_positivity``'s
+    symmetrized image, which it does not return, so every trusted build is
+    recorded and checked."""
+    a = TracedAlgebra(layout)
+    rng = stream(seed, "test/algebra/flags-by-construction")
+    x = random_layout_element(rng, a, zero_block)
+    h = Element(a, [(b + b.conj().T) / 2 for b in x.data], selfadjoint=True)
+    pos = Element(a, [b.conj().T @ b for b in x.data], selfadjoint=True,
+                  positive=True)
+    p = random_projection(rng, a)
+    conj = UnitaryConjugation(random_unitary_element(rng, a))
+    expectation = random_block_expectation(rng, a)
+    explicit = ExplicitMatrix(a, assembled(a, expectation.to_matrix()))
+    built, build = [], Element._from_stacks.__func__
+
+    def recording(cls, *args, **flags):
+        built.append(build(cls, *args, **flags))
+        return built[-1]
+    with mock.patch.object(Element, "_from_stacks", classmethod(recording)):
+        flagged = [h + pos, h - p, -pos, h.scaled(-2.5), pos.adjoint(),
+                   p.adjoint(), *fava_decompose(h, 0.5), conj.cesaro_limit(h),
+                   UnitaryFlow(h).apply(0.3, pos),
+                   InterpolationFlow(expectation).apply(0.3, h),
+                   box_average([ConvexCombination([(0.5, conj),
+                                                   (0.5, expectation)])], h, [5])]
+        for op in (conj, random_pinching(rng, a), expectation):
+            flagged += [op.apply(h), op.cesaro_average(h, 7)]
+        explicit.apply(h)  # a matrix's image carries no flag
+        explicit.cesaro_average(h, 7)
+        count = len(built)
+        assert check_positivity(explicit, trials=2)
+    assert all(e.selfadjoint for e in flagged if e is not None)
+    assert p.adjoint().projection and pos.adjoint().positive
+    assert any(e.selfadjoint for e in built[count:])  # the symmetrized image
+    for e in built:
+        if e.selfadjoint or e.positive or e.projection:
+            checked = Element(a, e.data, selfadjoint=e.selfadjoint,
+                              positive=e.positive, projection=e.projection)
+            assert all(np.array_equal(c, b) for c, b in zip(checked.data, e.data))
+
+
 def test_trusted_constructor_keeps_the_cheap_checks():
     """The trusted constructor takes one stack per group (here the groups
     are blocks (0, 2) of dim 2 and block 1 of dim 1) and runs the count,
-    shape and finiteness checks on them."""
+    shape and finiteness checks on them; it sets its flags unchecked."""
     a = TracedAlgebra(((2, 1.0), (1, 0.5), (2, 0.25)))
     eyes = np.array([np.eye(2), np.eye(2)])
+    flags = dict(selfadjoint=True, positive=True, projection=True)
     with pytest.raises(InvalidInputError, match="block count"):
-        Element._trusted_projection(a, [eyes])
+        Element._from_stacks(a, [eyes], **flags)
     with pytest.raises(InvalidInputError, match="block shape"):
-        Element._trusted_projection(a, [np.eye(2)[None], np.ones((1, 1, 1))])
+        Element._from_stacks(a, [np.eye(2)[None], np.ones((1, 1, 1))], **flags)
     with pytest.raises(InvalidInputError, match="block shape"):
-        Element._trusted_projection(a, [eyes, np.eye(2)[None]])
+        Element._from_stacks(a, [eyes, np.eye(2)[None]], **flags)
     with pytest.raises(InvalidInputError, match="block shape"):
-        Element._trusted_projection(a, [eyes, np.ones((1, 1))])
+        Element._from_stacks(a, [eyes, np.ones((1, 1))], **flags)
     with pytest.raises(InvalidInputError, match="non-finite"):
-        Element._trusted_projection(a, [eyes, np.full((1, 1, 1), np.inf)])
+        Element._from_stacks(a, [eyes, np.full((1, 1, 1), np.inf)], **flags)
     stacks = [eyes.astype(complex), np.ones((1, 1, 1), dtype=complex)]
-    x = Element._trusted_projection(a, stacks)
+    x = Element._from_stacks(a, stacks, **flags)
     assert (x.selfadjoint, x.positive, x.projection) == (True, True, True)
     assert all(b is c for b, c in zip(x.stacks, stacks))  # held as given
     assert not any(b.flags.writeable for b in x.stacks + x.data)
+    assert Element._from_stacks(a, [2.0 * eyes, stacks[1]], **flags).projection
 
 
 def test_public_constructor_runs_the_same_checks_on_its_stacks():

@@ -527,11 +527,12 @@ def projection_checks(monkeypatch):
 
 def through_checking_constructor(monkeypatch):
     """Route every trusted build through the public, checking constructor,
-    which takes the blocks of the trusted build's group stacks."""
-    monkeypatch.setattr(Element, "_trusted_projection", classmethod(
-        lambda cls, algebra, stacks: cls(algebra, split_stacks(algebra, stacks),
-                                         selfadjoint=True, positive=True,
-                                         projection=True)))
+    which takes the blocks of the trusted build's group stacks and its flags."""
+    monkeypatch.setattr(Element, "_from_stacks", classmethod(
+        lambda cls, algebra, stacks, selfadjoint=None, positive=None,
+        projection=None: cls(algebra, split_stacks(algebra, stacks),
+                             selfadjoint=selfadjoint, positive=positive,
+                             projection=projection)))
 
 
 def few_block_cesaro_trace():

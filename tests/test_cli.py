@@ -613,6 +613,41 @@ def test_block_dim_beyond_numpy_is_input_error(tmp_path, capsys, case):
     assert err.startswith("input error:") and "block dim" in err, err
 
 
+def power_map(exponent):
+    return {"algebra": one_block(1), "operator": {
+        "kind": "power", "exponent": exponent, "base": EXPECTATION}}
+
+
+# argv, input and JSON path of a bool or a string where a number belongs
+NOT_A_NUMBER = {
+    "dim true": (["ds-check", IN], {"algebra": {"blocks": [
+        {"dim": True, "weight": 1.0}]}, "operator": EXPECTATION}, "algebra.blocks"),
+    "weight string": (["ds-check", IN], {"algebra": {"blocks": [
+        {"dim": 1, "weight": "1.0"}]}, "operator": EXPECTATION}, "algebra.blocks"),
+    "weight true": (["ds-check", IN], {"algebra": {"blocks": [
+        {"dim": 1, "weight": True}]}, "operator": EXPECTATION}, "algebra.blocks"),
+    "exponent true": (["ds-check", IN], power_map(True), "operator.exponent"),
+    "net index true": (AVERAGE, average_config(net={"indices": [[True, True]]}),
+                       "net.indices"),
+}
+
+
+@pytest.mark.parametrize("case", list(NOT_A_NUMBER))
+def test_bool_or_string_number_exits_2_naming_its_path(tmp_path, capsys, case):
+    """A JSON ``true`` or string is not read as a number: each exits 2, and
+    the message names its path."""
+    argv, content, field = NOT_A_NUMBER[case]
+    path = write_json(tmp_path / "in.json", content)
+    argv = [{IN: path, OUT: str(tmp_path / "out")}.get(a, a) for a in argv]
+    assert main(argv) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: {field}:"), err
+    assert main(["ds-check", write_json(tmp_path / "ok.json", power_map(1))]) \
+        == EXIT_OK
+    with pytest.raises(ncergo.InvalidInputError, match="net index"):
+        ncergo.SectorNet(1, ((True,),))
+
+
 def non_finite_input(place, value):
     """(argv, input, the path the message names) for a 2x2 block with one
     entry set to `value`, read at `place`."""

@@ -1,6 +1,7 @@
 import ast
 import re
 import tokenize
+import types
 from pathlib import Path
 
 import ncergo
@@ -219,3 +220,50 @@ def test_only_the_spectrum_rule_factorizes():
     for path in sorted(PACKAGE.glob("*.py")):
         visit(ast.parse(path.read_text()), path.stem, None)
     assert callers == {"algebra.stacked_singular_values", "algebra.stack_svds"}
+
+
+def test_flags_are_checked_only_where_a_claim_enters():
+    """One trust rule for element flags: ``_verify_flags`` runs only in the
+    public ``Element`` constructor and in ``Element._checked``, the one
+    re-tagging helper; every other construction carries its flags."""
+    callers = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = f"{scope}.{node.name}"
+        elif isinstance(node, ast.Attribute) and node.attr == "_verify_flags":
+            callers.add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    assert callers == {"algebra.Element.__init__", "algebra.Element._checked"}
+
+
+# names of ``ncergo.__all__`` that no user path names, with the reason
+# each is public
+EXPORTED_UNUSED = {
+    "WitnessCertificate": "returned by the certificate searches",
+    "AverageTrace": "returned by net_average_trace",
+    "DSCertificate": "returned by verify_ds",
+    "PostconditionError": "raised by the witness searches",
+    "sector_check": "the rule of SectorNet",
+    "preserves_fava": "the Fava-ball check the transfer-theorem certificate needs",
+}
+
+
+def test_public_names_are_pinned_to_their_users():
+    """``ncergo.__all__`` is every public name the package binds, and each
+    is found in the CLI, the acceptance tests or the benchmark, or is on
+    ``EXPORTED_UNUSED`` with its reason."""
+    bound = {name for name, value in vars(ncergo).items()
+             if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert len(ncergo.__all__) == len(bound) and set(ncergo.__all__) == bound
+    root = PACKAGE.parent.parent
+    text = "\n".join(p.read_text() for p in [
+        PACKAGE / "cli.py", root / "tests" / "test_acceptance.py",
+        *sorted((root / "perfbench").glob("*.py"))])
+    unused = {name for name in ncergo.__all__
+              if not re.search(rf"\b{name}\b", text)}
+    assert unused == set(EXPORTED_UNUSED), sorted(unused)

@@ -200,6 +200,11 @@ def test_clip_parts_read_their_spectrum_without_building_stacks():
         x = make_algebra(config).random_element(rng)
         y, z = clip_decompose(x, mu_at(x, 0.5))
         for part in (y, z):
+            # each part holds x's cached, read-only factors; only s is new
+            for (u, s, vh), (xu, xs, xvh) in zip(part._svd, x.stack_svds()):
+                assert u is xu and vh is xvh and s is not xs
+                assert not (u.flags.writeable or s.flags.writeable
+                            or vh.flags.writeable)
             lp_norm(part, 1)
             part.sup_norm()
             mu_at(part, 0.5)
