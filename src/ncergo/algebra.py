@@ -364,9 +364,10 @@ def check_algebra(algebra: TracedAlgebra, other: TracedAlgebra) -> None:
 def _integer(value, name: str) -> int:
     """``value`` as an int; a float such as 2.5 is refused, not truncated,
     and so is a bool, which is not a count."""
-    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
-    return operator.index(value)
+    try:
+        return operator.index(None if isinstance(value, bool) else value)
+    except TypeError:
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

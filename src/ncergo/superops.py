@@ -183,7 +183,8 @@ class Pinching(_Sandwiched):
         super().__init__(projections[0].algebra)
         if any(p.algebra != self.algebra for p in projections):
             raise InvalidInputError("pinching projections must share one algebra")
-        stacks = [np.stack(terms) for terms in zip(*(p.stacks for p in projections))]
+        self.projections = tuple(p.as_selfadjoint() for p in projections)  # p = p*
+        stacks = [np.stack(t) for t in zip(*(p.stacks for p in self.projections))]
         self._factors = tuple((s, s) for s in stacks)
         if max(np.abs(s.sum(axis=0) - np.eye(s.shape[-1])).max()
                for s in stacks) > PINCHING_TOL:
@@ -198,7 +199,6 @@ class Pinching(_Sandwiched):
                 row[i] -= p
                 defect = max(defect, np.abs(row).max())
         self._idempotent = defect <= CLOSED_FORM_TOL
-        self.projections = tuple(projections)
 
     def apply(self, x: Element) -> Element:
         check_algebra(self.algebra, x.algebra)

@@ -33,8 +33,15 @@ def test_algebra_validation():
         TracedAlgebra(((2, -1.0),))
 
 
+class _FailingIndex:
+    """A type whose ``__index__`` exists but refuses, as a bad input may."""
+
+    def __index__(self):
+        raise TypeError("not an index")
+
+
 def test_algebra_refuses_a_non_integer_dim():
-    for dim in (2.5, 2.0, "2"):
+    for dim in (2.5, 2.0, "2", True, _FailingIndex()):
         with pytest.raises(InvalidInputError, match="block dim"):
             TracedAlgebra(((dim, 1.0),))
     assert TracedAlgebra(((np.int64(2), 1.0),)).dims == (2,)

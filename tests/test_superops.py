@@ -80,6 +80,13 @@ def test_pinching_validation():
         Pinching([p])  # does not sum to 1
     with pytest.raises(InvalidInputError):
         Pinching([p, p, p])
+    # an oblique pair: p + q = 1 and pq = qp = 0, but p x p + q x q is no
+    # sandwich a x a*, and its image of diag(1, -1) is [[1, 2], [0, -1]]
+    oblique = np.array([[1.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(InvalidInputError, match="selfadjoint flag"):
+        Pinching([Element(a, [oblique]), Element(a, [np.eye(2) - oblique])])
+    unflagged = Pinching([Element(a, [np.diag([1.0, 0.0])]), Element(a, [np.diag([0.0, 1.0])])])
+    assert all(r.selfadjoint for r in unflagged.projections)
 
 
 def test_block_expectation_masks_groups():
