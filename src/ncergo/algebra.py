@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Optional, Sequence
 
 import numpy as np
@@ -39,6 +39,8 @@ class TracedAlgebra:
     blocks: tuple  # tuple of (dim, weight)
 
     def __post_init__(self):
+        if any(isinstance(w, (bool, np.bool_, str, bytes)) for _, w in self.blocks):
+            raise InvalidInputError("block weights must be numbers, not bools or strings")
         blocks = tuple((_integer(d, "block dim"), float(w)) for d, w in self.blocks)
         if not blocks:
             raise InvalidInputError("algebra needs at least one block")
@@ -157,12 +159,31 @@ class Element:
         x._freeze(algebra, None, svd=usv)
         return x
 
-    def _checked(self, *flags) -> "Element":
-        """Its stacks re-tagged with ``flags`` (selfadjoint, positive,
-        projection), verified: a claim entering, as in the public constructor."""
-        x = Element._from_stacks(self.algebra, self.stacks, *flags)
-        x._verify_flags()
+    @classmethod
+    def _terms(cls, algebra: TracedAlgebra, stacks: Sequence[np.ndarray]) -> list:
+        """The T unflagged elements of ``(T, k, d, d)`` stacks, each spectrum
+        cache filled by one call per group (the SVD where a group needs it)."""
+        svals = [_frozen(stacked_singular_values(s)) for s in stacks]
+        svd = stack_svds(stacks) if any(s.shape[-1] > 1 for s in stacks) else None
+        flat = tuple(map(_frozen, rearranged(algebra, svals)))
+        return [cls._from_stacks(algebra, [s[t] for s in stacks])._set(
+            _svals=tuple(s[t] for s in svals), _flat=tuple(a[t] for a in flat),
+            _svd=None if svd is None else tuple(tuple(a[t] for a in usv) for usv in svd))
+            for t in range(len(flat[0]))]
+
+    def _checked(self, selfadjoint=None, positive=None, projection=None) -> "Element":
+        """Itself re-tagged with these flags, verified: a claim entering, as
+        in the public constructor.  It shares the stacks and spectrum caches."""
+        self.stack_singular_values()  # on the source, which keeps them too
+        x = Element.__new__(Element)._set(**{n: getattr(self, n) for n in Element.__slots__})
+        x._set(selfadjoint=selfadjoint, positive=positive, projection=projection)._verify_flags()
         return x
+
+    def _set(self, **slots) -> "Element":
+        """Itself with these slots written (a new element's, or its caches)."""
+        for name, value in slots.items():
+            object.__setattr__(self, name, value)
+        return self
 
     def _freeze(self, algebra, stacks, selfadjoint=None, positive=None,
                 projection=None, svd=None):
@@ -284,8 +305,7 @@ class Element:
     def stack_svds(self) -> tuple:
         """Per group, the full SVD ``(u, s, vh)`` of its stack, cached read-only."""
         if self._svd is None:
-            object.__setattr__(self, "_svd", tuple(
-                [tuple(map(_frozen, np.linalg.svd(b))) for b in self.stacks]))
+            object.__setattr__(self, "_svd", stack_svds(self.stacks))
         return self._svd
 
     def singular_values(self) -> list:
@@ -326,20 +346,34 @@ class Element:
 
 
 def stacked_singular_values(stack: np.ndarray) -> np.ndarray:
-    """Singular values of a stack of square blocks (the last two axes).
+    """Singular values of a ``(..., k, d, d)`` stack of square blocks.
 
-    A real 1x1 block takes its modulus, which is LAPACK's value where
-    LAPACK does not rescale; a block outside that range, and every other
-    stack, is factorized.
+    A 1x1 block takes its modulus, which is LAPACK's value where LAPACK
+    does not rescale, if its ``(k, 1, 1)`` term is real; every other block
+    is factorized.
     """
-    if stack.shape[-1] != 1 or stack.imag.any():
+    if stack.shape[-1] != 1:
+        return np.linalg.svd(stack, compute_uv=False)
+    complex_terms = stack.imag.any(axis=(-3, -2, -1))
+    if complex_terms.all():
         return np.linalg.svd(stack, compute_uv=False)
     s = np.abs(stack.real[..., 0])
-    scaled = (s > 0) & ((s < SVD_UNSCALED_MIN) | (s > 1.0 / SVD_UNSCALED_MIN))
-    if scaled.any():
-        s[scaled] = np.linalg.svd(stack[..., 0][scaled][:, None, None],
-                                  compute_uv=False)[:, 0]
+    factorized = (s > 0) & ((s < SVD_UNSCALED_MIN) | (s > 1.0 / SVD_UNSCALED_MIN))
+    factorized[complex_terms] = True
+    if factorized.any():
+        s[factorized] = np.linalg.svd(stack[..., 0][factorized][:, None, None],
+                                      compute_uv=False)[:, 0]
     return s
+
+
+def stack_svds(stacks: Sequence[np.ndarray]) -> tuple:
+    """Per stack (any leading axes), its full SVD ``(u, s, vh)``, read-only."""
+    return tuple([tuple(map(_frozen, np.linalg.svd(b))) for b in stacks])
+
+
+def largest(svals: Sequence[np.ndarray]):
+    """The sup norm of each term from its singular values, one ``(..., k, d)`` array per group."""
+    return reduce(np.maximum, [s[..., 0].max(axis=-1) for s in svals])
 
 
 def rearranged(algebra: TracedAlgebra, parts: Sequence[np.ndarray]) -> tuple:
@@ -446,9 +480,13 @@ def masked_projection(algebra: TracedAlgebra, parts: Sequence[tuple]) -> Element
     marks; ``parts`` holds, per group of blocks, its stacks ``(v, keep)``.
     Each ``v`` has orthonormal columns, so it is flagged a projection; None
     stands for v = 1 on 1x1 blocks, which are then the 0/1 mask itself."""
-    return Element._from_stacks(algebra, [
-        keep[..., None].astype(complex) if v is None
-        else (v * keep[..., None, :]) @ _adj(v) for v, keep in parts], True, True, True)
+    return Element._from_stacks(algebra, masked_stacks(parts), True, True, True)
+
+
+def masked_stacks(parts: Sequence[tuple]) -> list:
+    """The stacks of :func:`masked_projection`, for parts with any leading axes."""
+    return [keep[..., None].astype(complex) if v is None
+            else (v * keep[..., None, :]) @ _adj(v) for v, keep in parts]
 
 
 def projection_from_ranges(algebra: TracedAlgebra,
@@ -499,11 +537,11 @@ class _MeetBuilder:
     def __init__(self, algebra, projections):
         self.algebra = algebra
         self.current = list(projections)
-        self._sums = [sum(np.eye(b.shape[-1]) - b for b in terms)
-                      for terms in zip(*(p.stacks for p in self.current))]
+        self._sums = complement_sums([p.stacks for p in self.current])
 
     def meet(self) -> Element:
-        return _meet_of_sums(self.algebra, self._sums, len(self.current))
+        return Element._from_stacks(self.algebra, meet_stacks(
+            self._sums, len(self.current)), True, True, True)
 
     def with_swap(self, index: int, projection: Element):
         """``(meet, sums)`` with term ``index`` swapped for ``projection``;
@@ -511,15 +549,20 @@ class _MeetBuilder:
         # complements differ by (old - new) of the projections themselves
         sums = [s + (old - new) for s, old, new in
                 zip(self._sums, self.current[index].stacks, projection.stacks)]
-        return _meet_of_sums(self.algebra, sums, len(self.current)), sums
+        return Element._from_stacks(self.algebra, meet_stacks(
+            sums, len(self.current)), True, True, True), sums
 
     def commit(self, index: int, projection: Element, sums):
         self._sums = sums
         self.current[index] = projection
 
 
-def _meet_of_sums(algebra: TracedAlgebra, sums: Sequence[np.ndarray],
-                  terms: int) -> Element:
+def complement_sums(projections: Sequence[Sequence[np.ndarray]]) -> list:
+    """Per group, the sum of 1 - p over projections given as stack lists."""
+    return [sum(np.eye(b.shape[-1]) - b for b in terms) for terms in zip(*projections)]
+
+
+def meet_stacks(sums: Sequence[np.ndarray], terms: int) -> list:
     """The meet of ``terms`` projections from their complement sums: per
     group, the kernel of the sum, its eigenvectors below ``MEET_KERNEL_CUT``
     times ``terms`` (the sum's spectrum lies in [0, terms])."""
@@ -531,11 +574,17 @@ def _meet_of_sums(algebra: TracedAlgebra, sums: Sequence[np.ndarray],
         else:
             w, v = np.linalg.eigh((s + _adj(s)) / 2)
             parts.append((v, w < cut))
-    return masked_projection(algebra, parts)
+    return masked_stacks(parts)
 
 
 def trace_deficiency(e: Element) -> float:
     """tau(e_perp) of a projection: one trace per group, and ``w * (d - tr)``
     summed in block order."""
-    return float(weighted_block_sum(e.algebra, [
-        b.shape[-1] - np.trace(b, axis1=-2, axis2=-1).real for b in e.stacks]))
+    return float(deficiencies(e.algebra, e.stacks))
+
+
+def deficiencies(algebra: TracedAlgebra, stacks: Sequence[np.ndarray]):
+    """:func:`trace_deficiency` of each term of ``(T, k, d, d)`` stacks, or
+    of one element held as its ``(k, d, d)`` stacks."""
+    return weighted_block_sum(algebra, [
+        (b.shape[-1] - np.trace(b, axis1=-2, axis2=-1).real).T for b in stacks])

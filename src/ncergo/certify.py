@@ -19,11 +19,11 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .algebra import (Element, TracedAlgebra, _MeetBuilder, _finite, check_algebra,
-                      rearranged, stacked_singular_values, trace_deficiency)
+                      largest, rearranged, stacked_singular_values, trace_deficiency)
 from .config import (BOUND_SLACK, BUDGET_SLACK, CAUCHY_TOL, TAIL_RISE_SLACK,
                      TAIL_TOL)
 from .errors import InvalidInputError, NoLimitError, PostconditionError
-from .singular import (enlarge_projection, measure_scan, spectral_cut,
+from .singular import (enlargements, measure_scan, spectral_cut,
                        spectral_projection_below)
 
 
@@ -60,9 +60,11 @@ class WitnessCertificate:
     where a flag is checked (see :mod:`ncergo.algebra`): its projections
     carry their flags by construction, as masks of unitary factors, and
     `projection` is re-tagged here, once, flagged or not, with all three
-    projection flags verified.  The projections that fed a bound but are
-    not emitted (:func:`bilateral_to_onesided`'s enlargements before the
-    last) rest on that rule, which the tests check on each of its outputs.
+    projection flags verified; the re-tagged element shares its stacks and
+    spectrum.  The projections that fed a bound but are not emitted (the
+    enlargements of every index but the last, computed in one batch by
+    :func:`bilateral_to_onesided`) are never elements; they rest on that
+    rule, which the tests check on each of its outputs.
     """
 
     mode: str  # "au" | "bau"
@@ -124,11 +126,8 @@ def _compressed_bounds(stacks: Sequence[np.ndarray], e: Element,
     """``_compressed_bound`` of every term of ``stacks`` (see
     :func:`_term_stacks`) at once, each the largest singular value of
     :func:`stacked_singular_values`."""
-    out = 0.0
-    for dd, ee in zip(stacks, e.stacks):
-        p = _finite(dd @ ee if mode == "au" else ee @ dd @ ee)
-        out = np.maximum(out, stacked_singular_values(p)[..., 0].max(axis=1))
-    return out.tolist()
+    return largest([stacked_singular_values(_finite(dd @ ee if mode == "au" else ee @ dd @ ee))
+                    for dd, ee in zip(stacks, e.stacks)]).tolist()
 
 
 def _distinct_levels(d: Element) -> List[float]:
@@ -147,9 +146,10 @@ def _tail_weight(d: Element, level):
     return cumulative[np.searchsorted(-svals, -cut)]
 
 
-def _search_witness(differences: Sequence[Element], epsilon: float, mode: str,
-                    max_iter: int = 600):
-    """Greedy witness search over spectral cut levels.
+def _search_witness(algebra: TracedAlgebra, stacks: Sequence[np.ndarray],
+                    epsilon: float, mode: str, max_iter: int = 600):
+    """Greedy witness search over spectral cut levels, for the differences
+    held as ``stacks`` (see :func:`_term_stacks`).
 
     Starts from the geometric per-term budgets epsilon * 2^-(n+1) (the sum
     never exceeds epsilon), then repeatedly tightens the cut of the term
@@ -160,7 +160,7 @@ def _search_witness(differences: Sequence[Element], epsilon: float, mode: str,
     """
     if mode not in ("au", "bau"):
         raise InvalidInputError("mode must be 'au' or 'bau'")
-    algebra = differences[0].algebra
+    differences = Element._terms(algebra, stacks)  # every spectrum at once
     levels = [_distinct_levels(d) for d in differences]
     cursor = []
     for n, d in enumerate(differences):
@@ -181,7 +181,6 @@ def _search_witness(differences: Sequence[Element], epsilon: float, mode: str,
     e = builder.meet()
     if trace_deficiency(e) > epsilon + BUDGET_SLACK:
         raise PostconditionError("initial witness exceeds the trace budget")
-    stacks = _term_stacks(differences)
     bounds = _compressed_bounds(stacks, e, mode)
     stuck = [k + 1 >= len(lvs) for k, lvs in zip(cursor, levels)]
     cap_hit = False
@@ -231,14 +230,14 @@ def witness_convergence(trace: FiniteTrace, limit: Element, epsilon: float,
         return WitnessCertificate(mode, epsilon, e, trace_deficiency(e),
                                   tuple(enumerate(bounds)), "certified",
                                   len(trace), notes)
-    differences = [limit - x for x in trace.elements]
-    e, deficiency, bounds, cap_hit = _search_witness(differences, epsilon,
-                                                     mode)
+    differences = [a - xs for a, xs in zip(limit.stacks, _term_stacks(trace.elements))]
+    e, deficiency, bounds, cap_hit = _search_witness(trace.algebra, differences,
+                                                     epsilon, mode)
     if cap_hit:
         notes["iteration_cap_hit"] = True
     if mode == "au":
         # one-sided control implies two-sided control under the same witness
-        two_sided = _compressed_bounds(_term_stacks(differences), e, "bau")
+        two_sided = _compressed_bounds(differences, e, "bau")
         if any(t > b + BOUND_SLACK for t, b in zip(two_sided, bounds)):
             raise PostconditionError("two-sided bound exceeds one-sided bound")
     return WitnessCertificate(mode, epsilon, e, deficiency,
@@ -270,14 +269,13 @@ def certify_cauchy(trace: FiniteTrace, epsilon: float,
         tail = tuple((j, 0.0) for j in range(n - 1))
         return WitnessCertificate(mode, epsilon, e, trace_deficiency(e), tail,
                                   "certified", n, notes)
-    consecutive = [trace.elements[i + 1] - trace.elements[i]
-                   for i in range(n - 1)]
-    e, deficiency, _, cap_hit = _search_witness(consecutive, epsilon, mode)
+    stacks = _term_stacks(trace.elements)
+    e, deficiency, _, cap_hit = _search_witness(
+        trace.algebra, [xs[1:] - xs[:-1] for xs in stacks], epsilon, mode)
     if cap_hit:
         notes["iteration_cap_hit"] = True
     # row a bounds x_b - x_a for every b > a, one batched row at a time, so
     # memory stays O(n); the sup of window j is the largest row maximum from j on
-    stacks = _term_stacks(trace.elements)
     rows = [max(_compressed_bounds([x[a + 1:] - x[a] for x in stacks], e, mode))
             for a in range(n - 1)]
     sups = np.maximum.accumulate(rows[::-1])[::-1].tolist()
@@ -291,31 +289,30 @@ def bilateral_to_onesided(trace: FiniteTrace,
     """Upgrade a bilateral certificate to a one-sided one.
 
     Each consecutive difference goes through the projection enlargement,
-    which doubles the trace budget at worst and never worsens the bound.
-    The enlarged projection varies per index (convergence-in-measure
-    style); the certificate records the worst deficiency and last projection.
-    The certificate checks only that last projection; the earlier ones are
-    projections by construction, masks of a unitary factor.
+    which doubles the trace budget at worst and never worsens the bound;
+    :func:`~ncergo.singular.enlargements` runs it once over all indices,
+    one stacked call per group for each stage.  The enlarged projection
+    varies per index (convergence-in-measure style); the certificate
+    records the worst deficiency and last projection, and checks only that
+    last projection; the earlier ones are projections by construction,
+    masks of a unitary factor.
     """
     if certificate.mode != "bau":
         raise InvalidInputError("input certificate must be bilateral")
-    e = certificate.projection
-    differences = [trace.elements[i + 1] - trace.elements[i]
-                   for i in range(len(trace) - 1)]
-    bounds, worst = [], 0.0
-    f = e
-    for d in differences:
-        bilateral = _compressed_bound(d, e, "bau")
-        f = enlarge_projection(d, e)  # checks tau(1 - f) <= 2 tau(1 - e)
-        one_sided = _compressed_bound(d, f, "au")
-        if one_sided > bilateral + BOUND_SLACK:
-            raise PostconditionError("one-sided bound exceeds bilateral bound")
-        worst = max(worst, trace_deficiency(f))
-        bounds.append(one_sided)
+    differences = [xs[1:] - xs[:-1] for xs in _term_stacks(trace.elements)]
+    norms = largest([stacked_singular_values(_finite(xs)) for xs in differences])
+    f, bilateral, one_sided, deficiency = enlargements(
+        trace.algebra, differences, norms, certificate.projection)
+    if (one_sided > bilateral + BOUND_SLACK).any():
+        raise PostconditionError("one-sided bound exceeds bilateral bound")
+    last = certificate.projection if len(trace) == 1 else Element._from_stacks(
+        trace.algebra, [s[-1] for s in f], True, True, True)
+    bounds = one_sided.tolist()
     notes = dict(certificate.notes)
     notes["upgrade"] = ("per-index enlarged witnesses; deficiency is the "
                         "worst case, projection is the last one")
-    return WitnessCertificate("au", 2.0 * certificate.epsilon, f, worst,
+    return WitnessCertificate("au", 2.0 * certificate.epsilon, last,
+                              float(deficiency.max(initial=0.0)),
                               tuple(enumerate(bounds)),
                               _verdict(bounds), certificate.horizon, notes)
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from contextlib import contextmanager
+from itertools import accumulate
 from pathlib import Path
 from typing import Optional
 
@@ -86,19 +87,35 @@ def algebra_from_dict(d: dict) -> TracedAlgebra:
         for b in blocks)))
 
 
+def _names(spec, algebra: TracedAlgebra) -> bool:
+    """Whether ``spec`` holds the blocks of ``algebra`` as ``algebra_to_dict`` types them."""
+    blocks = spec.get("blocks") if type(spec) is dict else None
+    return type(blocks) is list and len(blocks) == len(algebra.blocks) and all(
+        type(b) is dict and type(b.get("dim")) is int and type(b.get("weight")) is float
+        and (b["dim"], b["weight"]) == block for b, block in zip(blocks, algebra.blocks))
+
+
 def _matrix_to_pairs(m: np.ndarray) -> list:
     return [[float(z.real), float(z.imag)] for z in m.reshape(-1)]
 
 
 def _blocks(specs, dims) -> list:
-    """One finite matrix per dim from lists of [re, im] pairs, row-major."""
+    """One finite matrix per dim from lists of [re, im] pairs, row-major:
+    ``complex(re, im)`` of every pair in one array, split by d^2."""
     if len(specs) != len(dims):
         raise ValueError(f"{len(specs)} blocks for {len(dims)} algebra blocks")
-    blocks = [np.array([complex(re, im) for re, im in pairs]).reshape(d, d)
-              for pairs, d in zip(specs, dims)]
-    if not all(np.isfinite(b).all() for b in blocks):
+    sizes = [d * d for d in dims]
+    try:
+        if [len(pairs) for pairs in specs] != sizes:
+            raise ValueError
+        flat = np.array([complex(re, im) for pairs in specs for re, im in pairs])
+    except (TypeError, ValueError, OverflowError):
+        for pairs, d in zip(specs, dims):  # to raise what the first bad block says
+            np.array([complex(re, im) for re, im in pairs]).reshape(d, d)
+        raise
+    if not np.isfinite(flat).all():
         raise ValueError("non-finite matrix entries")
-    return blocks
+    return [flat[end - n:end].reshape(d, d) for n, end, d in zip(sizes, accumulate(sizes), dims)]
 
 
 def element_to_dict(x: Element) -> dict:
@@ -111,7 +128,8 @@ def element_from_dict(d: dict, algebra: Optional[TracedAlgebra] = None) -> Eleme
     the algebra `d` names, if it names one, must equal it."""
     if algebra is None:
         algebra = algebra_from_dict(_field(d, "algebra"))
-    elif (spec := _field(d, "algebra", None, None)) is not None:
+    elif (spec := _field(d, "algebra", None, None)) is not None \
+            and not _names(spec, algebra):
         if algebra_from_dict(spec) != algebra:
             raise InvalidInputError("algebra: differs from the algebra the "
                                     "element is read on")

@@ -15,8 +15,10 @@ from typing import Tuple
 
 import numpy as np
 
-from .algebra import (Element, _adj, check_algebra, masked_projection,
-                      projection_meet, trace_deficiency, weighted_block_sum)
+from .algebra import (Element, _adj, _finite, check_algebra, complement_sums,
+                      deficiencies, largest, masked_projection, masked_stacks,
+                      meet_stacks, stack_svds, stacked_singular_values,
+                      trace_deficiency, weighted_block_sum)
 from .config import BOUND_SLACK, ENLARGE_DEFICIENCY_SLACK, RANK_REL, SUBMAJOR_SLACK
 from .errors import InvalidInputError, PostconditionError
 from .stepfn import StepFunction, integral_dominates
@@ -153,25 +155,33 @@ def enlarge_projection(x: Element, e: Element) -> Element:
     Given a projection e, returns f = e ^ q where q is the spectral
     projection of |x e| at level ||e x e||_inf.  The output satisfies
     tau(f_perp) <= 2 tau(e_perp) and ||x f||_inf <= ||e x e||_inf, both
-    asserted (with tolerance slack) before returning.
+    asserted (with tolerance slack) before returning: the one-term case
+    of :func:`enlargements`.
     """
-    e = e.as_projection()
-    xe = x @ e
-    exe = e @ xe
-    delta = exe.sup_norm()
-    q = spectral_projection_below(xe, delta)
-    f = projection_meet(e, q)
+    f = enlargements(x.algebra, [s[None] for s in x.stacks], [x.sup_norm()], e)[0]
+    return Element._from_stacks(x.algebra, [s[0] for s in f], True, True, True)
 
-    slack = BOUND_SLACK * max(1.0, x.sup_norm())
-    def_e, def_f = trace_deficiency(e), trace_deficiency(f)
-    if def_f > 2.0 * def_e + ENLARGE_DEFICIENCY_SLACK:
-        raise PostconditionError(
-            f"trace deficiency {def_f} exceeds 2 * {def_e}")
-    xf_norm = (x @ f).sup_norm()
-    if xf_norm > delta + slack:
-        raise PostconditionError(
-            f"||x f|| = {xf_norm} exceeds ||e x e|| = {delta}")
-    return f
+
+def enlargements(algebra, xs, norms, e: Element) -> tuple:
+    """:func:`enlarge_projection` of the terms x_t of ``(T, k, d, d)`` stacks
+    with sup norms ``norms``, each stage one stacked call per group.  Returns
+    the stacks of the f_t, ||e x_t e||, ||x_t f_t|| and tau(1 - f_t)."""
+    e = e.as_projection()
+    check_algebra(algebra, e.algebra)
+    xe = [_finite(x @ p) for x, p in zip(xs, e.stacks)]
+    delta = largest([stacked_singular_values(_finite(p @ q)) for p, q in zip(e.stacks, xe)])
+    svals = [stacked_singular_values(p) for p in xe]
+    cut = (delta + RANK_REL * np.maximum(largest(svals), 1.0))[:, None, None]  # spectral_cut
+    q = masked_stacks([(None if s.shape[-1] == 1 else _adj(stack_svds([p])[0][2]), s <= cut)
+                       for p, s in zip(xe, svals)])
+    f = meet_stacks(complement_sums([e.stacks, q]), 2)
+    def_e, def_f = trace_deficiency(e), deficiencies(algebra, f)
+    xf = largest([stacked_singular_values(_finite(x @ p)) for x, p in zip(xs, f)])
+    if (bad := def_f > 2.0 * def_e + ENLARGE_DEFICIENCY_SLACK).any():
+        raise PostconditionError(f"trace deficiency {def_f[bad][0]} exceeds 2 * {def_e}")
+    if (bad := xf > delta + BOUND_SLACK * np.maximum(1.0, norms)).any():
+        raise PostconditionError(f"||x f|| = {xf[bad][0]} exceeds ||e x e|| = {delta[bad][0]}")
+    return f, delta, xf, def_f
 
 
 def fava_decompose(x: Element, delta: float) -> Tuple[Element, Element]:

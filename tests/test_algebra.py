@@ -671,3 +671,55 @@ def test_dims_and_weights_are_cached_tuples():
     assert a == b and hash(a) == hash(b)
     assert a != TracedAlgebra(((2, 0.5), (1, 2.0), (2, 2.0)))
     assert {a: 1}[b] == 1
+
+
+def test_trace_weights_refuse_bools_and_strings():
+    """A weight is read as a number, as a dim is read as an integer: a bool
+    or a string, which ``float`` would read, is an input error; ints and
+    numpy floats are taken as floats."""
+    for weight in (True, False, np.True_, "0.5", b"0.5"):
+        with pytest.raises(InvalidInputError, match="block weights"):
+            TracedAlgebra(((2, weight),))
+        with pytest.raises(InvalidInputError, match="block weights"):
+            TracedAlgebra(((1, 1.0), (2, weight)))
+    a = TracedAlgebra(((2, 1), (1, np.float64(0.5)), (1, np.float32(0.25)),
+                       (3, np.int64(2))))
+    assert a.blocks == ((2, 1.0), (1, 0.5), (1, 0.25), (3, 2.0))
+    assert all(type(w) is float for w in a.weights)
+
+
+def test_retagging_shares_the_stacks_and_the_spectrum(monkeypatch):
+    """``as_selfadjoint`` and ``as_projection`` re-tag without a copy or a
+    factorization: the re-tagged element holds its source's frozen stacks
+    and spectrum caches, whose singular values the source keeps too."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append("svd")
+        return svd(*args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    a = TracedAlgebra(((3, 1.0), (3, 0.5), (1, 2.0)))
+    rng = stream(SEED, "test/algebra/retag-shares")
+    x = Element(a, a.random_element(rng, selfadjoint=True).data)
+    x.flat_spectrum()
+    calls.clear()
+    y = x.as_selfadjoint()
+    assert calls == [] and y.selfadjoint is True and x.selfadjoint is None
+    assert y.positive is None and y.projection is None
+    assert all(b is c for b, c in zip(y.stacks, x.stacks))
+    assert y.stack_singular_values() is x.stack_singular_values()
+    assert y.flat_spectrum() is x.flat_spectrum()
+    p = Element(a, random_projection(rng, a).data)
+    q = p.as_projection()  # the spectrum is computed once, on the source
+    p.as_projection()
+    assert calls == ["svd"]  # the 3x3 group; a real 1x1 block takes its modulus
+    assert (q.selfadjoint, q.positive, q.projection) == (True, True, True)
+    assert q.stack_singular_values() is p.stack_singular_values()
+    with pytest.raises(InvalidInputError, match="flag fails verification"):
+        x.as_projection()
+    # an element held as its SVD shares it and builds its stacks from it
+    top, _ = clip_decompose(x, 0.5 * x.sup_norm())
+    checked = top.as_selfadjoint()
+    assert checked.stack_svds() is top.stack_svds()
+    assert all(np.array_equal(b, c) for b, c in zip(checked.stacks, top.stacks))

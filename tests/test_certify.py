@@ -16,7 +16,7 @@ from ncergo import Element, TracedAlgebra, UnitaryConjugation, \
     extract_limit, lp_norm, measure_metric, projection_meet, \
     remark32_model, spectral_projection_below, submajorizes, \
     trace_deficiency, witness_convergence
-from ncergo.algebra import _MeetBuilder
+from ncergo.algebra import _MeetBuilder, stacked_singular_values
 from ncergo.certify import FiniteTrace, WitnessCertificate, \
     _compressed_bound, _compressed_bounds, _distinct_levels, \
     _search_witness, _tail_weight, _term_stacks
@@ -25,6 +25,7 @@ from ncergo.ergodic import SectorNet, net_average_trace
 from ncergo.errors import InvalidInputError, NoLimitError
 from ncergo.fixtures import conjugation_d2_fixture
 from ncergo.rng import stream
+from ncergo.singular import enlargements
 
 
 _CONJUGATION_CACHE = {}
@@ -476,9 +477,10 @@ def test_cauchy_pair_rows_equal_per_pair(layout, seed, zero_block):
 def test_witness_search_reports_iteration_cap(monkeypatch):
     algebra, trace, f = remark32_model(12)
     differences = [f - x for x in trace.elements]
-    *_, cap_hit = _search_witness(differences, 2.0 ** -5, "au", max_iter=1)
+    *_, cap_hit = _search_witness(algebra, _term_stacks(differences), 2.0 ** -5,
+                                  "au", max_iter=1)
     assert cap_hit
-    *_, cap_hit = _search_witness(differences, 2.0 ** -5, "au")
+    *_, cap_hit = _search_witness(algebra, _term_stacks(differences), 2.0 ** -5, "au")
     assert not cap_hit
     cert = witness_convergence(trace, f, 2.0 ** -5, mode="au")
     assert "iteration_cap_hit" not in cert.notes
@@ -636,3 +638,142 @@ def test_mask_searches_make_no_qr_and_no_vectors_on_1x1_blocks(monkeypatch):
     cert = certify_cauchy(cauchy, 0.5, mode="bau")
     assert cert.trace_deficiency > 0.0
     assert "qr" not in calls and "svd" in calls and "eigh" in calls
+
+
+# -- the batched routes against the per-index rule -----------------------------
+
+def same_bits(got, want):
+    """Equal arrays of one dtype and shape, bit for bit (signed zeros too)."""
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape \
+        and got.tobytes() == want.tobytes()
+
+
+def per_index_enlargement(x, e):
+    """The enlargement of x against e as it reads on elements: the meet of
+    e with the spectral projection of |x e| at ||e x e||."""
+    xe = x @ e
+    return projection_meet(e, spectral_projection_below(xe, (e @ xe).sup_norm()))
+
+
+def mixed_1x1_trace(rng):
+    """A trace on 1x1 blocks whose differences mix real and complex terms,
+    with values in and out of the range where LAPACK rescales."""
+    a = TracedAlgebra(((1, 0.5), (1, 1.0), (1, 2.0)))
+    values = [[1.0, -2.0, 0.0], [1.0, 2.0 + 1e-3j, 1e-200], [0.5, 2.0 + 1e-3j, 1e-200],
+              [0.5, 1j, 3e200], [0.5, 1j, 3e200]]
+    values.append(list(rng.standard_normal(3)))
+    return a, [Element(a, [np.array([[v]], dtype=complex) for v in row]) for row in values]
+
+
+@spectrum_examples
+@given(layout=LAYOUTS, seed=st.integers(0, 2 ** 16),
+       zero_block=st.none() | st.integers(0, 5))
+def test_batched_upgrade_equals_per_index_rule(layout, seed, zero_block):
+    """``bilateral_to_onesided`` and ``enlargements`` over all indices equal
+    the per-index rule bit for bit: each projection, bound and deficiency,
+    and ``enlarge_projection`` of each difference.  The trace has a zero
+    difference, ties within and across blocks, and a zero element."""
+    a = TracedAlgebra(layout)
+    rng = stream(seed, "test/certify/batched-upgrade")
+    x, tied, p, zero = spectrum_elements(rng, a, zero_block)
+    trace = FiniteTrace((x, x, tied, p, zero, x.scaled(0.5)))
+    diffs = [trace.elements[i + 1] - trace.elements[i] for i in range(len(trace) - 1)]
+    for e in (random_projection(rng, a), a.identity(), p,
+              certify_cauchy(trace, 0.3 * a.total_trace, mode="bau").projection):
+        e = e.as_projection()
+        fs = [per_index_enlargement(d, e) for d in diffs]
+        stacks, delta, xf, deficiency = enlargements(
+            a, [xs[1:] - xs[:-1] for xs in _term_stacks(trace.elements)],
+            [d.sup_norm() for d in diffs], e)
+        for t, (d, f) in enumerate(zip(diffs, fs)):
+            assert all(same_bits(s[t], b) for s, b in zip(stacks, f.stacks))
+            assert all(same_bits(b, c) for b, c in zip(enlarge_projection(d, e).stacks,
+                                                       f.stacks))
+            assert float(xf[t]) == _compressed_bound(d, f, "au")
+            assert float(deficiency[t]) == trace_deficiency(f)
+            assert float(delta[t]) == (e @ (d @ e)).sup_norm()
+        bau = WitnessCertificate("bau", a.total_trace, e, trace_deficiency(e), (),
+                                 "certified", len(trace))
+        au = bilateral_to_onesided(trace, bau)
+        assert [b for _, b in au.tail_bounds] \
+            == [_compressed_bound(d, f, "au") for d, f in zip(diffs, fs)]
+        assert au.trace_deficiency == max([0.0] + [trace_deficiency(f) for f in fs])
+        assert all(same_bits(b, c) for b, c in zip(au.projection.stacks, fs[-1].stacks))
+
+
+def test_batched_upgrade_on_mixed_real_and_complex_1x1_terms():
+    a, elements = mixed_1x1_trace(stream(SEED, "test/certify/mixed-upgrade"))
+    trace = FiniteTrace(tuple(elements))
+    diffs = [trace.elements[i + 1] - trace.elements[i] for i in range(len(trace) - 1)]
+    e = Element(a, [np.eye(1), np.eye(1), np.zeros((1, 1))], True, True, True)
+    fs = [per_index_enlargement(d, e) for d in diffs]
+    au = bilateral_to_onesided(trace, WitnessCertificate(
+        "bau", 3.0, e, trace_deficiency(e), (), "certified", len(trace)))
+    assert [b for _, b in au.tail_bounds] \
+        == [_compressed_bound(d, f, "au") for d, f in zip(diffs, fs)]
+    assert all(same_bits(b, c) for b, c in zip(au.projection.stacks, fs[-1].stacks))
+
+
+def test_upgrade_of_a_one_element_trace_keeps_the_witness():
+    a = TracedAlgebra(((2, 1.0), (1, 0.5)))
+    trace = FiniteTrace((a.random_element(stream(SEED, "test/certify/one-upgrade")),))
+    au = bilateral_to_onesided(trace, certify_cauchy(trace, 0.1, mode="bau"))
+    assert au.tail_bounds == () and au.trace_deficiency == 0.0 and au.certified
+    assert all(np.array_equal(b, c) for b, c in zip(au.projection.stacks,
+                                                    a.identity().stacks))
+
+
+@spectrum_examples
+@given(layout=LAYOUTS, seed=st.integers(0, 2 ** 16),
+       zero_block=st.none() | st.integers(0, 5))
+def test_prefilled_spectra_equal_lazy_ones(layout, seed, zero_block):
+    """The differences the witness search builds, with every spectrum cache
+    filled over all terms at once, hold what each element computes lazily
+    alone, bit for bit: zero, tied and projection terms, and on 1x1
+    groups the per-term rule for real and complex terms."""
+    a = TracedAlgebra(layout)
+    rng = stream(seed, "test/certify/prefilled-spectra")
+    terms = spectrum_elements(rng, a, zero_block)
+    # 1x1 blocks of one term real, of another complex
+    terms.append(Element(a, [b.real for b in terms[0].data]))
+    cases = [(a, terms), mixed_1x1_trace(rng)]
+    for algebra, elements in cases:
+        stacks = _term_stacks(elements)
+        for got, x in zip(Element._terms(algebra, stacks), elements):
+            lazy = Element(algebra, x.data)
+            assert got.selfadjoint is got.positive is got.projection is None
+            assert all(same_bits(g, w) for g, w in zip(got.stacks, lazy.stacks))
+            assert all(same_bits(g, w) for g, w in zip(got.stack_singular_values(),
+                                                       lazy.stack_singular_values()))
+            assert all(same_bits(g, w) for g, w in zip(got.flat_spectrum(),
+                                                       lazy.flat_spectrum()))
+            assert all(same_bits(g, w) for gs, ws in zip(got.stack_svds(), lazy.stack_svds())
+                       for g, w in zip(gs, ws))
+        for xs in stacks:  # the 1x1 rule decides each term alone
+            assert all(same_bits(stacked_singular_values(xs)[t], stacked_singular_values(x))
+                       for t, x in enumerate(xs))
+
+
+def test_upgrade_factorizations_do_not_grow_with_the_trace(monkeypatch):
+    """``bilateral_to_onesided`` factorizes each stage once per group over
+    all indices: its count of SVD and ``eigh`` calls is the same for every
+    trace length."""
+    calls = []
+    for name in ("svd", "eigh", "eigvalsh"):
+        fn = getattr(np.linalg, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    full = few_block_cesaro_trace()
+    counts = []
+    for n in (3, 5, 7):
+        trace = FiniteTrace(full.elements[:n])
+        bau = certify_cauchy(trace, 0.6, mode="bau")
+        calls.clear()
+        bilateral_to_onesided(trace, bau)
+        counts.append(sorted(calls))
+    assert counts[0] == counts[1] == counts[2]
+    assert "svd" in counts[0] and "eigh" in counts[0]
