@@ -161,9 +161,10 @@ class Element:
 
     @classmethod
     def _terms(cls, algebra: TracedAlgebra, stacks: Sequence[np.ndarray]) -> list:
-        """The T unflagged elements of ``(T, k, d, d)`` stacks, each spectrum
-        cache filled by one call per group (the SVD where a group needs it)."""
-        svals = [_frozen(stacked_singular_values(_finite(s))) for s in stacks]
+        """The T unflagged elements of ``(T, k, d, d)`` stacks, frozen in place
+        (each holds views), each spectrum cache filled by one call per group
+        (the SVD where a group needs it)."""
+        svals = [_frozen(stacked_singular_values(_frozen(_finite(s)))) for s in stacks]
         svd = stack_svds(stacks) if any(s.shape[-1] > 1 for s in stacks) else None
         flat = tuple(map(_frozen, rearranged(algebra, svals)))
         return [cls._from_stacks(algebra, [s[t] for s in stacks])._set(
