@@ -176,8 +176,10 @@ class Element:
         """Itself re-tagged with these flags, verified: a claim entering, as
         in the public constructor.  It shares the stacks and spectrum caches."""
         self.stack_singular_values()  # on the source, which keeps them too
-        x = Element.__new__(Element)._set(**{n: getattr(self, n) for n in Element.__slots__})
-        x._set(selfadjoint=selfadjoint, positive=positive, projection=projection)._verify_flags()
+        x = Element.__new__(Element)._set(**{n: getattr(self, n)
+                                             for n in Element.__slots__})
+        x._set(selfadjoint=selfadjoint, positive=positive, projection=projection)
+        x._verify_flags()
         return x
 
     def _set(self, **slots) -> "Element":
@@ -373,7 +375,7 @@ def stack_svds(stacks: Sequence[np.ndarray]) -> tuple:
 
 
 def largest(svals: Sequence[np.ndarray]):
-    """The sup norm of each term from its singular values, one ``(..., k, d)`` array per group."""
+    """The sup norm of each term, from its ``(..., k, d)`` singular values per group."""
     return reduce(np.maximum, [s[..., 0].max(axis=-1) for s in svals])
 
 

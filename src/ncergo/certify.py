@@ -126,8 +126,9 @@ def _compressed_bounds(stacks: Sequence[np.ndarray], e: Element,
     """``_compressed_bound`` of every term of ``stacks`` (see
     :func:`_term_stacks`) at once, each the largest singular value of
     :func:`stacked_singular_values`."""
-    return largest([stacked_singular_values(_finite(dd @ ee if mode == "au" else ee @ dd @ ee))
-                    for dd, ee in zip(stacks, e.stacks)]).tolist()
+    terms = zip(stacks, e.stacks)
+    return largest([stacked_singular_values(_finite(
+        dd @ ee if mode == "au" else ee @ dd @ ee)) for dd, ee in terms]).tolist()
 
 
 def _distinct_levels(d: Element) -> List[float]:

@@ -88,7 +88,7 @@ def algebra_from_dict(d: dict) -> TracedAlgebra:
 
 
 def _names(spec, algebra: TracedAlgebra) -> bool:
-    """Whether ``spec`` holds the blocks of ``algebra`` as ``algebra_to_dict`` types them."""
+    """Whether ``spec`` gives ``algebra``'s blocks with ``algebra_to_dict``'s types."""
     blocks = spec.get("blocks") if type(spec) is dict else None
     return type(blocks) is list and len(blocks) == len(algebra.blocks) and all(
         type(b) is dict and type(b.get("dim")) is int and type(b.get("weight")) is float
@@ -115,7 +115,8 @@ def _blocks(specs, dims) -> list:
         raise
     if not np.isfinite(flat).all():
         raise ValueError("non-finite matrix entries")
-    return [flat[end - n:end].reshape(d, d) for n, end, d in zip(sizes, accumulate(sizes), dims)]
+    ends = accumulate(sizes)
+    return [flat[end - n:end].reshape(d, d) for n, end, d in zip(sizes, ends, dims)]
 
 
 def element_to_dict(x: Element) -> dict:

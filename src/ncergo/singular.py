@@ -169,18 +169,21 @@ def enlargements(algebra, xs, norms, e: Element) -> tuple:
     e = e.as_projection()
     check_algebra(algebra, e.algebra)
     xe = [_finite(x @ p) for x, p in zip(xs, e.stacks)]
-    delta = largest([stacked_singular_values(_finite(p @ q)) for p, q in zip(e.stacks, xe)])
+    delta = largest([stacked_singular_values(_finite(p @ q))
+                     for p, q in zip(e.stacks, xe)])
     svals = [stacked_singular_values(p) for p in xe]
-    cut = (delta + RANK_REL * np.maximum(largest(svals), 1.0))[:, None, None]  # spectral_cut
-    q = masked_stacks([(None if s.shape[-1] == 1 else _adj(stack_svds([p])[0][2]), s <= cut)
-                       for p, s in zip(xe, svals)])
+    # spectral_cut of each x e at its delta
+    cut = (delta + RANK_REL * np.maximum(largest(svals), 1.0))[:, None, None]
+    q = masked_stacks([(None if s.shape[-1] == 1 else _adj(stack_svds([p])[0][2]),
+                        s <= cut) for p, s in zip(xe, svals)])
     f = meet_stacks(complement_sums([e.stacks, q]), 2)
     def_e, def_f = trace_deficiency(e), deficiencies(algebra, f)
     xf = largest([stacked_singular_values(_finite(x @ p)) for x, p in zip(xs, f)])
     if (bad := def_f > 2.0 * def_e + ENLARGE_DEFICIENCY_SLACK).any():
         raise PostconditionError(f"trace deficiency {def_f[bad][0]} exceeds 2 * {def_e}")
     if (bad := xf > delta + BOUND_SLACK * np.maximum(1.0, norms)).any():
-        raise PostconditionError(f"||x f|| = {xf[bad][0]} exceeds ||e x e|| = {delta[bad][0]}")
+        raise PostconditionError(
+            f"||x f|| = {xf[bad][0]} exceeds ||e x e|| = {delta[bad][0]}")
     return f, delta, xf, def_f
 
 
