@@ -73,6 +73,10 @@ class TracedAlgebra:
         return tuple(tuple(g) for g in groups.values())
 
     @cached_property
+    def _block_slots(self) -> tuple:  # (block, group, index in the group), in block order
+        return tuple(sorted((i, g, j) for g, m in enumerate(self.groups) for j, i in enumerate(m)))
+
+    @cached_property
     def value_weights(self) -> np.ndarray:
         """The trace weight of each singular value, in block order."""
         return _frozen(np.repeat(self.weights, self.dims))
@@ -449,8 +453,7 @@ def _group_stacks(algebra: TracedAlgebra, blocks: Sequence[np.ndarray]) -> list:
 
 def _blocks_of(algebra: TracedAlgebra, stacks: Sequence[np.ndarray]) -> list:
     """The entries of one stack per group (views), in block order."""
-    entries = {i: b for g, s in zip(algebra.groups, stacks) for i, b in zip(g, s)}
-    return [entries[i] for i in range(len(entries))]
+    return [stacks[g][j] for _, g, j in algebra._block_slots]
 
 
 def block_matrices(algebra: TracedAlgebra, matrix: np.ndarray) -> list:

@@ -34,8 +34,10 @@ PINCHING_TOL = 1e-9
 WEIGHT_SUM_SLACK = 1e-12
 #: largest entry an explicit matrix may have between distinct blocks
 COUPLING_TOL = 1e-12
-#: relative tolerance of sampled positivity: A(x* x) selfadjoint, spectrum >= 0
+#: relative tolerance of positivity: Choi eigenvalues, a sampled A(x* x)'s spectrum >= 0
 POSITIVITY_TOL = 1e-9
+#: relative round-up of a Haagerup bound over its realigned matrix's SVD rounding
+HAAGERUP_REL = 1e-10
 #: largest dense bound of M - T conj(M) T, relative to max(1, that of M), for
 #: a map's matrix M and block transpose T: A preserves selfadjointness exactly
 SELFADJOINT_TOL = 1e-9

@@ -1,16 +1,17 @@
 """Structured linear maps on a traced algebra and their contraction audits.
 
-Maps are represented as node trees (unitary conjugation, pinching,
-block-diagonal conditional expectation, convex combination, composition,
-power, explicit matrix) so that positivity and the trace/sup contraction
-bounds are exactly analyzable wherever the structure allows it, and only
-sampled where it does not.  A map's dense matrix, ``to_matrix()``, is one
-``(k, d^2, d^2)`` stack per group, and its laws are decided block by block.
+Maps are node trees (unitary conjugation, pinching, block-diagonal
+conditional expectation, convex combination, composition, power, explicit
+matrix), each acting on an element's group stacks.  A map's dense matrix,
+``to_matrix()``, is one ``(k, d^2, d^2)`` stack per group; where the tree
+does not decide a law, positivity or a contraction bound, its blocks do,
+and only the positivity of a Hermitian map that is not CP is sampled.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Optional, Sequence, Tuple
@@ -19,17 +20,18 @@ import numpy as np
 import scipy.linalg
 
 from .algebra import (Element, TracedAlgebra, _adj, _finite, _integer, block_matrices,
-                      check_algebra, stacked_singular_values, vec_action)
-from .config import (CLOSED_FORM_TOL, DS_SLACK, PHASE_TOL,
+                      check_algebra, largest, stack_svds, stacked_singular_values,
+                      vec_action)
+from .config import (CLOSED_FORM_TOL, DS_SLACK, HAAGERUP_REL, PHASE_TOL,
                      PINCHING_TOL, POSITIVITY_TOL, SELFADJOINT_TOL, UNITARY_TOL,
                      WEIGHT_SUM_SLACK)
 from .errors import InvalidInputError
 from .rng import stream
-from .singular import fava_decompose, lp_norm, submajorizes
+from .singular import fava_decompose, submajorizes
 
 
 class SuperOperator:
-    """Base class: a linear map on the algebra, applied blockwise."""
+    """Base class: a linear map on the algebra, acting on group stacks."""
 
     _factors: Optional[tuple] = None  # set by the maps held as sandwiches
 
@@ -38,7 +40,18 @@ class SuperOperator:
         self._matrix_cache: Optional[tuple] = None
 
     def apply(self, x: Element) -> Element:
+        """One element over ``_act``; each class binds it, as perfbench's tracer wraps each."""
+        check_algebra(self.algebra, x.algebra)
+        return Element._from_stacks(x.algebra, self._act(x.stacks),
+                                    *self._flags((x.selfadjoint, x.positive, x.projection)))
+
+    def _act(self, stacks: Sequence[np.ndarray]) -> list:
+        """The stacks of A(x), one per group, from those of x."""
         raise NotImplementedError
+
+    def _flags(self, flags: tuple) -> tuple:
+        """A(x)'s flags (selfadjoint, positive, projection) from x's."""
+        return flags[0], None, None  # a leaf keeps selfadjointness
 
     def adjoint(self) -> "SuperOperator":
         """Adjoint with respect to the weighted trace pairing."""
@@ -58,9 +71,6 @@ class SuperOperator:
         ||A(1)||_inf and ||A*(1)||_inf: no other structural fact is needed."""
         return self.sandwiches() is not None
 
-    def __call__(self, x: Element) -> Element:
-        return self.apply(x)
-
     def to_matrix(self) -> tuple:
         """The dense action, cached: per entry of ``algebra.groups``, one
         ``(k, d^2, d^2)`` stack of each block's matrix on its row-major vec."""
@@ -68,20 +78,34 @@ class SuperOperator:
             self._matrix_cache = tuple(self._build_matrix())
         return self._matrix_cache
 
-    def _build_matrix(self) -> list:
-        """The dense matrix column by column: ``apply`` on each basis element."""
-        return block_matrices(self.algebra, np.column_stack([
-            self.apply(Element.from_vec(self.algebra, v)).vec()
-            for v in np.eye(self.algebra.vec_dim, dtype=complex)]))
-
     def cesaro_average(self, x: Element, m: int) -> Optional[Element]:
         """The average (1/m) sum_{k<m} A^k(x) in closed form, or None where
         the map has none and the powers must be summed."""
         return None
 
+    @cached_property
+    def _positivity_rule(self) -> Optional[str]:
+        """How positivity is decided, once per map: "exact-positive" for a
+        structural tree; None (not positive) where a Choi matrix is not
+        Hermitian (``check_selfadjointness``); "exact-cp" where each block's
+        is PSD to ``POSITIVITY_TOL`` relative (Choi, LAA 10 (1975)); else "sampled"."""
+        if self.structurally_positive():
+            return "exact-positive"
+        a, m = self.algebra, self.to_matrix()
+        # M[(i, j), (k, l)] - conj(M[(j, i), (l, k)])
+        gap = [s - _reshuffled(s, (0, 2, 1, 4, 3)).conj() for s in m]
+        if _dense_bound(a, gap) > SELFADJOINT_TOL * max(1.0, _dense_bound(a, m)):
+            return None
+        w = [np.linalg.eigvalsh(_reshuffled(s, (0, 3, 1, 4, 2))) for s in m]
+        return "exact-cp" if all((v[:, 0] >= -POSITIVITY_TOL * np.maximum(
+            1.0, np.abs(v).max(axis=-1))).all() for v in w) else "sampled"
+
 
 class _Sandwiched(SuperOperator):
     """A leaf held as its sandwich factors, ``_factors``, built once."""
+
+    def adjoint(self) -> "SuperOperator":  # sum_k a_k x a_k, a_k = a_k*; not a conjugation's
+        return self
 
     def _build_matrix(self) -> list:
         # row-major vec(a x b) = kron(a, b^T) vec(x), batched over a group's blocks
@@ -92,6 +116,7 @@ class _Sandwiched(SuperOperator):
 
 class UnitaryConjugation(_Sandwiched):
     """x -> u x u* for a unitary u."""
+    apply = SuperOperator.apply
 
     def __init__(self, u: Element):
         if max(np.abs(b @ _adj(b) - np.eye(b.shape[-1])).max()
@@ -105,11 +130,8 @@ class UnitaryConjugation(_Sandwiched):
         self.u = u
         self._schur_cache: Optional[tuple] = None
 
-    def apply(self, x: Element) -> Element:
-        check_algebra(self.algebra, x.algebra)
-        return Element._from_stacks(
-            x.algebra, [a @ b @ _adj(a) for a, b in zip(self.u.stacks, x.stacks)],
-            selfadjoint=x.selfadjoint)
+    def _act(self, stacks):
+        return [a @ b @ _adj(a) for a, b in zip(self.u.stacks, stacks)]
 
     def _schur_basis(self) -> tuple:
         """``(basis, defect)``, cached.  ``basis`` holds per group of
@@ -176,6 +198,7 @@ class UnitaryConjugation(_Sandwiched):
 
 class Pinching(_Sandwiched):
     """x -> sum_i p_i x p_i for an orthogonal partition of unity."""
+    apply = SuperOperator.apply
 
     def __init__(self, projections: Sequence[Element]):
         if not projections:
@@ -200,19 +223,14 @@ class Pinching(_Sandwiched):
                 defect = max(defect, np.abs(row).max())
         self._idempotent = defect <= CLOSED_FORM_TOL
 
-    def apply(self, x: Element) -> Element:
-        check_algebra(self.algebra, x.algebra)
-        return Element._from_stacks(x.algebra, [
-            sum(p @ b @ p for p in s) for (s, _), b in zip(self._factors, x.stacks)],
-            selfadjoint=x.selfadjoint)
+    def _act(self, stacks):
+        return [sum(p @ b @ p for p in s) for (s, _), b in zip(self._factors, stacks)]
 
     def cesaro_average(self, x: Element, m: int) -> Optional[Element]:
         """x/m + (1 - 1/m) P(x), when p_i p_j = delta_ij p_i holds entrywise
         to ``CLOSED_FORM_TOL`` (so that P is idempotent)."""
         return _idempotent_average(self, x, m) if self._idempotent else None
 
-    def adjoint(self) -> "Pinching":
-        return self
 
 
 class BlockExpectation(_Sandwiched):
@@ -222,6 +240,7 @@ class BlockExpectation(_Sandwiched):
     coupling different groups are zeroed.  Equivalent to the pinching by
     the group indicator projections, which are its sandwich factors.
     """
+    apply = SuperOperator.apply
 
     def __init__(self, algebra: TracedAlgebra, partition: Sequence[Sequence[Sequence[int]]]):
         super().__init__(algebra)
@@ -253,22 +272,18 @@ class BlockExpectation(_Sandwiched):
             factors.append((a, a))
         return tuple(factors)
 
-    def apply(self, x: Element) -> Element:
-        check_algebra(self.algebra, x.algebra)
-        return Element._from_stacks(
-            x.algebra, [m * b for m, b in zip(self._masks, x.stacks)],
-            selfadjoint=x.selfadjoint)
+    def _act(self, stacks):
+        return [m * b for m, b in zip(self._masks, stacks)]
 
     def cesaro_average(self, x: Element, m: int) -> Element:
         """x/m + (1 - 1/m) E(x): E is idempotent exactly (0/1 masks)."""
         return _idempotent_average(self, x, m)
 
-    def adjoint(self) -> "BlockExpectation":
-        return self
 
 
 class ConvexCombination(SuperOperator):
     """Sub-convex combination sum w_i A_i with w_i >= 0, sum <= 1."""
+    apply = SuperOperator.apply
 
     def __init__(self, terms: Sequence[Tuple[float, SuperOperator]]):
         if not terms:
@@ -283,11 +298,14 @@ class ConvexCombination(SuperOperator):
             raise InvalidInputError("combination weights must sum to at most 1")
         self.terms = tuple((w, op) for w, op in zip(weights, (op for _, op in terms)))
 
-    def apply(self, x: Element) -> Element:
-        out = x.algebra.zero()
+    def _act(self, stacks):
+        out = self.algebra.zero().stacks
         for w, op in self.terms:
-            out = out + op.apply(x).scaled(w)
+            out = [o + w * a for o, a in zip(out, op._act(stacks))]
         return out
+
+    def _flags(self, flags):
+        return (True if all(op._flags(flags)[0] for _, op in self.terms) else None), None, None
 
     def _build_matrix(self) -> list:
         return [sum(w * m for (w, _), m in zip(self.terms, stacks))
@@ -302,6 +320,7 @@ class ConvexCombination(SuperOperator):
 
 class Composition(SuperOperator):
     """Left-to-right composition: the first factor is applied last."""
+    apply = SuperOperator.apply
 
     def __init__(self, factors: Sequence[SuperOperator]):
         if not factors:
@@ -311,10 +330,11 @@ class Composition(SuperOperator):
             check_algebra(self.algebra, op.algebra)
         self.factors = tuple(factors)
 
-    def apply(self, x: Element) -> Element:
-        for op in reversed(self.factors):
-            x = op.apply(x)
-        return x
+    def _act(self, stacks):
+        return reduce(lambda s, op: op._act(s), reversed(self.factors), stacks)
+
+    def _flags(self, flags):
+        return reduce(lambda f, op: op._flags(f), reversed(self.factors), flags)
 
     def _build_matrix(self) -> list:
         # the first factor is applied last, so its matrices are leftmost
@@ -330,6 +350,7 @@ class Composition(SuperOperator):
 
 class Power(SuperOperator):
     """Repeated application of a base map."""
+    apply = SuperOperator.apply
 
     def __init__(self, base: SuperOperator, exponent: int):
         exponent = _integer(exponent, "exponent")
@@ -339,10 +360,11 @@ class Power(SuperOperator):
         self.base = base
         self.exponent = exponent
 
-    def apply(self, x: Element) -> Element:
-        for _ in range(self.exponent):
-            x = self.base.apply(x)
-        return x
+    def _act(self, stacks):
+        return reduce(lambda s, op: op._act(s), (self.base,) * self.exponent, stacks)
+
+    def _flags(self, flags):
+        return reduce(lambda f, op: op._flags(f), (self.base,) * self.exponent, flags)
 
     def _build_matrix(self) -> list:
         return [np.linalg.matrix_power(m, self.exponent) for m in self.base.to_matrix()]
@@ -360,6 +382,8 @@ class ExplicitMatrix(SuperOperator):
     Only its diagonal blocks, ``algebra.block_matrices``, act, and an entry
     between blocks above ``COUPLING_TOL`` is refused.
     """
+    apply = SuperOperator.apply
+    _flags = staticmethod(lambda flags: (None, None, None))  # its image carries no flag
 
     def __init__(self, algebra: TracedAlgebra, matrix: np.ndarray):
         super().__init__(algebra)
@@ -370,9 +394,8 @@ class ExplicitMatrix(SuperOperator):
         self.matrix = _finite(matrix)
         self._matrix_cache = tuple(block_matrices(algebra, matrix))
 
-    def apply(self, x: Element) -> Element:
-        check_algebra(self.algebra, x.algebra)
-        return Element._from_stacks(self.algebra, vec_action(self.to_matrix(), x.stacks))
+    def _act(self, stacks):
+        return vec_action(self.to_matrix(), stacks)
 
     def adjoint(self) -> "ExplicitMatrix":  # the trace weights cancel in a block
         return ExplicitMatrix(self.algebra, self.matrix.conj().T)
@@ -408,7 +431,7 @@ class DSCertificate:
     sup_norm_bound: float
     positivity: bool
     selfadjointness: bool
-    method: str  # "exact-positive" or "sampled"
+    method: str  # "exact-positive", "exact-cp", "sampled" or "proven-upper"
 
     def is_ds(self) -> bool:
         return (self.one_norm_bound <= 1.0 + DS_SLACK
@@ -426,24 +449,21 @@ class DSCertificate:
 
 
 def check_positivity(op: SuperOperator, trials: int = 50, seed: int = 0) -> bool:
-    """Positivity check: exact for structural trees, sampled otherwise.
-
-    The sampled route draws random x and tests the spectrum of A(x* x)
-    against -POSITIVITY_TOL relative to its norm.  Either route needs trials >= 1.
-    """
+    """Positivity: exact where ``SuperOperator._positivity_rule`` decides it;
+    for a Hermitian map that is not CP (the transpose), the spectrum of the
+    selfadjoint part of A(x* x) for random x against -POSITIVITY_TOL
+    relative to its norm.  Every route needs trials >= 1."""
     trials = _integer(trials, "trials")
     if trials < 1:  # no sample can refute positivity
         raise InvalidInputError(f"trials must be >= 1, got {trials!r}")
-    if op.structurally_positive():
-        return True
+    if op._positivity_rule != "sampled":
+        return op._positivity_rule is not None
     rng = stream(seed, "superops/positivity")
     for _ in range(trials):
         x = op.algebra.random_element(rng)
         y = op.apply(x.adjoint() @ x)
         ysa = Element._from_stacks(y.algebra, [(b + _adj(b)) / 2 for b in y.stacks],
                                    selfadjoint=True)
-        if (ysa - y).sup_norm() > POSITIVITY_TOL * max(1.0, y.sup_norm()):
-            return False
         lo = min(np.linalg.eigvalsh(b).min() for b in ysa.stacks)
         if lo < -POSITIVITY_TOL * max(1.0, ysa.sup_norm()):
             return False
@@ -454,15 +474,13 @@ def check_selfadjointness(op: SuperOperator) -> bool:
     """Whether A maps selfadjoint elements to selfadjoint ones, exactly: a
     structurally positive map does, and another iff M = T conj(M) T for each
     block's matrix M and the transpose T of the block, that is iff its Choi
-    matrix is Hermitian (Choi, LAA 10 (1975))."""
-    if op.structurally_positive():  # positive maps preserve adjoints
-        return True
-    a, m = op.algebra, op.to_matrix()
-    # M[(i, j), (k, l)] - conj(M[(j, i), (l, k)]) on the (blocks, d, d, d, d) view
-    gap = [s - s.reshape((len(s),) + (a.dims[g[0]],) * 4).transpose(
-        0, 2, 1, 4, 3).reshape(s.shape).conj() for s, g in zip(m, a.groups)]
-    return (_dense_bound(a, gap)
-            <= SELFADJOINT_TOL * max(1.0, _dense_bound(a, m)))
+    matrix is Hermitian (Choi, LAA 10 (1975)); see ``_positivity_rule``."""
+    return op._positivity_rule is not None
+
+
+def _reshuffled(m: np.ndarray, axes: tuple) -> np.ndarray:
+    """A ``(k, d^2, d^2)`` stack M[(i, j), (k, l)], axes (block, i, j, k, l) permuted."""
+    return m.reshape((len(m),) + (math.isqrt(m.shape[-1]),) * 4).transpose(axes).reshape(m.shape)
 
 
 def _dense_bound(algebra: TracedAlgebra, c: Sequence[np.ndarray]) -> float:
@@ -474,31 +492,33 @@ def _dense_bound(algebra: TracedAlgebra, c: Sequence[np.ndarray]) -> float:
 
 
 def verify_ds(op: SuperOperator, trials: int = 50, seed: int = 0) -> DSCertificate:
-    """Certify the trace- and sup-norm bounds of a map.
-
-    Structurally positive maps get exact bounds via unitality / trace
-    duality: c_inf = ||A(1)||_inf and c_1 = ||adj(A)(1)||_inf, with method
-    "exact-positive".  Maps with sampled positivity use the same formulas
-    but are marked "sampled"; maps that fail the positivity samples report
-    the largest sampled norm ratios, which are lower bounds only.
-    """
+    """Certify the trace- and sup-norm bounds of a map, c_1 and c_inf: for a
+    positive map ||A*(1)||_inf and ||A(1)||_inf from the stack action, under
+    ``_positivity_rule``'s method ("sampled" if its samples pass); for any
+    other, "proven-upper" bounds (``_haagerup_bounds``)."""
     positive = check_positivity(op, trials=trials, seed=seed)
-    selfadj = check_selfadjointness(op)
-    one = op.algebra.identity()
-    if positive:
-        c_inf = op.apply(one).sup_norm()
-        c_1 = op.adjoint().apply(one).sup_norm()
-        method = "exact-positive" if op.structurally_positive() else "sampled"
-        return DSCertificate(c_1, c_inf, positive, selfadj, method)
+    one = op.algebra.identity().stacks
+    c_1, c_inf = ([float(largest([stacked_singular_values(_finite(s)) for s in m._act(one)]))
+                   for m in (op.adjoint(), op)] if positive else _haagerup_bounds(op))
+    return DSCertificate(c_1, c_inf, positive, op._positivity_rule is not None,
+                         op._positivity_rule if positive else "proven-upper")
 
-    rng = stream(seed, "superops/norm-ratios")
-    c_1 = c_inf = 0.0
-    for _ in range(trials):
-        x = op.algebra.random_element(rng)
-        y = op.apply(x)
-        c_inf = max(c_inf, y.sup_norm() / max(x.sup_norm(), 1e-300))
-        c_1 = max(c_1, lp_norm(y, 1) / max(lp_norm(x, 1), 1e-300))
-    return DSCertificate(c_1, c_inf, positive, selfadj, "sampled")
+
+def _haagerup_bounds(op: SuperOperator) -> tuple:
+    """Upper bounds (c_1, c_inf), per block of M: the SVD of R[(i, k), (l, j)]
+    = M[(i, j), (k, l)], sum_t s_t u_t v_t^T, gives A(x) = sum_t L_t x R_t for
+    the d x d matrices L_t = sqrt(s_t) u_t and R_t = sqrt(s_t) v_t^T, and
+    c_inf <= ||sum L_t L_t*||^1/2 ||sum R_t* R_t||^1/2 (Haagerup; Paulsen,
+    Completely Bounded Maps..., 2002), c_1 the same for sum_t L_t* y R_t*."""
+    bounds = np.zeros(2)
+    for m in op.to_matrix():
+        u, s, vh = stack_svds([_finite(_reshuffled(m, (0, 1, 3, 4, 2)))])[0]
+        d, root = math.isqrt(m.shape[-1]), np.sqrt(s)[..., None]
+        left, right = ((root * f).reshape(len(m), -1, d, d) for f in (u.swapaxes(-1, -2), vh))
+        n = [stacked_singular_values(np.einsum("btia,btja->bij", f, f.conj()))[:, 0]
+             for f in (left, _adj(right), _adj(left), right)]  # ||sum_t f_t f_t*||
+        bounds = np.maximum(bounds, np.sqrt([(n[2] * n[3]).max(), (n[0] * n[1]).max()]))
+    return tuple(float(c) * (1.0 + HAAGERUP_REL) for c in bounds)  # rounded outward
 
 
 def audit_submajorization(op: SuperOperator, x: Element,
@@ -517,12 +537,12 @@ def preserves_fava(op: SuperOperator, x: Element, delta: float,
     """Exhibit A(x) = A(y) + A(z) with ||A(z)||_inf <= delta.
 
     Splits x at level delta / c for the certified sup-norm bound c, then
-    pushes both parts through the map.  Without positivity c is only a
-    sampled lower bound, so such a map is refused.
+    pushes both parts through the map.  Only a positive map is taken: one
+    that is not is refused, whatever its proven bound.
     """
     cert = certificate or verify_ds(op)
     if not cert.positivity:
-        raise InvalidInputError("sup-norm bound of a non-positive map is sampled")
+        raise InvalidInputError("preserves_fava takes positive maps; this one is non-positive")
     if not cert.selfadjointness:
         raise InvalidInputError("map must be selfadjoint")
     c = max(cert.sup_norm_bound, 1e-300)

@@ -126,6 +126,15 @@ def assembled(algebra, stacks):
     return scipy.linalg.block_diag(*split_stacks(algebra, stacks))
 
 
+def column_matrix(op):
+    """A map's ``to_matrix`` stacks built column by column, ``apply`` on
+    each basis element: the reference for every closed-form build."""
+    from ncergo.algebra import block_matrices
+    return block_matrices(op.algebra, np.column_stack([
+        op.apply(Element.from_vec(op.algebra, v)).vec()
+        for v in np.eye(op.algebra.vec_dim, dtype=complex)]))
+
+
 def assert_group_stacks(algebra, stacks):
     """Each entry of ``stacks`` is one ``(k, d^2, d^2)`` stack per group."""
     assert len(stacks) == len(algebra.groups)

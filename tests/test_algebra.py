@@ -550,7 +550,8 @@ def test_checking_constructor_accepts_every_flag_set_by_construction(
     ``cesaro_average`` and ``cesaro_limit``; both flows' ``apply``; the
     dense prefix; ``fava_decompose``; and ``check_positivity``'s
     symmetrized image, which it does not return, so every trusted build is
-    recorded and checked."""
+    recorded and checked.  A CP explicit map is decided on its Choi matrix
+    with no sample; its negation, Hermitian and not CP, is sampled."""
     a = TracedAlgebra(layout)
     rng = stream(seed, "test/algebra/flags-by-construction")
     x = random_layout_element(rng, a, zero_block)
@@ -577,8 +578,10 @@ def test_checking_constructor_accepts_every_flag_set_by_construction(
             flagged += [op.apply(h), op.cesaro_average(h, 7)]
         explicit.apply(h)  # a matrix's image carries no flag
         explicit.cesaro_average(h, 7)
-        count = len(built)
         assert check_positivity(explicit, trials=2)
+        count = len(built)
+        negated = ExplicitMatrix(a, -assembled(a, expectation.to_matrix()))
+        assert not check_positivity(negated, trials=2)
     assert all(e.selfadjoint for e in flagged if e is not None)
     assert p.adjoint().projection and pos.adjoint().positive
     assert any(e.selfadjoint for e in built[count:])  # the symmetrized image

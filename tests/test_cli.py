@@ -148,7 +148,8 @@ def test_ds_check_transpose_sampled(tmp_path, capsys):
 
 def test_ds_check_explicit_map_with_coupling_below_tolerance(tmp_path, capsys):
     """The identity on 1x1 blocks of weights 1 and 1000 with an entry
-    0.9e-12 between them, which the constructor accepts, is certified."""
+    0.9e-12 between them, which the constructor accepts, is certified: it
+    is completely positive, decided on its Choi matrix."""
     cfg = write_json(tmp_path / "map.json", {
         "algebra": {"blocks": [{"dim": 1, "weight": 1.0},
                                {"dim": 1, "weight": 1000.0}]},
@@ -157,7 +158,7 @@ def test_ds_check_explicit_map_with_coupling_below_tolerance(tmp_path, capsys):
     assert main(["ds-check", cfg]) == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
     assert payload["is_ds"] is True
-    assert payload["method"] == "sampled"
+    assert payload["method"] == "exact-cp"
 
 
 def test_main_calls_share_no_argument_state(tmp_path, capsys):

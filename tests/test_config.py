@@ -145,10 +145,10 @@ def test_object_setattr_writes_only_self():
 
 def test_random_draws_only_in_the_sampled_routes():
     """The package functions that call ``random_element`` are exactly the
-    sampled routes: positivity, the norm ratios of a non-positive map, the
+    sampled routes: the positivity of a Hermitian map that is not CP, the
     commutator sample above the dense limit and a config's random input.
-    The semigroup law, idempotency and selfadjointness preservation are
-    decided without a draw."""
+    The semigroup law, idempotency, selfadjointness preservation and the
+    contraction bounds are decided without a draw."""
     callers = set()
 
     def visit(node, module, scope):
@@ -162,8 +162,8 @@ def test_random_draws_only_in_the_sampled_routes():
 
     for path in sorted(PACKAGE.glob("*.py")):
         visit(ast.parse(path.read_text()), path.stem, None)
-    assert callers == {"superops.check_positivity", "superops.verify_ds",
-                       "ergodic.validate_family", "serialize.average_from_dict"}
+    assert callers == {"superops.check_positivity", "ergodic.validate_family",
+                       "serialize.average_from_dict"}
 
 
 def test_layout_conversions_only_in_algebra():

@@ -24,7 +24,7 @@ from ncergo.fixtures import besicovitch_theta_fixture, conjugation_d2_fixture, \
     unitary_flow_fixture
 from ncergo.rng import stream
 from ncergo.superops import BlockExpectation, Composition, ExplicitMatrix, Pinching, \
-    SuperOperator, _dense_bound, check_selfadjointness
+    _dense_bound, check_selfadjointness
 
 
 def commuting_pinchings(algebra):
@@ -302,13 +302,14 @@ def test_closed_form_across_the_branch_cut():
 
 
 def counted_applies(monkeypatch):
-    """Count ``apply`` calls of the three closed-form operator classes."""
+    """Count the stack actions, ``_act``, of the three closed-form operator
+    classes: one per ``apply``, and one per ``verify_ds`` bound."""
     calls = [0]
     for cls in (UnitaryConjugation, Pinching, BlockExpectation):
-        def counting(self, x, _apply=cls.apply):
+        def counting(self, stacks, _act=cls._act):
             calls[0] += 1
-            return _apply(self, x)
-        monkeypatch.setattr(cls, "apply", counting)
+            return _act(self, stacks)
+        monkeypatch.setattr(cls, "_act", counting)
     return calls
 
 
@@ -763,9 +764,9 @@ def test_net_average_matches_dense_power_sums():
 
 def counted_matrix_builds(monkeypatch):
     """Count dense matrix builds (``_build_matrix``) per map, of every
-    operator class."""
+    operator class that builds one (an explicit matrix is its own)."""
     builds = collections.Counter()
-    for cls in (SuperOperator, UnitaryConjugation, Pinching, BlockExpectation,
+    for cls in (UnitaryConjugation, Pinching, BlockExpectation,
                 ConvexCombination, Composition, Power):
         def counting(self, _build=cls._build_matrix):
             builds[self] += 1

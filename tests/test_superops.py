@@ -6,16 +6,16 @@ import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import LAYOUTS, MANY_BLOCKS, SEED, BLOCK_CONFIGS, assembled, \
-    assert_group_stacks, make_algebra, random_block_expectation, random_pinching, random_projection, spectrum_examples, \
-    random_unitary_element
-from ncergo import BlockExpectation, Composition, ConvexCombination, Element, \
-    ExplicitMatrix, Pinching, Power, TracedAlgebra, UnitaryConjugation, \
+    assert_group_stacks, column_matrix, make_algebra, random_block_expectation, \
+    random_pinching, random_projection, spectrum_examples, random_unitary_element
+from ncergo import BlockExpectation, Composition, ConvexCombination, DSCertificate, \
+    Element, ExplicitMatrix, Pinching, Power, TracedAlgebra, UnitaryConjugation, \
     audit_submajorization, check_positivity, fava_decompose, lp_norm, \
     preserves_fava, submajorizes, verify_ds
 from ncergo.config import COUPLING_TOL, DS_SLACK, SELFADJOINT_TOL
 from ncergo.errors import InvalidInputError
 from ncergo.rng import stream
-from ncergo.superops import SuperOperator, check_selfadjointness
+from ncergo.superops import check_selfadjointness
 
 
 def two_block_pinching(algebra):
@@ -269,14 +269,14 @@ def test_explicit_matrix_refuses_non_finite_entries():
                                     MANY_BLOCKS])
 def test_closed_form_matrix_equals_column_build(layout):
     """kron(u, conj(u)), sum_p kron(p, p^T) and diag(vec(mask)) per block
-    against the base class's apply-per-basis-element build, each one
+    against the apply-per-basis-element build, ``column_matrix``, each one
     ``(k, d^2, d^2)`` stack per group."""
     a = TracedAlgebra(layout)
     rng = stream(SEED, "test/superops/to-matrix")
     for op in (UnitaryConjugation(random_unitary_element(rng, a)),
                random_pinching(rng, a, parts=3), random_block_expectation(rng, a)):
         closed = op.to_matrix()
-        columns = SuperOperator._build_matrix(op)
+        columns = column_matrix(op)
         assert_group_stacks(a, closed)
         assert_group_stacks(a, columns)
         closed_full, columns_full = assembled(a, closed), assembled(a, columns)
@@ -401,21 +401,34 @@ def partial_transpose(d, d1):
     return m
 
 
-def choi_hermitian(op):
+def choi_blocks(op):
     """Brute force: each block's Choi matrix sum_ij E_ij (x) A(E_ij), built
-    from ``apply`` on the block's matrix units, is Hermitian to 1e-9
-    relative to its largest entry."""
-    a = op.algebra
+    from ``apply`` on the block's matrix units."""
+    a, blocks = op.algebra, []
     for b, d in enumerate(a.dims):
         choi = np.zeros((d, d, d, d), dtype=complex)
         for i, j in itertools.product(range(d), repeat=2):
             data = [np.zeros((e, e)) for e in a.dims]
             data[b][i, j] = 1.0
             choi[i, :, j, :] = op.apply(Element(a, data)).data[b]
-        choi = choi.reshape(d * d, d * d)
-        if np.abs(choi - choi.conj().T).max() > 1e-9 * max(1.0, np.abs(choi).max()):
-            return False
-    return True
+        blocks.append(choi.reshape(d * d, d * d))
+    return blocks
+
+
+def choi_hermitian(op):
+    """Each brute-force Choi matrix is Hermitian to 1e-9 relative to its
+    largest entry."""
+    return all(np.abs(c - c.conj().T).max() <= 1e-9 * max(1.0, np.abs(c).max())
+               for c in choi_blocks(op))
+
+
+def choi_psd(op):
+    """Each brute-force Choi matrix is Hermitian and its eigenvalues are at
+    least -1e-9 relative to max(1, the largest)."""
+    if not choi_hermitian(op):
+        return False
+    eigenvalues = [np.linalg.eigvalsh(c) for c in choi_blocks(op)]
+    return all(w.min() >= -1e-9 * max(1.0, np.abs(w).max()) for w in eigenvalues)
 
 
 @spectrum_examples
@@ -464,6 +477,124 @@ def test_selfadjointness_is_choi_hermiticity(layout, seed, zero_block):
     assert not any(check_selfadjointness(op) for op in others)
     for op in preserving + others + trees:
         assert check_selfadjointness(op) == choi_hermitian(op)
+
+
+def counterexample(c):
+    """A(x) = c x_12 E_11 on M_2: sup->sup and trace->trace norm c, not positive."""
+    matrix = np.zeros((4, 4))
+    matrix[0, 1] = c  # row-major vec: x12 is entry 1, the E11 entry is 0
+    return ExplicitMatrix(TracedAlgebra(((2, 1.0),)), matrix)
+
+
+@pytest.mark.parametrize("c", [1.0, 1.05, 1.1])
+def test_verify_ds_bounds_the_counterexample_from_above(c):
+    """Both bounds are proven upper bounds, at least c (x = E_12 attains
+    it in both norms), and only c = 1 is certified.  Sampled norm ratios,
+    lower bounds, stay within DS_SLACK of 1 at c = 1.05 and 1.1."""
+    cert = verify_ds(counterexample(c))
+    assert cert.method == "proven-upper"
+    assert not cert.positivity and not cert.selfadjointness
+    assert cert.sup_norm_bound >= c and cert.one_norm_bound >= c
+    assert cert.sup_norm_bound == pytest.approx(c, rel=1e-9)
+    assert cert.is_ds() == (c == 1.0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(layout=st.sampled_from((((1, 1.0),), MANY_BLOCKS, BLOCK_CONFIGS[5])),
+       seed=st.integers(0, 2 ** 16), kind=st.sampled_from(("conjugation", "pinching")),
+       delta=st.floats(1e-8, 1.0), phase=st.sampled_from((1.0, -1.0, 1j)))
+def test_a_scaled_norm_one_map_is_never_certified(layout, seed, kind, delta, phase):
+    """A conjugation or pinching (norm one) fed back as its explicit matrix
+    and scaled by (1 + delta) times a phase is never certified, whichever
+    rule bounds it: "exact-cp" for phase 1, the Haagerup bound otherwise."""
+    a = TracedAlgebra(layout)
+    rng = stream(seed, "test/superops/scaled")
+    op = (UnitaryConjugation(random_unitary_element(rng, a)) if kind == "conjugation"
+          else random_pinching(rng, a, parts=3))
+    scaled = ExplicitMatrix(a, (1.0 + delta) * phase * assembled(a, op.to_matrix()))
+    cert = verify_ds(scaled, trials=5)
+    assert cert.method == ("exact-cp" if phase == 1.0 else "proven-upper")
+    assert not cert.is_ds()
+    assert min(cert.one_norm_bound, cert.sup_norm_bound) >= (1.0 + delta) * (1.0 - 1e-12)
+
+
+@spectrum_examples
+@given(layout=LAYOUTS, seed=st.integers(0, 2 ** 16),
+       zero_block=st.none() | st.integers(0, 5))
+def test_proven_upper_bounds_dominate_sampled_ratios(layout, seed, zero_block):
+    """On random complex explicit maps, neither positive nor Hermitian
+    unless zero, the proven bounds are at least ||A(x)||_inf / ||x||_inf
+    and ||A(x)||_1 / ||x||_1 on random x, and on x = the top right singular
+    vector of each block's matrix, read back as a block."""
+    a = TracedAlgebra(layout)
+    rng = stream(seed, "test/superops/proven-upper")
+    blocks = [rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
+              for d in a.dims]
+    if zero_block is not None:
+        blocks[zero_block % len(blocks)] *= 0.0
+    op = ExplicitMatrix(a, scipy.linalg.block_diag(*blocks))
+    cert = verify_ds(op)
+    assert cert.method == ("exact-cp" if len(a.dims) == 1 and zero_block is not None
+                           else "proven-upper")
+    xs = [a.random_element(rng) for _ in range(10)]
+    for b, (m, d) in enumerate(zip(blocks, a.dims)):
+        data = [np.zeros((e, e)) for e in a.dims]
+        data[b] = np.linalg.svd(m)[2][0].conj().reshape(d, d)
+        xs.append(Element(a, data))
+    for x in xs:
+        y = op.apply(x)
+        assert y.sup_norm() <= cert.sup_norm_bound * x.sup_norm()
+        assert lp_norm(y, 1) <= cert.one_norm_bound * lp_norm(x, 1)
+
+
+@spectrum_examples
+@given(layout=LAYOUTS, seed=st.integers(0, 2 ** 16),
+       zero_block=st.none() | st.integers(0, 5))
+def test_certificate_labels_agree_with_a_brute_force_choi(layout, seed, zero_block):
+    """On random explicit maps, the transpose, partial transposes,
+    conjugations and pinchings (as themselves and as their explicit
+    matrices; block ``zero_block`` of the random map is zero), the label
+    follows the brute-force Choi matrices:
+    "exact-positive" for a structural map, else "exact-cp" where each is
+    PSD, "proven-upper" and not positive where one is not Hermitian, and
+    for a Hermitian map that is not CP the samples decide.  A 4x4 block is
+    added, where M_2 (x) M_2 has a partial transpose that is not positive."""
+    a = TracedAlgebra(tuple(layout) + ((4, 0.5),))
+    rng = stream(seed, "test/superops/choi-labels")
+
+    def explicit(blocks):
+        return ExplicitMatrix(a, scipy.linalg.block_diag(*blocks))
+
+    random_blocks = [rng.standard_normal((d * d, d * d)) / (d * d) for d in a.dims]
+    if zero_block is not None:
+        random_blocks[zero_block % len(random_blocks)] *= 0.0
+    conjugation = UnitaryConjugation(random_unitary_element(rng, a))
+    pinching = random_pinching(rng, a, parts=3)
+    ops = [explicit(random_blocks),
+           transpose_map(a),
+           explicit([partial_transpose(d, 1) for d in a.dims[:-1]] + [partial_transpose(4, 2)]),
+           explicit([partial_transpose(d, d) for d in a.dims]),
+           conjugation, pinching,
+           ExplicitMatrix(a, assembled(a, conjugation.to_matrix())),
+           ExplicitMatrix(a, assembled(a, pinching.to_matrix()))]
+    methods = []
+    for op in ops:
+        cert = verify_ds(op, trials=20)
+        methods.append(cert.method)
+        assert cert.selfadjointness == choi_hermitian(op)
+        assert cert.positivity == (cert.method != "proven-upper")
+        assert check_positivity(op, trials=20) == cert.positivity
+        if op.structurally_positive():
+            assert cert.method == "exact-positive"
+        elif choi_psd(op):
+            assert cert.method == "exact-cp"
+        elif not cert.selfadjointness:
+            assert cert.method == "proven-upper"
+        else:
+            assert cert.method in ("sampled", "proven-upper")
+    assert methods[1] == "sampled"  # the transpose is positive, not CP
+    assert methods[2] == "proven-upper"  # with a partial transpose of M_2 (x) M_2
+    assert methods[3] == "exact-cp" and methods[4:6] == ["exact-positive"] * 2
 
 
 def test_certificate_json_stable():
@@ -568,20 +699,23 @@ def has_explicit_leaf(shape):
 def test_operator_trees_positive_exactly_without_explicit_leaves(layout, shape, seed):
     """On trees of conjugations, pinchings, block expectations and explicit
     matrices, structural positivity is the absence of an explicit leaf, and
-    it alone gives the exact certificate and preserved adjoints.  The dense
+    it alone gives the "exact-positive" certificate and preserved adjoints;
+    a tree with an explicit leaf is certified from its matrix.  The dense
     matrix composed from the children's, one ``(k, d^2, d^2)`` stack per
     group, is the apply-per-basis-element build."""
     rng = stream(seed, "test/superops/trees")
     a = TracedAlgebra(layout)
     op = build_tree(shape, rng, a)
     assert_group_stacks(a, op.to_matrix())
-    assert np.abs(assembled(a, op.to_matrix())
-                  - assembled(a, SuperOperator._build_matrix(op))).max() <= 1e-12
+    matrix = assembled(a, op.to_matrix())
+    assert np.abs(matrix - assembled(a, column_matrix(op))).max() \
+        <= 1e-12 * max(1.0, np.abs(matrix).max())
     positive = not has_explicit_leaf(shape)
     assert op.structurally_positive() == positive
     cert = verify_ds(op, trials=10)
     if not positive:
-        assert cert.method == "sampled"
+        assert cert.method in ("exact-cp", "sampled", "proven-upper")
+        assert cert.positivity == (cert.method != "proven-upper")
         return
     assert cert.method == "exact-positive"
     assert cert.one_norm_bound <= 1.0 + DS_SLACK
@@ -589,6 +723,59 @@ def test_operator_trees_positive_exactly_without_explicit_leaves(layout, shape, 
     assert check_selfadjointness(op)
     y = op.apply(a.random_element(rng, selfadjoint=True))
     assert (y - y.adjoint()).sup_norm() <= SELFADJOINT_TOL * max(1.0, y.sup_norm())
+
+
+def element_per_node_apply(op, x):
+    """The tree ``apply`` as it was before stack actions: one element per
+    node, a convex combination summed from zero, a composition applied
+    right to left and a power repeated, each leaf by its own ``apply``."""
+    if isinstance(op, ConvexCombination):
+        out = x.algebra.zero()
+        for w, child in op.terms:
+            out = out + element_per_node_apply(child, x).scaled(w)
+        return out
+    if isinstance(op, Composition):
+        for child in reversed(op.factors):
+            x = element_per_node_apply(child, x)
+        return x
+    if isinstance(op, Power):
+        for _ in range(op.exponent):
+            x = element_per_node_apply(op.base, x)
+        return x
+    return op.apply(x)
+
+
+@example(layout=MANY_BLOCKS, seed=1,
+         shape=("convex", [("power", [("composition", ["pinching", "expectation"])], 3),
+                           ("power", ["conjugation"], 0)]))
+@example(layout=BLOCK_CONFIGS[5], seed=2,
+         shape=("composition", [("power", ["explicit"], 0), "conjugation"]))
+@example(layout=BLOCK_CONFIGS[5], seed=3, shape=("power", ["pinching"], 0))
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(layout=st.sampled_from((((1, 1.0),), BLOCK_CONFIGS[5], MANY_BLOCKS)),
+       shape=tree_shapes(3), seed=st.integers(0, 2 ** 16))
+def test_tree_apply_is_the_element_per_node_route(layout, shape, seed):
+    """A tree's ``apply``, one element over its stack action, equals the
+    element-per-node route bit for bit, with the same flags on inputs
+    flagged in every way (``Power(., 0)`` keeps all three); a structural
+    tree's certificate is the one that route gives, ``to_json`` included."""
+    rng = stream(seed, "test/superops/stack-action")
+    a = TracedAlgebra(layout)
+    op = build_tree(shape, rng, a)
+    h = a.random_element(rng, selfadjoint=True)
+    inputs = [a.random_element(rng), h, Element(a, h.data, selfadjoint=False),
+              random_projection(rng, a), a.identity()]
+    for x in inputs:
+        new, old = op.apply(x), element_per_node_apply(op, x)
+        assert all(np.array_equal(p, q) for p, q in zip(new.stacks, old.stacks))
+        assert (new.selfadjoint, new.positive, new.projection) \
+            == (old.selfadjoint, old.positive, old.projection)
+    if op.structurally_positive():
+        one = a.identity()
+        old = DSCertificate(element_per_node_apply(op.adjoint(), one).sup_norm(),
+                            element_per_node_apply(op, one).sup_norm(),
+                            True, True, "exact-positive")
+        assert verify_ds(op).to_json() == old.to_json()
 
 
 # -- spectral splitting through a map -----------------------------------------
@@ -613,15 +800,17 @@ def test_preserves_fava_pinching_example():
 
 
 def test_preserves_fava_refuses_a_sampled_sup_bound():
-    """A(x) = 1.1 (x12 + x21)/2 E11 on M_2 is not positive and has sup norm
-    1.1, but its sampled norm ratios stay below 1: splitting at that lower
-    bound would give ||A(z)||_inf = 1.1 > delta for x = [[0, 1], [1, 0]]."""
+    """A(x) = 1.1 (x12 + x21)/2 E11 on M_2 is Hermitian but not positive,
+    with sup norm 1.1 at x = [[0, 1], [1, 0]]: its samples refute
+    positivity, its bound is the proven 1.1, and ``preserves_fava``
+    refuses it as non-positive."""
     a = TracedAlgebra(((2, 1.0),))
     m = np.zeros((4, 4))
     m[0, 1] = m[0, 2] = 0.55
     op = ExplicitMatrix(a, m)
     cert = verify_ds(op)
-    assert not cert.positivity
+    assert not cert.positivity and cert.method == "proven-upper"
+    assert cert.sup_norm_bound >= 1.1
     x = Element(a, [np.array([[0.0, 1.0], [1.0, 0.0]])], selfadjoint=True)
     assert op.apply(x).sup_norm() == pytest.approx(1.1)
     with pytest.raises(InvalidInputError, match="non-positive"):
