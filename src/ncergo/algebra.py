@@ -14,7 +14,7 @@ checked where a claim enters, by the public constructor or by
 :class:`~ncergo.certify.WitnessCertificate`), and carried by construction
 inside: each package operation sets, unchecked, the flags it guarantees,
 as do each algebra's identity and zero and ``(v * keep) v*`` of
-:func:`masked_projection` for a unitary ``v`` and a column mask ``keep``
+:func:`masked_stacks` for a unitary ``v`` and a column mask ``keep``
 (1x1 blocks: the mask), which every meet is.
 """
 
@@ -163,19 +163,6 @@ class Element:
         x._freeze(algebra, None, svd=usv)
         return x
 
-    @classmethod
-    def _terms(cls, algebra: TracedAlgebra, stacks: Sequence[np.ndarray]) -> list:
-        """The T unflagged elements of ``(T, k, d, d)`` stacks, frozen in place
-        (each holds views), each spectrum cache filled by one call per group
-        (the SVD where a group needs it)."""
-        svals = [_frozen(stacked_singular_values(_frozen(_finite(s)))) for s in stacks]
-        svd = stack_svds(stacks) if any(s.shape[-1] > 1 for s in stacks) else None
-        flat = tuple(map(_frozen, rearranged(algebra, svals)))
-        return [cls._from_stacks(algebra, [s[t] for s in stacks])._set(
-            _svals=tuple(s[t] for s in svals), _flat=tuple(a[t] for a in flat),
-            _svd=None if svd is None else tuple(tuple(a[t] for a in usv) for usv in svd))
-            for t in range(len(flat[0]))]
-
     def _checked(self, selfadjoint=None, positive=None, projection=None) -> "Element":
         """Itself re-tagged with these flags, verified: a claim entering, as
         in the public constructor.  It shares the stacks and spectrum caches."""
@@ -187,7 +174,7 @@ class Element:
         return x
 
     def _set(self, **slots) -> "Element":
-        """Itself with these slots written (a new element's, or its caches)."""
+        """Itself with these slots written (a new element's)."""
         for name, value in slots.items():
             object.__setattr__(self, name, value)
         return self
@@ -481,16 +468,10 @@ def weighted_block_sum(algebra: TracedAlgebra, parts: Sequence[np.ndarray]):
 
 # -- projection machinery ----------------------------------------------------
 
-def masked_projection(algebra: TracedAlgebra, parts: Sequence[tuple]) -> Element:
-    """The projection ``(v * keep) v*`` onto the columns of ``v`` that ``keep``
-    marks; ``parts`` holds, per group of blocks, its stacks ``(v, keep)``.
-    Each ``v`` has orthonormal columns, so it is flagged a projection; None
-    stands for v = 1 on 1x1 blocks, which are then the 0/1 mask itself."""
-    return Element._from_stacks(algebra, masked_stacks(parts), True, True, True)
-
-
 def masked_stacks(parts: Sequence[tuple]) -> list:
-    """The stacks of :func:`masked_projection`, for parts with any leading axes."""
+    """The projection ``(v * keep) v*`` onto the columns of ``v`` that ``keep``
+    marks, from per-group stacks ``(v, keep)`` with any leading axes; None
+    stands for v = 1 on 1x1 blocks, which are then the 0/1 mask itself."""
     return [keep[..., None].astype(complex) if v is None
             else (v * keep[..., None, :]) @ _adj(v) for v, keep in parts]
 
@@ -526,39 +507,37 @@ def range_bases(e: Element) -> list:
 
 def projection_meet(e: Element, f: Element) -> Element:
     """The meet e ^ f, the projection onto the intersection of the ranges:
-    the kernel of (1 - e) + (1 - f), by the one meet rule (:class:`_MeetBuilder`);
+    the kernel of (1 - e) + (1 - f), by the one meet rule (:func:`meet_stacks`);
     an input not flagged a projection is verified first."""
     check_algebra(e.algebra, f.algebra)
-    return _MeetBuilder(e.algebra, [e.as_projection(), f.as_projection()]).meet()
+    return Element._from_stacks(e.algebra, _MeetBuilder(
+        [e.as_projection().stacks, f.as_projection().stacks]).meet(), True, True, True)
 
 
 class _MeetBuilder:
-    """Incrementally maintained meet of a list of projections.
+    """Incrementally maintained meet of a list of projections, as stack lists.
 
     The meet is the projection onto the common range, the kernel of the
     sum of the complements, which is kept as one ``(k, d, d)`` stack per
     group; swapping one term's projection only updates that sum.
     """
 
-    def __init__(self, algebra, projections):
-        self.algebra = algebra
+    def __init__(self, projections):
         self.current = list(projections)
-        self._sums = complement_sums([p.stacks for p in self.current])
+        self._sums = complement_sums(self.current)
 
-    def meet(self) -> Element:
-        return Element._from_stacks(self.algebra, meet_stacks(
-            self._sums, len(self.current)), True, True, True)
+    def meet(self) -> list:
+        return meet_stacks(self._sums, len(self.current))
 
-    def with_swap(self, index: int, projection: Element):
+    def with_swap(self, index: int, projection: Sequence[np.ndarray]):
         """``(meet, sums)`` with term ``index`` swapped for ``projection``;
         ``commit`` takes the sums back if the swap is kept."""
         # complements differ by (old - new) of the projections themselves
         sums = [s + (old - new) for s, old, new in
-                zip(self._sums, self.current[index].stacks, projection.stacks)]
-        return Element._from_stacks(self.algebra, meet_stacks(
-            sums, len(self.current)), True, True, True), sums
+                zip(self._sums, self.current[index], projection)]
+        return meet_stacks(sums, len(self.current)), sums
 
-    def commit(self, index: int, projection: Element, sums):
+    def commit(self, index: int, projection: Sequence[np.ndarray], sums):
         self._sums = sums
         self.current[index] = projection
 

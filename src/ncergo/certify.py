@@ -18,13 +18,14 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import (Element, TracedAlgebra, _MeetBuilder, _finite, check_algebra,
-                      largest, rearranged, stacked_singular_values, trace_deficiency)
-from .config import (BOUND_SLACK, BUDGET_SLACK, CAUCHY_TOL, TAIL_RISE_SLACK,
-                     TAIL_TOL)
+from .algebra import (Element, TracedAlgebra, _MeetBuilder, _adj, _finite,
+                      check_algebra, deficiencies, largest, masked_stacks,
+                      rearranged, stack_svds, stacked_singular_values,
+                      trace_deficiency)
+from .config import (BOUND_SLACK, BUDGET_SLACK, CAUCHY_TOL, RANK_REL,
+                     TAIL_RISE_SLACK, TAIL_TOL)
 from .errors import InvalidInputError, NoLimitError, PostconditionError
-from .singular import (enlargements, measure_scan, spectral_cut,
-                       spectral_projection_below)
+from .singular import enlargements, measure_scan, spectral_cut
 
 
 @dataclass(frozen=True)
@@ -111,40 +112,50 @@ class WitnessCertificate:
         return buf.getvalue()
 
 
-def _compressed_bound(d: Element, e: Element, mode: str) -> float:
-    return _compressed_bounds(_term_stacks([d]), e, mode)[0]
-
-
 def _term_stacks(elements: Sequence[Element]) -> list:
     """Per group of equal-dimension blocks, all terms' stacks as one
     ``(terms, k, d, d)`` array."""
     return [np.array(terms) for terms in zip(*(x.stacks for x in elements))]
 
 
-def _compressed_bounds(stacks: Sequence[np.ndarray], e: Element,
+def _compressed_bounds(stacks: Sequence[np.ndarray], e: Sequence[np.ndarray],
                        mode: str) -> list:
-    """``_compressed_bound`` of every term of ``stacks`` (see
-    :func:`_term_stacks`) at once, each the largest singular value of
-    :func:`stacked_singular_values`."""
-    terms = zip(stacks, e.stacks)
+    """||d e|| ("au") or ||e d e|| ("bau") of every term d of ``stacks`` (see
+    :func:`_term_stacks`) at once, for a projection held as its stacks ``e``,
+    each the largest singular value of :func:`stacked_singular_values`."""
     return largest([stacked_singular_values(_finite(
-        dd @ ee if mode == "au" else ee @ dd @ ee)) for dd, ee in terms]).tolist()
+        dd @ ee if mode == "au" else ee @ dd @ ee)) for dd, ee in zip(stacks, e)]).tolist()
+
+
+def _term_spectra(algebra: TracedAlgebra, stacks: Sequence[np.ndarray]) -> tuple:
+    """Per group the singular values and right singular vectors (None on 1x1
+    groups) of ``(T, k, d, d)`` stacks, and the T rows of their flat spectra."""
+    svals = [stacked_singular_values(_finite(s)) for s in stacks]
+    svds = iter(stack_svds([s for s in stacks if s.shape[-1] > 1]))
+    vh = [None if s.shape[-1] == 1 else next(svds)[2] for s in stacks]
+    return svals, vh, rearranged(algebra, svals)
+
+
+def _levels(values: np.ndarray) -> List[float]:
+    """Candidate cut levels from a descending flat spectrum; always ends at 0."""
+    distinct = values[(values > 0) & np.r_[True, values[1:] != values[:-1]]]
+    # round() is monotone, so the deduplicated levels stay descending
+    return [*dict.fromkeys(round(s, 14) for s in distinct.tolist()), 0.0]
+
+
+def _weight_above(values: np.ndarray, cumulative: np.ndarray, cut):
+    """Weight of a flat spectrum strictly above ``cut``, a number or an array."""
+    return cumulative[np.searchsorted(-values, -cut)]
 
 
 def _distinct_levels(d: Element) -> List[float]:
-    """Candidate spectral cut levels, descending; always ends at 0."""
-    svals = d.flat_spectrum()[0]
-    distinct = np.unique(svals[svals > 0])[::-1].tolist()
-    # round() is monotone, so the deduplicated levels stay descending
-    return [*dict.fromkeys(round(s, 14) for s in distinct), 0.0]
+    return _levels(d.flat_spectrum()[0])
 
 
 def _tail_weight(d: Element, level):
-    """Weighted count of singular values strictly above the cut, at one
-    level or at each of an array of levels."""
-    cut = spectral_cut(d, np.asarray(level))
-    svals, _, cumulative = d.flat_spectrum()
-    return cumulative[np.searchsorted(-svals, -cut)]
+    """Weight above the spectral cut of ``d`` at a level or at an array of them."""
+    values, _, cumulative = d.flat_spectrum()
+    return _weight_above(values, cumulative, spectral_cut(d, np.asarray(level)))
 
 
 def _search_witness(algebra: TracedAlgebra, stacks: Sequence[np.ndarray],
@@ -157,30 +168,33 @@ def _search_witness(algebra: TracedAlgebra, stacks: Sequence[np.ndarray],
     with the worst bound as long as the meet keeps its deficiency within
     epsilon.  Returns (projection, deficiency, bounds, cap_hit), where
     cap_hit says the search stopped after ``max_iter`` iterations with a
-    term still open for tightening.
+    term still open for tightening.  Differences, cuts and meets are held as
+    group stacks; the one element built is the projection returned.
     """
     if mode not in ("au", "bau"):
         raise InvalidInputError("mode must be 'au' or 'bau'")
-    differences = Element._terms(algebra, stacks)  # every spectrum at once
-    levels = [_distinct_levels(d) for d in differences]
-    cursor = []
-    for n, d in enumerate(differences):
-        # tail weights grow as the levels fall, so the fitting levels lead
-        fits = _tail_weight(d, levels[n]) <= epsilon * 2.0 ** (-(n + 1))
-        cursor.append(max(int(fits.sum()) - 1, 0))
+    svals, vh, (values, _, cumulative) = _term_spectra(algebra, stacks)
+    slack = RANK_REL * np.maximum(largest(svals), 1.0)  # of each term's spectral_cut
+    levels = [_levels(v) for v in values]
+    # tail weights grow as the levels fall, so the fitting levels lead
+    fits = [_weight_above(v, c, np.asarray(lvs) + t) <= epsilon * 2.0 ** (-(n + 1))
+            for n, (v, c, lvs, t) in enumerate(zip(values, cumulative, levels, slack))]
+    cursor = [max(int(f.sum()) - 1, 0) for f in fits]
 
-    def term_projection(n: int, k: int) -> Element:
-        # asked once per (n, k): cursors only advance, a refused swap sticks
-        return spectral_projection_below(differences[n], levels[n][k])
+    def term_cut(n: int, k: int) -> list:
+        # spectral_projection_below(term n, level k), asked once per (n, k):
+        # cursors only advance, a refused swap sticks
+        cut = levels[n][k] + slack[n]
+        return masked_stacks([(None if v is None else _adj(v[n]), s[n] <= cut)
+                              for s, v in zip(svals, vh)])
 
     def worst_open_term() -> Optional[int]:
-        order = sorted(range(len(differences)), key=lambda n: -bounds[n])
+        order = sorted(range(len(levels)), key=lambda n: -bounds[n])
         return next((n for n in order if not stuck[n] and bounds[n] > 0), None)
 
-    builder = _MeetBuilder(algebra,
-                           [term_projection(n, k) for n, k in enumerate(cursor)])
+    builder = _MeetBuilder([term_cut(n, k) for n, k in enumerate(cursor)])
     e = builder.meet()
-    if trace_deficiency(e) > epsilon + BUDGET_SLACK:
+    if deficiencies(algebra, e) > epsilon + BUDGET_SLACK:
         raise PostconditionError("initial witness exceeds the trace budget")
     bounds = _compressed_bounds(stacks, e, mode)
     stuck = [k + 1 >= len(lvs) for k, lvs in zip(cursor, levels)]
@@ -189,9 +203,9 @@ def _search_witness(algebra: TracedAlgebra, stacks: Sequence[np.ndarray],
         target = worst_open_term()
         if target is None:
             break
-        candidate = term_projection(target, cursor[target] + 1)
+        candidate = term_cut(target, cursor[target] + 1)
         e_trial, sums = builder.with_swap(target, candidate)
-        if trace_deficiency(e_trial) <= epsilon + BUDGET_SLACK:
+        if deficiencies(algebra, e_trial) <= epsilon + BUDGET_SLACK:
             builder.commit(target, candidate, sums)
             cursor[target] += 1
             e = e_trial
@@ -202,6 +216,7 @@ def _search_witness(algebra: TracedAlgebra, stacks: Sequence[np.ndarray],
             stuck[target] = True
     else:
         cap_hit = worst_open_term() is not None
+    e = Element._from_stacks(algebra, e, True, True, True)
     return e, trace_deficiency(e), bounds, cap_hit
 
 
@@ -238,7 +253,7 @@ def witness_convergence(trace: FiniteTrace, limit: Element, epsilon: float,
         notes["iteration_cap_hit"] = True
     if mode == "au":
         # one-sided control implies two-sided control under the same witness
-        two_sided = _compressed_bounds(differences, e, "bau")
+        two_sided = _compressed_bounds(differences, e.stacks, "bau")
         if any(t > b + BOUND_SLACK for t, b in zip(two_sided, bounds)):
             raise PostconditionError("two-sided bound exceeds one-sided bound")
     return WitnessCertificate(mode, epsilon, e, deficiency,
@@ -277,7 +292,7 @@ def certify_cauchy(trace: FiniteTrace, epsilon: float,
         notes["iteration_cap_hit"] = True
     # row a bounds x_b - x_a for every b > a, one batched row at a time, so
     # memory stays O(n); the sup of window j is the largest row maximum from j on
-    rows = [max(_compressed_bounds([x[a + 1:] - x[a] for x in stacks], e, mode))
+    rows = [max(_compressed_bounds([x[a + 1:] - x[a] for x in stacks], e.stacks, mode))
             for a in range(n - 1)]
     sups = np.maximum.accumulate(rows[::-1])[::-1].tolist()
     return WitnessCertificate(mode, epsilon, e, deficiency,

@@ -214,9 +214,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace-dir", required=True)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--mode", choices=["au", "bau"], default="bau")
-    p.add_argument("--limit", default=None, help="explicit limit element JSON")
-    p.add_argument("--cauchy", action="store_true",
-                   help="certify the Cauchy property instead of convergence")
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--limit", default=None, help="explicit limit element JSON")
+    group.add_argument("--cauchy", action="store_true",
+                       help="certify the Cauchy property instead of convergence")
     p.add_argument("--out-dir", required=True)
 
     p = sub.add_parser("remark32", help="emit the counterexample model trace")

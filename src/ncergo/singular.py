@@ -16,9 +16,8 @@ from typing import Tuple
 import numpy as np
 
 from .algebra import (Element, _adj, _finite, check_algebra, complement_sums,
-                      deficiencies, largest, masked_projection, masked_stacks,
-                      meet_stacks, stack_svds, stacked_singular_values,
-                      trace_deficiency, weighted_block_sum)
+                      deficiencies, largest, masked_stacks, meet_stacks, stack_svds,
+                      stacked_singular_values, trace_deficiency, weighted_block_sum)
 from .config import BOUND_SLACK, ENLARGE_DEFICIENCY_SLACK, RANK_REL, SUBMAJOR_SLACK
 from .errors import InvalidInputError, PostconditionError
 from .stepfn import StepFunction, integral_dominates
@@ -136,17 +135,15 @@ def spectral_projection_below(x: Element, level: float) -> Element:
     """The spectral projection of |x| onto [0, level].
 
     Per group, the right singular vectors of the cached SVD masked by
-    ``s <= spectral_cut`` on the cached singular values, the values the
-    witness search takes its levels from; 1x1 blocks need no vectors.
+    ``s <= spectral_cut`` on the cached singular values, the witness
+    search's cut rule; 1x1 blocks need no vectors.
     """
     if not (level >= 0):
         raise InvalidInputError("level must be >= 0")
     cut = spectral_cut(x, level)
-    parts = []
-    for j, s in enumerate(x.stack_singular_values()):
-        v = None if s.shape[-1] == 1 else _adj(x.stack_svds()[j][2])
-        parts.append((v, s <= cut))
-    return masked_projection(x.algebra, parts)
+    return Element._from_stacks(x.algebra, masked_stacks([
+        (None if s.shape[-1] == 1 else _adj(x.stack_svds()[j][2]), s <= cut)
+        for j, s in enumerate(x.stack_singular_values())]), True, True, True)
 
 
 def enlarge_projection(x: Element, e: Element) -> Element:

@@ -398,7 +398,15 @@ class ExplicitMatrix(SuperOperator):
         return vec_action(self.to_matrix(), stacks)
 
     def adjoint(self) -> "ExplicitMatrix":  # the trace weights cancel in a block
-        return ExplicitMatrix(self.algebra, self.matrix.conj().T)
+        adj = ExplicitMatrix.__new__(ExplicitMatrix)
+        SuperOperator.__init__(adj, self.algebra)
+        adj._matrix_cache = tuple(np.ascontiguousarray(_adj(m)) for m in self.to_matrix())
+        adj._source = self
+        return adj
+
+    @cached_property
+    def matrix(self) -> np.ndarray:  # an adjoint's, on first read; __init__ sets others
+        return self._source.matrix.conj().T
 
 
 def _idempotent_average(op: SuperOperator, x: Element, m: int) -> Element:

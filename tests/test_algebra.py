@@ -14,7 +14,7 @@ from ncergo import ConvexCombination, Element, ExplicitMatrix, \
     box_average, check_positivity, clip_decompose, enlarge_projection, \
     fava_decompose, k_functional, lp_norm, mu, projection_meet, \
     spectral_projection_below, trace_deficiency
-from ncergo.algebra import masked_projection, projection_from_ranges, \
+from ncergo.algebra import masked_stacks, projection_from_ranges, \
     range_bases, stacked_singular_values
 from ncergo.certify import _tail_weight
 from ncergo.config import SVD_UNSCALED_MIN
@@ -405,7 +405,7 @@ def one_record_cases(a, rng, zero_block):
         (x.adjoint(), [p.conj().T for p in x.data], None),
         (Element.from_vec(a, v), [r.reshape(d, d) for r, d in
                                   zip(np.split(v, ends[:-1]), a.dims)], None),
-        (masked_projection(a, parts), masks, None)]
+        (Element._from_stacks(a, masked_stacks(parts), True, True, True), masks, None)]
     for e, usv in zip(clip_decompose(x, level), clipped):
         cases.append((e, [(u * s) @ vh for u, s, vh in usv], usv))
     return cases

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,19 +17,25 @@ from ncergo import Element, TracedAlgebra, UnitaryConjugation, \
     extract_limit, lp_norm, measure_metric, projection_meet, \
     remark32_model, spectral_projection_below, submajorizes, \
     trace_deficiency, witness_convergence
-from ncergo.algebra import _MeetBuilder, stacked_singular_values
+from ncergo.algebra import _MeetBuilder, complement_sums, meet_stacks, \
+    stacked_singular_values
 from ncergo.certify import FiniteTrace, WitnessCertificate, \
-    _compressed_bound, _compressed_bounds, _distinct_levels, \
-    _search_witness, _tail_weight, _term_stacks
-from ncergo.config import RANK_REL, TAIL_TOL
+    _compressed_bounds, _distinct_levels, _search_witness, _tail_weight, \
+    _term_spectra, _term_stacks
+from ncergo.config import BUDGET_SLACK, RANK_REL, TAIL_TOL
 from ncergo.ergodic import SectorNet, net_average_trace
-from ncergo.errors import InvalidInputError, NoLimitError
+from ncergo.errors import InvalidInputError, NoLimitError, PostconditionError
 from ncergo.fixtures import conjugation_d2_fixture
 from ncergo.rng import stream
-from ncergo.singular import enlargements
+from ncergo.singular import enlargements, spectral_cut
 
 
 _CONJUGATION_CACHE = {}
+
+
+def compressed_bound(d, e, mode):
+    """The bound of one difference against one projection, both elements."""
+    return _compressed_bounds(_term_stacks([d]), e.stacks, mode)[0]
 
 
 def conjugation_trace():
@@ -418,7 +425,7 @@ def test_grouped_meet_equals_per_block(layout, seed, zero_block):
     projections = [random_projection(rng, a, min_rank=1) for _ in range(3)]
     if zero_block is not None:
         projections.append(a.zero())
-    builder = _MeetBuilder(a, projections)
+    builder = _MeetBuilder([p.stacks for p in projections])
     sums = [None] * len(a.dims)
     for g, stack in zip(a.groups, builder._sums):
         for i, s in zip(g, stack):
@@ -429,15 +436,14 @@ def test_grouped_meet_equals_per_block(layout, seed, zero_block):
         keep = w < 1e-7 * len(projections)
         blocks.append((v * keep) @ v.conj().T)
         bases.append(v[:, keep])
-    meet = builder.meet()
-    for got, want in zip(meet.data, blocks):
+    meet = split_stacks(a, builder.meet())
+    for got, want in zip(meet, blocks):
         assert np.array_equal(got, want)
-    for got, old in zip(meet.data,
-                        reference_projection_blocks(a, bases, sliced=True)):
+    for got, old in zip(meet, reference_projection_blocks(a, bases, sliced=True)):
         assert np.abs(got - old).max(initial=0.0) <= 1e-12
     pair = projections[-2:]  # with the zero element, if there is one
     for got, want in zip(projection_meet(*pair).stacks,
-                         _MeetBuilder(a, pair).meet().stacks):
+                         _MeetBuilder([p.stacks for p in pair]).meet()):
         assert np.array_equal(got, want)
 
 
@@ -451,8 +457,8 @@ def test_grouped_bounds_equal_per_term(layout, seed, zero_block):
     terms.append(a.zero())
     for e in (random_projection(rng, a), a.identity(), a.zero()):
         for mode in ("au", "bau"):
-            assert _compressed_bounds(_term_stacks(terms), e, mode) \
-                == [_compressed_bound(d, e, mode) for d in terms]
+            assert _compressed_bounds(_term_stacks(terms), e.stacks, mode) \
+                == [compressed_bound(d, e, mode) for d in terms]
 
 
 @grouped_examples
@@ -468,7 +474,7 @@ def test_cauchy_pair_rows_equal_per_pair(layout, seed, zero_block):
         pair = np.zeros((4, 4))
         for i in range(4):
             for j in range(i + 1, 4):
-                pair[i, j] = _compressed_bound(xs[j] - xs[i],
+                pair[i, j] = compressed_bound(xs[j] - xs[i],
                                                cert.projection, mode)
         assert [b for _, b in cert.tail_bounds] \
             == [float(pair[j:, j:].max()) for j in range(3)]
@@ -493,15 +499,16 @@ def test_witness_search_reports_iteration_cap(monkeypatch):
 
 
 def test_bad_mode_is_refused_before_the_search(monkeypatch):
-    """Both certificate searches check ``mode`` before any spectral cut; the
-    degenerate paths, which run no search, leave it to the certificate."""
+    """Both certificate searches check ``mode`` before any spectral cut (a
+    mask of the search's stacks); the degenerate paths, which run no search,
+    leave it to the certificate."""
     algebra, trace, f = remark32_model(6)
     cuts = [0]
 
-    def counting(*args, _cut=certify.spectral_projection_below):
+    def counting(*args, _cut=certify.masked_stacks):
         cuts[0] += 1
         return _cut(*args)
-    monkeypatch.setattr(certify, "spectral_projection_below", counting)
+    monkeypatch.setattr(certify, "masked_stacks", counting)
     for search in (lambda: certify_cauchy(trace, 2.0 ** -5, mode="sideways"),
                    lambda: witness_convergence(trace, f, 2.0 ** -5, mode="sideways"),
                    lambda: certify_cauchy(trace, 10.0, mode="sideways"),
@@ -509,6 +516,162 @@ def test_bad_mode_is_refused_before_the_search(monkeypatch):
         with pytest.raises(InvalidInputError, match="mode"):
             search()
     assert cuts[0] == 0
+
+
+# -- the stack search against the element route it replaced -------------------
+
+def element_search(algebra, stacks, epsilon, mode, max_iter=600):
+    """The greedy witness search as it ran on elements: one unflagged element
+    per difference, its spectrum computed alone, levels by ``np.unique``, one
+    ``spectral_projection_below`` element per cut and one element per trial
+    meet.  The oracle of ``_search_witness``, which holds all of them as
+    group stacks."""
+    if mode not in ("au", "bau"):
+        raise InvalidInputError("mode must be 'au' or 'bau'")
+    differences = [Element._from_stacks(algebra, [s[t] for s in stacks])
+                   for t in range(len(stacks[0]))]
+    levels = []
+    cursor = []
+    for n, d in enumerate(differences):
+        values, _, cumulative = d.flat_spectrum()
+        distinct = np.unique(values[values > 0])[::-1].tolist()
+        levels.append([*dict.fromkeys(round(v, 14) for v in distinct), 0.0])
+        weights = cumulative[np.searchsorted(-values, -spectral_cut(d, np.asarray(levels[n])))]
+        cursor.append(max(int((weights <= epsilon * 2.0 ** (-(n + 1))).sum()) - 1, 0))
+
+    def meet(projections, sums):
+        return Element._from_stacks(algebra, meet_stacks(sums, len(projections)),
+                                    True, True, True)
+
+    def worst_open_term():
+        order = sorted(range(len(differences)), key=lambda n: -bounds[n])
+        return next((n for n in order if not stuck[n] and bounds[n] > 0), None)
+
+    projections = [spectral_projection_below(differences[n], levels[n][k])
+                   for n, k in enumerate(cursor)]
+    sums = complement_sums([p.stacks for p in projections])
+    e = meet(projections, sums)
+    if trace_deficiency(e) > epsilon + BUDGET_SLACK:
+        raise PostconditionError("initial witness exceeds the trace budget")
+    bounds = _compressed_bounds(stacks, e.stacks, mode)
+    stuck = [k + 1 >= len(lvs) for k, lvs in zip(cursor, levels)]
+    cap_hit = False
+    for _ in range(max_iter):
+        target = worst_open_term()
+        if target is None:
+            break
+        candidate = spectral_projection_below(differences[target],
+                                              levels[target][cursor[target] + 1])
+        trial_sums = [s + (old - new) for s, old, new in
+                      zip(sums, projections[target].stacks, candidate.stacks)]
+        e_trial = meet(projections, trial_sums)
+        if trace_deficiency(e_trial) <= epsilon + BUDGET_SLACK:
+            sums, projections[target] = trial_sums, candidate
+            cursor[target] += 1
+            e = e_trial
+            bounds = _compressed_bounds(stacks, e.stacks, mode)
+            if cursor[target] + 1 >= len(levels[target]):
+                stuck[target] = True
+        else:
+            stuck[target] = True
+    else:
+        cap_hit = worst_open_term() is not None
+    return e, trace_deficiency(e), bounds, cap_hit
+
+
+def search_outcome(search, *args, **kwargs):
+    """A search's result, or the message of the postcondition it raised."""
+    try:
+        return search(*args, **kwargs)
+    except PostconditionError as exc:
+        return str(exc)
+
+
+def assert_same_search(got, want):
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert all(same_bits(g, w) for g, w in zip(got[0].stacks, want[0].stacks))
+    assert (got[0].selfadjoint, got[0].positive, got[0].projection) == (True,) * 3
+    assert got[1:] == want[1:]  # deficiency, bounds and cap_hit, floats exactly
+
+
+@spectrum_examples
+@example(layout=((1, 0.5), (1, 1.0), (1, 2.0), (1, 0.25)), seed=5, zero_block=2)
+@given(layout=LAYOUTS, seed=st.integers(0, 2 ** 16),
+       zero_block=st.none() | st.integers(0, 5))
+def test_stack_search_equals_the_element_route(layout, seed, zero_block):
+    """``witness_convergence`` and ``certify_cauchy`` in both modes, and
+    ``_search_witness`` on their differences capped at one iteration and on
+    a near-tied term alone, equal the element route bit for bit: projection
+    stacks, deficiency, bounds and cap_hit (the certificates by their JSON).
+    The traces hold zero, tied, near-tied and projection terms; the budgets
+    run from the smallest block weight times 2^-40 (direct searches only) to
+    just under tau(1), the degenerate edge."""
+    a = TracedAlgebra(layout)
+    rng = stream(seed, "test/certify/stack-search")
+    x, tied, p, zero = spectrum_elements(rng, a, zero_block)
+    # norm below 1 and distinct singular values 0.6 cut slacks apart: each
+    # cut's slack, floored at 1, takes in exactly the next value above its level
+    steps = 0.5 + 0.6 * RANK_REL * np.arange(sum(a.dims))
+    near = Element(a, [np.diag(v) for v in np.split(steps, np.cumsum(a.dims)[:-1])])
+    trace = FiniteTrace((x, tied, p, zero, near, tied))
+    stacks = _term_stacks(trace.elements)
+    searches = [([f - xs for f, xs in zip(p.stacks, stacks)], 1),
+                ([xs[1:] - xs[:-1] for xs in stacks], 1), ([s[None] for s in near.stacks], 600)]
+    total = a.total_trace
+    for epsilon in (min(a.weights) * 2.0 ** -40, 0.3 * total, np.nextafter(total, 0.0)):
+        for mode in ("au", "bau"):
+            for terms, cap in searches:
+                assert_same_search(
+                    search_outcome(_search_witness, a, terms, epsilon, mode, max_iter=cap),
+                    search_outcome(element_search, a, terms, epsilon, mode, max_iter=cap))
+            if epsilon < min(a.weights):  # no cut fits; the searches above show it
+                continue
+            certificates = []
+            for search in (_search_witness, element_search):
+                with mock.patch.object(certify, "_search_witness", search):
+                    certificates.append([
+                        search_outcome(witness_convergence, trace, p, epsilon, mode),
+                        search_outcome(certify_cauchy, trace, epsilon, mode)])
+            for got, want in zip(*certificates):
+                if isinstance(want, str):
+                    assert got == want
+                else:
+                    assert_same_certificate(got, want)
+
+
+def test_the_search_builds_one_element_whatever_its_iterations(monkeypatch):
+    """``_search_witness`` freezes one element per call, the projection it
+    returns, at every iteration count; the element route froze one per
+    difference, cut and trial meet.  Its results equal that route's."""
+    frozen, trials = [], []
+    freeze, with_swap = Element._freeze, _MeetBuilder.with_swap
+
+    def counted_freeze(self, *args, **kwargs):
+        frozen.append(self)
+        return freeze(self, *args, **kwargs)
+
+    def counted_swap(self, *args):
+        trials.append(1)
+        return with_swap(self, *args)
+    monkeypatch.setattr(Element, "_freeze", counted_freeze)
+    monkeypatch.setattr(_MeetBuilder, "with_swap", counted_swap)
+    algebra, trace, f = remark32_model(24)
+    cesaro = few_block_cesaro_trace()
+    cases = [(algebra, [a - xs for a, xs in zip(f.stacks, _term_stacks(trace.elements))]),
+             (cesaro.algebra, [xs[1:] - xs[:-1] for xs in _term_stacks(cesaro.elements)])]
+    iterations = set()
+    for (a, stacks), mode, max_iter in itertools.product(cases, ("au", "bau"), (0, 1, 600)):
+        trials.clear()
+        frozen.clear()
+        got = _search_witness(a, stacks, 2.0 ** -5, mode, max_iter)
+        assert frozen == [got[0]]
+        iterations.add(len(trials))
+        frozen.clear()
+        assert_same_search(got, element_search(a, stacks, 2.0 ** -5, mode, max_iter))
+        assert len(frozen) > len(stacks[0])
+    assert {0, 1} < iterations and max(iterations) > 10
 
 
 # -- the trust boundary: one flag check per emitted witness -------------------
@@ -600,12 +763,13 @@ def test_checking_constructor_accepts_every_masked_projection(
         own = [spectral_projection_below(x, float(v)) for v in levels]
         cuts += own
         enlarged += [enlarge_projection(x, e) for e in own]
-    builder = _MeetBuilder(a, cuts[:3])
-    outputs = cuts + [builder.meet()]
+    builder = _MeetBuilder([p.stacks for p in cuts[:3]])
+    meets = [builder.meet()]
     for n, p in enumerate(cuts[3:9]):
-        meet, sums = builder.with_swap(n % 3, p)
-        builder.commit(n % 3, p, sums)
-        outputs.append(meet)
+        meet, sums = builder.with_swap(n % 3, p.stacks)
+        builder.commit(n % 3, p.stacks, sums)
+        meets.append(meet)
+    outputs = cuts + [Element._from_stacks(a, m, True, True, True) for m in meets]
     outputs += [projection_meet(p, q) for p, q in zip(cuts[::3], cuts[1::3])]
     outputs += enlarged
     for e in outputs:
@@ -690,14 +854,14 @@ def test_batched_upgrade_equals_per_index_rule(layout, seed, zero_block):
             assert all(same_bits(s[t], b) for s, b in zip(stacks, f.stacks))
             assert all(same_bits(b, c) for b, c in zip(enlarge_projection(d, e).stacks,
                                                        f.stacks))
-            assert float(xf[t]) == _compressed_bound(d, f, "au")
+            assert float(xf[t]) == compressed_bound(d, f, "au")
             assert float(deficiency[t]) == trace_deficiency(f)
             assert float(delta[t]) == (e @ (d @ e)).sup_norm()
         bau = WitnessCertificate("bau", a.total_trace, e, trace_deficiency(e), (),
                                  "certified", len(trace))
         au = bilateral_to_onesided(trace, bau)
         assert [b for _, b in au.tail_bounds] \
-            == [_compressed_bound(d, f, "au") for d, f in zip(diffs, fs)]
+            == [compressed_bound(d, f, "au") for d, f in zip(diffs, fs)]
         assert au.trace_deficiency == max([0.0] + [trace_deficiency(f) for f in fs])
         assert all(same_bits(b, c) for b, c in zip(au.projection.stacks, fs[-1].stacks))
 
@@ -711,7 +875,7 @@ def test_batched_upgrade_on_mixed_real_and_complex_1x1_terms():
     au = bilateral_to_onesided(trace, WitnessCertificate(
         "bau", 3.0, e, trace_deficiency(e), (), "certified", len(trace)))
     assert [b for _, b in au.tail_bounds] \
-        == [_compressed_bound(d, f, "au") for d, f in zip(diffs, fs)]
+        == [compressed_bound(d, f, "au") for d, f in zip(diffs, fs)]
     assert all(same_bits(b, c) for b, c in zip(au.projection.stacks, fs[-1].stacks))
 
 
@@ -728,10 +892,12 @@ def test_upgrade_of_a_one_element_trace_keeps_the_witness():
 @given(layout=LAYOUTS, seed=st.integers(0, 2 ** 16),
        zero_block=st.none() | st.integers(0, 5))
 def test_prefilled_spectra_equal_lazy_ones(layout, seed, zero_block):
-    """The differences the witness search builds, with every spectrum cache
-    filled over all terms at once, hold what each element computes lazily
-    alone, bit for bit: zero, tied and projection terms, and on 1x1
-    groups the per-term rule for real and complex terms."""
+    """The spectra the witness search reads, computed over all terms at
+    once, equal what each term's element computes lazily alone, bit for
+    bit: the singular values per group, the right singular vectors where a
+    group has blocks larger than 1x1 and each row of the flat spectrum;
+    zero, tied and projection terms, and on 1x1 groups the per-term rule
+    for real and complex terms."""
     a = TracedAlgebra(layout)
     rng = stream(seed, "test/certify/prefilled-spectra")
     terms = spectrum_elements(rng, a, zero_block)
@@ -740,16 +906,15 @@ def test_prefilled_spectra_equal_lazy_ones(layout, seed, zero_block):
     cases = [(a, terms), mixed_1x1_trace(rng)]
     for algebra, elements in cases:
         stacks = _term_stacks(elements)
-        for got, x in zip(Element._terms(algebra, stacks), elements):
+        svals, vh, flat = _term_spectra(algebra, stacks)
+        assert [v is None for v in vh] == [xs.shape[-1] == 1 for xs in stacks]
+        for t, x in enumerate(elements):
             lazy = Element(algebra, x.data)
-            assert got.selfadjoint is got.positive is got.projection is None
-            assert all(same_bits(g, w) for g, w in zip(got.stacks, lazy.stacks))
-            assert all(same_bits(g, w) for g, w in zip(got.stack_singular_values(),
-                                                       lazy.stack_singular_values()))
-            assert all(same_bits(g, w) for g, w in zip(got.flat_spectrum(),
-                                                       lazy.flat_spectrum()))
-            assert all(same_bits(g, w) for gs, ws in zip(got.stack_svds(), lazy.stack_svds())
-                       for g, w in zip(gs, ws))
+            assert all(same_bits(s[t], w) for s, w in zip(svals,
+                                                          lazy.stack_singular_values()))
+            assert all(same_bits(f[t], w) for f, w in zip(flat, lazy.flat_spectrum()))
+            assert all(same_bits(v[t], usv[2]) for v, usv in zip(vh, lazy.stack_svds())
+                       if v is not None)
         for xs in stacks:  # the 1x1 rule decides each term alone
             assert all(same_bits(stacked_singular_values(xs)[t], stacked_singular_values(x))
                        for t, x in enumerate(xs))

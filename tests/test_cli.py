@@ -447,6 +447,21 @@ def test_certify_cauchy_flag(tmp_path):
     assert any(l == "index,bound" for l in lines)
 
 
+def test_certify_cauchy_with_a_limit_is_refused(tmp_path, capsys):
+    """``--cauchy`` and ``--limit`` ask for two certificates; given both,
+    the run exits 2 before reading the trace, where it used to certify
+    convergence to the limit and drop ``--cauchy``."""
+    trace_dir = tmp_path / "trace"
+    assert main(["remark32", "--n", "14", "--out-dir", str(trace_dir)]) == EXIT_OK
+    with pytest.raises(SystemExit) as exit_info:
+        main(["certify", "--trace-dir", str(trace_dir), "--epsilon", "0.1",
+              "--cauchy", "--limit", str(trace_dir / "limit.json"),
+              "--out-dir", str(tmp_path / "out")])
+    assert exit_info.value.code == EXIT_INPUT
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_certify_cauchy_independent_of_blas_threads(tmp_path):
     trace_dir = tmp_path / "trace"
     assert main(["remark32", "--n", "16", "--out-dir", str(trace_dir)]) \

@@ -192,6 +192,30 @@ def test_explicit_matrix_entries_between_blocks_do_not_act():
         assert np.array_equal(op.matrix, noisy)
 
 
+def test_explicit_adjoint_per_block_equals_the_transposed_matrix_route():
+    """``ExplicitMatrix.adjoint`` conjugate-transposes each block's matrix:
+    its matrices, its action and its ``matrix`` equal, bit for bit, those of
+    the map built from the conjugate transpose of the whole matrix, entries
+    between blocks below ``COUPLING_TOL`` included; so does the adjoint's
+    adjoint with the map itself."""
+    rng = stream(SEED, "test/superops/explicit-adjoint")
+    for layout in (((1, 1.0), (1, 1000.0)), BLOCK_CONFIGS[6], MANY_BLOCKS):
+        a = TracedAlgebra(layout)
+        inside = scipy.linalg.block_diag(*[np.ones((d * d, d * d)) for d in a.dims])
+        m = np.where(inside > 0, rng.standard_normal(inside.shape)
+                     + 1j * rng.standard_normal(inside.shape),
+                     0.9 * COUPLING_TOL * rng.uniform(-1.0, 1.0, inside.shape))
+        op = ExplicitMatrix(a, m)
+        x = a.random_element(rng)
+        for got, want in ((op.adjoint(), ExplicitMatrix(a, m.conj().T)),
+                          (op.adjoint().adjoint(), op)):
+            for g, w in zip(got.to_matrix(), want.to_matrix()):
+                assert g.flags.c_contiguous and g.tobytes() == w.tobytes()
+            assert all(g.tobytes() == w.tobytes() for g, w
+                       in zip(got.apply(x).stacks, want.apply(x).stacks))
+            assert np.array_equal(got.matrix, want.matrix)
+
+
 def test_verify_ds_certifies_an_explicit_map_its_constructor_accepts():
     """The identity on 1x1 blocks of weights 1 and 1000 with an entry
     0.9e-12 between them: its adjoint, the conjugate transpose, keeps that
