@@ -27,8 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import (COUPLING_TOL, FLAG_TOL, MEET_KERNEL_CUT, RANK_REL,
-                     SVD_UNSCALED_MIN)
+from .config import COUPLING_TOL, FLAG_TOL, MEET_KERNEL_CUT, RANK_REL
 from .errors import InvalidInputError
 
 
@@ -340,29 +339,35 @@ class Element:
 
 
 def stacked_singular_values(stack: np.ndarray) -> np.ndarray:
-    """Singular values of a ``(..., k, d, d)`` stack of square blocks.
+    """Singular values of a ``(..., k, d, d)`` stack of square blocks,
+    refused if an entry is inf or NaN.
 
-    A 1x1 block takes its modulus, which is LAPACK's value where LAPACK
-    does not rescale, if its ``(k, 1, 1)`` term is real; every other block
-    is factorized.
+    A 1x1 block takes its modulus, exact at every magnitude, if its
+    ``(k, 1, 1)`` term is real; every other block is factorized.
     """
-    if stack.shape[-1] != 1:
-        return np.linalg.svd(stack, compute_uv=False)
-    complex_terms = stack.imag.any(axis=(-3, -2, -1))
-    if complex_terms.all():
+    if _finite(stack).shape[-1] != 1:
         return np.linalg.svd(stack, compute_uv=False)
     s = np.abs(stack.real[..., 0])
-    factorized = (s > 0) & ((s < SVD_UNSCALED_MIN) | (s > 1.0 / SVD_UNSCALED_MIN))
-    factorized[complex_terms] = True
-    if factorized.any():
-        s[factorized] = np.linalg.svd(stack[..., 0][factorized][:, None, None],
-                                      compute_uv=False)[:, 0]
+    complex_terms = stack.imag.any(axis=(-3, -2, -1))
+    if complex_terms.any():
+        s[complex_terms] = np.linalg.svd(stack[complex_terms], compute_uv=False)
     return s
 
 
 def stack_svds(stacks: Sequence[np.ndarray]) -> tuple:
-    """Per stack (any leading axes), its full SVD ``(u, s, vh)``, read-only."""
-    return tuple([tuple(map(_frozen, np.linalg.svd(b))) for b in stacks])
+    """Per stack (any leading axes), its full SVD ``(u, s, vh)``, read-only,
+    refused if an entry is inf or NaN.  A real stack of 1x1 blocks a takes
+    u = sign(a) (1 at a = 0), s = |a| and vh = 1: the rule of
+    :func:`stacked_singular_values`, and LAPACK's factors wherever LAPACK
+    does not rescale."""
+    svds = []
+    for b in map(_finite, stacks):
+        if b.shape[-1] > 1 or b.imag.any():
+            svds.append(np.linalg.svd(b))
+        else:
+            svds.append((np.where(b.real < 0, -1.0, 1.0).astype(b.dtype),
+                         np.abs(b.real[..., 0]), np.ones_like(b)))
+    return tuple([tuple(map(_frozen, usv)) for usv in svds])
 
 
 def largest(svals: Sequence[np.ndarray]):

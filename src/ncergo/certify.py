@@ -18,12 +18,10 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algebra import (Element, TracedAlgebra, _MeetBuilder, _adj, _finite,
-                      check_algebra, deficiencies, largest, masked_stacks,
-                      rearranged, stack_svds, stacked_singular_values,
-                      trace_deficiency)
-from .config import (BOUND_SLACK, BUDGET_SLACK, CAUCHY_TOL, RANK_REL,
-                     TAIL_RISE_SLACK, TAIL_TOL)
+from .algebra import (Element, TracedAlgebra, _MeetBuilder, _adj, check_algebra,
+                      deficiencies, largest, masked_stacks, rearranged, stack_svds,
+                      stacked_singular_values, trace_deficiency)
+from .config import BOUND_SLACK, BUDGET_SLACK, CAUCHY_TOL, TAIL_RISE_SLACK, TAIL_TOL
 from .errors import InvalidInputError, NoLimitError, PostconditionError
 from .singular import enlargements, measure_scan, spectral_cut
 
@@ -123,14 +121,14 @@ def _compressed_bounds(stacks: Sequence[np.ndarray], e: Sequence[np.ndarray],
     """||d e|| ("au") or ||e d e|| ("bau") of every term d of ``stacks`` (see
     :func:`_term_stacks`) at once, for a projection held as its stacks ``e``,
     each the largest singular value of :func:`stacked_singular_values`."""
-    return largest([stacked_singular_values(_finite(
-        dd @ ee if mode == "au" else ee @ dd @ ee)) for dd, ee in zip(stacks, e)]).tolist()
+    return largest([stacked_singular_values(dd @ ee if mode == "au" else ee @ dd @ ee)
+                    for dd, ee in zip(stacks, e)]).tolist()
 
 
 def _term_spectra(algebra: TracedAlgebra, stacks: Sequence[np.ndarray]) -> tuple:
     """Per group the singular values and right singular vectors (None on 1x1
     groups) of ``(T, k, d, d)`` stacks, and the T rows of their flat spectra."""
-    svals = [stacked_singular_values(_finite(s)) for s in stacks]
+    svals = [stacked_singular_values(s) for s in stacks]
     svds = iter(stack_svds([s for s in stacks if s.shape[-1] > 1]))
     vh = [None if s.shape[-1] == 1 else next(svds)[2] for s in stacks]
     return svals, vh, rearranged(algebra, svals)
@@ -146,16 +144,6 @@ def _levels(values: np.ndarray) -> List[float]:
 def _weight_above(values: np.ndarray, cumulative: np.ndarray, cut):
     """Weight of a flat spectrum strictly above ``cut``, a number or an array."""
     return cumulative[np.searchsorted(-values, -cut)]
-
-
-def _distinct_levels(d: Element) -> List[float]:
-    return _levels(d.flat_spectrum()[0])
-
-
-def _tail_weight(d: Element, level):
-    """Weight above the spectral cut of ``d`` at a level or at an array of them."""
-    values, _, cumulative = d.flat_spectrum()
-    return _weight_above(values, cumulative, spectral_cut(d, np.asarray(level)))
 
 
 def _search_witness(algebra: TracedAlgebra, stacks: Sequence[np.ndarray],
@@ -174,17 +162,18 @@ def _search_witness(algebra: TracedAlgebra, stacks: Sequence[np.ndarray],
     if mode not in ("au", "bau"):
         raise InvalidInputError("mode must be 'au' or 'bau'")
     svals, vh, (values, _, cumulative) = _term_spectra(algebra, stacks)
-    slack = RANK_REL * np.maximum(largest(svals), 1.0)  # of each term's spectral_cut
+    norms = largest(svals)
     levels = [_levels(v) for v in values]
     # tail weights grow as the levels fall, so the fitting levels lead
-    fits = [_weight_above(v, c, np.asarray(lvs) + t) <= epsilon * 2.0 ** (-(n + 1))
-            for n, (v, c, lvs, t) in enumerate(zip(values, cumulative, levels, slack))]
+    fits = [_weight_above(v, c, spectral_cut(np.asarray(lvs), norm))
+            <= epsilon * 2.0 ** (-(n + 1))
+            for n, (v, c, lvs, norm) in enumerate(zip(values, cumulative, levels, norms))]
     cursor = [max(int(f.sum()) - 1, 0) for f in fits]
 
     def term_cut(n: int, k: int) -> list:
         # spectral_projection_below(term n, level k), asked once per (n, k):
         # cursors only advance, a refused swap sticks
-        cut = levels[n][k] + slack[n]
+        cut = spectral_cut(levels[n][k], norms[n])
         return masked_stacks([(None if v is None else _adj(v[n]), s[n] <= cut)
                               for s, v in zip(svals, vh)])
 
@@ -316,7 +305,7 @@ def bilateral_to_onesided(trace: FiniteTrace,
     if certificate.mode != "bau":
         raise InvalidInputError("input certificate must be bilateral")
     differences = [xs[1:] - xs[:-1] for xs in _term_stacks(trace.elements)]
-    norms = largest([stacked_singular_values(_finite(xs)) for xs in differences])
+    norms = largest([stacked_singular_values(xs) for xs in differences])
     f, bilateral, one_sided, deficiency = enlargements(
         trace.algebra, differences, norms, certificate.projection)
     if (one_sided > bilateral + BOUND_SLACK).any():
@@ -367,7 +356,7 @@ def _row_spectra(trace: FiniteTrace):
         for xs in stacks:
             with np.errstate(over="ignore", invalid="ignore"):
                 dd = xs[a] - xs[a + 1:]
-            parts.append(stacked_singular_values(_finite(dd)))
+            parts.append(stacked_singular_values(dd))
         values, _, cumulative = rearranged(trace.algebra, parts)
         yield values, cumulative
 

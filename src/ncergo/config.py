@@ -3,22 +3,21 @@
 Whether a run reports ``certified`` or ``is_ds: true`` rests on these
 values, so they live in one place and are not per-call options.  The
 only exponent-notation literals left elsewhere are the ``1e-300``
-divide-by-zero guards; ``tests/test_config.py`` checks this.
+divide-by-zero guards; ``tests/test_config.py`` checks this.  The
+singular values themselves need no threshold: a real 1x1 block's is its
+modulus at every magnitude, and every other block's is LAPACK's.
 """
 
 # -- numerical rank, verified flags and meets ---------------------------------
 
-#: relative cutoff (times the sup norm) for numerical rank and spectral cuts
+#: relative cutoff (times max(1, the sup norm)) of spectral cuts, applied only
+#: by ``singular.spectral_cut``, and of ``algebra.projection_from_ranges``' rank
 RANK_REL = 1e-10
 #: absolute tolerance for verifying selfadjoint / positive / projection flags
 FLAG_TOL = 1e-10
 #: eigenvalue cut (times the term count) of the kernel of a sum of complements,
 #: which spans their meet; absolute, as such a sum's spectrum lies in [0, terms]
 MEET_KERNEL_CUT = 1e-7
-#: LAPACK's gesdd rescales a matrix whose largest entry is nonzero and below
-#: this (sqrt(tiny) / eps) or above its inverse; between them a 1x1 block's
-#: singular value is exactly its modulus
-SVD_UNSCALED_MIN = 2.0 ** -459
 
 # -- norms and contractions ---------------------------------------------------
 

@@ -15,7 +15,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .algebra import (Element, _adj, _finite, check_algebra, complement_sums,
+from .algebra import (Element, _adj, check_algebra, complement_sums,
                       deficiencies, largest, masked_stacks, meet_stacks, stack_svds,
                       stacked_singular_values, trace_deficiency, weighted_block_sum)
 from .config import BOUND_SLACK, ENLARGE_DEFICIENCY_SLACK, RANK_REL, SUBMAJOR_SLACK
@@ -125,10 +125,12 @@ def measure_scan(values: np.ndarray, cumulative: np.ndarray):
     return np.where(point < hi, point, hi[..., -1:]).min(axis=-1)
 
 
-def spectral_cut(x: Element, level):
-    """`level` (a number or an array) plus RANK_REL * max(||x||_inf, 1), the
-    cut of x's singular values there, so that near-ties fall below it."""
-    return level + RANK_REL * max(x.sup_norm(), 1.0)
+def spectral_cut(level, norm):
+    """The cut at ``level`` of the singular values of a term with sup norm
+    ``norm``: level + RANK_REL * max(norm, 1), so that near-ties fall below
+    it.  The one cut rule of the witness search, :func:`enlargements` and
+    :func:`spectral_projection_below`; either argument may be an array."""
+    return level + RANK_REL * np.maximum(norm, 1.0)
 
 
 def spectral_projection_below(x: Element, level: float) -> Element:
@@ -140,7 +142,7 @@ def spectral_projection_below(x: Element, level: float) -> Element:
     """
     if not (level >= 0):
         raise InvalidInputError("level must be >= 0")
-    cut = spectral_cut(x, level)
+    cut = spectral_cut(level, x.sup_norm())
     return Element._from_stacks(x.algebra, masked_stacks([
         (None if s.shape[-1] == 1 else _adj(x.stack_svds()[j][2]), s <= cut)
         for j, s in enumerate(x.stack_singular_values())]), True, True, True)
@@ -165,17 +167,15 @@ def enlargements(algebra, xs, norms, e: Element) -> tuple:
     the stacks of the f_t, ||e x_t e||, ||x_t f_t|| and tau(1 - f_t)."""
     e = e.as_projection()
     check_algebra(algebra, e.algebra)
-    xe = [_finite(x @ p) for x, p in zip(xs, e.stacks)]
-    delta = largest([stacked_singular_values(_finite(p @ q))
-                     for p, q in zip(e.stacks, xe)])
+    xe = [x @ p for x, p in zip(xs, e.stacks)]
+    delta = largest([stacked_singular_values(p @ q) for p, q in zip(e.stacks, xe)])
     svals = [stacked_singular_values(p) for p in xe]
-    # spectral_cut of each x e at its delta
-    cut = (delta + RANK_REL * np.maximum(largest(svals), 1.0))[:, None, None]
+    cut = spectral_cut(delta, largest(svals))[:, None, None]
     q = masked_stacks([(None if s.shape[-1] == 1 else _adj(stack_svds([p])[0][2]),
                         s <= cut) for p, s in zip(xe, svals)])
     f = meet_stacks(complement_sums([e.stacks, q]), 2)
     def_e, def_f = trace_deficiency(e), deficiencies(algebra, f)
-    xf = largest([stacked_singular_values(_finite(x @ p)) for x, p in zip(xs, f)])
+    xf = largest([stacked_singular_values(x @ p) for x, p in zip(xs, f)])
     if (bad := def_f > 2.0 * def_e + ENLARGE_DEFICIENCY_SLACK).any():
         raise PostconditionError(f"trace deficiency {def_f[bad][0]} exceeds 2 * {def_e}")
     if (bad := xf > delta + BOUND_SLACK * np.maximum(1.0, norms)).any():

@@ -506,7 +506,7 @@ def verify_ds(op: SuperOperator, trials: int = 50, seed: int = 0) -> DSCertifica
     other, "proven-upper" bounds (``_haagerup_bounds``)."""
     positive = check_positivity(op, trials=trials, seed=seed)
     one = op.algebra.identity().stacks
-    c_1, c_inf = ([float(largest([stacked_singular_values(_finite(s)) for s in m._act(one)]))
+    c_1, c_inf = ([float(largest([stacked_singular_values(s) for s in m._act(one)]))
                    for m in (op.adjoint(), op)] if positive else _haagerup_bounds(op))
     return DSCertificate(c_1, c_inf, positive, op._positivity_rule is not None,
                          op._positivity_rule if positive else "proven-upper")
@@ -520,7 +520,7 @@ def _haagerup_bounds(op: SuperOperator) -> tuple:
     Completely Bounded Maps..., 2002), c_1 the same for sum_t L_t* y R_t*."""
     bounds = np.zeros(2)
     for m in op.to_matrix():
-        u, s, vh = stack_svds([_finite(_reshuffled(m, (0, 1, 3, 4, 2)))])[0]
+        u, s, vh = stack_svds([_reshuffled(m, (0, 1, 3, 4, 2))])[0]
         d, root = math.isqrt(m.shape[-1]), np.sqrt(s)[..., None]
         left, right = ((root * f).reshape(len(m), -1, d, d) for f in (u.swapaxes(-1, -2), vh))
         n = [stacked_singular_values(np.einsum("btia,btja->bij", f, f.conj()))[:, 0]

@@ -9,7 +9,9 @@ import scipy.linalg
 from hypothesis import example, settings, strategies as st
 
 from ncergo import BlockExpectation, Element, Pinching, TracedAlgebra
+from ncergo.certify import _weight_above
 from ncergo.rng import stream
+from ncergo.singular import spectral_cut
 
 SEED = 0xA5C3_2026
 
@@ -74,6 +76,20 @@ def spectrum_elements(rng, algebra, zero_block=None):
     shared = {d: b for d, b in zip(algebra.dims, x.data)}
     return [x, Element(algebra, [shared[d] for d in algebra.dims]),
             random_projection(rng, algebra), algebra.zero()]
+
+
+def same_bits(got, want):
+    """Equal arrays of one dtype and shape, bit for bit (signed zeros too)."""
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape \
+        and got.tobytes() == want.tobytes()
+
+
+def tail_weight(d, level):
+    """The witness search's weight of the flat spectrum of ``d`` above its
+    spectral cut at a level or at an array of them."""
+    values, _, cumulative = d.flat_spectrum()
+    return _weight_above(values, cumulative, spectral_cut(np.asarray(level), d.sup_norm()))
 
 
 def random_layout_element(rng, algebra, zero_block=None):

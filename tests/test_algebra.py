@@ -8,16 +8,14 @@ from conftest import SEED, BLOCK_CONFIGS, LAYOUTS, assembled, \
     grouped_examples, group_stacks, make_algebra, random_block_expectation, \
     random_layout_element, random_pinching, random_projection, \
     random_unitary, random_unitary_element, reference_projection_blocks, \
-    spectrum_elements, spectrum_examples
+    same_bits, spectrum_elements, spectrum_examples, tail_weight
 from ncergo import ConvexCombination, Element, ExplicitMatrix, \
     InterpolationFlow, TracedAlgebra, UnitaryConjugation, UnitaryFlow, \
     box_average, check_positivity, clip_decompose, enlarge_projection, \
     fava_decompose, k_functional, lp_norm, mu, projection_meet, \
     spectral_projection_below, trace_deficiency
 from ncergo.algebra import masked_stacks, projection_from_ranges, \
-    range_bases, stacked_singular_values
-from ncergo.certify import _tail_weight
-from ncergo.config import SVD_UNSCALED_MIN
+    range_bases, stack_svds, stacked_singular_values
 from ncergo.errors import InvalidInputError
 from ncergo.rng import stream
 
@@ -173,7 +171,7 @@ def test_spectrum_readers_share_one_svd_per_group(monkeypatch):
         mu(x)
         lp_norm(x, 2.0)
         k_functional(x, 1.0)
-        _tail_weight(x, 0.5)
+        tail_weight(x, 0.5)
     assert calls == ["svd"] * len(a.groups)
 
 
@@ -339,23 +337,53 @@ def test_groups_partition_blocks_by_dim():
     assert make_algebra(BLOCK_CONFIGS[6]).groups == ((0, 1), (2,), (3,))
 
 
-def test_stacked_singular_values_equal_lapack():
-    """Real 1x1 blocks take their modulus, which must be LAPACK's value;
-    the magnitudes span both ends of the range LAPACK does not rescale."""
+def test_spectrum_readers_take_exact_real_1x1_moduli():
+    """A real 1x1 term's singular value is its modulus at every magnitude,
+    also past 2^-459 and 2^459, where LAPACK rescales; complex 1x1 terms and
+    larger blocks are LAPACK's.  ``stack_svds`` of a real 1x1 group has the
+    same values, reproduces the blocks, and is LAPACK's SVD bit for bit
+    wherever LAPACK does not rescale."""
     rng = stream(SEED, "test/algebra/modulus")
-    fi, lo = np.finfo(float), SVD_UNSCALED_MIN
+    fi, lo = np.finfo(float), 2.0 ** -459
     mags = np.concatenate([
         10.0 ** rng.uniform(-300, 300, 4000) * rng.uniform(1, 10, 4000),
-        [0.0, fi.smallest_subnormal, np.nextafter(lo, 0), lo, 1.0 / lo,
-         np.nextafter(1.0 / lo, np.inf), fi.max]])
+        [0.0, fi.smallest_subnormal, 2.0 ** -460, 2.0 ** 460, fi.max]])
     v = mags * rng.choice([-1.0, 1.0], mags.size)
     assert (mags < lo).any() and (mags > 1.0 / lo).any()
-    stacks = [v.reshape(-1, 1, 1), (v + 0j).reshape(-1, 1, 1, 1),
-              (v + 1j * rng.standard_normal(v.size)).reshape(-1, 1, 1),
-              rng.standard_normal((5, 3, 2, 2)) + 0j]
-    for stack in stacks:
-        assert np.array_equal(stacked_singular_values(stack),
-                              np.linalg.svd(stack, compute_uv=False))
+    unscaled = (mags == 0) | ((mags >= lo) & (mags <= 1.0 / lo))
+    complex_1x1 = (v + 1j * rng.standard_normal(v.size)).reshape(-1, 1, 1)
+    for real in ((v + 0j).reshape(-1, 1, 1), (v + 0j).reshape(-1, 5, 1, 1)):
+        s = stacked_singular_values(real)
+        assert same_bits(s, np.abs(real.real[..., 0]))
+        u, s_uv, vh = stack_svds([real])[0]
+        assert same_bits(s_uv, s)
+        assert np.array_equal((u * s_uv[..., None, :]) @ vh, real)
+        keep = unscaled.reshape(real.shape[:-2])
+        assert all(same_bits(got[keep], want[keep])
+                   for got, want in zip((u, s_uv, vh), np.linalg.svd(real)))
+        # a complex term beside a real one: each term keeps its own rule
+        mixed = np.stack([real, complex_1x1.reshape(real.shape)])
+        assert same_bits(stacked_singular_values(mixed),
+                         np.stack([s, np.linalg.svd(mixed[1], compute_uv=False)]))
+    for stack in (complex_1x1, rng.standard_normal((5, 3, 2, 2)) + 0j):
+        assert same_bits(stacked_singular_values(stack),
+                         np.linalg.svd(stack, compute_uv=False))
+        assert all(same_bits(got, want) for got, want
+                   in zip(stack_svds([stack])[0], np.linalg.svd(stack)))
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_spectrum_readers_refuse_non_finite_entries(value):
+    """Both spectrum readers refuse inf and NaN themselves, on every route:
+    a real 1x1 term, a complex 1x1 term and blocks larger than 1x1."""
+    square = np.eye(2, dtype=complex)
+    square[0, 1] = value
+    for stack in (np.array([[[1.0]], [[value]]], dtype=complex),
+                  np.array([[[1j]], [[value]]]), square[None], square[None, None]):
+        with pytest.raises(InvalidInputError):
+            stacked_singular_values(stack)
+        with pytest.raises(InvalidInputError):
+            stack_svds([np.eye(1, dtype=complex)[None], stack])
 
 
 @grouped_examples

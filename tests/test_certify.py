@@ -9,8 +9,8 @@ from hypothesis import example, given, strategies as st
 
 from conftest import SEED, LAYOUTS, grouped_examples, \
     random_layout_element, random_projection, random_unitary_element, \
-    reference_projection_blocks, spectrum_elements, spectrum_examples, \
-    split_stacks
+    reference_projection_blocks, same_bits, spectrum_elements, \
+    spectrum_examples, split_stacks, tail_weight
 from ncergo import certify
 from ncergo import Element, TracedAlgebra, UnitaryConjugation, \
     bilateral_to_onesided, certify_cauchy, enlarge_projection, \
@@ -20,14 +20,13 @@ from ncergo import Element, TracedAlgebra, UnitaryConjugation, \
 from ncergo.algebra import _MeetBuilder, complement_sums, meet_stacks, \
     stacked_singular_values
 from ncergo.certify import FiniteTrace, WitnessCertificate, \
-    _compressed_bounds, _distinct_levels, _search_witness, _tail_weight, \
-    _term_spectra, _term_stacks
+    _compressed_bounds, _levels, _search_witness, _term_spectra, _term_stacks
 from ncergo.config import BUDGET_SLACK, RANK_REL, TAIL_TOL
 from ncergo.ergodic import SectorNet, net_average_trace
 from ncergo.errors import InvalidInputError, NoLimitError, PostconditionError
 from ncergo.fixtures import conjugation_d2_fixture
 from ncergo.rng import stream
-from ncergo.singular import enlargements, spectral_cut
+from ncergo.singular import enlargements
 
 
 _CONJUGATION_CACHE = {}
@@ -334,6 +333,31 @@ def test_extract_limit_makes_no_element_and_one_svd_per_group_row(
     assert counts == [0, 5 * 3]
 
 
+@pytest.mark.parametrize("mode", ["au", "bau"])
+def test_remark32_past_the_lapack_range_factorizes_nothing(monkeypatch, mode):
+    """remark32_model(12) scaled by 2^470, whose values lie past 2^459,
+    where LAPACK rescales a block: the witness search takes each real 1x1
+    modulus itself, with no np.linalg.svd call, and finds the unscaled
+    run's witness, so the deficiency is equal and the bounds are 2^470
+    times the unscaled ones, bit for bit."""
+    _, trace, limit = remark32_model(12)
+    scaled = FiniteTrace(tuple(x.scaled(2.0 ** 470) for x in trace.elements))
+    svds = []
+    svd = np.linalg.svd
+
+    def counted_svd(*args, **kwargs):
+        svds.append(1)
+        return svd(*args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    want = witness_convergence(trace, limit, 2.0 ** -5, mode)
+    got = witness_convergence(scaled, limit.scaled(2.0 ** 470), 2.0 ** -5, mode)
+    assert svds == []
+    assert got.trace_deficiency == want.trace_deficiency
+    assert all(same_bits(g, w) for g, w in zip(got.projection.stacks, want.projection.stacks))
+    assert same_bits([b for _, b in got.tail_bounds],
+                     np.ldexp([b for _, b in want.tail_bounds], 470))
+
+
 # -- flat-spectrum readers against the scalar loops ----------------------------
 
 def tail_weight_reference(d, level):
@@ -361,14 +385,14 @@ def test_tail_weight_and_levels_equal_scalar_loops(layout, seed, zero_block):
     a = TracedAlgebra(layout)
     for d in spectrum_elements(stream(seed, "test/certify/flat"), a,
                                zero_block):
-        levels = _distinct_levels(d)
+        levels = _levels(d.flat_spectrum()[0])
         assert levels == distinct_levels_reference(d)
         slack = RANK_REL * max(d.sup_norm(), 1.0)
         svals = d.flat_spectrum()[0].tolist()
         probes = levels + svals + [s - slack for s in svals] + [-1.0]
         for level in probes:
-            assert _tail_weight(d, level) == tail_weight_reference(d, level)
-        assert _tail_weight(d, probes).tolist() \
+            assert tail_weight(d, level) == tail_weight_reference(d, level)
+        assert tail_weight(d, probes).tolist() \
             == [tail_weight_reference(d, lv) for lv in probes]
 
 
@@ -378,7 +402,7 @@ def test_tail_weight_cut_equal_to_a_singular_value():
     a = TracedAlgebra(((1, 0.5), (1, 0.25), (1, 2.0), (1, 1.0)))
     d = Element(a, [np.array([[v]]) for v in (cut, 0.5, cut, 0.1)])
     assert cut in d.flat_spectrum()[0]
-    assert _tail_weight(d, level) == tail_weight_reference(d, level) == 0.25
+    assert tail_weight(d, level) == tail_weight_reference(d, level) == 0.25
 
 
 def test_tail_weight_non_dyadic_within_one_ulp_of_block_order():
@@ -389,7 +413,7 @@ def test_tail_weight_non_dyadic_within_one_ulp_of_block_order():
     for values in itertools.permutations((0.4, 0.3, 0.2)):
         d = Element(a, [np.array([[v]]) for v in values])
         for level in (0.5, 0.35, 0.25, 0.1, 0.0):
-            got, want = _tail_weight(d, level), tail_weight_reference(d, level)
+            got, want = tail_weight(d, level), tail_weight_reference(d, level)
             assert abs(got - want) <= np.spacing(want)
             diffs.add(got != want)
     assert diffs == {False, True}
@@ -536,7 +560,8 @@ def element_search(algebra, stacks, epsilon, mode, max_iter=600):
         values, _, cumulative = d.flat_spectrum()
         distinct = np.unique(values[values > 0])[::-1].tolist()
         levels.append([*dict.fromkeys(round(v, 14) for v in distinct), 0.0])
-        weights = cumulative[np.searchsorted(-values, -spectral_cut(d, np.asarray(levels[n])))]
+        cut = np.asarray(levels[n]) + RANK_REL * max(d.sup_norm(), 1.0)
+        weights = cumulative[np.searchsorted(-values, -cut)]
         cursor.append(max(int((weights <= epsilon * 2.0 ** (-(n + 1))).sum()) - 1, 0))
 
     def meet(projections, sums):
@@ -805,13 +830,6 @@ def test_mask_searches_make_no_qr_and_no_vectors_on_1x1_blocks(monkeypatch):
 
 
 # -- the batched routes against the per-index rule -----------------------------
-
-def same_bits(got, want):
-    """Equal arrays of one dtype and shape, bit for bit (signed zeros too)."""
-    got, want = np.asarray(got), np.asarray(want)
-    return got.dtype == want.dtype and got.shape == want.shape \
-        and got.tobytes() == want.tobytes()
-
 
 def per_index_enlargement(x, e):
     """The enlargement of x against e as it reads on elements: the meet of

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import SEED, BLOCK_CONFIGS, LAYOUTS, abs_element, \
     make_algebra, random_projection, spectrum_elements, spectrum_examples
@@ -474,6 +474,29 @@ def test_lp_norm_scales_by_powers_of_two(layout, seed, zero_block):
             y = x.scaled(2.0 ** k)
             for p in (1.0, 2.0, 3.0, np.inf):
                 assert lp_norm(y, p) == np.ldexp(lp_norm(x, p), k), (p, k)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(weights=st.lists(st.sampled_from((0.25, 0.5, 1.0, 2.0)), min_size=1, max_size=6),
+       seed=st.integers(0, 2 ** 16), k=st.sampled_from((-900, -600, -470, 470, 600, 900)),
+       j=st.integers(-10, 10))
+def test_mu_at_scales_by_powers_of_two_on_real_1x1_layouts(weights, seed, k, j):
+    """On a diagonal algebra mu is the classical decreasing rearrangement:
+    mu_at(2^k x, 2^j t) == 2^k mu_at(x, t) bit for bit, with every weight
+    scaled by 2^j, also where 2^k x lies past 2^-459 or 2^459, the range
+    outside which LAPACK rescales a block."""
+    rng = stream(seed, "test/singular/mu-at-scale")
+    values = np.ldexp(rng.uniform(-1.0, 1.0, len(weights)),
+                      rng.integers(-60, 61, len(weights)))
+    values[rng.integers(len(weights))] = 0.0
+    x = Element(TracedAlgebra(tuple((1, w) for w in weights)),
+                [np.array([[v]]) for v in values])
+    y = Element(TracedAlgebra(tuple((1, np.ldexp(w, j)) for w in weights)),
+                [np.array([[np.ldexp(v, k)]]) for v in values])
+    cumulative = x.flat_spectrum()[2]
+    for t in [*cumulative, *(cumulative[:-1] + cumulative[1:]) / 2, cumulative[-1] + 1.0]:
+        got, want = mu_at(y, np.ldexp(t, j)), np.ldexp(mu_at(x, t), k)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), t
 
 
 def test_lp_norm_and_mu_at_build_no_step_function(monkeypatch):
