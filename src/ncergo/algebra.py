@@ -208,20 +208,25 @@ class Element:
         raise AttributeError("Element is immutable")
 
     def _verify_flags(self):
+        """Refuse a flag its blocks do not bear out.  Each test is written
+        so that NaN refuses, and an element whose norm overflows, which
+        makes the relative tolerance infinite, cannot be verified."""
         if not (self.selfadjoint or self.positive or self.projection):
             return
         scale = max(self.sup_norm(), 1.0)
+        if not np.isfinite(scale):
+            raise InvalidInputError("flags cannot be verified: the norm overflows")
         gap = max(np.abs(b - _adj(b)).max() for b in self.stacks)
-        if gap > FLAG_TOL * scale:
+        if not (gap <= FLAG_TOL * scale):
             raise InvalidInputError("selfadjoint flag fails verification")
         if self.positive or self.projection:
-            lo = min(np.linalg.eigvalsh((b + _adj(b)) / 2).min(initial=0.0)
+            lo = min(np.linalg.eigvalsh(b / 2 + _adj(b) / 2).min(initial=0.0)
                      for b in self.stacks)
-            if lo < -FLAG_TOL * scale:
+            if not (lo >= -FLAG_TOL * scale):
                 raise InvalidInputError("positive flag fails verification")
         if self.projection:
             gap = max(np.abs(b @ b - b).max(initial=0.0) for b in self.stacks)
-            if gap > FLAG_TOL:
+            if not (gap <= FLAG_TOL):
                 raise InvalidInputError("projection flag fails verification")
 
     @property
@@ -292,13 +297,13 @@ class Element:
         """Per group, the cached ``(k, d)`` singular values of its stack."""
         if self._svals is None:
             object.__setattr__(self, "_svals", tuple(
-                [_frozen(stacked_singular_values(b)) for b in self.stacks]))
+                [_frozen(_singular_values(b)) for b in self.stacks]))
         return self._svals
 
     def stack_svds(self) -> tuple:
         """Per group, the full SVD ``(u, s, vh)`` of its stack, cached read-only."""
         if self._svd is None:
-            object.__setattr__(self, "_svd", stack_svds(self.stacks))
+            object.__setattr__(self, "_svd", tuple(map(_svd, self.stacks)))
         return self._svd
 
     def singular_values(self) -> list:
@@ -345,13 +350,7 @@ def stacked_singular_values(stack: np.ndarray) -> np.ndarray:
     A 1x1 block takes its modulus, exact at every magnitude, if its
     ``(k, 1, 1)`` term is real; every other block is factorized.
     """
-    if _finite(stack).shape[-1] != 1:
-        return np.linalg.svd(stack, compute_uv=False)
-    s = np.abs(stack.real[..., 0])
-    complex_terms = stack.imag.any(axis=(-3, -2, -1))
-    if complex_terms.any():
-        s[complex_terms] = np.linalg.svd(stack[complex_terms], compute_uv=False)
-    return s
+    return _singular_values(_finite(stack))
 
 
 def stack_svds(stacks: Sequence[np.ndarray]) -> tuple:
@@ -360,14 +359,29 @@ def stack_svds(stacks: Sequence[np.ndarray]) -> tuple:
     u = sign(a) (1 at a = 0), s = |a| and vh = 1: the rule of
     :func:`stacked_singular_values`, and LAPACK's factors wherever LAPACK
     does not rescale."""
-    svds = []
-    for b in map(_finite, stacks):
-        if b.shape[-1] > 1 or b.imag.any():
-            svds.append(np.linalg.svd(b))
-        else:
-            svds.append((np.where(b.real < 0, -1.0, 1.0).astype(b.dtype),
-                         np.abs(b.real[..., 0]), np.ones_like(b)))
-    return tuple([tuple(map(_frozen, usv)) for usv in svds])
+    return tuple([_svd(_finite(b)) for b in stacks])
+
+
+def _singular_values(stack: np.ndarray) -> np.ndarray:
+    """:func:`stacked_singular_values` of a stack known to be finite, such
+    as an element's, which ``Element`` checked when it froze them."""
+    if stack.shape[-1] != 1:
+        return np.linalg.svd(stack, compute_uv=False)
+    s = np.abs(stack.real[..., 0])
+    complex_terms = stack.imag.any(axis=(-3, -2, -1))
+    if complex_terms.any():
+        s[complex_terms] = np.linalg.svd(stack[complex_terms], compute_uv=False)
+    return s
+
+
+def _svd(stack: np.ndarray) -> tuple:
+    """:func:`stack_svds` of one stack known to be finite."""
+    if stack.shape[-1] > 1 or stack.imag.any():
+        usv = np.linalg.svd(stack)
+    else:
+        usv = (np.where(stack.real < 0, -1.0, 1.0).astype(stack.dtype),
+               np.abs(stack.real[..., 0]), np.ones_like(stack))
+    return tuple(map(_frozen, usv))
 
 
 def largest(svals: Sequence[np.ndarray]):

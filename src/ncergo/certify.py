@@ -371,8 +371,9 @@ def remark32_model(n_blocks: int):
 
     Returns (algebra, trace of partial elements, limit).
     """
-    if n_blocks < 1:
-        raise InvalidInputError("need at least one block")
+    top = np.finfo(float).maxexp - 1  # 2.0 ** k overflows past k = 1023
+    if not 1 <= n_blocks <= top:
+        raise InvalidInputError(f"need between 1 and {top} blocks, got {n_blocks}")
     algebra = TracedAlgebra(tuple((1, 2.0 ** (-k))
                                   for k in range(1, n_blocks + 1)))
     elements = []

@@ -17,7 +17,6 @@ from functools import cached_property, reduce
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.linalg
 
 from .algebra import (Element, TracedAlgebra, _adj, _finite, _integer, block_matrices,
                       check_algebra, largest, stack_svds, stacked_singular_values,
@@ -145,6 +144,9 @@ class UnitaryConjugation(_Sandwiched):
                 if u.shape[-1] == 1:
                     t, q = u, np.ones_like(u)
                 else:
+                    # imported here, its one use: scipy.linalg costs more
+                    # start-up than the rest of the package
+                    import scipy.linalg
                     t, q = map(np.stack, zip(*[scipy.linalg.schur(b, output="complex")
                                                for b in u]))
                 lam = np.diagonal(t, axis1=-2, axis2=-1)

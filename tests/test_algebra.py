@@ -86,6 +86,26 @@ def test_flag_verification():
     assert e.projection
 
 
+def test_flag_verification_fails_closed_near_overflow():
+    """The Hermitian part is halved before it is added, so it cannot
+    overflow into NaN eigenvalues, and a NaN gap or an element whose norm
+    overflows refuses its flags instead of passing them."""
+    a = TracedAlgebra(((2, 1.0),))
+    big = np.finfo(float).max
+    refused = [
+        ([np.diag([-1.7e308, -1.7e308])], "positive flag fails"),
+        ([np.array([[1e308, 1.5e308], [1.5e308, 1e308]])], "norm overflows"),
+        ([np.array([[big, big], [-big, big]])], "norm overflows"),
+    ]
+    for data, message in refused:
+        with pytest.raises(InvalidInputError, match=message):
+            Element(a, data, selfadjoint=True, positive=True)
+    with pytest.raises(InvalidInputError, match="positive flag fails"):
+        Element(TracedAlgebra(((1, 1.0),)), [np.array([[-big]])], positive=True)
+    x = Element(a, [np.diag([big, 1.7e308])], selfadjoint=True, positive=True)
+    assert x.sup_norm() == big
+
+
 def test_immutability():
     a = TracedAlgebra(((2, 1.0),))
     x = a.identity()

@@ -308,6 +308,17 @@ def test_remark32_then_certify(tmp_path):
     assert payload["trace_deficiency"] <= 2.0 ** -5 + 1e-12
 
 
+def test_remark32_refuses_more_blocks_than_floats_reach(tmp_path, capsys):
+    """2^1024 overflows a float, so --n past 1023 is bad input, refused
+    before anything is built or written; 1023 blocks still build."""
+    out = tmp_path / "trace"
+    assert main(["remark32", "--n", "1024", "--out-dir", str(out)]) == EXIT_INPUT
+    assert "1023" in capsys.readouterr().err
+    assert not out.exists()
+    _, trace, limit = ncergo.remark32_model(1023)
+    assert len(trace) == 1023 and limit.sup_norm() == 2.0 ** 1023
+
+
 def test_certify_reads_each_file_once(tmp_path, monkeypatch):
     """Every input file is read once, and the manifest hashes the element
     files' bytes in name order."""

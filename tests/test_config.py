@@ -202,8 +202,9 @@ def test_per_block_views_only_in_algebra_and_serialize():
 
 
 def test_only_the_spectrum_rule_factorizes():
-    """Every norm reads one spectrum: in the package only
-    ``algebra.stacked_singular_values`` and ``Element.stack_svds`` call
+    """Every norm reads one spectrum: in the package only the spectral
+    core under ``algebra.stacked_singular_values`` and
+    ``algebra.stack_svds``, ``_singular_values`` and ``_svd``, calls
     ``np.linalg.svd``."""
     callers = set()
 
@@ -219,7 +220,7 @@ def test_only_the_spectrum_rule_factorizes():
 
     for path in sorted(PACKAGE.glob("*.py")):
         visit(ast.parse(path.read_text()), path.stem, None)
-    assert callers == {"algebra.stacked_singular_values", "algebra.stack_svds"}
+    assert callers == {"algebra._singular_values", "algebra._svd"}
 
 
 def test_flags_are_checked_only_where_a_claim_enters():
