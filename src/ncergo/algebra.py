@@ -576,7 +576,7 @@ def meet_stacks(sums: Sequence[np.ndarray], terms: int) -> list:
         if s.shape[-1] == 1:  # a 1x1 sum's real part is its eigenvalue
             parts.append((None, s.real[..., 0] < cut))
         else:
-            w, v = np.linalg.eigh((s + _adj(s)) / 2)
+            w, v = np.linalg.eigh(s / 2 + _adj(s) / 2)
             parts.append((v, w < cut))
     return masked_stacks(parts)
 

@@ -21,9 +21,9 @@ import numpy as np
 from .algebra import (Element, TracedAlgebra, _MeetBuilder, _adj, check_algebra,
                       deficiencies, largest, masked_stacks, rearranged, stack_svds,
                       stacked_singular_values, trace_deficiency)
-from .config import BOUND_SLACK, BUDGET_SLACK, CAUCHY_TOL, TAIL_RISE_SLACK, TAIL_TOL
+from .config import BUDGET_SLACK, CAUCHY_TOL, TAIL_RISE_SLACK, TAIL_TOL
 from .errors import InvalidInputError, NoLimitError, PostconditionError
-from .singular import enlargements, measure_scan, spectral_cut
+from .singular import enlargements, exceeds_bound, measure_scan, spectral_cut
 
 
 @dataclass(frozen=True)
@@ -116,6 +116,23 @@ def _term_stacks(elements: Sequence[Element]) -> list:
     return [np.array(terms) for terms in zip(*(x.stacks for x in elements))]
 
 
+def _differences(pairs) -> list:
+    """``a - b`` for each pair of stacks, the one overflow rule of the
+    certifiers: only the subtraction ignores overflow, so an entry past the
+    float range is inf, which the spectrum reader refuses as input."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [a - b for a, b in pairs]
+
+
+def _pair_windows(stacks: Sequence[np.ndarray], row_max) -> list:
+    """The sup of ``row_max`` over the pairs of each suffix window j of a trace
+    held as its :func:`_term_stacks`: row a is x_b - x_a for every b > a, one
+    stack per group (memory O(n)), and window j takes the largest row from j on."""
+    rows = [row_max(_differences((xs[a + 1:], xs[a]) for xs in stacks))
+            for a in range(len(stacks[0]) - 1)]
+    return np.maximum.accumulate(rows[::-1])[::-1].tolist()
+
+
 def _compressed_bounds(stacks: Sequence[np.ndarray], e: Sequence[np.ndarray],
                        mode: str) -> list:
     """||d e|| ("au") or ||e d e|| ("bau") of every term d of ``stacks`` (see
@@ -205,6 +222,9 @@ def _search_witness(algebra: TracedAlgebra, stacks: Sequence[np.ndarray],
             stuck[target] = True
     else:
         cap_hit = worst_open_term() is not None
+    # one-sided control implies two-sided control under the same witness
+    if mode == "au" and exceeds_bound(_compressed_bounds(stacks, e, "bau"), bounds, norms).any():
+        raise PostconditionError("two-sided bound exceeds one-sided bound")
     e = Element._from_stacks(algebra, e, True, True, True)
     return e, trace_deficiency(e), bounds, cap_hit
 
@@ -235,16 +255,11 @@ def witness_convergence(trace: FiniteTrace, limit: Element, epsilon: float,
         return WitnessCertificate(mode, epsilon, e, trace_deficiency(e),
                                   tuple(enumerate(bounds)), "certified",
                                   len(trace), notes)
-    differences = [a - xs for a, xs in zip(limit.stacks, _term_stacks(trace.elements))]
+    differences = _differences(zip(limit.stacks, _term_stacks(trace.elements)))
     e, deficiency, bounds, cap_hit = _search_witness(trace.algebra, differences,
                                                      epsilon, mode)
     if cap_hit:
         notes["iteration_cap_hit"] = True
-    if mode == "au":
-        # one-sided control implies two-sided control under the same witness
-        two_sided = _compressed_bounds(differences, e.stacks, "bau")
-        if any(t > b + BOUND_SLACK for t, b in zip(two_sided, bounds)):
-            raise PostconditionError("two-sided bound exceeds one-sided bound")
     return WitnessCertificate(mode, epsilon, e, deficiency,
                               tuple(enumerate(bounds)),
                               _verdict(bounds), len(trace), notes)
@@ -276,14 +291,10 @@ def certify_cauchy(trace: FiniteTrace, epsilon: float,
                                   "certified", n, notes)
     stacks = _term_stacks(trace.elements)
     e, deficiency, _, cap_hit = _search_witness(
-        trace.algebra, [xs[1:] - xs[:-1] for xs in stacks], epsilon, mode)
+        trace.algebra, _differences((xs[1:], xs[:-1]) for xs in stacks), epsilon, mode)
     if cap_hit:
         notes["iteration_cap_hit"] = True
-    # row a bounds x_b - x_a for every b > a, one batched row at a time, so
-    # memory stays O(n); the sup of window j is the largest row maximum from j on
-    rows = [max(_compressed_bounds([x[a + 1:] - x[a] for x in stacks], e.stacks, mode))
-            for a in range(n - 1)]
-    sups = np.maximum.accumulate(rows[::-1])[::-1].tolist()
+    sups = _pair_windows(stacks, lambda dd: max(_compressed_bounds(dd, e.stacks, mode)))
     return WitnessCertificate(mode, epsilon, e, deficiency,
                               tuple(enumerate(sups)),
                               _verdict(sups), n, notes)
@@ -304,12 +315,10 @@ def bilateral_to_onesided(trace: FiniteTrace,
     """
     if certificate.mode != "bau":
         raise InvalidInputError("input certificate must be bilateral")
-    differences = [xs[1:] - xs[:-1] for xs in _term_stacks(trace.elements)]
+    differences = _differences((xs[1:], xs[:-1]) for xs in _term_stacks(trace.elements))
     norms = largest([stacked_singular_values(xs) for xs in differences])
-    f, bilateral, one_sided, deficiency = enlargements(
+    f, _, one_sided, deficiency = enlargements(
         trace.algebra, differences, norms, certificate.projection)
-    if (one_sided > bilateral + BOUND_SLACK).any():
-        raise PostconditionError("one-sided bound exceeds bilateral bound")
     last = certificate.projection if len(trace) == 1 else Element._from_stacks(
         trace.algebra, [s[-1] for s in f], True, True, True)
     bounds = one_sided.tolist()
@@ -333,32 +342,16 @@ def extract_limit(trace: FiniteTrace) -> Tuple[Element, List[float]]:
     n = len(trace)
     if n == 1:
         return trace.elements[0], [0.0]
-    # the modulus of window j is the largest row maximum from row j on
-    rows = [measure_scan(*row).max() for row in _row_spectra(trace)]
-    moduli = np.maximum.accumulate(rows[::-1])[::-1].tolist()
+    def modulus(dd):  # the largest measure-metric distance of a row
+        values, _, cumulative = rearranged(trace.algebra, [*map(stacked_singular_values, dd)])
+        return measure_scan(values, cumulative).max()
+    moduli = _pair_windows(_term_stacks(trace.elements), modulus)
     tail_start = max(0, n - max(2, n // 4) - 1)
     if moduli[min(tail_start, n - 2)] > CAUCHY_TOL:
         raise NoLimitError(
             f"tail modulus {moduli[min(tail_start, n - 2)]:.3e} exceeds "
             f"{CAUCHY_TOL:.3e}")
     return trace.elements[-1], moduli
-
-
-def _row_spectra(trace: FiniteTrace):
-    """For each a < n - 1, the ``flat_spectrum`` values and cumulative
-    weights of x_a - x_b, one row per b > a, from one stacked
-    computation per group, the one :meth:`Element.stack_singular_values`
-    makes, so the rows equal the per-pair ``measure_metric`` table.
-    """
-    stacks = _term_stacks(trace.elements)
-    for a in range(len(trace) - 1):
-        parts = []
-        for xs in stacks:
-            with np.errstate(over="ignore", invalid="ignore"):
-                dd = xs[a] - xs[a + 1:]
-            parts.append(stacked_singular_values(dd))
-        values, _, cumulative = rearranged(trace.algebra, parts)
-        yield values, cumulative
 
 
 def remark32_model(n_blocks: int):

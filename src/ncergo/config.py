@@ -68,7 +68,7 @@ CAUCHY_TOL = 1e-3
 BUDGET_SLACK = 1e-12
 #: slack by which the last tail bound may exceed the first and still certify
 TAIL_RISE_SLACK = 1e-12
-#: slack of postconditions ordering compressed norm bounds (relative if scaled)
+#: slack of postconditions ordering compressed norm bounds, times max(||term||, 1)
 BOUND_SLACK = 1e-9
 #: slack of the postcondition that enlargement at most doubles the deficiency
 ENLARGE_DEFICIENCY_SLACK = 1e-9

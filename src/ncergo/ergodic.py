@@ -393,7 +393,7 @@ class UnitaryFlow:
         generator = generator.as_selfadjoint()
         self.algebra = generator.algebra
         self._eig = [  # per group, the stacked eigenbasis (w, v)
-            np.linalg.eigh((b + _adj(b)) / 2) for b in generator.stacks]
+            np.linalg.eigh(b / 2 + _adj(b) / 2) for b in generator.stacks]
         # u_s u_t = u_{s+t} for u_s = v e^{isw} v* wherever v*v = 1
         if max(np.abs(_adj(v) @ v - np.eye(w.shape[-1])).max()
                for w, v in self._eig) > UNITARY_TOL:

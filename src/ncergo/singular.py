@@ -161,6 +161,12 @@ def enlarge_projection(x: Element, e: Element) -> Element:
     return Element._from_stacks(x.algebra, [s[0] for s in f], True, True, True)
 
 
+def exceeds_bound(bound, cap, norms):
+    """Where a bound on terms of sup norms ``norms`` exceeds its ``cap`` past
+    BOUND_SLACK * max(norm, 1), the one slack of the bound postconditions."""
+    return np.asarray(bound) > np.asarray(cap) + BOUND_SLACK * np.maximum(norms, 1.0)
+
+
 def enlargements(algebra, xs, norms, e: Element) -> tuple:
     """:func:`enlarge_projection` of the terms x_t of ``(T, k, d, d)`` stacks
     with sup norms ``norms``, each stage one stacked call per group.  Returns
@@ -178,7 +184,7 @@ def enlargements(algebra, xs, norms, e: Element) -> tuple:
     xf = largest([stacked_singular_values(x @ p) for x, p in zip(xs, f)])
     if (bad := def_f > 2.0 * def_e + ENLARGE_DEFICIENCY_SLACK).any():
         raise PostconditionError(f"trace deficiency {def_f[bad][0]} exceeds 2 * {def_e}")
-    if (bad := xf > delta + BOUND_SLACK * np.maximum(1.0, norms)).any():
+    if (bad := exceeds_bound(xf, delta, norms)).any():
         raise PostconditionError(
             f"||x f|| = {xf[bad][0]} exceeds ||e x e|| = {delta[bad][0]}")
     return f, delta, xf, def_f
@@ -195,7 +201,7 @@ def fava_decompose(x: Element, delta: float) -> Tuple[Element, Element]:
     x = x.as_selfadjoint()
     ystacks = []
     for b in x.stacks:
-        w, v = np.linalg.eigh((b + _adj(b)) / 2)
+        w, v = np.linalg.eigh(b / 2 + _adj(b) / 2)
         # block by block: a masked stacked product would round differently
         ystacks.append(np.array([(vb[:, big] * wb[big]) @ _adj(vb[:, big])
                                  for wb, vb, big in zip(w, v, np.abs(w) > delta)]))

@@ -472,7 +472,7 @@ def check_positivity(op: SuperOperator, trials: int = 50, seed: int = 0) -> bool
     for _ in range(trials):
         x = op.algebra.random_element(rng)
         y = op.apply(x.adjoint() @ x)
-        ysa = Element._from_stacks(y.algebra, [(b + _adj(b)) / 2 for b in y.stacks],
+        ysa = Element._from_stacks(y.algebra, [b / 2 + _adj(b) / 2 for b in y.stacks],
                                    selfadjoint=True)
         lo = min(np.linalg.eigvalsh(b).min() for b in ysa.stacks)
         if lo < -POSITIVITY_TOL * max(1.0, ysa.sup_norm()):

@@ -9,7 +9,7 @@ import scipy.linalg
 from hypothesis import example, settings, strategies as st
 
 from ncergo import BlockExpectation, Element, Pinching, TracedAlgebra
-from ncergo.certify import _weight_above
+from ncergo.certify import FiniteTrace, _weight_above
 from ncergo.rng import stream
 from ncergo.singular import spectral_cut
 
@@ -166,6 +166,17 @@ def random_unitary(rng, d):
 
 def random_unitary_element(rng, algebra):
     return Element(algebra, [random_unitary(rng, d) for d in algebra.dims])
+
+
+def scaled_trace(rng, k):
+    """A benign trace at scale 2^k: on blocks 3x3 of weight 1 and 2x2 of
+    weight 0.5, x_j = (1 + 2^-j) b 2^k for j = 1..7 with limit b 2^k, for
+    a complex Gaussian b.  Returns (trace, limit)."""
+    a = TracedAlgebra(((3, 1.0), (2, 0.5)))
+    b = [(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) * 2.0 ** k
+         for d in a.dims]
+    return (FiniteTrace(tuple(Element(a, [(1 + 2.0 ** -j) * m for m in b])
+                              for j in range(1, 8))), Element(a, b))
 
 
 def random_projection(rng, algebra, min_rank=0):

@@ -9,7 +9,7 @@ from hypothesis import example, given, strategies as st
 
 from conftest import SEED, LAYOUTS, grouped_examples, \
     random_layout_element, random_projection, random_unitary_element, \
-    reference_projection_blocks, same_bits, spectrum_elements, \
+    reference_projection_blocks, same_bits, scaled_trace, spectrum_elements, \
     spectrum_examples, split_stacks, tail_weight
 from ncergo import certify
 from ncergo import Element, TracedAlgebra, UnitaryConjugation, \
@@ -960,3 +960,31 @@ def test_upgrade_factorizations_do_not_grow_with_the_trace(monkeypatch):
         counts.append(sorted(calls))
     assert counts[0] == counts[1] == counts[2]
     assert "svd" in counts[0] and "eigh" in counts[0]
+
+
+@pytest.mark.parametrize("k", [-60, -30, 0, 20, 30, 40, 60])
+def test_certifier_postconditions_scale(k):
+    """Every compressed-bound postcondition takes the slack
+    BOUND_SLACK * max(||term||, 1) of ``enlargements``, since a computed
+    bound carries rounding of order u ||term|| at any scale: on benign
+    traces scaled by 2^k none of the certifiers raises PostconditionError."""
+    rng = stream(SEED, f"test/certify/scaled-{k}")
+    for _ in range(6):
+        trace, limit = scaled_trace(rng, k)
+        for mode in ("au", "bau"):
+            witness_convergence(trace, limit, 0.3, mode)
+            certify_cauchy(trace, 0.3, mode)
+        bilateral_to_onesided(trace, certify_cauchy(trace, 0.3, "bau"))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_upgrade_of_an_overflowing_trace_is_input_error():
+    """The upgrade forms its differences under the certifiers' one overflow
+    rule: a difference past the float range is refused as input, with no
+    RuntimeWarning."""
+    a = TracedAlgebra(((2, 1.0),))
+    trace = FiniteTrace(tuple(Element(a, [np.diag([v, v])], selfadjoint=True)
+                              for v in (1e308, -1e308)))
+    bau = WitnessCertificate("bau", 0.5, a.identity(), 0.0, (), "certified", 2)
+    with pytest.raises(InvalidInputError, match="non-finite matrix entries"):
+        bilateral_to_onesided(trace, bau)

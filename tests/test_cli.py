@@ -16,9 +16,11 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 import ncergo
+from conftest import SEED, scaled_trace
 from ncergo import BlockExpectation, ConvexCombination, Element, \
     TracedAlgebra, UnitaryConjugation, serialize
 from ncergo.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, EXIT_REFUTED, main
+from ncergo.rng import stream
 
 
 def write_json(path, payload):
@@ -391,16 +393,42 @@ def test_certify_empty_dir(tmp_path):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_certify_overflowing_difference_is_input_error(tmp_path, capsys):
+@pytest.mark.parametrize("route", [[], ["--cauchy"], ["--mode", "au", "--limit"]],
+                         ids=["default", "cauchy", "au-limit"])
+def test_certify_overflowing_difference_is_input_error(tmp_path, capsys, route):
+    """Every route forms its differences under one overflow rule: x_1 - x_0,
+    and L - x_1 for a finite L, overflow to inf, which the spectrum reader
+    refuses as input."""
     trace_dir = tmp_path / "trace"
     trace_dir.mkdir()
     for n, v in enumerate((1e308, -1e308)):
         write_json(trace_dir / f"element_{n:03d}.json",
                    diag_element_spec([v, v]))
-    code = main(["certify", "--trace-dir", str(trace_dir),
-                 "--epsilon", "0.5", "--out-dir", str(tmp_path / "out")])
+    if route[-1:] == ["--limit"]:
+        route = [*route, write_json(tmp_path / "limit.json",
+                                    diag_element_spec([1e308, 1e308]))]
+    code = main(["certify", "--trace-dir", str(trace_dir), "--epsilon", "0.5",
+                 *route, "--out-dir", str(tmp_path / "out")])
     assert code == EXIT_INPUT
     assert "non-finite matrix entries" in capsys.readouterr().err
+
+
+def test_certify_au_limit_on_a_scaled_trace_is_no_numeric_failure(tmp_path):
+    """Scaled by 2^30, a benign trace's au witness meets its postcondition,
+    whose slack grows with the differences: the run is certified or refuted
+    (exit 0 or 1), never a numeric failure (exit 3)."""
+    rng = stream(SEED, "test/cli/scaled-au")
+    for case in range(4):
+        trace, limit = scaled_trace(rng, 30)
+        trace_dir = tmp_path / f"trace{case}"
+        trace_dir.mkdir()
+        for n, x in enumerate((*trace.elements, limit)):
+            name = "limit" if n == len(trace) else f"element_{n:03d}"
+            write_json(trace_dir / f"{name}.json", serialize.element_to_dict(x))
+        code = main(["certify", "--trace-dir", str(trace_dir), "--epsilon", "0.3",
+                     "--mode", "au", "--limit", str(trace_dir / "limit.json"),
+                     "--out-dir", str(tmp_path / f"out{case}")])
+        assert code in (EXIT_OK, EXIT_REFUTED)
 
 
 @pytest.mark.parametrize("epsilon", ["inf", "1e400", "nan"])

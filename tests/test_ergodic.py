@@ -1068,6 +1068,18 @@ def test_besicovitch_constant_weight_identity_flow():
     assert (avg - x).sup_norm() < 1e-14
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_unitary_flow_of_a_generator_near_the_float_range():
+    """The generator's Hermitian part halves before it adds, so a spectrum
+    near the top of the float range keeps finite eigenvalues, and the flow
+    applies to a finite element."""
+    a = TracedAlgebra(((2, 1.0),))
+    flow = UnitaryFlow(Element(a, [np.diag([1.2e308, -1.2e308])], selfadjoint=True))
+    assert all(np.isfinite(w).all() for w, _ in flow._eig)
+    y = flow.apply(0.5, a.random_element(stream(SEED, "test/ergodic/flow-range")))
+    assert all(np.isfinite(b).all() for b in y.stacks)
+
+
 def test_besicovitch_closed_form():
     algebra, beta, flow, x, closed = besicovitch_theta_fixture()
     for t in (1.0, 10.0, 100.0):

@@ -332,6 +332,16 @@ def test_fava_decompose_examples():
         fava_decompose(x, 0.0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_fava_decompose_near_the_float_range():
+    """The Hermitian part halves before it adds, so a spectrum near the top
+    of the float range still splits as y + z = x with ||z|| <= delta."""
+    x = diag_element([1.2e308, -1.2e308])
+    y, z = fava_decompose(x, 1.0)
+    assert z.sup_norm() <= 1.0
+    assert all(np.array_equal(p + q, b) for p, q, b in zip(y.stacks, z.stacks, x.stacks))
+
+
 def test_fava_decompose_random():
     rng = stream(SEED, "test/singular/fava")
     for config in BLOCK_CONFIGS:
